@@ -21,15 +21,18 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SystemExit(2) from exc
+        raise ValueError(f"{text.strip()!r} is not a rational number") from exc
 
 
 def _parse_samples(text: str):
+    """Comma-separated nonzero rationals; ValueError names the bad one."""
     out = []
     for chunk in text.split(","):
-        chunk = chunk.strip()
-        if chunk:
-            out.append(QScalar(Fraction(chunk)))
+        if chunk.strip():
+            s = _parse_fraction(chunk)
+            if s == 0:
+                raise ValueError("0 is excluded (samples must avoid s = 0)")
+            out.append(QScalar(s))
     return out
 
 
@@ -101,7 +104,11 @@ def cmd_verify_family(args) -> int:
     if m in (0, 1):
         print("the family parameter must avoid 0 and 1", file=sys.stderr)
         return 2
-    samples = _parse_samples(args.samples) if args.samples else _default_samples()
+    try:
+        samples = _parse_samples(args.samples) if args.samples else _default_samples()
+    except ValueError as exc:
+        print(f"invalid samples: {exc}", file=sys.stderr)
+        return 2
     pkg = _build_package(m, samples)
     rep = verify(pkg, depth=args.depth, samples=samples)
     print(rep.to_json() if args.report == "json" else rep.to_text())
@@ -119,7 +126,12 @@ def cmd_orbit(args) -> int:
     if m in (0, 1):
         print("the family parameter must avoid 0 and 1", file=sys.stderr)
         return 2
-    pkg = _build_package(m, _default_samples())
+    try:
+        samples = _default_samples()
+    except ValueError as exc:
+        print(f"invalid samples: {exc}", file=sys.stderr)
+        return 2
+    pkg = _build_package(m, samples)
     # s is the signed collar coordinate: the point has rho = s * |s|
     rho = QScalar(s * abs(s))
     tau_val = pkg.tau.eval(rho)       # PLAIN: the variable is rho itself

@@ -281,12 +281,6 @@ class FrameChart:
     def flat(dim: int, param: str = PLAIN, rho_directions=()) -> "FrameChart":
         return FrameChart(dim, param, rho_directions)
 
-    def with_connection(self, G) -> "FrameChart":
-        out = FrameChart(self.dim, self.param, self.rho_directions, self.labels)
-        out.C = [[list(col) for col in row] for row in self.C]
-        out.G = [[list(col) for col in row] for row in G] if isinstance(G, list) else G
-        return out
-
     def levi_civita(self, g: AltTensor) -> "FrameChart":
         """Chart with the same brackets and the Levi-Civita connection of g."""
         n = self.dim

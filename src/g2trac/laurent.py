@@ -264,7 +264,3 @@ class CoeffFn:
             else:
                 bits.append(f"({c})*{var}^{e}")
         return " + ".join(bits)
-
-
-def as_coeff(x, param: str = PLAIN) -> CoeffFn:
-    return CoeffFn.of(x, param)

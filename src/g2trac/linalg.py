@@ -1,9 +1,9 @@
 """Exact dense linear algebra over QScalar and over the Laurent ring.
 
 Matrices are plain lists of lists.  Field routines (rank, kernel,
-inverse, Sylvester signature) work over QScalar; the Laurent routines
-avoid division except through exact quotients, so metric inverses stay
-inside the coefficient ring whenever the geometry permits.
+inverse, Sylvester signature) work over QScalar; the Laurent inverse is
+fraction-free and divides only through exact quotients, so metric
+inverses stay inside the coefficient ring whenever the geometry permits.
 """
 
 from __future__ import annotations
@@ -106,20 +106,6 @@ def nullspace(A: Mat) -> List[list]:
     return basis
 
 
-def solve(A: Mat, b: Sequence):
-    """One exact solution of A x = b, or None if inconsistent."""
-    n = len(A)
-    cols = len(A[0])
-    aug = [A[i][:] + [b[i]] for i in range(n)]
-    R, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [QScalar.zero()] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r][cols]
-    return x
-
-
 def inverse(A: Mat) -> Mat:
     n = len(A)
     aug = [A[i][:] + [QScalar.one() if i == j else QScalar.zero() for j in range(n)]
@@ -209,66 +195,48 @@ def signature(G: Mat):
 
 
 def det_perm(A: Mat):
-    """Determinant by signed permutation expansion (n <= 7 in practice)."""
+    """Determinant by signed permutation expansion (n <= 7 in practice).
+
+    The reference determinant: exact over any ring, but n! terms."""
+    from .tensors import perm_sign
     n = len(A)
-    idx = list(range(n))
     total = None
-    for perm in permutations(idx):
-        inv = _parity(perm)
+    for perm in permutations(range(n)):
         term = A[0][perm[0]]
         for i in range(1, n):
             term = term * A[i][perm[i]]
-        if inv < 0:
+        if perm_sign(perm) < 0:
             term = -term
         total = term if total is None else total + term
     return total
 
 
-def _parity(perm) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def minor(A: Mat, i: int, j: int) -> Mat:
-    return [[A[r][c] for c in range(len(A)) if c != j] for r in range(len(A)) if r != i]
-
-
 def inverse_laurent(A: Mat) -> Mat:
-    """Inverse of a CoeffFn matrix via adjugate / determinant.
+    """Inverse of a CoeffFn matrix by fraction-free Gauss-Jordan elimination.
 
-    Succeeds exactly when every adjugate entry is divisible by det in the
-    Laurent ring (true whenever the inverse has Laurent entries, e.g. for
-    the collar metrics handled here, whose determinants are monomials).
+    Bareiss's update divides by the previous pivot, a quotient that is
+    exact in any integral domain, so [A | I] becomes [d I | d A^-1] with
+    d = +-det A the last pivot.  The final division by d succeeds exactly when the
+    inverse has Laurent entries (e.g. for the collar metrics handled
+    here, whose determinants are monomials) and raises ValueError
+    otherwise.
     """
     n = len(A)
-    d = det_perm(A)
-    if d.is_zero():
-        raise DegenerateError("singular matrix over the Laurent ring")
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            m = det_perm(minor(A, j, i))
-            if (i + j) % 2:
-                m = -m
-            out[i][j] = m / d
-    return out
-
-
-def laurent_matrix_is_zero(A: Mat) -> bool:
-    return all(x.is_zero() for row in A for x in row)
-
-
-def eval_matrix(A: Mat, s_value) -> Mat:
-    return [[x.eval(s_value) if isinstance(x, CoeffFn) else x for x in row] for row in A]
+    param = A[0][0].param
+    M = [list(row) + e for row, e in zip(A, eye(n, CoeffFn.one(param), CoeffFn.zero(param)))]
+    prev = None
+    for k in range(n):
+        pr = next((i for i in range(k, n) if not M[i][k].is_zero()), None)
+        if pr is None:
+            raise DegenerateError("singular matrix over the Laurent ring")
+        M[k], M[pr] = M[pr], M[k]
+        piv = M[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row = M[i]
+            f = row[k]
+            new = [piv[k] * row[j] - f * piv[j] for j in range(2 * n)]
+            M[i] = new if prev is None else [x / prev for x in new]
+        prev = piv[k]
+    return [[x / prev for x in row[n:]] for row in M]

@@ -212,6 +212,9 @@ class QScalar:
         return NotImplemented
 
     def __hash__(self):
+        # a rational value hashes like its Fraction, as __eq__ requires
+        if not (self.b or self.c or self.d):
+            return hash(self.a)
         return hash((self.a, self.b, self.c, self.d))
 
     def __bool__(self):
@@ -341,14 +344,20 @@ def _rat_sqrt(x: Fraction):
 
 
 def _icbrt(n: int):
+    """The integer cube root of n, or None when n is not a cube."""
     if n < 0:
         r = _icbrt(-n)
         return None if r is None else -r
-    r = round(n ** (1 / 3)) if n < 2 ** 50 else int(n ** (1 / 3))
-    for cand in range(max(r - 2, 0), r + 3):
-        if cand ** 3 == n:
-            return cand
-    return None
+    if n < 2:
+        return n
+    # integer Newton from above; it decreases to floor(cbrt(n))
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            break
+        x = y
+    return x if x ** 3 == n else None
 
 
 def _rat_cbrt(x: Fraction):

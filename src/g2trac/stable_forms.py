@@ -10,12 +10,12 @@ Compatible pairs glue the two pictures together.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import List
 
 from . import linalg
 from .scalars import DegenerateError, QScalar
-from .tensors import SYM, AltTensor
+from .tensors import SYM, AltTensor, perm_sign_rel
 
 B1, B2, B3, B4, B5, B6 = "beta1", "beta2", "beta3", "beta4", "beta5", "beta6"
 DEFINITE, SPLIT, DEGENERATE = "definite", "split", "degenerate"
@@ -138,7 +138,9 @@ def eps_complex_from_3form(beta: AltTensor, orientation: int = 1):
 
 
 def htilde_matrix(phi: AltTensor):
-    """Matrix of (1/6)(X . phi)^(Y . phi)^phi, e^{1..7} coefficient."""
+    """Matrix of (1/6)(X . phi)^(Y . phi)^phi, e^{1..7} coefficient.
+
+    Entries lie in phi's ring: QScalar pointwise, CoeffFn on a chart."""
     if phi.dim != 7 or phi.n_down != 3 or phi.n_up:
         raise ValueError("expected a 3-form on a 7-dimensional space")
     basis = []
@@ -156,7 +158,7 @@ def htilde_matrix(phi: AltTensor):
     return out
 
 
-def _phi_norm_with(phi: AltTensor, hinv) -> QScalar:
+def _phi_norm_with(phi: AltTensor, hinv):
     """phi_{ABC} phi_{DEF} h^{AD} h^{BE} h^{CF}, all indices raised with hinv.
 
     Staged: the three raisings are applied one slot at a time, so the
@@ -190,18 +192,12 @@ def _phi_norm_with(phi: AltTensor, hinv) -> QScalar:
         raised = new
     acc = zero
     for (_, (a, b, c)), v in phi.comps.items():
-        from itertools import permutations
         for p in permutations((a, b, c)):
             sv = v if perm_sign_rel((a, b, c), p) > 0 else -v
             t = raised[p[0]][p[1]][p[2]]
             if not t.is_zero():
                 acc = acc + sv * t
     return acc
-
-
-def perm_sign_rel(base, perm):
-    from .tensors import perm_sign_rel as psr
-    return psr(base, perm)
 
 
 def metric_from_3form7(phi: AltTensor):

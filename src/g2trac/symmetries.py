@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .coordfields import CoordField, CoordPoly
@@ -149,99 +149,69 @@ def symmetry_residuals(pkg: GeometryPackage, sym: FrameSymmetry) -> List[CoeffFn
     return out
 
 
-def _residual_coeffs(residuals: List[CoeffFn]) -> List[QScalar]:
-    out = []
-    for r in residuals:
-        for e in sorted(r.terms):
-            out.append(r.terms[e])
-    return out
-
-
-def solve_frame_symmetry(pkg: GeometryPackage, weight: Fraction) -> Optional[FrameSymmetry]:
-    """Solve for a constant 5x5 group-block frame action with the given
-    dilation weight that preserves the whole package; None if infeasible.
+def _group_block_action(entries: List[QScalar], weight: Fraction) -> FrameSymmetry:
+    """The frame action with the given 5x5 group block (row-major entries).
 
     The collar row/column is forced: [xi, E_a] stays horizontal for the
-    group legs and [xi, d/drho] = -weight d/drho.
+    group legs and [xi, d/drho] = -weight d/drho."""
+    z = QScalar.zero()
+    lam = [[z for _ in range(6)] for _ in range(6)]
+    for i in range(5):
+        for j in range(5):
+            lam[i][j] = entries[5 * i + j]
+    lam[5][5] = QScalar(-weight)
+    return FrameSymmetry(lam, weight)
+
+
+def frame_symmetry_system(pkg: GeometryPackage,
+                          weight: Fraction) -> Tuple[Optional[FrameSymmetry], int]:
+    """The weight-`weight` frame action preserving the whole package (None
+    if infeasible) and the dimension of the space of group-block actions
+    annihilating everything (0: the action is unique in its class).
+
+    The residuals are affine in the 25 block entries, L x + b, and the
+    weight enters only b.  One base evaluation and 25 unit perturbations
+    give L and b exponent by exponent; one rref of [L | -b] yields the
+    solution and rank L, so the kernel dimension 25 - rank L is the same
+    at every weight.
     """
     weight = Fraction(weight)
     z = QScalar.zero()
-
-    def build(entries: List[QScalar]) -> FrameSymmetry:
-        lam = [[z for _ in range(6)] for _ in range(6)]
-        for i in range(5):
-            for j in range(5):
-                lam[i][j] = entries[5 * i + j]
-        lam[5][5] = QScalar(-weight)
-        return FrameSymmetry(lam, weight)
-
-    # exponent bookkeeping: residuals are Laurent; collect every exponent
-    # appearing for the zero candidate and for each unit perturbation
-    base_sym = build([z] * 25)
-    base = symmetry_residuals(pkg, base_sym)
+    base = symmetry_residuals(pkg, _group_block_action([z] * 25, weight))
     cols = []
     for k in range(25):
         entries = [z] * 25
         entries[k] = QScalar.one()
-        pert = symmetry_residuals(pkg, build(entries))
+        pert = symmetry_residuals(pkg, _group_block_action(entries, weight))
         cols.append([p - b for p, b in zip(pert, base)])
-    exps = set()
-    for r in base:
-        exps |= set(r.terms)
-    for col in cols:
-        for r in col:
-            exps |= set(r.terms)
-    exps = sorted(exps)
+    exps = sorted({e for col in cols + [base] for r in col for e in r.terms})
     rows = []
-    rhs = []
     for i, b in enumerate(base):
         for e in exps:
-            row = [cols[k][i].coeff(e) for k in range(25)]
-            c = b.coeff(e)
-            if all(v.is_zero() for v in row) and c.is_zero():
-                continue
-            rows.append(row)
-            rhs.append(-c)
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
-        return None
-    sym = build(sol)
+            row = [cols[k][i].coeff(e) for k in range(25)] + [-b.coeff(e)]
+            if any(not v.is_zero() for v in row):
+                rows.append(row)
+    R, pivots = linalg.rref(rows)
+    kernel_dim = 25 - len([c for c in pivots if c < 25])
+    if 25 in pivots:
+        return None, kernel_dim
+    sol = [z] * 25
+    for r, c in enumerate(pivots):
+        sol[c] = R[r][25]
+    sym = _group_block_action(sol, weight)
     if any(not r.is_zero() for r in symmetry_residuals(pkg, sym)):
-        return None
-    return sym
+        return None, kernel_dim
+    return sym, kernel_dim
+
+
+def solve_frame_symmetry(pkg: GeometryPackage, weight: Fraction) -> Optional[FrameSymmetry]:
+    """The constant frame action with this dilation weight; None if infeasible."""
+    return frame_symmetry_system(pkg, weight)[0]
 
 
 def frame_symmetry_kernel_dim(pkg: GeometryPackage, weight: Fraction = Fraction(0)) -> int:
-    """Dimension of the space of weight-`weight` frame actions annihilating
-    everything; 0 means the solved action is unique in its class."""
-    z = QScalar.zero()
-
-    def build(entries):
-        lam = [[z for _ in range(6)] for _ in range(6)]
-        for i in range(5):
-            for j in range(5):
-                lam[i][j] = entries[5 * i + j]
-        lam[5][5] = QScalar(-Fraction(weight))
-        return FrameSymmetry(lam, Fraction(weight))
-
-    base = symmetry_residuals(pkg, build([z] * 25))
-    cols = []
-    for k in range(25):
-        entries = [z] * 25
-        entries[k] = QScalar.one()
-        pert = symmetry_residuals(pkg, build(entries))
-        cols.append([p - b for p, b in zip(pert, base)])
-    exps = set()
-    for col in cols + [base]:
-        for r in col:
-            exps |= set(r.terms)
-    rows = []
-    for i in range(len(base)):
-        for e in sorted(exps):
-            row = [cols[k][i].coeff(e) for k in range(25)]
-            if any(not v.is_zero() for v in row):
-                rows.append(row)
-    return len(linalg.nullspace(rows)) if rows else 25
+    """Dimension of the space of frame actions annihilating everything."""
+    return frame_symmetry_system(pkg, weight)[1]
 
 
 def dilation_negative_control(pkg: GeometryPackage,

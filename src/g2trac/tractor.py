@@ -16,7 +16,9 @@ from typing import List
 
 from .frames import FrameChart
 from .laurent import CoeffFn
-from .scalars import QScalar
+from .linalg import inverse_laurent
+from .scalars import DegenerateError, QScalar
+from .stable_forms import _phi_norm_with, htilde_matrix
 from .tensors import ALT, NONE, SYM, AltTensor, perm_sign
 
 
@@ -200,42 +202,6 @@ def tractor_volume(chart: FrameChart) -> AltTensor:
     return eps
 
 
-def htilde7(full: AltTensor, zero) -> List[List]:
-    """Matrix of (1/6)(X . Phi) ^ (Y . Phi) ^ Phi on the e^{0..6} slot."""
-    basis = []
-    one = QScalar.one()
-    for a in range(7):
-        vec = [one if i == a else QScalar.zero() for i in range(7)]
-        basis.append(full.interior(vec))
-    out = [[zero for _ in range(7)] for _ in range(7)]
-    sixth = QScalar(Fraction(1, 6))
-    for i in range(7):
-        for j in range(i, 7):
-            w = basis[i].wedge(basis[j]).wedge(full)
-            val = w.get((), tuple(range(7))) * sixth
-            out[i][j] = val
-            out[j][i] = val
-    return out
-
-
-def _phi_norm_laurent(full: AltTensor, hinv) -> CoeffFn:
-    """Phi_{ABC} Phi_{DEF} h^{AD} h^{BE} h^{CF} over the Laurent ring."""
-    expanded = []
-    for (_, idx), v in full.comps.items():
-        for p in permutations(idx):
-            s = perm_sign_rel_cached(idx, p)
-            expanded.append((p, v if s > 0 else -v))
-    acc = None
-    for (a, b, c), va in expanded:
-        for (d, e, f), vb in expanded:
-            w = hinv[a][d] * hinv[b][e] * hinv[c][f]
-            if w.is_zero():
-                continue
-            t = va * vb * w
-            acc = t if acc is None else acc + t
-    return acc
-
-
 def laurent_cbrt(f: CoeffFn) -> CoeffFn:
     if len(f.terms) != 1:
         raise ValueError("cube root only for Laurent monomials")
@@ -256,13 +222,10 @@ def tractor_metric_from_phi(chart: FrameChart, phi: Tractor3Form) -> AltTensor:
     n = chart.dim
     if n != 6:
         raise ValueError("the tractor metric construction needs a 6-dimensional chart")
-    from .linalg import inverse_laurent
-    from .scalars import DegenerateError
     full = phi.full(chart.zero())
-    ht = htilde7(full, chart.zero())
-    hinv = inverse_laurent(ht)
-    s = _phi_norm_laurent(full, hinv)
-    if s is None:
+    ht = htilde_matrix(full)
+    s = _phi_norm_with(full, inverse_laurent(ht))
+    if s.is_zero():
         raise DegenerateError("tractor 3-form is degenerate")
     c = laurent_cbrt(s * QScalar(Fraction(1, 42)))
     H = AltTensor(7, 0, 2, SYM, chart.zero())
@@ -318,7 +281,6 @@ def phi_volume_ratio(chart: FrameChart, phi: Tractor3Form, H: AltTensor) -> Coef
     """Coefficient of (1/42) Phi_{K[AB} Phi^K_{CD} Phi_{EFG]} against the
     frame tractor volume; its sign is the orientation of Phi relative to
     the chart frame."""
-    from .linalg import inverse_laurent
     full = phi.full(chart.zero())
     hinv = inverse_laurent(H.as_matrix())
     triples = [(idx, v) for (_, idx), v in full.comps.items()]

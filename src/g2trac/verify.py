@@ -240,9 +240,8 @@ def verify(pkg: GeometryPackage, depth: str = "full",
     rep.add("zero_locus.bgg-output-parallel", all(v.is_zero() for v in par))
 
     # symmetries
-    from .symmetries import (dilation_negative_control, is_distribution_symmetry,
-                             frame_symmetry_kernel_dim, solve_frame_symmetry,
-                             symmetry_fields)
+    from .symmetries import (dilation_negative_control, frame_symmetry_system,
+                             is_distribution_symmetry, symmetry_fields)
     m = Fraction(meta["m"])
     fields = symmetry_fields(m)
     for name in ("xi1", "xi2", "xi3", "xi4", "xi5", "xi6"):
@@ -254,11 +253,11 @@ def verify(pkg: GeometryPackage, depth: str = "full",
     else:
         rep.skip("symmetry.xi7", "stored with antiderivative constant 0; excluded "
                                  "from assertions (undetermined constant)")
-    sym2 = solve_frame_symmetry(pkg, Fraction(2))
+    sym2, kernel_dim = frame_symmetry_system(pkg, Fraction(2))
     rep.add("symmetry.dilation-weight-2", sym2 is not None,
             "constant frame action with weight-2 dilation preserves "
             "brackets, connection and the parallel 3-form")
-    rep.add("symmetry.action-unique", frame_symmetry_kernel_dim(pkg, Fraction(0)) == 0)
+    rep.add("symmetry.action-unique", kernel_dim == 0)
     rep.add("symmetry.bare-sixth-fails", dilation_negative_control(pkg, sym2),
             "same group action without the dilation does not preserve the 3-form")
 

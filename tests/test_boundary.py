@@ -156,4 +156,6 @@ def test_frame_symmetry_solution_and_negative_control(pkg_half):
     assert sym is not None
     assert sym.lam[5][5] == QScalar(-2)
     assert frame_symmetry_kernel_dim(pkg_half, Fraction(0)) == 0
+    # the weight enters only the constant column: the kernel ignores it
+    assert frame_symmetry_kernel_dim(pkg_half, Fraction(2)) == 0
     assert dilation_negative_control(pkg_half, sym)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2trac.scalars import QScalar, SQRT2, SQRT5, SQRT10, DegenerateError
+from g2trac.scalars import QScalar, SQRT2, SQRT5, SQRT10, DegenerateError, _icbrt
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -143,6 +143,11 @@ def test_equality_with_plain_rationals():
     assert QScalar(2, 0, 0, 1) != 2
     assert QScalar(0, 1) != 0
     assert QScalar(1, 1) != QScalar(1, 1, 1)
+    # equal values hash equal, so mixed sets and dicts find their keys
+    assert hash(QScalar(1)) == hash(1)
+    assert hash(QScalar(Fraction(3, 2))) == hash(Fraction(3, 2))
+    assert 1 in {QScalar(1)} and QScalar(1) in {1}
+    assert {Fraction(-2, 3): "x"}[QScalar(Fraction(-2, 3))] == "x"
 
 
 def test_exact_sign_close_call():
@@ -177,6 +182,17 @@ def test_cbrt_monomial_cases():
     assert (QScalar(80) * SQRT10).cbrt() == 2 * SQRT10
     with pytest.raises(ValueError):
         (1 + SQRT2).cbrt()
+
+
+def test_icbrt_exact_at_every_size():
+    for k in (0, 1, 2, 3, 10 ** 20 + 3, 10 ** 120, 3 ** 400 + 1):
+        assert _icbrt(k ** 3) == k
+        assert _icbrt(-(k ** 3)) == -k
+    for n in (2, 7, 9, -26, 10 ** 360 - 1, 10 ** 360 + 1, -(10 ** 360 + 1),
+              (10 ** 20 + 3) ** 3 + 1):
+        assert _icbrt(n) is None
+    assert all(_icbrt(n) is None for n in range(10 ** 360 - 50, 10 ** 360 + 50)
+               if n != 10 ** 360)
 
 
 def test_string_round_trip():

@@ -2,6 +2,8 @@ import json
 import os
 from fractions import Fraction
 
+import pytest
+
 from g2trac import cli
 from g2trac.qm_family import build_model
 from g2trac.scalars import QScalar
@@ -187,3 +189,23 @@ def test_samples_env_override(monkeypatch, capsys):
                    "--report", "json"])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0 and out["meta"]["samples"] == "1,3"
+
+
+VERIFY_QUICK = ["verify-family", "--m", "1/2", "--depth", "quick"]
+
+
+@pytest.mark.parametrize("argv, env", [
+    (VERIFY_QUICK + ["--samples", "0"], None),
+    (VERIFY_QUICK + ["--samples", "1,0"], None),
+    (VERIFY_QUICK + ["--samples", "abc"], None),
+    (VERIFY_QUICK + ["--samples", "1/0"], None),
+    (VERIFY_QUICK, "1,x"),
+    (["orbit", "--m", "1/2", "--s", "1"], "0"),
+])
+def test_cli_bad_samples_exit_2(argv, env, monkeypatch, capsys):
+    if env is not None:
+        monkeypatch.setenv("G2TRAC_SAMPLES", env)
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
