@@ -12,7 +12,7 @@ see boundary_connection_checks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple

@@ -46,18 +46,20 @@ def _default_samples():
 def cmd_classify_form(args) -> int:
     from .laurent import CoeffFn
     from .tensor_io import load_tensor
-    from .tensors import AltTensor
+    from .tensors import ALT, AltTensor
     from . import stable_forms as sf
     try:
         t = load_tensor(args.file)
+        if t.n_up or t.n_down != 3 or t.sym != ALT:
+            raise ValueError("expected a 3-form: valence [0, 3] with alternating storage")
         if isinstance(t.zero, CoeffFn):
             # pointwise classification of a coefficient-function tensor
-            at = QScalar(Fraction(args.at))
+            at = QScalar(_parse_fraction(args.at))
             pt = AltTensor(t.dim, t.n_up, t.n_down, t.sym)
             for (up, down), v in t.comps.items():
                 pt.set(up, down, v.eval(at))
             t = pt
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"invalid tensor file: {exc}", file=sys.stderr)
         return 2
     dim = args.dim or t.dim
@@ -74,7 +76,9 @@ def cmd_classify_form(args) -> int:
         H, vol, cls = sf.metric_from_3form7(t)
         payload = {"dim": 7, "class": cls}
         if cls != sf.DEGENERATE:
-            payload["signature"] = list(H.signature_at(QScalar.one()))
+            payload["signature"] = list(sf.SIGNATURES[cls])
+        if H is not None:
+            # omitted when the normalizer is not in the field
             payload["metric_diagonal"] = [float(H.as_matrix()[i][i]) for i in range(7)]
         degenerate = cls == sf.DEGENERATE
     else:

@@ -8,7 +8,6 @@ exact); differentiation and Lie brackets are closed on this class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 

@@ -13,15 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, List, Optional
 
 from . import linalg
 from .frames import FrameChart
 from .laurent import PLAIN, RHO_MINUS, RHO_PLUS, CoeffFn
 from .scalars import DegenerateError, QScalar
+from .stable_forms import cross_matrix
 from .tensors import NONE, SYM, AltTensor
-from .tractor import Tractor3Form, tractor_metric_from_phi
+from .tractor import (Tractor3Form, ky_symmetrized_derivative, omega_weyl_cycle,
+                      tractor_metric_from_phi)
 
 
 @dataclass
@@ -53,22 +54,9 @@ def build_package(chart: FrameChart, phi: Tractor3Form, meta=None) -> GeometryPa
 
 def jfield_full(chart: FrameChart, phi: Tractor3Form, H: AltTensor):
     """The weighted endomorphism V -> -X x V in tractor components."""
-    n = chart.dim
     full = phi.full(chart.zero())
-    Hinv = linalg.inverse_laurent(H.as_matrix())
-    out = [[chart.zero() for _ in range(n + 1)] for _ in range(n + 1)]
-    for A in range(n + 1):
-        for C in range(n + 1):
-            acc = chart.zero()
-            for K in range(n + 1):
-                w = Hinv[A][K]
-                if w.is_zero():
-                    continue
-                v = full.get((), (K, n, C))
-                if not v.is_zero():
-                    acc = acc - w * v
-            out[A][C] = acc
-    return out
+    X = cross_matrix(full, linalg.inverse_laurent(H.as_matrix()), chart.dim)
+    return [[-v for v in row] for row in X]
 
 
 def jfield_identity_defects(pkg: GeometryPackage):
@@ -166,17 +154,7 @@ def npk_extract(pkg: GeometryPackage, side: int) -> OrbitStructure:
     n = pkg.dim
     param = RHO_PLUS if side > 0 else RHO_MINUS
     chart_s = pkg.chart.substitute_param(param)
-    Hm = pkg.H.as_matrix()
-    half_inv_s2 = CoeffFn.monomial(Fraction(1, 2), -2, param)          # 1/(2(+-rho))
-    quarter_s4 = CoeffFn.monomial(Fraction(1, 4), -4, param)           # 1/(4 rho^2)
-    g = AltTensor(n, 0, 2, SYM, chart_s.zero())
-    for a in range(n - 1):
-        for b in range(a, n - 1):
-            v = Hm[a][b].substitute_rho(param)
-            if not v.is_zero():
-                g.set((), (a, b), v * half_inv_s2)
-    # -+ (1/(4 rho^2)) drho^2
-    g.set((), (n - 1, n - 1), quarter_s4 * QScalar.of(-side))
+    g = collar_metric(pkg.H.as_matrix(), side, param)
     sigma_s = AltTensor.form(n, 2, chart_s.zero())
     for (_, idx), v in pkg.phi.sigma.comps.items():
         sigma_s.set((), idx, v.substitute_rho(param))
@@ -280,7 +258,6 @@ def npk_verify(orbit: OrbitStructure) -> NPKReport:
     dJ = [lc.cov_deriv(Jt, a) for a in range(n)]
 
     # Killing-Yano / nearly Kahler condition
-    from .tractor import ky_symmetrized_derivative
     S = ky_symmetrized_derivative(lc, omega)
     ky_ok = S.is_zero()
     if not ky_ok:
@@ -339,20 +316,7 @@ def npk_verify(orbit: OrbitStructure) -> NPKReport:
 
     # projective Weyl identity omega_{k[b} W_{cd]}^k_a = 0
     W = lc.weyl()
-    weyl_ok = True
-    for a in range(n):
-        for (b, c, dd) in combinations(range(n), 3):
-            acc = chart.zero()
-            for (x, y, z) in ((b, c, dd), (c, dd, b), (dd, b, c)):
-                for k in range(n):
-                    o = omega.get((), (k, x))
-                    if o.is_zero():
-                        continue
-                    w = W.get((k,), (y, z, a))
-                    if not w.is_zero():
-                        acc = acc + o * w
-            if not acc.is_zero():
-                weyl_ok = False
+    weyl_ok = all(omega_weyl_cycle(omega, W, a).is_zero() for a in range(n))
     if not weyl_ok:
         failures.append("weyl-identity")
 
@@ -452,20 +416,27 @@ class CompactnessResult:
     modified_chart: FrameChart
 
 
-def levi_civita_collar(pkg: GeometryPackage, side: int) -> FrameChart:
-    """Levi-Civita chart of g_side in the polynomial-in-rho parameterization."""
-    n = pkg.dim
-    chart = pkg.chart
-    Hm = pkg.H.as_matrix()
-    g = AltTensor(n, 0, 2, SYM, chart.zero())
-    inv2rho = CoeffFn.monomial(Fraction(side, 2), -1, chart.param)     # 1/(2(+-rho)) in rho
+def collar_metric(Hm, side: int, param: str) -> AltTensor:
+    """g_side on the collar from the chart-scale tractor metric H (PLAIN):
+    g_ab = H_ab side/(2 rho) on the group legs, g = -side/(4 rho^2) drho^2,
+    written in the parameterization param."""
+    n = len(Hm) - 1
+    inv_rho = CoeffFn.rho(param).inverse()
+    group = inv_rho * Fraction(side, 2)
+    g = AltTensor(n, 0, 2, SYM, CoeffFn.zero(param))
     for a in range(n - 1):
         for b in range(a, n - 1):
-            v = Hm[a][b]
+            v = Hm[a][b].substitute_rho(param)
             if not v.is_zero():
-                g.set((), (a, b), v * inv2rho)
-    g.set((), (n - 1, n - 1), CoeffFn.monomial(Fraction(-side, 4), -2, chart.param))
-    return chart.levi_civita(g)
+                g.set((), (a, b), v * group)
+    g.set((), (n - 1, n - 1), inv_rho * inv_rho * Fraction(-side, 4))
+    return g
+
+
+def levi_civita_collar(pkg: GeometryPackage, side: int) -> FrameChart:
+    """Levi-Civita chart of g_side in the polynomial-in-rho parameterization."""
+    chart = pkg.chart
+    return chart.levi_civita(collar_metric(pkg.H.as_matrix(), side, chart.param))
 
 
 def compactness_check(pkg: GeometryPackage, side: int, order: Fraction) -> CompactnessResult:

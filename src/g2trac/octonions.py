@@ -12,6 +12,8 @@ from typing import List, Sequence, Tuple
 
 from . import linalg
 from .scalars import QScalar
+from .stable_forms import phi_volume_with
+from .tensors import AltTensor
 
 
 class Quaternion:
@@ -344,36 +346,13 @@ def cross_to_volume(xi: int) -> QScalar:
     The sign is reported as computed; the caller decides whether it
     matches the declared positive orientation.
     """
-    from itertools import permutations as perms
-    from fractions import Fraction
-    from .tensors import perm_sign
-
     G = dot_matrix(xi)
-    xup = cross_structure_constants(xi)
-
-    def xlow(k, a, b):
-        v = xup.get((k, a, b))
-        return QScalar.zero() if v is None else v * G[k][k]
-
-    acc = QScalar.zero()
-    for p in perms(range(7)):
-        inner = QScalar.zero()
-        for k in range(7):
-            t1 = xlow(k, p[0], p[1])
-            if t1.is_zero():
-                continue
-            t2 = xup.get((k, p[2], p[3]))
-            if t2 is None:
-                continue
-            inner = inner + t1 * t2
-        if inner.is_zero():
-            continue
-        t3 = xlow(p[4], p[5], p[6])
-        if t3.is_zero():
-            continue
-        v = inner * t3
-        acc = acc + (v if perm_sign(p) > 0 else -v)
-    return acc * QScalar(Fraction(1, 42 * 5040))
+    phi = AltTensor.form(7, 3)
+    for (k, a, b), v in _structure_table(xi).items():
+        if k < a < b:
+            phi.set((), (k, a, b), v * G[k][k])
+    # the Gram matrix is diagonal with entries +-1: its own inverse
+    return phi_volume_with(phi, G)
 
 
 class NullFiltration:

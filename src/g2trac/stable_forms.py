@@ -15,7 +15,7 @@ from typing import List
 
 from . import linalg
 from .scalars import DegenerateError, QScalar
-from .tensors import SYM, AltTensor, perm_sign_rel
+from .tensors import NONE, SYM, AltTensor, perm_sign_rel
 
 B1, B2, B3, B4, B5, B6 = "beta1", "beta2", "beta3", "beta4", "beta5", "beta6"
 DEFINITE, SPLIT, DEGENERATE = "definite", "split", "degenerate"
@@ -23,6 +23,10 @@ DEFINITE, SPLIT, DEGENERATE = "definite", "split", "degenerate"
 
 class ClassificationError(RuntimeError):
     """Witness invariants landed outside the classification; internal error."""
+
+
+def _unit(n: int, i: int) -> List[QScalar]:
+    return [QScalar.one() if j == i else QScalar.zero() for j in range(n)]
 
 
 # -- dimension 6 -------------------------------------------------------------
@@ -44,8 +48,7 @@ def jtilde_matrix(beta: AltTensor):
         raise ValueError("expected a 3-form on a 6-dimensional space")
     cols = []
     for a in range(6):
-        vec = [QScalar.one() if i == a else QScalar.zero() for i in range(6)]
-        gamma = beta.interior(vec).wedge(beta)
+        gamma = beta.interior(_unit(6, a)).wedge(beta)
         cols.append(_vol_vector_of_5form(gamma))
     return [[cols[j][i] for j in range(6)] for i in range(6)]
 
@@ -63,8 +66,7 @@ def lam(beta: AltTensor) -> QScalar:
 def kernel_dim(beta: AltTensor) -> int:
     rows = []
     for a in range(6):
-        vec = [QScalar.one() if i == a else QScalar.zero() for i in range(6)]
-        two = beta.interior(vec)
+        two = beta.interior(_unit(6, a))
         rows.append([two.get((), (i, j)) for i, j in combinations(range(6), 2)])
     return 6 - linalg.rank(rows)
 
@@ -143,10 +145,7 @@ def htilde_matrix(phi: AltTensor):
     Entries lie in phi's ring: QScalar pointwise, CoeffFn on a chart."""
     if phi.dim != 7 or phi.n_down != 3 or phi.n_up:
         raise ValueError("expected a 3-form on a 7-dimensional space")
-    basis = []
-    for a in range(7):
-        vec = [QScalar.one() if i == a else QScalar.zero() for i in range(7)]
-        basis.append(phi.interior(vec))
+    basis = [phi.interior(_unit(7, a)) for a in range(7)]
     out = [[QScalar.zero()] * 7 for _ in range(7)]
     sixth = QScalar(Fraction(1, 6))
     for i in range(7):
@@ -200,13 +199,59 @@ def _phi_norm_with(phi: AltTensor, hinv):
     return acc
 
 
+def cross_matrix(phi: AltTensor, hinv, a: int):
+    """Matrix X[c][b] = h^{ck} phi_{kab} of v -> e_a x v, the cross product
+    phi and h define; entries lie in phi's ring."""
+    n = phi.dim
+    out = [[phi.zero for _ in range(n)] for _ in range(n)]
+    for c in range(n):
+        for k in range(n):
+            w = hinv[c][k]
+            if w.is_zero():
+                continue
+            for b in range(n):
+                v = phi.get((), (k, a, b))
+                if not v.is_zero():
+                    out[c][b] = out[c][b] + w * v
+    return out
+
+
+def phi_volume_with(phi: AltTensor, hinv):
+    """e^{0..6} coefficient of (1/42) phi_{K[AB} phi^K_{CD} phi_{EFG]}, the
+    indices raised with hinv; entries lie in phi's ring.
+
+    With Psi_{ABCD} = phi_{KAB} h^{KL} phi_{LCD}, the signed sum over all
+    orderings of the seven legs is 144 (Alt Psi ^ phi), and
+    42 * 7! / 144 = 1470."""
+    n = phi.dim
+    slices = [phi.interior(_unit(n, l)).comps.items() for l in range(n)]
+    psi = AltTensor(n, 0, 4, NONE, phi.zero)
+    for a in range(n):
+        X = cross_matrix(phi, hinv, a)
+        for l in range(n):
+            for b in range(n):
+                x = X[l][b]
+                if x.is_zero():
+                    continue
+                for (_, (c, d)), v in slices[l]:
+                    t = x * v
+                    psi.add_to((), (a, b, c, d), t)
+                    psi.add_to((), (a, b, d, c), -t)
+    top = psi.alternation().wedge(phi).get((), tuple(range(n)))
+    return top * QScalar(Fraction(1, 1470))
+
+
+SIGNATURES = {DEFINITE: (7, 0), SPLIT: (3, 4)}
+
+
 def metric_from_3form7(phi: AltTensor):
     """(H, vol, class) for a 7-dimensional 3-form.
 
     Degenerate input returns class 'degenerate' (H and vol are None).
-    The scale of H is pinned by phi.phi = 42 under H-raising; resolving
-    that normalization needs a cube root, taken exactly when it lies in
-    the coefficient field.
+    The scale of H is pinned by phi.phi = 42 under H-raising, so
+    H = c htilde with c^3 = s/42; the class needs only sign c = sign s.
+    Resolving c needs a cube root, taken exactly when it lies in the
+    coefficient field; when it does not, H and vol are None.
     """
     ht = htilde_matrix(phi)
     try:
@@ -214,50 +259,49 @@ def metric_from_3form7(phi: AltTensor):
     except DegenerateError:
         return None, None, DEGENERATE
     s = _phi_norm_with(phi, hinv)
-    c = (s / 42).cbrt()
-    H = [[x * c for x in row] for row in ht]
-    sig = linalg.signature(H)
-    if sig == (7, 0):
-        cls = DEFINITE
-    elif sig == (3, 4):
-        cls = SPLIT
-    else:
+    p, q = linalg.signature(ht)
+    sig = (p, q) if s.sign() > 0 else (q, p)
+    cls = next((k for k, v in SIGNATURES.items() if v == sig), None)
+    if cls is None:
         raise ClassificationError(f"stable 3-form produced signature {sig}")
-    vol_coeff = c.inverse()
+    try:
+        c = (s / 42).cbrt()
+    except ValueError:
+        return None, None, cls
+    H = [[x * c for x in row] for row in ht]
     vol = AltTensor.form(7, 7)
-    vol.set((), tuple(range(7)), vol_coeff)
-    Ht = AltTensor.from_matrix(H, 7, 0, SYM)
-    return Ht, vol, cls
+    vol.set((), tuple(range(7)), c.inverse())
+    return AltTensor.from_matrix(H, 7, 0, SYM), vol, cls
+
+
+def _normalized_metric(phi: AltTensor, purpose: str):
+    """(H, class) of a stable 7-dim 3-form; raises when the form is
+    degenerate or its normalizer lies outside the coefficient field."""
+    H, _, cls = metric_from_3form7(phi)
+    if cls == DEGENERATE:
+        raise DegenerateError(f"{purpose} needs a stable 3-form")
+    if H is None:
+        raise ValueError(f"{purpose} needs the normalizer (s/42)^(1/3) of the "
+                         "3-form, which is not in Q(sqrt2,sqrt5)")
+    return H, cls
 
 
 def cross_from_3form7(phi: AltTensor):
     """Structure constants x^c_{ab} = H^{ck} phi_{kab}; the form-to-product
     side of the dictionary."""
-    H, _, cls = metric_from_3form7(phi)
-    if cls == DEGENERATE:
-        raise DegenerateError("cannot build a cross product from a degenerate 3-form")
+    H, cls = _normalized_metric(phi, "a cross product")
     hinv = linalg.inverse(H.as_matrix())
     table = {}
     for a in range(7):
-        for b in range(7):
-            for c in range(7):
-                acc = QScalar.zero()
-                for k in range(7):
-                    w = hinv[c][k]
-                    if w.is_zero():
-                        continue
-                    acc = acc + w * phi.get((), (k, a, b))
-                if not acc.is_zero():
-                    table[(c, a, b)] = acc
+        X = cross_matrix(phi, hinv, a)
+        for c in range(7):
+            for b in range(7):
+                if not X[c][b].is_zero():
+                    table[(c, a, b)] = X[c][b]
     return table, cls
 
 
 # -- compatible pairs ---------------------------------------------------------
-
-
-def pullback_through_endo(form: AltTensor, J) -> AltTensor:
-    """J^* form, i.e. form(J., J., ...)."""
-    return form.pullback(J)
 
 
 def is_compatible(omega: AltTensor, beta: AltTensor) -> bool:
@@ -266,7 +310,7 @@ def is_compatible(omega: AltTensor, beta: AltTensor) -> bool:
 
 def is_normalized(omega: AltTensor, beta: AltTensor, orientation: int = 1) -> bool:
     J, eps, _ = eps_complex_from_3form(beta, orientation)
-    lhs = pullback_through_endo(beta, J).wedge(beta)
+    lhs = beta.pullback(J).wedge(beta)
     rhs = omega.wedge(omega).wedge(omega).scale(QScalar(Fraction(2, 3)))
     return (lhs - rhs).is_zero()
 
@@ -342,10 +386,7 @@ def split_by_unit_vector(phi: AltTensor, n: List[QScalar]):
     n must satisfy H(n,n) = +-1 exactly; the complement is realized by an
     exact H-orthogonal change of basis sending n to the last basis leg.
     """
-    H, _, cls = metric_from_3form7(phi)
-    if cls == DEGENERATE:
-        raise DegenerateError("split_by_unit_vector needs a stable 3-form")
-    Hm = H.as_matrix()
+    Hm = _normalized_metric(phi, "split_by_unit_vector")[0].as_matrix()
     nn = linalg.sum_prod(linalg.mat_vec(Hm, n), n)
     if not (nn - QScalar.one()).is_zero() and not (nn + QScalar.one()).is_zero():
         raise ValueError("H(n, n) must be exactly +1 or -1")

@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
-from .coordfields import CoordField, CoordPoly
+from .coordfields import CoordField, CoordPoly, monge_fields
 from .geometry import GeometryPackage
 from .laurent import CoeffFn
 from .scalars import QScalar
@@ -60,13 +60,6 @@ def symmetry_fields(m: Fraction) -> Dict[str, Optional[CoordField]]:
     return fields
 
 
-def monge_distribution_fields(m: Fraction):
-    one = CoordPoly.const(1)
-    F = CoordPoly.var("q", Fraction(m))
-    T = CoordField({"x": one, "y": CoordPoly.var("p"), "p": CoordPoly.var("q"), "z": F})
-    return CoordField({"q": one}), T, F
-
-
 def in_distribution(W: CoordField, F: CoordPoly) -> bool:
     """W lies in ker{dy - p dx, dp - q dx, dz - F dx}?"""
     p, q = CoordPoly.var("p"), CoordPoly.var("q")
@@ -77,7 +70,8 @@ def in_distribution(W: CoordField, F: CoordPoly) -> bool:
 
 
 def is_distribution_symmetry(xi: CoordField, m: Fraction) -> bool:
-    Vq, T, F = monge_distribution_fields(m)
+    F = CoordPoly.var("q", Fraction(m))
+    Vq, T = monge_fields(F)
     return in_distribution(xi.bracket(Vq), F) and in_distribution(xi.bracket(T), F)
 
 

@@ -64,6 +64,8 @@ def tensor_to_json(t: AltTensor, param: Optional[str] = None) -> dict:
 
 
 def tensor_from_json(doc: dict, force_scalar: bool = False) -> AltTensor:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a tensor document is a JSON object, not {type(doc).__name__}")
     dim = int(doc["dim"])
     n_up, n_down = (int(v) for v in doc.get("valence", [0, 0]))
     sym = ALT if doc.get("alt") else (SYM if doc.get("symmetric") else NONE)
@@ -74,6 +76,8 @@ def tensor_from_json(doc: dict, force_scalar: bool = False) -> AltTensor:
         idx = [int(i) - 1 for i in e["idx"]]
         if len(idx) != n_up + n_down:
             raise ValueError("entry index length does not match valence")
+        if any(not 0 <= i < dim for i in idx):
+            raise ValueError(f"entry index {[i + 1 for i in idx]} outside 1..{dim}")
         keys.append((tuple(idx[:n_up]), tuple(idx[n_up:])))
         values.append(coeff_from_json(e, param))
     scalar = force_scalar or all(v.is_constant() for v in values)

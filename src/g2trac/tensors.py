@@ -9,7 +9,7 @@ iteration beats anything cleverer.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -205,7 +205,7 @@ class AltTensor:
         if self.sym == ALT:
             targets = list(combinations(range(self.dim), self.n_down))
         elif self.sym == SYM:
-            targets = list(combinations_with_replacement_(self.dim, self.n_down))
+            targets = list(combinations_with_replacement(range(self.dim), self.n_down))
         else:
             targets = list(product(range(self.dim), repeat=self.n_down))
         for tgt in targets:
@@ -318,11 +318,6 @@ def perm_sign_rel(base, perm) -> int:
     """Sign of the permutation taking base (distinct entries) to perm."""
     pos = {v: i for i, v in enumerate(base)}
     return perm_sign([pos[v] for v in perm])
-
-
-def combinations_with_replacement_(n, k):
-    from itertools import combinations_with_replacement
-    return combinations_with_replacement(range(n), k)
 
 
 # -- module-level operations ------------------------------------------------

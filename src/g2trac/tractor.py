@@ -18,7 +18,7 @@ from .frames import FrameChart
 from .laurent import CoeffFn
 from .linalg import inverse_laurent
 from .scalars import DegenerateError, QScalar
-from .stable_forms import _phi_norm_with, htilde_matrix
+from .stable_forms import _phi_norm_with, htilde_matrix, phi_volume_with
 from .tensors import ALT, NONE, SYM, AltTensor, perm_sign
 
 
@@ -53,21 +53,6 @@ class Tractor3Form:
         for (_, idx), v in self.sigma.comps.items():
             out.set((), (n,) + idx, v)
         return out
-
-    @staticmethod
-    def from_full(full: AltTensor) -> "Tractor3Form":
-        n = full.dim - 1
-        sigma = AltTensor.form(n, 2, full.zero)
-        mu = AltTensor.form(n, 3, full.zero)
-        for idx in combinations(range(n), 3):
-            v = full.get((), idx)
-            if not v.is_zero():
-                mu.set((), idx, v)
-        for idx in combinations(range(n), 2):
-            v = full.get((), (n,) + idx)
-            if not v.is_zero():
-                sigma.set((), idx, v)
-        return Tractor3Form(sigma, mu)
 
 
 # -- connections -----------------------------------------------------------
@@ -282,37 +267,8 @@ def phi_volume_ratio(chart: FrameChart, phi: Tractor3Form, H: AltTensor) -> Coef
     frame tractor volume; its sign is the orientation of Phi relative to
     the chart frame."""
     full = phi.full(chart.zero())
-    hinv = inverse_laurent(H.as_matrix())
-    triples = [(idx, v) for (_, idx), v in full.comps.items()]
-    acc = chart.zero()
-    for idx1, v1 in triples:
-        for p1 in permutations(idx1):
-            s1 = perm_sign_rel_cached(idx1, p1)
-            k = p1[0]
-            f1 = v1 if s1 > 0 else -v1
-            for idx2, v2 in triples:
-                for p2 in permutations(idx2):
-                    s2 = perm_sign_rel_cached(idx2, p2)
-                    l = p2[0]
-                    w = hinv[k][l]
-                    if w.is_zero():
-                        continue
-                    if len({p1[1], p1[2], p2[1], p2[2]}) != 4:
-                        continue
-                    f12 = f1 * (v2 if s2 > 0 else -v2) * w
-                    used = {p1[1], p1[2], p2[1], p2[2]}
-                    for idx3, v3 in triples:
-                        if used & set(idx3):
-                            continue
-                        for p3 in permutations(idx3):
-                            s3 = perm_sign_rel_cached(idx3, p3)
-                            perm = (p1[1], p1[2], p2[1], p2[2]) + p3
-                            term = f12 * (v3 if s3 > 0 else -v3)
-                            if perm_sign(perm) < 0:
-                                term = -term
-                            acc = acc + term
-    frame_sign = tractor_volume(chart).get((), tuple(range(7)))
-    return acc * QScalar(Fraction(1, 42 * 5040)) * frame_sign
+    ratio = phi_volume_with(full, inverse_laurent(H.as_matrix()))
+    return ratio * tractor_volume(chart).get((), tuple(range(7)))
 
 
 _psr_cache = {}
@@ -346,6 +302,26 @@ def ky_symmetrized_derivative(chart: FrameChart, omega: AltTensor) -> AltTensor:
     return out
 
 
+def omega_weyl_cycle(omega: AltTensor, W: AltTensor, a: int) -> AltTensor:
+    """The 3-form omega_{kb} W_{cd}{}^k{}_a + (cyclic in b, c, d), which is
+    3 omega_{k[b} W_{cd]}{}^k{}_a because W is skew in its first two legs."""
+    n = omega.dim
+    out = AltTensor.form(n, 3, omega.zero)
+    for (b, c, d) in combinations(range(n), 3):
+        acc = omega.zero
+        for (x, y, z) in ((b, c, d), (c, d, b), (d, b, c)):
+            for k in range(n):
+                o = omega.get((), (k, x))
+                if o.is_zero():
+                    continue
+                w = W.get((k,), (y, z, a))
+                if not w.is_zero():
+                    acc = acc + o * w
+        if not acc.is_zero():
+            out.set((), (b, c, d), acc)
+    return out
+
+
 def ky_prolong(chart: FrameChart, omega: AltTensor):
     """Prolongation data for the Killing-Yano operator on a weight-3 2-form.
 
@@ -366,24 +342,12 @@ def ky_prolong(chart: FrameChart, omega: AltTensor):
     mu = raw.alternation()
     pair = Tractor3Form(omega, mu)
     W = chart.weyl()
+    half = chart.lift(Fraction(1, 2))
     hat = []
     for a in range(n):
         base = d_tractor_3form(chart, pair, a)
-        corr = AltTensor.form(n, 3, chart.zero())
-        for (b, c, dd) in combinations(range(n), 3):
-            acc = chart.zero()
-            # (3/2) omega_{k[b} W_{cd]}{}^k{}_a = (1/2) * cyclic sum
-            for (x, y, z) in ((b, c, dd), (c, dd, b), (dd, b, c)):
-                for k in range(n):
-                    o = omega.get((), (k, x))
-                    if o.is_zero():
-                        continue
-                    w = W.get((k,), (y, z, a))
-                    if not w.is_zero():
-                        acc = acc + o * w
-            acc = acc * chart.lift(Fraction(1, 2))
-            if not acc.is_zero():
-                corr.set((), (b, c, dd), acc)
+        # (3/2) omega_{k[b} W_{cd]}{}^k{}_a = (1/2) * cyclic sum
+        corr = omega_weyl_cycle(omega, W, a).scale(half)
         hat.append(Tractor3Form(base.sigma, base.mu - corr))
     # first-slot defect and the exact recovery of the symmetrized derivative
     defect = AltTensor(n, 0, 3, NONE, chart.zero())
@@ -394,7 +358,6 @@ def ky_prolong(chart: FrameChart, omega: AltTensor):
                 if not v.is_zero():
                     defect.set((), (a, b, c), v)
     residual = AltTensor(n, 0, 3, NONE, chart.zero())
-    half = chart.lift(Fraction(1, 2))
     for a in range(n):
         for b in range(n):
             for c in range(n):

@@ -7,7 +7,7 @@ from g2trac.geometry import (compactness_check, jfield_identity_defects,
                              normal_form_check, npk_extract, npk_verify,
                              recompute_H_defect, stratify)
 from g2trac.laurent import RHO_MINUS, RHO_PLUS, CoeffFn
-from g2trac.qm_family import (build_model,
+from g2trac.qm_family import (REGRESSION_PARAMETERS, build_model,
                               displayed_endomorphism, displayed_orbit_complex_structure,
                               displayed_orbit_kahler_form, displayed_orbit_metric,
                               expected_tractor_metric)
@@ -30,6 +30,13 @@ def test_orientation_ratio_and_hhdef_cross_check(pkg_half):
     assert ratio == CoeffFn.of(QScalar(Fraction(-1, 210)), pkg_half.chart.param)
     H2 = tractor_metric_hhdef(pkg_half.chart, pkg_half.phi, -1)
     assert (H2 - pkg_half.H).is_zero()
+
+
+@pytest.mark.parametrize("m", REGRESSION_PARAMETERS)
+def test_orientation_ratio_at_every_regression_parameter(family_package, m):
+    pkg = family_package(m)
+    ratio = phi_volume_ratio(pkg.chart, pkg.phi, pkg.H)
+    assert ratio == CoeffFn.of(QScalar(Fraction(-1, 210)), pkg.chart.param)
 
 
 def test_endomorphism_is_minus_the_display(pkg_half):

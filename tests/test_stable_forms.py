@@ -147,6 +147,37 @@ def test_gl_congruence_of_H():
                        for i in range(7) for j in range(7))
 
 
+def test_volume_coefficient_is_sl7_invariant():
+    # A^* of the volume form is det(A) vol = vol, and A^* phi has metric A^T H0 A
+    rng = random.Random(29)
+    for xi in (1, -1):
+        phi = phi_xi(xi)
+        H0 = sf.metric_from_3form7(phi)[0].as_matrix()
+        assert sf.phi_volume_with(phi, linalg.inverse(H0)) == QScalar(Fraction(1, 210))
+        for _ in range(3):
+            A = random_sl(rng, 7)
+            hinv = linalg.inverse(linalg.congruence(A, H0))
+            got = sf.phi_volume_with(phi.pullback(A), hinv)
+            assert got == QScalar(Fraction(1, 210))
+
+
+@pytest.mark.parametrize("xi", [1, -1])
+def test_class_needs_no_cube_root(xi):
+    # t phi has H = t^(2/3) H0: its class follows sign s even when the
+    # normalizer t^(-7/3) is not in the field
+    phi = phi_xi(xi)
+    H0, _, cls0 = sf.metric_from_3form7(phi)
+    for t, factor in ((-1, 1), (8, 4), (-8, 4)):
+        H, _, cls = sf.metric_from_3form7(phi.scale(QScalar(t)))
+        assert cls == cls0 and (H - H0.scale(QScalar(factor))).is_zero()
+    two_phi = phi.scale(QScalar(2))
+    assert sf.metric_from_3form7(two_phi) == (None, None, cls0)
+    with pytest.raises(ValueError, match="normalizer"):
+        sf.cross_from_3form7(two_phi)
+    with pytest.raises(ValueError, match="normalizer"):
+        sf.split_by_unit_vector(two_phi, [QScalar.zero()] * 6 + [QScalar.one()])
+
+
 @pytest.mark.parametrize("xi", [1, -1])
 def test_dictionary_cross_product_from_form(xi):
     table, cls = sf.cross_from_3form7(phi_xi(xi))

@@ -5,10 +5,10 @@ from itertools import combinations
 from g2trac.frames import FrameChart
 from g2trac.laurent import CoeffFn, PLAIN
 from g2trac.scalars import QScalar
-from g2trac.tensors import AltTensor
+from g2trac.tensors import NONE, AltTensor
 from g2trac.tractor import (d_cotractor, d_cotractor_tensor,
                             d_tractor, d_tractor_3form, ky_prolong,
-                            ky_symmetrized_derivative, scale_3form,
+                            ky_symmetrized_derivative, omega_weyl_cycle, scale_3form,
                             scale_cotractor, scale_tractor, tractor_volume)
 from g2trac.qm_family import family_chart
 
@@ -145,3 +145,27 @@ def test_family_2form_is_killing_yano_and_weyl_correction_vanishes(pkg_half):
                     if not o.is_zero():
                         acc = acc + o * W.get((k,), (y, z, a))
             assert acc.is_zero()
+
+
+def test_omega_weyl_cycle_is_three_times_the_alternation():
+    # oracle: T_{bcd} = omega_{kb} W_{cd}{}^k{}_a, alternated over b, c, d
+    chart = family_chart(Fraction(1, 2))
+    W = chart.weyl()
+    rng = random.Random(43)
+    nonzero = 0
+    for _ in range(3):
+        omega = random_2form(chart, rng)
+        for a in range(6):
+            T = AltTensor(6, 0, 3, NONE, chart.zero())
+            for b in range(6):
+                for c in range(6):
+                    for d in range(6):
+                        acc = chart.zero()
+                        for k in range(6):
+                            acc = acc + omega.get((), (k, b)) * W.get((k,), (c, d, a))
+                        if not acc.is_zero():
+                            T.set((), (b, c, d), acc)
+            got = omega_weyl_cycle(omega, W, a)
+            assert (got - T.alternation().scale(chart.lift(3))).is_zero()
+            nonzero += not got.is_zero()
+    assert nonzero

@@ -209,3 +209,46 @@ def test_cli_bad_samples_exit_2(argv, env, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+PHI_PLUS = [([1, 2, 3], 1), ([1, 4, 5], 1), ([1, 6, 7], 1), ([2, 4, 6], 1),
+            ([2, 5, 7], -1), ([3, 4, 7], -1), ([3, 5, 6], -1)]
+
+
+def tensor_doc(dim, degree, entries):
+    """Tensor document with one coefficient row (one s-power) per entry."""
+    return {"dim": dim, "valence": [0, degree], "alt": True, "param": "plain",
+            "entries": [{"idx": idx, "coeff": [[str(c), "0", "0", "0"] for c in row]}
+                        for idx, row in entries]}
+
+
+def scaled_phi(xi, t):
+    """t times the 3-form of the xi-algebra (write_phi_file's form)."""
+    return tensor_doc(7, 3, [(idx, [t * c * (xi if i else 1)])
+                             for i, (idx, c) in enumerate(PHI_PLUS)])
+
+
+# (doc, extra argv, exit code, expected payload for exit 0)
+CLASSIFY_CASES = {
+    "2phi+": (scaled_phi(1, 2), [], 0, {"class": "definite", "signature": [7, 0]}),
+    "2phi-": (scaled_phi(-1, 2), [], 0, {"class": "split", "signature": [3, 4]}),
+    "2-form": (tensor_doc(7, 2, [([1, 2], [1])]), [], 2, None),
+    "at-1/0": (tensor_doc(7, 3, [([1, 2, 3], [1, 1])] + [(i, [c]) for i, c in PHI_PLUS[1:]]),
+               ["--at", "1/0"], 2, None),
+    "json-list": ([1, 2, 3], [], 2, None),
+    "index-9-in-dim-6": (tensor_doc(6, 3, [([1, 2, 9], [1])]), [], 2, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLASSIFY_CASES))
+def test_cli_classify_form_input_cases(case, tmp_path, capsys):
+    doc, extra, want_rc, want = CLASSIFY_CASES[case]
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["classify-form", "--file", str(path), "--report", "json"] + extra)
+    captured = capsys.readouterr()
+    assert rc == want_rc and "Traceback" not in captured.err
+    assert len(captured.err.strip().splitlines()) == (1 if want_rc == 2 else 0)
+    if want is not None:
+        # the normalizer of 2 phi is not in the field: no metric diagonal
+        assert json.loads(captured.out) == dict(want, dim=7)
