@@ -57,6 +57,9 @@ def cmd_classify_form(args) -> int:
             at = QScalar(_parse_fraction(args.at))
             pt = AltTensor(t.dim, t.n_up, t.n_down, t.sym)
             for (up, down), v in t.comps.items():
+                if at.is_zero() and v.min_exp() < 0:
+                    idx = [i + 1 for i in tuple(up) + tuple(down)]
+                    raise ValueError(f"component {idx} has a pole at s = 0")
                 pt.set(up, down, v.eval(at))
             t = pt
     except (OSError, ValueError, KeyError, TypeError) as exc:

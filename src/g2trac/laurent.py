@@ -26,6 +26,14 @@ RHO_MINUS = "rho-"
 _MARKERS = (PLAIN, RHO_PLUS, RHO_MINUS)
 
 
+def _cf(terms: Dict[int, QScalar], param: str) -> "CoeffFn":
+    """CoeffFn from nonzero QScalar coefficients with int keys (no coercion)."""
+    f = object.__new__(CoeffFn)
+    f.terms = terms
+    f.param = param
+    return f
+
+
 class CoeffFn:
     """Finite QScalar-combination of integer powers of s (negatives allowed)."""
 
@@ -78,19 +86,21 @@ class CoeffFn:
     # -- bookkeeping -----------------------------------------------------
 
     def _join(self, other) -> "CoeffFn":
-        o = CoeffFn.of(other, self.param)
-        if o.param == self.param:
-            return o
-        # constants are parameterization-agnostic
-        if set(o.terms) <= {0}:
-            return CoeffFn(o.terms, self.param)
-        raise ValueError(f"parameterization mismatch {self.param!r} vs {o.param!r}")
+        if isinstance(other, CoeffFn):
+            if other.param == self.param:
+                return other
+            # constants are parameterization-agnostic
+            if other.terms.keys() <= {0}:
+                return _cf(other.terms, self.param)
+            raise ValueError(f"parameterization mismatch {self.param!r} vs {other.param!r}")
+        c = QScalar.of(other)
+        return _cf({0: c} if c else {}, self.param)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return set(self.terms) <= {0}
+        return self.terms.keys() <= {0}
 
     def constant_value(self) -> QScalar:
         if not self.is_constant():
@@ -111,31 +121,58 @@ class CoeffFn:
         return self.terms.get(e, QScalar.zero())
 
     # -- ring ops ----------------------------------------------------------
+    #
+    # A zero or constant operand takes a shortcut: no coefficient is
+    # stored as zero, and a product of nonzero field elements is nonzero,
+    # so the results are built with _cf.  Nothing mutates .terms after
+    # construction, so an operand may be returned as the result.
 
     def __add__(self, other) -> "CoeffFn":
         o = self._join(other)
+        if not o.terms:
+            return self
+        if not self.terms:
+            return o
         out = dict(self.terms)
         for e, c in o.terms.items():
-            s = out.get(e, QScalar.zero()) + c
+            s = out.get(e)
+            s = c if s is None else s + c
             if s.is_zero():
-                out.pop(e, None)
+                del out[e]
             else:
                 out[e] = s
-        return CoeffFn(out, self.param)
+        return _cf(out, self.param)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CoeffFn":
-        return CoeffFn({e: -c for e, c in self.terms.items()}, self.param)
+        if not self.terms:
+            return self
+        return _cf({e: -c for e, c in self.terms.items()}, self.param)
 
     def __sub__(self, other) -> "CoeffFn":
-        return self + (-self._join(other))
+        o = self._join(other)
+        if not o.terms:
+            return self
+        if not self.terms:
+            return -o
+        return self + (-o)
 
     def __rsub__(self, other) -> "CoeffFn":
         return self._join(other) + (-self)
 
     def __mul__(self, other) -> "CoeffFn":
+        if not isinstance(other, CoeffFn):
+            return self._scale(QScalar.of(other))
         o = self._join(other)
+        if not self.terms:
+            return self
+        if not o.terms:
+            return o
+        if o.terms.keys() == {0}:
+            return self._scale(o.terms[0])
+        if self.terms.keys() == {0}:
+            return o._scale(self.terms[0])
         out: Dict[int, QScalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
@@ -147,9 +184,17 @@ class CoeffFn:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return CoeffFn(out, self.param)
+        return _cf(out, self.param)
 
     __rmul__ = __mul__
+
+    def _scale(self, c: QScalar) -> "CoeffFn":
+        """self * c for a field element c."""
+        if not self.terms:
+            return self
+        if c.is_zero():
+            return _cf({}, self.param)
+        return _cf({e: x * c for e, x in self.terms.items()}, self.param)
 
     def __eq__(self, other) -> bool:
         try:
@@ -158,7 +203,10 @@ class CoeffFn:
             return NotImplemented
 
     def __hash__(self):
-        return hash((self.param, tuple(sorted((e, c) for e, c in self.terms.items()))))
+        # a constant equals its QScalar value in every parameterization
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, QScalar.zero()))
+        return hash((self.param, tuple(sorted(self.terms.items()))))
 
     def __bool__(self):
         return not self.is_zero()
@@ -169,7 +217,7 @@ class CoeffFn:
                 raise DegenerateError("inverse of zero coefficient function")
             raise ValueError("only monomials are invertible in the Laurent ring")
         (e, c), = self.terms.items()
-        return CoeffFn({-e: c.inverse()}, self.param)
+        return _cf({-e: c.inverse()}, self.param)
 
     def __truediv__(self, other) -> "CoeffFn":
         o = self._join(other)
@@ -201,7 +249,7 @@ class CoeffFn:
             qe = rem.max_exp() - lead_e
             if qe < floor_exp:
                 break
-            t = CoeffFn({qe: rem.coeff(rem.max_exp()) * lead_inv}, self.param)
+            t = _cf({qe: rem.coeff(rem.max_exp()) * lead_inv}, self.param)
             q = q + t
             rem = rem - t * o
         return q, rem
@@ -213,7 +261,7 @@ class CoeffFn:
         for e, c in self.terms.items():
             if e != 0:
                 out[e - 1] = c * e
-        return CoeffFn(out, self.param)
+        return _cf(out, self.param)
 
     def d_drho(self) -> "CoeffFn":
         """Derivative with respect to rho in the active parameterization."""
@@ -225,7 +273,7 @@ class CoeffFn:
             if e != 0:
                 # d/drho = (sign/(2s)) d/ds
                 out[e - 2] = c * Fraction(e * sign, 2)
-        return CoeffFn(out, self.param)
+        return _cf(out, self.param)
 
     # -- evaluation / conversion -------------------------------------------
 
@@ -245,9 +293,8 @@ class CoeffFn:
         sign = 1 if param == RHO_PLUS else -1
         out: Dict[int, QScalar] = {}
         for e, c in self.terms.items():
-            coeff = c if (sign == 1 or e % 2 == 0) else -c
-            out[2 * e] = out.get(2 * e, QScalar.zero()) + coeff
-        return CoeffFn(out, param)
+            out[2 * e] = c if (sign == 1 or e % 2 == 0) else -c
+        return _cf(out, param)
 
     def __float__(self):
         raise TypeError("evaluate CoeffFn at an explicit point instead of coercing")

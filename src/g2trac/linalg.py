@@ -71,11 +71,16 @@ def rref(A: Mat):
             continue
         R[r], R[pr] = R[pr], R[r]
         inv = R[r][c].inverse()
-        R[r] = [x * inv for x in R[r]]
+        prow = R[r] = [x * inv for x in R[r]]
+        # the update leaves the columns where the pivot row is zero unchanged
+        support = [j for j in range(cols) if not prow[j].is_zero()]
         for i in range(rows):
-            if i != r and not R[i][c].is_zero():
-                f = R[i][c]
-                R[i] = [R[i][j] - f * R[r][j] for j in range(cols)]
+            f = R[i][c]
+            if i != r and not f.is_zero():
+                row = R[i][:]
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
+                R[i] = row
         pivots.append(c)
         r += 1
         if r == rows:

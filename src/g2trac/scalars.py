@@ -270,27 +270,22 @@ class QScalar:
     # -- roots ---------------------------------------------------------
 
     def sqrt(self) -> "QScalar":
-        """Exact square root for elements of the form r^2, 2r^2, 5r^2, 10r^2.
+        """Exact nonnegative square root.
 
-        Raises ValueError when the square root does not lie in the field
-        (only monomial radicands are attempted; that covers every value
-        produced by the supported constructions).
+        Writes self = u + v*sqrt5 with u, v in Q(sqrt2) and denests twice,
+        through Q(sqrt2) and then Q (see _denest).  A root is returned only
+        once r*r == self holds exactly; ValueError when the square root
+        does not lie in the field.
         """
         if self.sign() < 0:
             raise ValueError("square root of a negative value")
         if self.is_zero():
             return _ZERO
-        cands = []
-        if self.is_rational():
-            cands = [(self.a, QScalar(1)), (self.a / 2, QScalar.sqrt2()),
-                     (self.a / 5, QScalar.sqrt5()), (self.a / 10, QScalar.sqrt10())]
-        elif not self.a and not self.c and not self.d:
-            # b*sqrt2 = (t*2^(1/4))^2 never lands in the field except b=0
-            cands = []
-        for val, unit in cands:
-            r = _rat_sqrt(val)
-            if r is not None:
-                return QScalar(r) * unit
+        u, v = _q(self.a, self.b), _q(self.c, self.d)
+        for p, q in _denest(u, v, 5, _sqrt_q2):
+            r = _q(p.a, p.b, q.a, q.b)
+            if r * r == self:
+                return r if r.sign() >= 0 else -r
         raise ValueError(f"square root of {self} not in Q(sqrt2,sqrt5)")
 
     def cbrt(self) -> "QScalar":
@@ -340,6 +335,37 @@ def _rat_sqrt(x: Fraction):
     pn, pd = isqrt(x.numerator), isqrt(x.denominator)
     if pn * pn == x.numerator and pd * pd == x.denominator:
         return Fraction(pn, pd)
+    return None
+
+
+def _denest(u, v, k: int, root):
+    """Candidate square roots p + q*sqrt(k) of u + v*sqrt(k).
+
+    u, v, p, q lie in a base field whose square roots root() returns (or
+    None).  (p + q sqrt k)^2 = u + v sqrt k means p^2 + k q^2 = u and
+    2pq = v, so with n^2 = u^2 - k v^2 the root has p^2 = (u + n)/2 and
+    k q^2 = (u - n)/2; both signs of n are tried.
+    """
+    n = root(u * u - v * v * k)
+    if n is None:
+        return []
+    out = []
+    for m in (n, -n):
+        p = root((u + m) / 2)
+        if p is None:
+            continue
+        q = v / (2 * p) if p else root((u - m) / (2 * k))
+        if q is not None:
+            out.append((p, q))
+    return out
+
+
+def _sqrt_q2(y: "QScalar"):
+    """A square root of y = a + b*sqrt2 inside Q(sqrt2), or None."""
+    for p, q in _denest(y.a, y.b, 2, _rat_sqrt):
+        r = _q(p, q)
+        if r * r == y:
+            return r
     return None
 
 

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -99,3 +100,112 @@ def test_eval():
     f = poly((2, 1), (0, -4))
     assert f.eval(QScalar(3)) == QScalar(5)
     assert f.eval(SQRT2) == QScalar(-2)
+
+
+# -- zero and constant shortcuts against the general formulas -------------
+#
+# The reference ring ops below are the general formulas the shortcuts
+# replace: every operand goes through a coercing join, and every result
+# through the coercing constructor.
+
+PARAMS = (PLAIN, RHO_PLUS, RHO_MINUS)
+
+
+def _ref_join(f, other):
+    o = other if isinstance(other, CoeffFn) else CoeffFn({0: QScalar.of(other)}, f.param)
+    if o.param == f.param:
+        return o
+    if set(o.terms) <= {0}:
+        return CoeffFn(o.terms, f.param)
+    raise ValueError("parameterization mismatch")
+
+
+def _ref_add(f, g):
+    out = dict(f.terms)
+    for e, c in _ref_join(f, g).terms.items():
+        s = out.get(e, QScalar.zero()) + c
+        if s.is_zero():
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return CoeffFn(out, f.param)
+
+
+def _ref_neg(f):
+    return CoeffFn({e: -c for e, c in f.terms.items()}, f.param)
+
+
+def _ref_sub(f, g):
+    return _ref_add(f, _ref_neg(_ref_join(f, g)))
+
+
+def _ref_mul(f, g):
+    o = _ref_join(f, g)
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in o.terms.items():
+            out[e1 + e2] = out.get(e1 + e2, QScalar.zero()) + c1 * c2
+    return CoeffFn(out, f.param)
+
+
+def _assert_same(got, want):
+    assert isinstance(got, CoeffFn)
+    assert got.terms == want.terms and got.param == want.param
+    assert all(type(e) is int and isinstance(c, QScalar) and not c.is_zero()
+               for e, c in got.terms.items())
+
+
+def _samples(param):
+    """Zero, constants and non-constants of one parameterization."""
+    return [CoeffFn.zero(param), CoeffFn.one(param), CoeffFn.of(-SQRT2 / 3, param),
+            CoeffFn.s(param), CoeffFn.rho(param),
+            poly((-2, Fraction(1, 2)), (0, 3), (1, SQRT2 + 1), param=param),
+            poly((0, -3), (3, 5), param=param)]
+
+
+SCALARS = [0, 3, Fraction(-2, 7), QScalar(0), QScalar(5), SQRT2 - QScalar(1, 0, 1, 1)]
+
+
+def test_ring_op_shortcuts_match_general_formulas():
+    for pf in PARAMS:
+        for f in _samples(pf):
+            _assert_same(-f, _ref_neg(f))
+            for c in SCALARS:
+                _assert_same(f * c, _ref_mul(f, c))
+                _assert_same(c * f, _ref_mul(f, c))
+                _assert_same(f + c, _ref_add(f, c))
+                _assert_same(f - c, _ref_sub(f, c))
+                _assert_same(c - f, _ref_sub(_ref_join(f, c), f))
+            for pg in PARAMS:
+                for g in _samples(pg):
+                    if pf != pg and not g.is_constant():
+                        # only a constant right operand changes param
+                        for op in (_ref_mul, _ref_add, _ref_sub,
+                                   operator.mul, operator.add, operator.sub):
+                            with pytest.raises(ValueError):
+                                op(f, g)
+                        continue
+                    _assert_same(f * g, _ref_mul(f, g))
+                    _assert_same(f + g, _ref_add(f, g))
+                    _assert_same(f - g, _ref_sub(f, g))
+
+
+def test_zero_operand_still_checks_the_parameterization():
+    g = CoeffFn({-1: QScalar(2), 1: SQRT2}, RHO_MINUS)
+    for zero in (CoeffFn.zero(RHO_PLUS), CoeffFn.zero(PLAIN)):
+        for op in (operator.mul, operator.add, operator.sub):
+            with pytest.raises(ValueError):
+                op(zero, g)
+
+
+def test_constant_hash_agrees_with_equality():
+    for value in (QScalar(0), QScalar(1), QScalar(Fraction(-3, 2)), 1 + SQRT2):
+        consts = [CoeffFn.of(value, p) for p in PARAMS]
+        assert all(c == value and hash(c) == hash(value) for c in consts)
+        assert len({hash(c) for c in consts}) == 1
+        assert value in set(consts) and consts[0] in {value}
+        assert all({consts[0]: "x"}[c] == "x" for c in consts)
+    assert hash(CoeffFn.one(RHO_PLUS)) == hash(1) == hash(QScalar(1))
+    assert 1 in {CoeffFn.one()} and CoeffFn.one(RHO_MINUS) in {1}
+    assert hash(CoeffFn.zero(RHO_MINUS)) == hash(0) and 0 in {CoeffFn.zero(RHO_PLUS)}
+    assert hash(poly((1, 2), (-1, 1))) == hash(poly((-1, 1), (1, 2)))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from g2trac.laurent import CoeffFn, PLAIN, RHO_MINUS, RHO_PLUS
-from g2trac.linalg import det_perm, eye, inverse_laurent, mat_mul
+from g2trac.linalg import det_perm, eye, inverse_laurent, mat_mul, rref
 from g2trac.scalars import SQRT2, DegenerateError, QScalar
 
 
@@ -87,3 +87,58 @@ def test_inverse_laurent_rejects_singular_matrix():
     A[3] = [x * CoeffFn({-1: QScalar(2), 1: QScalar(1)}, RHO_PLUS) for x in A[1]]
     with pytest.raises(DegenerateError):
         inverse_laurent(A)
+
+
+def _dense_rref(A):
+    """Gauss-Jordan elimination updating every column: the reference rref."""
+    R = [row[:] for row in A]
+    rows, cols = len(R), len(R[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if not R[i][c].is_zero()), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        inv = R[r][c].inverse()
+        R[r] = [x * inv for x in R[r]]
+        for i in range(rows):
+            if i != r and not R[i][c].is_zero():
+                f = R[i][c]
+                R[i] = [R[i][j] - f * R[r][j] for j in range(cols)]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return R, pivots
+
+
+def _sparse_matrix(rng, rows, cols, density, four_coordinate):
+    """Seeded sparse QScalar matrix with repeated rows and an empty column."""
+    def entry():
+        if rng.random() >= density:
+            return QScalar.zero()
+        k = 4 if four_coordinate and rng.random() < 0.5 else 1
+        coords = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)]
+        return QScalar(*coords) if any(coords) else QScalar(1)
+    A = [[entry() for _ in range(cols)] for _ in range(rows)]
+    for i in range(0, rows, 7):
+        A[i] = A[rng.randrange(rows)][:]
+    dead = rng.randrange(cols)
+    for row in A:
+        row[dead] = QScalar.zero()
+    return A
+
+
+@pytest.mark.parametrize("shape,density,four", [
+    ((6, 9), 0.3, False), ((12, 8), 0.25, True), ((9, 14), 0.2, True),
+    ((237, 26), 0.093, False), ((237, 26), 0.093, True)],
+    ids=["6x9", "12x8-four", "9x14-four", "237x26", "237x26-four"])
+def test_sparse_rref_matches_dense_elimination(shape, density, four):
+    rng = random.Random(f"rref-{shape}-{density}-{four}")
+    A = _sparse_matrix(rng, *shape, density, four)
+    R, pivots = rref(A)
+    R0, pivots0 = _dense_rref(A)
+    assert pivots == pivots0
+    assert [[x.as_strings() for x in row] for row in R] == \
+        [[x.as_strings() for x in row] for row in R0]

@@ -204,3 +204,29 @@ def test_float_reporting_tolerance():
     x = QScalar(1, 1, 1, 1)
     approx = 1 + 2 ** 0.5 + 5 ** 0.5 + 10 ** 0.5
     assert abs(float(x) - approx) < 1e-9
+
+
+def test_sqrt_denests_through_both_quadratic_steps():
+    assert QScalar(3, 2).sqrt() == 1 + SQRT2
+    # (sqrt2 + sqrt5)^2 = 7 + 2 sqrt10
+    assert QScalar(7, 0, 0, 2).sqrt() == SQRT2 + SQRT5
+    r = 1 - SQRT2 + SQRT10
+    assert (r * r).sqrt() == r
+    for x in (1 + SQRT2, SQRT2, 2 + SQRT5, QScalar(3) + SQRT10):
+        with pytest.raises(ValueError):
+            x.sqrt()
+
+
+@given(st.one_of(scalars, zero_heavy_scalars))
+@settings(max_examples=150)
+def test_sqrt_of_a_square(x):
+    r = (x * x).sqrt()
+    assert r == x or r == -x
+    assert r.sign() >= 0
+
+
+@given(rationals, st.sampled_from([QScalar(1), SQRT2, SQRT5, SQRT10]))
+@settings(max_examples=100)
+def test_cbrt_of_a_monomial_cube(t, unit):
+    x = QScalar(t) * unit
+    assert (x ** 3).cbrt() == x

@@ -228,6 +228,9 @@ def scaled_phi(xi, t):
                              for i, (idx, c) in enumerate(PHI_PLUS)])
 
 
+POLE = tensor_doc(6, 3, [([1, 2, 3], [1, 1]), ([4, 5, 6], [1])])
+POLE["entries"][0]["offset"] = -1     # 1/s + 1: undefined at s = 0
+
 # (doc, extra argv, exit code, expected payload for exit 0)
 CLASSIFY_CASES = {
     "2phi+": (scaled_phi(1, 2), [], 0, {"class": "definite", "signature": [7, 0]}),
@@ -237,6 +240,7 @@ CLASSIFY_CASES = {
                ["--at", "1/0"], 2, None),
     "json-list": ([1, 2, 3], [], 2, None),
     "index-9-in-dim-6": (tensor_doc(6, 3, [([1, 2, 9], [1])]), [], 2, None),
+    "pole-at-0": (POLE, ["--at", "0"], 2, None),
 }
 
 
@@ -249,6 +253,8 @@ def test_cli_classify_form_input_cases(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == want_rc and "Traceback" not in captured.err
     assert len(captured.err.strip().splitlines()) == (1 if want_rc == 2 else 0)
+    if want_rc == 2:
+        assert captured.err.startswith("invalid tensor file: ")
     if want is not None:
         # the normalizer of 2 phi is not in the field: no metric diagonal
         assert json.loads(captured.out) == dict(want, dim=7)
