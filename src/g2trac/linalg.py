@@ -4,12 +4,15 @@ Matrices are plain lists of lists.  Field routines (rank, kernel,
 inverse, Sylvester signature) work over QScalar; the Laurent inverse is
 fraction-free and divides only through exact quotients, so metric
 inverses stay inside the coefficient ring whenever the geometry permits.
+Rows picked independent modulo the prime P = 2^61 - 1 are independent
+exactly, which certifies a rank without eliminating every row exactly.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
-from typing import List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .laurent import CoeffFn
 from .scalars import DegenerateError, QScalar
@@ -194,6 +197,73 @@ def signature(G: Mat):
                 M[k][l] = M[k][l] - (ci[k] * cj[l] + cj[k] * ci[l]) * binv
         active = rest
     return p, q
+
+
+# -- row selection modulo a prime ------------------------------------------
+
+P = (1 << 61) - 1   # a Mersenne prime with P = 3 mod 4 in which 2 and 5 are squares
+
+
+@lru_cache(maxsize=None)
+def surds_mod_p():
+    """Square roots of 2 and 5 modulo P: x^((P+1)/4) squares to x when x is a square."""
+    s2, s5 = pow(2, (P + 1) // 4, P), pow(5, (P + 1) // 4, P)
+    assert s2 * s2 % P == 2 and s5 * s5 % P == 5
+    return s2, s5
+
+
+def mod_p(x: QScalar) -> Optional[int]:
+    """Image of x under sqrt2 -> s2, sqrt5 -> s5, sqrt10 -> s2 s5 in F_P.
+
+    The map is a ring homomorphism on the elements whose coordinate
+    denominators are units mod P; None when a denominator is divisible by P."""
+    s2, s5 = surds_mod_p()
+    acc = 0
+    for q, unit in ((x.a, 1), (x.b, s2), (x.c, s5), (x.d, s2 * s5)):
+        if q:
+            if q.denominator % P == 0:
+                return None
+            acc += q.numerator * pow(q.denominator, -1, P) * unit
+    return acc % P
+
+
+def independent_rows_mod_p(A: Mat) -> Optional[List[int]]:
+    """Indices of rows of A independent modulo P, taken greedily in order
+    until they span all columns or A runs out; None when an entry read has
+    no image mod P.
+
+    Rows independent mod P have a minor that is nonzero mod P, hence
+    nonzero: they are independent exactly, and at most rank A are found.
+    """
+    cols = len(A[0]) if A else 0
+    basis: Dict[int, Dict[int, int]] = {}   # leading column -> row with leading 1
+    picked: List[int] = []
+    for i, row in enumerate(A):
+        v = {}
+        for j, x in enumerate(row):
+            if x:
+                y = mod_p(x)
+                if y is None:
+                    return None
+                if y:
+                    v[j] = y
+        while v:
+            c = min(v)
+            if c not in basis:
+                inv = pow(v[c], -1, P)
+                basis[c] = {j: y * inv % P for j, y in v.items()}
+                picked.append(i)
+                break
+            f = v[c]
+            for j, y in basis[c].items():
+                t = (v.get(j, 0) - f * y) % P
+                if t:
+                    v[j] = t
+                else:
+                    del v[j]
+        if len(picked) == cols:
+            break
+    return picked
 
 
 # -- Laurent-entry routines ----------------------------------------------

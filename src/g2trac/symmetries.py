@@ -9,8 +9,9 @@ Two layers, matching what is exactly checkable:
   a constant frame matrix lambda plus a dilation weight w on rho; the
   action that preserves the connection, the brackets and the parallel
   3-form (with its weight) is solved for exactly.  The dilation-corrected
-  sixth generator admits such an action at weight 2; the uncorrected one
-  admits none at weight 0 (the negative control).
+  sixth generator admits a unique such action at weight 2; at weight 0
+  only the zero action remains, and the weight-2 group block without its
+  dilation fails to preserve the package (`dilation_negative_control`).
 """
 
 from __future__ import annotations
@@ -83,62 +84,53 @@ class FrameSymmetry:
     lam: List[List[QScalar]]   # 6x6 constant frame action [xi, E_a] = lam_a^b E_b
     weight: Fraction           # action on rho: xi . f = weight * rho * df/drho
 
-    def trace(self) -> QScalar:
-        t = QScalar.zero()
-        for i in range(6):
-            t = t + self.lam[i][i]
-        return t
-
 
 def _xi_deriv(f: CoeffFn, w: Fraction) -> CoeffFn:
     return f.d_drho() * CoeffFn.rho(f.param) * QScalar(w)
 
 
+def _residual_terms(pkg: GeometryPackage):
+    """The residuals of L_xi applied to the brackets, the connection and the
+    weight-3 slots of the parallel 3-form, each as (f, pairs): the residual
+    is w rho df/drho + the sum of lam[a][b] K over the pairs ((a, b), K).
+
+    The formula is affine in lam; the evaluator and the assembler of the
+    linear system both read it from here."""
+    chart = pkg.chart
+    C, G = chart.C, chart.G
+    E = range(chart.dim)
+    # bracket derivation property
+    for a, b in combinations(E, 2):
+        for c in E:
+            yield C[a][b][c], ([((a, e), C[e][b][c]) for e in E]
+                               + [((b, e), C[a][e][c]) for e in E]
+                               + [((e, c), -C[a][b][e]) for e in E])
+    # connection preservation
+    for a in E:
+        for d in E:
+            for b in E:
+                yield G[a][d][b], ([((e, b), G[a][d][e]) for e in E]
+                                   + [((a, e), -G[e][d][b]) for e in E]
+                                   + [((d, e), -G[a][e][b]) for e in E])
+    # weight-3 slots of the 3-form: the trace of lam enters with weight 3/7
+    for form, k in ((pkg.phi.sigma, 2), (pkg.phi.mu, 3)):
+        for idx in combinations(E, k):
+            f = form.get((), idx)
+            pairs = [((e, e), f * QScalar(Fraction(3, 7))) for e in E]
+            for s, b in enumerate(idx):
+                pairs += [((b, e), -form.get((), idx[:s] + (e,) + idx[s + 1:])) for e in E]
+            yield f, pairs
+
+
 def symmetry_residuals(pkg: GeometryPackage, sym: FrameSymmetry) -> List[CoeffFn]:
     """All residual components of L_xi applied to brackets, connection and
     the (weight-3) slots of the parallel 3-form."""
-    chart = pkg.chart
-    n = chart.dim
-    lam = sym.lam
-    w = sym.weight
     out: List[CoeffFn] = []
-    # bracket derivation property
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(n):
-                acc = _xi_deriv(chart.C[a][b][c], w)
-                for e in range(n):
-                    acc = acc + lam[a][e] * chart.C[e][b][c]
-                    acc = acc + lam[b][e] * chart.C[a][e][c]
-                    acc = acc - chart.C[a][b][e] * lam[e][c]
-                out.append(acc)
-    # connection preservation
-    for a in range(n):
-        for d in range(n):
-            for b in range(n):
-                acc = _xi_deriv(chart.G[a][d][b], w)
-                for e in range(n):
-                    acc = acc + chart.G[a][d][e] * lam[e][b]
-                    acc = acc - lam[a][e] * chart.G[e][d][b]
-                    acc = acc - lam[d][e] * chart.G[a][e][b]
-                out.append(acc)
-    # weight-3 slots of the 3-form
-    tr = sym.trace()
-    wt = QScalar(Fraction(3, 7)) * tr
-    sig = pkg.phi.sigma
-    for (b, c) in combinations(range(n), 2):
-        acc = _xi_deriv(sig.get((), (b, c)), w) + sig.get((), (b, c)) * wt
-        for e in range(n):
-            acc = acc - lam[b][e] * sig.get((), (e, c))
-            acc = acc - lam[c][e] * sig.get((), (b, e))
-        out.append(acc)
-    mu = pkg.phi.mu
-    for (b, c, d) in combinations(range(n), 3):
-        acc = _xi_deriv(mu.get((), (b, c, d)), w) + mu.get((), (b, c, d)) * wt
-        for e in range(n):
-            acc = acc - lam[b][e] * mu.get((), (e, c, d))
-            acc = acc - lam[c][e] * mu.get((), (b, e, d))
-            acc = acc - lam[d][e] * mu.get((), (b, c, e))
+    for f, pairs in _residual_terms(pkg):
+        acc = _xi_deriv(f, sym.weight)
+        for (a, b), k in pairs:
+            if k.terms:
+                acc = acc + k * sym.lam[a][b]
         out.append(acc)
     return out
 
@@ -149,12 +141,8 @@ def _group_block_action(entries: List[QScalar], weight: Fraction) -> FrameSymmet
     The collar row/column is forced: [xi, E_a] stays horizontal for the
     group legs and [xi, d/drho] = -weight d/drho."""
     z = QScalar.zero()
-    lam = [[z for _ in range(6)] for _ in range(6)]
-    for i in range(5):
-        for j in range(5):
-            lam[i][j] = entries[5 * i + j]
-    lam[5][5] = QScalar(-weight)
-    return FrameSymmetry(lam, weight)
+    lam = [list(entries[5 * i:5 * i + 5]) + [z] for i in range(5)]
+    return FrameSymmetry(lam + [[z] * 5 + [QScalar(-weight)]], weight)
 
 
 def frame_symmetry_system(pkg: GeometryPackage,
@@ -164,28 +152,37 @@ def frame_symmetry_system(pkg: GeometryPackage,
     annihilating everything (0: the action is unique in its class).
 
     The residuals are affine in the 25 block entries, L x + b, and the
-    weight enters only b.  One base evaluation and 25 unit perturbations
-    give L and b exponent by exponent; one rref of [L | -b] yields the
-    solution and rank L, so the kernel dimension 25 - rank L is the same
-    at every weight.
+    weight enters only b; one pass over `_residual_terms` gives L and b
+    exponent by exponent.  Rows independent modulo a prime are independent
+    exactly, so 25 such rows of L prove rank L = 25 (kernel dimension 0 at
+    every weight), and the rref of those rows of [L | -b] gives the only
+    candidate.  When a denominator vanishes mod p, fewer rows are found or
+    that rref lacks a pivot, the rref of all of [L | -b] gives the solution
+    and rank L.  One `symmetry_residuals` evaluation decides feasibility.
     """
     weight = Fraction(weight)
     z = QScalar.zero()
-    base = symmetry_residuals(pkg, _group_block_action([z] * 25, weight))
-    cols = []
-    for k in range(25):
-        entries = [z] * 25
-        entries[k] = QScalar.one()
-        pert = symmetry_residuals(pkg, _group_block_action(entries, weight))
-        cols.append([p - b for p, b in zip(pert, base)])
-    exps = sorted({e for col in cols + [base] for r in col for e in r.terms})
+    lam0 = _group_block_action([z] * 25, weight).lam
     rows = []
-    for i, b in enumerate(base):
-        for e in exps:
-            row = [cols[k][i].coeff(e) for k in range(25)] + [-b.coeff(e)]
-            if any(not v.is_zero() for v in row):
-                rows.append(row)
-    R, pivots = linalg.rref(rows)
+    for f, pairs in _residual_terms(pkg):
+        b = _xi_deriv(f, weight)
+        cols = {}
+        for (i, j), k in pairs:
+            if i == 5 or j == 5:
+                b = b + k * lam0[i][j]
+            elif k.terms:
+                c = 5 * i + j
+                cols[c] = cols[c] + k if c in cols else k
+        for e in sorted(set(b.terms).union(*(k.terms for k in cols.values()))):
+            row = [z] * 25 + [-b.coeff(e)]
+            for c, k in cols.items():
+                row[c] = k.coeff(e)
+            rows.append(row)
+    picked = linalg.independent_rows_mod_p([row[:25] for row in rows])
+    if picked is not None and len(picked) == 25:
+        R, pivots = linalg.rref([rows[i] for i in picked])
+    if picked is None or len(picked) < 25 or pivots != list(range(25)):
+        R, pivots = linalg.rref(rows)
     kernel_dim = 25 - len([c for c in pivots if c < 25])
     if 25 in pivots:
         return None, kernel_dim

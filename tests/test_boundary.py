@@ -159,3 +159,8 @@ def test_frame_symmetry_solution_and_negative_control(pkg_half):
     # the weight enters only the constant column: the kernel ignores it
     assert frame_symmetry_kernel_dim(pkg_half, Fraction(2)) == 0
     assert dilation_negative_control(pkg_half, sym)
+    # weight 0 admits only the zero action; weight 2 moves the group legs
+    sym0 = solve_frame_symmetry(pkg_half, Fraction(0))
+    assert sym0 is not None
+    assert all(x.is_zero() for row in sym0.lam for x in row)
+    assert any(not sym.lam[i][j].is_zero() for i in range(5) for j in range(5))

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from g2trac.laurent import CoeffFn, PLAIN, RHO_MINUS, RHO_PLUS
-from g2trac.linalg import det_perm, eye, inverse_laurent, mat_mul, rref
-from g2trac.scalars import SQRT2, DegenerateError, QScalar
+from g2trac.linalg import (P, det_perm, eye, independent_rows_mod_p, inverse_laurent,
+                           mat_mul, mod_p, rank, rref, surds_mod_p)
+from g2trac.scalars import SQRT2, SQRT5, SQRT10, DegenerateError, QScalar
 
 
 def _coeff(rng):
@@ -142,3 +145,80 @@ def test_sparse_rref_matches_dense_elimination(shape, density, four):
     assert pivots == pivots0
     assert [[x.as_strings() for x in row] for row in R] == \
         [[x.as_strings() for x in row] for row in R0]
+
+
+# -- rows independent modulo P -------------------------------------------------
+
+
+def test_surds_mod_p_square_to_2_and_5():
+    s2, s5 = surds_mod_p()
+    assert s2 * s2 % P == 2 and s5 * s5 % P == 5
+    assert (mod_p(SQRT2), mod_p(SQRT5), mod_p(SQRT10)) == (s2, s5, s2 * s5 % P)
+    assert mod_p(QScalar(Fraction(-3, 4))) == -3 * pow(4, -1, P) % P
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+scalars = st.builds(QScalar, rationals, rationals, rationals, rationals)
+
+
+@given(scalars, scalars)
+def test_mod_p_is_a_ring_map(x, y):
+    assert mod_p(x + y) == (mod_p(x) + mod_p(y)) % P
+    assert mod_p(x * y) == mod_p(x) * mod_p(y) % P
+    assert mod_p(-x) == -mod_p(x) % P
+
+
+def _low_rank(rng, rows, cols, r):
+    """A seeded rows x cols product of rank <= r over Q(sqrt2, sqrt5), with
+    repeated rows and rows that are multiples of others."""
+    def entry():
+        return QScalar(*[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)])
+    B = [[entry() for _ in range(r)] for _ in range(rows)]
+    Cm = [[entry() for _ in range(cols)] for _ in range(r)]
+    A = mat_mul(B, Cm) if r else [[QScalar.zero()] * cols for _ in range(rows)]
+    for i in range(1, rows, 4):
+        A[i] = A[i - 1][:] if i % 8 == 1 else [x * (1 + SQRT5) for x in A[i - 1]]
+    return A
+
+
+@pytest.mark.parametrize("rows,cols,r", [(6, 5, 5), (8, 5, 3), (12, 7, 7), (12, 9, 4),
+                                         (5, 6, 5), (4, 4, 0), (9, 3, 1)])
+def test_rows_picked_mod_p_are_independent_and_as_many_as_the_rank(rows, cols, r):
+    rng = random.Random(f"mod-p-{rows}-{cols}-{r}")
+    A = _low_rank(rng, rows, cols, r)
+    picked = independent_rows_mod_p(A)
+    assert picked == sorted(set(picked))
+    assert len(picked) == rank(A) <= r
+    if picked:
+        assert rank([A[i] for i in picked]) == len(picked)
+
+
+@pytest.mark.parametrize("four", [False, True], ids=["rational", "four"])
+def test_rows_picked_mod_p_on_a_sparse_237x25_system(four):
+    rng = random.Random(f"mod-p-sparse-{four}")
+    A = _sparse_matrix(rng, 237, 25, 0.093, four)
+    picked = independent_rows_mod_p(A)
+    assert len(picked) == rank(A)
+    assert rank([A[i] for i in picked]) == len(picked)
+
+
+@pytest.mark.parametrize("coord", range(4))
+def test_denominator_divisible_by_p_signals_fallback(coord):
+    rng = random.Random("mod-p-bad")
+    A = _low_rank(rng, 6, 4, 4)
+    coords = [0, 0, 0, 0]
+    coords[coord] = Fraction(1, 2 * P)
+    A[0][2] = QScalar(*coords)
+    assert mod_p(A[0][2]) is None
+    assert independent_rows_mod_p(A) is None
+    # a unit denominator and a numerator divisible by P are fine
+    assert mod_p(QScalar(Fraction(P, 3))) == 0
+
+
+def test_entry_vanishing_mod_p_only_lowers_the_count():
+    # P and P*sqrt2 are nonzero, but their images are 0: the mod-P rank
+    # falls below the exact rank, which the solver reads as "fall back"
+    A = [[QScalar(P), QScalar.zero()], [QScalar.zero(), QScalar(0, P)],
+         [QScalar(1), QScalar(1)]]
+    assert rank(A) == 2
+    assert independent_rows_mod_p(A) == [2]

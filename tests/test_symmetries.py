@@ -1,0 +1,152 @@
+"""The frame-symmetry solver against the assembly it replaced.
+
+The oracle keeps the residual formula written out directly, reads the
+affine system off 26 evaluations of it (a base and 25 unit
+perturbations of the group block) and solves it by one rref of all rows.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from g2trac import linalg
+from g2trac.laurent import CoeffFn
+from g2trac.qm_family import REGRESSION_PARAMETERS
+from g2trac.scalars import SQRT2, QScalar
+from g2trac.symmetries import (FrameSymmetry, _group_block_action, frame_symmetry_system,
+                               symmetry_residuals)
+
+
+def _direct_residuals(pkg, sym):
+    """L_xi of the brackets, the connection and the weight-3 slots, written out."""
+    chart, n, lam, w = pkg.chart, pkg.chart.dim, sym.lam, sym.weight
+
+    def xi(f):
+        return f.d_drho() * CoeffFn.rho(f.param) * QScalar(w)
+
+    out = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(n):
+                acc = xi(chart.C[a][b][c])
+                for e in range(n):
+                    acc = acc + lam[a][e] * chart.C[e][b][c]
+                    acc = acc + lam[b][e] * chart.C[a][e][c]
+                    acc = acc - chart.C[a][b][e] * lam[e][c]
+                out.append(acc)
+    for a in range(n):
+        for d in range(n):
+            for b in range(n):
+                acc = xi(chart.G[a][d][b])
+                for e in range(n):
+                    acc = acc + chart.G[a][d][e] * lam[e][b]
+                    acc = acc - lam[a][e] * chart.G[e][d][b]
+                    acc = acc - lam[d][e] * chart.G[a][e][b]
+                out.append(acc)
+    tr = QScalar.zero()
+    for i in range(6):
+        tr = tr + lam[i][i]
+    wt = QScalar(Fraction(3, 7)) * tr
+    sig, mu = pkg.phi.sigma, pkg.phi.mu
+    for (b, c) in combinations(range(n), 2):
+        acc = xi(sig.get((), (b, c))) + sig.get((), (b, c)) * wt
+        for e in range(n):
+            acc = acc - lam[b][e] * sig.get((), (e, c))
+            acc = acc - lam[c][e] * sig.get((), (b, e))
+        out.append(acc)
+    for (b, c, d) in combinations(range(n), 3):
+        acc = xi(mu.get((), (b, c, d))) + mu.get((), (b, c, d)) * wt
+        for e in range(n):
+            acc = acc - lam[b][e] * mu.get((), (e, c, d))
+            acc = acc - lam[c][e] * mu.get((), (b, e, d))
+            acc = acc - lam[d][e] * mu.get((), (b, c, e))
+        out.append(acc)
+    return out
+
+
+def _oracle_system(pkg, weight):
+    """26 evaluations give L and b; one rref of all rows of [L | -b] solves."""
+    weight = Fraction(weight)
+    z = QScalar.zero()
+    base = _direct_residuals(pkg, _group_block_action([z] * 25, weight))
+    cols = []
+    for k in range(25):
+        entries = [z] * 25
+        entries[k] = QScalar.one()
+        pert = _direct_residuals(pkg, _group_block_action(entries, weight))
+        cols.append([p - b for p, b in zip(pert, base)])
+    exps = sorted({e for col in cols + [base] for r in col for e in r.terms})
+    rows = []
+    for i, b in enumerate(base):
+        for e in exps:
+            row = [cols[k][i].coeff(e) for k in range(25)] + [-b.coeff(e)]
+            if any(not v.is_zero() for v in row):
+                rows.append(row)
+    R, pivots = linalg.rref(rows)
+    kernel_dim = 25 - len([c for c in pivots if c < 25])
+    if 25 in pivots:
+        return None, kernel_dim
+    sol = [z] * 25
+    for r, c in enumerate(pivots):
+        sol[c] = R[r][25]
+    sym = _group_block_action(sol, weight)
+    if any(not r.is_zero() for r in _direct_residuals(pkg, sym)):
+        return None, kernel_dim
+    return sym, kernel_dim
+
+
+def _view(result):
+    sym, kernel_dim = result
+    lam = None if sym is None else [[x.as_strings() for x in row] for row in sym.lam]
+    return lam, kernel_dim
+
+
+@pytest.mark.parametrize("m", REGRESSION_PARAMETERS, ids=str)
+def test_solver_matches_the_26_evaluation_oracle(family_package, m):
+    pkg = family_package(m)
+    for w in (0, 2):
+        got = frame_symmetry_system(pkg, Fraction(w))
+        assert _view(got) == _view(_oracle_system(pkg, w))
+        assert got[0] is not None and got[1] == 0
+
+
+@pytest.mark.parametrize("m", [Fraction(1, 2), Fraction(2)], ids=str)
+def test_residual_terms_match_the_direct_formula(family_package, m):
+    pkg = family_package(m)
+    rng = random.Random(f"residuals-{m}")
+    for w in (Fraction(0), Fraction(2), Fraction(-1, 3)):
+        lam = [[QScalar(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+                * (SQRT2 if rng.random() < 0.3 else 1) for _ in range(6)] for _ in range(6)]
+        sym = FrameSymmetry(lam, w)
+        assert symmetry_residuals(pkg, sym) == _direct_residuals(pkg, sym)
+
+
+def test_fallback_paths_give_the_main_result(pkg_half, monkeypatch):
+    select, full_rref = linalg.independent_rows_mod_p, linalg.rref
+    sizes = []
+
+    def rref(rows):
+        sizes.append(len(rows))
+        return full_rref(rows)
+
+    monkeypatch.setattr(linalg, "rref", rref)
+    main = {}
+    for w in (0, 2):
+        sizes.clear()
+        main[w] = _view(frame_symmetry_system(pkg_half, Fraction(w)))
+        # the main path eliminates the 25 rows picked mod p, nothing more
+        assert sizes == [25]
+    fallbacks = {
+        "bad denominator": lambda rows: None,
+        "24 rows": lambda rows: select(rows)[:24],
+        "dependent rows": lambda rows: select(rows)[:24] + select(rows)[:1],
+    }
+    for name, selector in fallbacks.items():
+        monkeypatch.setattr(linalg, "independent_rows_mod_p", selector)
+        for w in (0, 2):
+            sizes.clear()
+            assert _view(frame_symmetry_system(pkg_half, Fraction(w))) == main[w], name
+            # the full system, well over 25 rows, was eliminated
+            assert max(sizes) > 25, name
