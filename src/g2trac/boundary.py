@@ -52,18 +52,24 @@ def _eval0(f: CoeffFn) -> QScalar:
     return f.eval(QScalar.zero())
 
 
+def _g_trace(ginv, f):
+    """sum_{k,l} g^{kl} f(k, l) over the nonzero entries of g^-1."""
+    n = len(ginv)
+    acc = ginv[0][0] * 0
+    for k in range(n):
+        for l in range(n):
+            w = ginv[k][l]
+            if not w.is_zero():
+                acc = acc + w * f(k, l)
+    return acc
+
+
 def conformal_schouten(chart: FrameChart, g: AltTensor) -> AltTensor:
     """(1/(d-2)) (Ric - Sc/(2(d-1)) g) for the Levi-Civita chart of g."""
     d = chart.dim
     ric = chart.ricci()
     gm = g.as_matrix()
-    ginv = linalg.inverse_laurent(gm)
-    sc = chart.zero()
-    for a in range(d):
-        for b in range(d):
-            w = ginv[a][b]
-            if not w.is_zero():
-                sc = sc + w * ric.get((), (a, b))
+    sc = _g_trace(linalg.inverse_laurent(gm), lambda a, b: ric.get((), (a, b)))
     out = AltTensor(d, 0, 2, NONE, chart.zero())
     pref = chart.lift(Fraction(1, d - 2))
     trace_pref = chart.lift(Fraction(1, 2 * (d - 1)))
@@ -374,59 +380,27 @@ def bgg_split(conf: ConformalChart, omega0: AltTensor) -> ConformalTractor3Form:
     nu = AltTensor.form(n, 1, lc.zero())
     quarter = lc.lift(Fraction(-1, 4))
     for c in range(n):
-        acc = lc.zero()
-        for k in range(n):
-            for l in range(n):
-                w = ginv[k][l]
-                if not w.is_zero():
-                    acc = acc + w * t.get((), (l, k, c))
-        v = acc * quarter
+        v = _g_trace(ginv, lambda k, l: t.get((), (l, k, c))) * quarter
         if not v.is_zero():
             nu.set((), (c,), v)
+    trP = _g_trace(ginv, lambda k, l: P.get((), (l, k)))
     bottom = AltTensor.form(n, 2, lc.zero())
     for (b, c) in combinations(range(n), 2):
         acc = lc.zero()
         # -(1/15) laplacian
-        lap = lc.zero()
-        for k in range(n):
-            for l in range(n):
-                w = ginv[k][l]
-                if not w.is_zero():
-                    lap = lap + w * s.get((), (l, k, b, c))
+        lap = _g_trace(ginv, lambda k, l: s.get((), (l, k, b, c)))
         acc = acc + lap * Fraction(-1, 15)
         # -(2/15) alt_{bc} nabla^k nabla_c omega_{kb}
-        t2 = lc.zero()
-        for k in range(n):
-            for l in range(n):
-                w = ginv[k][l]
-                if not w.is_zero():
-                    t2 = t2 + w * (s.get((), (l, c, k, b)) - s.get((), (l, b, k, c)))
+        t2 = _g_trace(ginv, lambda k, l: s.get((), (l, c, k, b)) - s.get((), (l, b, k, c)))
         acc = acc + t2 * Fraction(-1, 15)   # includes the 1/2 of the alternation
         # -(1/10) alt_{bc} nabla_c nabla^k omega_{kb}
-        t3 = lc.zero()
-        for k in range(n):
-            for l in range(n):
-                w = ginv[k][l]
-                if not w.is_zero():
-                    t3 = t3 + w * (s.get((), (c, l, k, b)) - s.get((), (b, l, k, c)))
+        t3 = _g_trace(ginv, lambda k, l: s.get((), (c, l, k, b)) - s.get((), (b, l, k, c)))
         acc = acc + t3 * Fraction(-1, 20)
         # -(4/5) P^k_{[b} omega_{c]k}
-        t4 = lc.zero()
-        for k in range(n):
-            for l in range(n):
-                w = ginv[k][l]
-                if w.is_zero():
-                    continue
-                t4 = t4 + w * (P.get((), (l, b)) * omega0.get((), (c, k))
-                               - P.get((), (l, c)) * omega0.get((), (b, k)))
+        t4 = _g_trace(ginv, lambda k, l: P.get((), (l, b)) * omega0.get((), (c, k))
+                      - P.get((), (l, c)) * omega0.get((), (b, k)))
         acc = acc + t4 * Fraction(-2, 5)    # includes the 1/2 of the alternation
         # -(1/5) P^k_k omega_{bc}
-        trP = lc.zero()
-        for k in range(n):
-            for l in range(n):
-                w = ginv[k][l]
-                if not w.is_zero():
-                    trP = trP + w * P.get((), (l, k))
         acc = acc + trP * omega0.get((), (b, c)) * Fraction(-1, 5)
         if not acc.is_zero():
             bottom.set((), (b, c), acc)

@@ -185,7 +185,7 @@ def cmd_monge_check(args) -> int:
 
 def cmd_export(args) -> int:
     from .tensor_io import tensor_to_json
-    from .tensors import AltTensor, NONE
+    from .tensors import AltTensor
     try:
         m = Fraction(args.m)
     except (ValueError, ZeroDivisionError):
@@ -196,11 +196,7 @@ def cmd_export(args) -> int:
         return 2
     pkg = _build_package(m, None)
     full = pkg.phi.full(pkg.chart.zero())
-    Jt = AltTensor(6, 1, 1, NONE, pkg.chart.zero())
-    for a in range(6):
-        for b in range(6):
-            if not pkg.J[a][b].is_zero():
-                Jt.set((a,), (b,), pkg.J[a][b])
+    Jt = AltTensor.from_matrix(pkg.J, 6, 1, zero=pkg.chart.zero())
     docs = {"phi": tensor_to_json(full, PLAIN),
             "H": tensor_to_json(pkg.H, PLAIN),
             "J": tensor_to_json(Jt, PLAIN)}

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .laurent import PLAIN, CoeffFn
-from .linalg import inverse_laurent
+from .linalg import inverse_laurent, mat_mul
 from .tensors import NONE, AltTensor
 
 
@@ -305,16 +305,8 @@ class FrameChart:
                         if not f3.is_zero():
                             acc = acc - f3 * gm[e][a]
                     K[a][c][d] = acc
-        G = [[[self.zero() for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for a in range(n):
-            for c in range(n):
-                for b in range(n):
-                    acc = self.zero()
-                    for d in range(n):
-                        w = ginv[b][d]
-                        if not w.is_zero():
-                            acc = acc + w * K[a][c][d]
-                    G[a][c][b] = acc * half
+        # G[a][c][b] = (1/2) g^{bd} K[a][c][d], and g^-1 is symmetric
+        G = [[[x * half for x in row] for row in mat_mul(Ka, ginv)] for Ka in K]
         out = FrameChart(self.dim, self.param, self.rho_directions, self.labels)
         out.C = [[list(col) for col in row] for row in self.C]
         out.G = G

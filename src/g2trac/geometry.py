@@ -20,7 +20,7 @@ from .frames import FrameChart
 from .laurent import PLAIN, RHO_MINUS, RHO_PLUS, CoeffFn
 from .scalars import DegenerateError, QScalar
 from .stable_forms import cross_matrix
-from .tensors import NONE, SYM, AltTensor
+from .tensors import SYM, AltTensor
 from .tractor import (Tractor3Form, ky_symmetrized_derivative, omega_weyl_cycle,
                       tractor_metric_from_phi)
 
@@ -161,17 +161,7 @@ def npk_extract(pkg: GeometryPackage, side: int) -> OrbitStructure:
     # (+-tau)^(-3/2) = (2 s^2)^(-3/2) = (sqrt2/4) s^-3
     scale = CoeffFn.monomial(QScalar.sqrt2() * Fraction(1, 4), -3, param)
     omega = sigma_s.scale(scale)
-    ginv = linalg.inverse_laurent(g.as_matrix())
-    om = omega.as_matrix()
-    J = [[chart_s.zero() for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            acc = chart_s.zero()
-            for k in range(n):
-                w = ginv[a][k]
-                if not w.is_zero():
-                    acc = acc + w * om[k][b]
-            J[a][b] = acc
+    J = linalg.mat_mul(linalg.inverse_laurent(g.as_matrix()), omega.as_matrix())
     eps = -side
     # J^2 = -side id exactly
     J2 = linalg.mat_mul(J, J)
@@ -250,12 +240,9 @@ def npk_verify(orbit: OrbitStructure) -> NPKReport:
         failures.append("hermitian")
 
     lc = chart.levi_civita(g)
-    Jt = AltTensor(n, 1, 1, NONE, chart.zero())
-    for a in range(n):
-        for b in range(n):
-            if not J[a][b].is_zero():
-                Jt.set((a,), (b,), J[a][b])
-    dJ = [lc.cov_deriv(Jt, a) for a in range(n)]
+    Jt = AltTensor.from_matrix(J, n, 1, zero=chart.zero())
+    dJ = [lc.cov_deriv(Jt, a).as_matrix() for a in range(n)]   # dJ[a][k][b] = (nabla_a J)^k_b
+    JdJ = [linalg.mat_mul(J, d) for d in dJ]                   # J (nabla_a J)
 
     # Killing-Yano / nearly Kahler condition
     S = ky_symmetrized_derivative(lc, omega)
@@ -296,20 +283,11 @@ def npk_verify(orbit: OrbitStructure) -> NPKReport:
     if ct_ok:
         factor = alpha * QScalar.of(-eps)
         for a in range(n):
+            lhs = linalg.congruence(dJ[a], gm)
             for b in range(n):
-                lhs = chart.zero()
-                for c in range(n):
-                    for dd in range(n):
-                        t1 = dJ[a].get((c,), (b,))
-                        if t1.is_zero():
-                            continue
-                        t2 = dJ[a].get((dd,), (b,))
-                        if t2.is_zero():
-                            continue
-                        lhs = lhs + gm[c][dd] * t1 * t2
                 brace = gm[a][a] * gm[b][b] - gm[a][b] * gm[a][b] \
                     + om[a][b] * om[a][b] * QScalar.of(eps)
-                if not (lhs - brace * factor).is_zero():
+                if not (lhs[b][b] - brace * factor).is_zero():
                     ct_ok = False
     if not ct_ok:
         failures.append("constant-type")
@@ -332,70 +310,34 @@ def npk_verify(orbit: OrbitStructure) -> NPKReport:
             t2 = _field_bracket(chart, JU, JV)
             t3 = _field_bracket(chart, JU, V)
             t4 = _field_bracket(chart, U, JV)
-            nj = [t[i] - t2[i] for i in range(n)]
+            Jt34 = linalg.mat_vec(J, [x + y for x, y in zip(t3, t4)])
             for i in range(n):
-                acc = nj[i]
-                for k in range(n):
-                    acc = acc + J[i][k] * (t3[k] + t4[k])
-                # compare against 4 J (nabla_{E_b} J) E_c
-                rhs = chart.zero()
-                for k in range(n):
-                    w = dJ[b].get((k,), (c,))
-                    if not w.is_zero():
-                        rhs = rhs + J[i][k] * w
-                if not (acc - rhs * 4).is_zero():
+                if not (t[i] - t2[i] + Jt34[i] - JdJ[b][i][c] * 4).is_zero():
                     nij_ok = False
     if not nij_ok:
         failures.append("nijenhuis")
 
-    # canonical connection torsion eps J (nabla_U J) V: lowered, totally skew
+    # canonical connection torsion eps J (nabla_U J) V, lowered: each
+    # T_b = g J nabla_b J is skew, T_b + T_b^T = 0
     can_ok = True
     for b in range(n):
-        for c in range(n):
-            for dd in range(n):
-                acc = chart.zero()
-                for i in range(n):
-                    for k in range(n):
-                        w = dJ[b].get((k,), (c,))
-                        if not w.is_zero():
-                            acc = acc + gm[dd][i] * J[i][k] * w
-                # acc = Tbar_{b c dd} up to the eps factor; skewness test
-                acc2 = chart.zero()
-                for i in range(n):
-                    for k in range(n):
-                        w = dJ[b].get((k,), (dd,))
-                        if not w.is_zero():
-                            acc2 = acc2 + gm[c][i] * J[i][k] * w
-                if not (acc + acc2).is_zero():
-                    can_ok = False
+        T = linalg.mat_mul(gm, JdJ[b])
+        if any(not (T[c][d] + T[d][c]).is_zero() for c in range(n) for d in range(c, n)):
+            can_ok = False
     if not can_ok:
         failures.append("canonical-torsion")
 
-    # <nabla J, nabla J> constant
+    # <nabla J, nabla J> = sum g^{aa'} <dJ[a], g dJ[a'] g^-1> constant
     ginv = linalg.inverse_laurent(gm)
+    lowered = [linalg.mat_mul(linalg.mat_mul(gm, d), ginv) for d in dJ]
     norm = chart.zero()
     for a in range(n):
         for ap in range(n):
-            w1 = ginv[a][ap]
-            if w1.is_zero():
-                continue
-            for b in range(n):
-                for bp in range(n):
-                    w2 = gm[b][bp]
-                    if w2.is_zero():
-                        continue
-                    for c in range(n):
-                        for cp in range(n):
-                            w3 = ginv[c][cp]
-                            if w3.is_zero():
-                                continue
-                            t1 = dJ[a].get((b,), (c,))
-                            if t1.is_zero():
-                                continue
-                            t2 = dJ[ap].get((bp,), (cp,))
-                            if t2.is_zero():
-                                continue
-                            norm = norm + w1 * w2 * w3 * t1 * t2
+            w = ginv[a][ap]
+            if not w.is_zero():
+                pair = linalg.sum_prod([x for row in dJ[a] for x in row],
+                                       [y for row in lowered[ap] for y in row])
+                norm = norm + w * pair
     norm_const = norm.is_constant()
     norm_val = norm.constant_value() if norm_const else None
     if not norm_const:

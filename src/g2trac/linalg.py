@@ -25,16 +25,22 @@ def eye(n, one, zero) -> Mat:
 
 
 def mat_mul(A: Mat, B: Mat) -> Mat:
-    n, k, m = len(A), len(B), len(B[0])
+    """A B as a sum of rows of B, skipping the zero entries of A.
+
+    A zero row of A gives a row of B's zero, so the product keeps B's
+    ring (and a CoeffFn's parameterization) even then."""
+    zero = B[0][0] * 0
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = A[i][0] * B[0][j]
-            for t in range(1, k):
-                acc = acc + A[i][t] * B[t][j]
-            row.append(acc)
-        out.append(row)
+    for arow in A:
+        row = None
+        for a, brow in zip(arow, B):
+            if not a:
+                continue
+            if row is None:
+                row = [a * b for b in brow]
+            else:
+                row = [r + a * b for r, b in zip(row, brow)]
+        out.append(row if row is not None else [zero] * len(B[0]))
     return out
 
 

@@ -326,25 +326,11 @@ def normalized_orientation(omega: AltTensor, beta: AltTensor):
 def hermitian_metric_from_pair(omega: AltTensor, beta: AltTensor, orientation: int = 1):
     """g = eps omega(., J.) for the eps-complex structure J of beta."""
     J, eps, _ = eps_complex_from_3form(beta, orientation)
-    g = AltTensor(6, 0, 2, SYM)
-    for i in range(6):
-        for j in range(i, 6):
-            acc = QScalar.zero()
-            for k in range(6):
-                acc = acc + omega.get((), (i, k)) * J[k][j]
-            acc = acc * QScalar.of(eps)
-            if not acc.is_zero():
-                g.set((), (i, j), acc)
+    oj = linalg.mat_mul(omega.as_matrix(), J)
     # symmetry of g is equivalent to compatibility; verify
-    for i in range(6):
-        for j in range(6):
-            a = QScalar.zero()
-            b = QScalar.zero()
-            for k in range(6):
-                a = a + omega.get((), (i, k)) * J[k][j]
-                b = b + omega.get((), (j, k)) * J[k][i]
-            if not (a - b).is_zero():
-                raise ValueError("omega(., J.) is not symmetric; pair is incompatible")
+    if any(not (oj[i][j] - oj[j][i]).is_zero() for i in range(6) for j in range(i + 1, 6)):
+        raise ValueError("omega(., J.) is not symmetric; pair is incompatible")
+    g = AltTensor.from_matrix([[v * QScalar.of(eps) for v in row] for row in oj], 6, 0, SYM)
     return g, J, eps
 
 

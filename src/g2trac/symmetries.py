@@ -125,8 +125,13 @@ def _residual_terms(pkg: GeometryPackage):
 def symmetry_residuals(pkg: GeometryPackage, sym: FrameSymmetry) -> List[CoeffFn]:
     """All residual components of L_xi applied to brackets, connection and
     the (weight-3) slots of the parallel 3-form."""
+    return _evaluate(_residual_terms(pkg), sym)
+
+
+def _evaluate(terms, sym: FrameSymmetry) -> List[CoeffFn]:
+    """The residuals (f, pairs) of `_residual_terms` at the action sym."""
     out: List[CoeffFn] = []
-    for f, pairs in _residual_terms(pkg):
+    for f, pairs in terms:
         acc = _xi_deriv(f, sym.weight)
         for (a, b), k in pairs:
             if k.terms:
@@ -158,13 +163,14 @@ def frame_symmetry_system(pkg: GeometryPackage,
     every weight), and the rref of those rows of [L | -b] gives the only
     candidate.  When a denominator vanishes mod p, fewer rows are found or
     that rref lacks a pivot, the rref of all of [L | -b] gives the solution
-    and rank L.  One `symmetry_residuals` evaluation decides feasibility.
+    and rank L.  One evaluation of the same terms decides feasibility.
     """
     weight = Fraction(weight)
     z = QScalar.zero()
     lam0 = _group_block_action([z] * 25, weight).lam
+    terms = list(_residual_terms(pkg))
     rows = []
-    for f, pairs in _residual_terms(pkg):
+    for f, pairs in terms:
         b = _xi_deriv(f, weight)
         cols = {}
         for (i, j), k in pairs:
@@ -190,7 +196,7 @@ def frame_symmetry_system(pkg: GeometryPackage,
     for r, c in enumerate(pivots):
         sol[c] = R[r][25]
     sym = _group_block_action(sol, weight)
-    if any(not r.is_zero() for r in symmetry_residuals(pkg, sym)):
+    if any(not r.is_zero() for r in _evaluate(terms, sym)):
         return None, kernel_dim
     return sym, kernel_dim
 

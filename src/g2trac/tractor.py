@@ -11,7 +11,7 @@ beyond bookkeeping.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import List
 
 from .frames import FrameChart
@@ -225,37 +225,39 @@ def tractor_metric_from_phi(chart: FrameChart, phi: Tractor3Form) -> AltTensor:
 def tractor_metric_hhdef(chart: FrameChart, phi: Tractor3Form, orientation: int = 1) -> AltTensor:
     """H_{AB} = (1/144) Phi_{A C1 C2} Phi_{B C3 C4} Phi_{C5 C6 C7} eps^{C1..C7},
     the epsilon-contraction route, with an explicit orientation for the
-    tractor volume.  Used to cross-check the trace-normalized metric."""
+    tractor volume.  Used to cross-check the trace-normalized metric.
+
+    The summand is unchanged by reordering C1 C2, C3 C4 or C5 C6 C7, so
+    the 5040 orderings collapse to the 210 splits of the seven legs into
+    increasing p, q, t, each counted 2! 2! 3! = 24 times."""
     n = chart.dim
     if n != 6:
         raise ValueError("the tractor metric construction needs a 6-dimensional chart")
     full = phi.full(chart.zero())
     vol = tractor_volume(chart)
-    eps_sign = vol.get((), tuple(range(7))) * QScalar.of(orientation)
-    triples = [(idx, v) for (_, idx), v in full.comps.items()]
+    legs = tuple(range(7))
+    eps_sign = vol.get((), legs) * QScalar.of(orientation)
+    splits = []
+    for t in combinations(legs, 3):
+        rest = [x for x in legs if x not in t]
+        for p in combinations(rest, 2):
+            q = tuple(x for x in rest if x not in p)
+            sign = perm_sign_rel_cached(legs, p + q + t)
+            phi3 = full.get((), t)
+            if not phi3.is_zero():
+                splits.append((p, q, phi3 if sign > 0 else -phi3))
     H = AltTensor(7, 0, 2, SYM, chart.zero())
-    pref = QScalar(Fraction(1, 144))
+    pref = QScalar(Fraction(1, 6))
     for A in range(7):
         for B in range(A, 7):
             acc = chart.zero()
-            for idx3, v3 in triples:
-                for p3 in permutations(idx3):
-                    s3 = perm_sign_rel_cached(idx3, p3)
-                    phi3 = v3 if s3 > 0 else -v3
-                    rest = [x for x in range(7) if x not in p3]
-                    for p12 in permutations(rest, 2):
-                        va = full.get((), (A,) + p12)
-                        if va.is_zero():
-                            continue
-                        last = tuple(x for x in rest if x not in p12)
-                        for p34 in (last, (last[1], last[0])):
-                            vb = full.get((), (B,) + p34)
-                            if vb.is_zero():
-                                continue
-                            term = va * vb * phi3
-                            if perm_sign(p12 + p34 + p3) < 0:
-                                term = -term
-                            acc = acc + term
+            for p, q, phi3 in splits:
+                va = full.get((), (A,) + p)
+                if va.is_zero():
+                    continue
+                vb = full.get((), (B,) + q)
+                if not vb.is_zero():
+                    acc = acc + va * vb * phi3
             acc = acc * pref * eps_sign
             if not acc.is_zero():
                 H.set((), (A, B), acc)

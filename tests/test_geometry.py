@@ -1,9 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from g2trac import linalg
-from g2trac.geometry import (compactness_check, jfield_identity_defects,
+from g2trac.geometry import (NPKReport, compactness_check, jfield_identity_defects,
                              normal_form_check, npk_extract, npk_verify,
                              recompute_H_defect, stratify)
 from g2trac.laurent import RHO_MINUS, RHO_PLUS, CoeffFn
@@ -25,11 +26,14 @@ def test_H_recomputed_from_phi_coincides(pkg_half):
     assert all(v.is_zero() for v in recompute_H_defect(pkg_half))
 
 
-def test_orientation_ratio_and_hhdef_cross_check(pkg_half):
-    ratio = phi_volume_ratio(pkg_half.chart, pkg_half.phi, pkg_half.H)
-    assert ratio == CoeffFn.of(QScalar(Fraction(-1, 210)), pkg_half.chart.param)
-    H2 = tractor_metric_hhdef(pkg_half.chart, pkg_half.phi, -1)
-    assert (H2 - pkg_half.H).is_zero()
+@pytest.mark.parametrize("m", REGRESSION_PARAMETERS)
+def test_orientation_ratio_and_hhdef_cross_check(family_package, m):
+    pkg = family_package(m)
+    ratio = phi_volume_ratio(pkg.chart, pkg.phi, pkg.H)
+    assert ratio == CoeffFn.of(QScalar(Fraction(-1, 210)), pkg.chart.param)
+    H2 = tractor_metric_hhdef(pkg.chart, pkg.phi, -1)
+    assert (H2 - pkg.H).is_zero()
+    assert (tractor_metric_hhdef(pkg.chart, pkg.phi, 1) + pkg.H).is_zero()
 
 
 @pytest.mark.parametrize("m", REGRESSION_PARAMETERS)
@@ -115,6 +119,29 @@ def test_npk_verification_clean(pkg_half, side):
     assert rep.alpha == QScalar(side)
     assert rep.scalar_curvature_sign == side
     assert rep.nabla_j_norm == QScalar(24)
+
+
+def _bump_j01(orb):
+    J = [row[:] for row in orb.J]
+    J[0][1] = J[0][1] + orb.chart.one()
+    return replace(orb, J=J)
+
+
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize("perturb, failures, alpha, norm", [
+    (_bump_j01, ["hermitian", "constant-type", "nijenhuis", "canonical-torsion"], 1, 24),
+    (lambda orb: replace(orb, omega=orb.omega.scale(2)), ["constant-type"], 1, 24),
+    (lambda orb: replace(orb, g=orb.g.scale(3)), ["constant-type"], Fraction(1, 3), 8)],
+    ids=["J01+1", "2omega", "3g"])
+def test_npk_verification_negative_controls(pkg_half, side, perturb, failures, alpha, norm):
+    rep = npk_verify(perturb(npk_extract(pkg_half, side)))
+    assert rep == NPKReport(
+        eps=-side, hermitian_ok="hermitian" not in failures, ky_residual_zero=True,
+        alpha=QScalar(alpha * side), constant_type_ok=False, einstein_zero=True,
+        scalar_curvature_sign=side, weyl_identity_zero=True,
+        nijenhuis_ok="nijenhuis" not in failures,
+        canonical_torsion_skew="canonical-torsion" not in failures,
+        nabla_j_norm=QScalar(norm), nabla_j_norm_constant=True, failures=failures)
 
 
 def test_npk_extract_rejects_bad_side(pkg_half):

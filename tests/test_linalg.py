@@ -92,6 +92,41 @@ def test_inverse_laurent_rejects_singular_matrix():
         inverse_laurent(A)
 
 
+def _triple_loop(A, B):
+    """Every product of rows of A with columns of B: the reference product."""
+    return [[sum((A[i][t] * B[t][j] for t in range(1, len(B))), A[i][0] * B[0][j])
+             for j in range(len(B[0]))] for i in range(len(A))]
+
+
+@pytest.mark.parametrize("ring", ["qscalar", "laurent"])
+@pytest.mark.parametrize("n,k,m", [(5, 6, 4), (1, 5, 1), (5, 1, 4), (1, 6, 4), (6, 4, 1)])
+def test_mat_mul_matches_the_triple_loop(ring, n, k, m):
+    rng = random.Random(f"mat-mul-{ring}-{n}x{k}x{m}")
+    if ring == "qscalar":
+        zero = QScalar.zero()
+
+        def entry():
+            return zero if rng.random() < 1 / 3 else _coeff(rng)
+    else:
+        zero = CoeffFn.zero(RHO_PLUS)
+
+        def entry():
+            return _laurent(rng, RHO_PLUS)
+    A = [[entry() for _ in range(k)] for _ in range(n)]
+    B = [[entry() for _ in range(m)] for _ in range(k)]
+    A[0] = [zero] * k                  # a zero row of A
+    for row in A:
+        row[-1] = zero                 # a zero column of A
+    for row in B:
+        row[0] = zero                  # a zero column of B
+    C = mat_mul(A, B)
+    assert C == _triple_loop(A, B)
+    assert all(x.is_zero() for x in C[0]) and all(row[0].is_zero() for row in C)
+    assert all(type(x) is type(zero) for row in C for x in row)
+    if ring == "laurent":
+        assert all(x.param == RHO_PLUS for row in C for x in row)
+
+
 def _dense_rref(A):
     """Gauss-Jordan elimination updating every column: the reference rref."""
     R = [row[:] for row in A]

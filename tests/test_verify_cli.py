@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from g2trac import cli
-from g2trac.qm_family import build_model
+from g2trac.qm_family import REGRESSION_PARAMETERS, build_model
 from g2trac.scalars import QScalar
 from g2trac.tensor_io import (dump_tensor, load_tensor, octonion_from_json,
                               octonion_to_json, tensor_from_json)
@@ -39,6 +40,26 @@ def test_full_report_structure(pkg_half):
     for r in payload["records"]:
         if r["status"] == "skipped":
             assert r["detail"]
+
+
+# sha256 of each full report: every byte of a report (values, details, record
+# order) is fixed for identical inputs, so a refactor of a check must keep these.
+FULL_REPORT_SHA256 = {
+    Fraction(-1): "5072f5833f77078bc6aec623ac2245ab3f96a7ed4571acf0766f091cd163a302",
+    Fraction(1, 3): "e1efc0bee8ae91c398327ade1937d7dfc431c1ff1987e15df16d00d6fa9bddb7",
+    Fraction(1, 2): "1709f2dc609ec2b455cf0703648e280f746fc6e743bcee5275686ddaaef5bd3c",
+    Fraction(7, 12): "62cfd59ed1e9d38e787bb5f35f58280fe74589f32eae48e968ba51e7309f6bdf",
+    Fraction(2, 3): "b5299e39bd88f2649216a39a7c0ea76180c664de7ca499437e1e298d3046fdb2",
+    Fraction(5, 6): "483495d8a25e109da6ff443df1b4e156ca6a8c92eaed5a0e3eead95bb4cfea7a",
+    Fraction(2): "992d52d3856f999da375a1885013b6639057643ebcc7712e893b1be2b9737b32",
+    Fraction(3): "630d88259eeec7f0dea16c0b258c1f0ae557ff12e0569212fbf1cb827b5c2dd8",
+}
+
+
+@pytest.mark.parametrize("m", REGRESSION_PARAMETERS, ids=str)
+def test_full_report_bytes_are_pinned(family_package, m):
+    report = verify(family_package(m), depth="full").to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == FULL_REPORT_SHA256[m]
 
 
 def test_definite_model_report():
