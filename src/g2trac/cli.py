@@ -36,6 +36,20 @@ def _parse_samples(text: str):
     return out
 
 
+def _family_parameter(text: str):
+    """--m as a Fraction, or None after one stderr line when it is not a
+    rational other than 0 and 1 (the caller then exits 2)."""
+    try:
+        m = _parse_fraction(text)
+    except ValueError as exc:
+        print(f"invalid family parameter: {exc}", file=sys.stderr)
+        return None
+    if m in (0, 1):
+        print("the family parameter must avoid 0 and 1", file=sys.stderr)
+        return None
+    return m
+
+
 def _default_samples():
     env = os.environ.get("G2TRAC_SAMPLES")
     if env:
@@ -103,13 +117,8 @@ def _build_package(m: Fraction, samples):
 
 def cmd_verify_family(args) -> int:
     from .verify import verify
-    try:
-        m = Fraction(args.m)
-    except (ValueError, ZeroDivisionError):
-        print(f"invalid family parameter {args.m!r}", file=sys.stderr)
-        return 2
-    if m in (0, 1):
-        print("the family parameter must avoid 0 and 1", file=sys.stderr)
+    m = _family_parameter(args.m)
+    if m is None:
         return 2
     try:
         samples = _parse_samples(args.samples) if args.samples else _default_samples()
@@ -124,14 +133,13 @@ def cmd_verify_family(args) -> int:
 
 def cmd_orbit(args) -> int:
     from .geometry import npk_extract, npk_verify
-    try:
-        m = Fraction(args.m)
-        s = Fraction(args.s)
-    except (ValueError, ZeroDivisionError):
-        print("invalid --m or --s", file=sys.stderr)
+    m = _family_parameter(args.m)
+    if m is None:
         return 2
-    if m in (0, 1):
-        print("the family parameter must avoid 0 and 1", file=sys.stderr)
+    try:
+        s = _parse_fraction(args.s)
+    except ValueError as exc:
+        print(f"invalid --s: {exc}", file=sys.stderr)
         return 2
     try:
         samples = _default_samples()
@@ -186,13 +194,8 @@ def cmd_monge_check(args) -> int:
 def cmd_export(args) -> int:
     from .tensor_io import tensor_to_json
     from .tensors import AltTensor
-    try:
-        m = Fraction(args.m)
-    except (ValueError, ZeroDivisionError):
-        print("invalid --m", file=sys.stderr)
-        return 2
-    if m in (0, 1):
-        print("the family parameter must avoid 0 and 1", file=sys.stderr)
+    m = _family_parameter(args.m)
+    if m is None:
         return 2
     pkg = _build_package(m, None)
     full = pkg.phi.full(pkg.chart.zero())

@@ -39,7 +39,10 @@ class CoordPoly:
             raise ValueError(f"unknown coordinate {name!r}")
         key = [0, 0, 0, Fraction(0), 0]
         idx = VARS.index(name)
-        key[idx] = Fraction(power) if name == "q" else int(power)
+        e = Fraction(power)
+        if name != "q" and e.denominator != 1:
+            raise ValueError(f"{name}^{e}: only q takes non-integer powers")
+        key[idx] = e if name == "q" else int(e)
         return CoordPoly({tuple(key): QScalar.one()})
 
     def is_zero(self) -> bool:

@@ -19,7 +19,7 @@ from . import linalg
 from .frames import FrameChart
 from .laurent import PLAIN, RHO_MINUS, RHO_PLUS, CoeffFn
 from .scalars import DegenerateError, QScalar
-from .stable_forms import cross_matrix
+from .stable_forms import slices
 from .tensors import SYM, AltTensor
 from .tractor import (Tractor3Form, ky_symmetrized_derivative, omega_weyl_cycle,
                       tractor_metric_from_phi)
@@ -53,10 +53,10 @@ def build_package(chart: FrameChart, phi: Tractor3Form, meta=None) -> GeometryPa
 
 
 def jfield_full(chart: FrameChart, phi: Tractor3Form, H: AltTensor):
-    """The weighted endomorphism V -> -X x V in tractor components."""
+    """The weighted endomorphism V -> -X x V in tractor components: with
+    X = e_n, it is H^-1 S_n for the slice S_n = e_n . Phi."""
     full = phi.full(chart.zero())
-    X = cross_matrix(full, linalg.inverse_laurent(H.as_matrix()), chart.dim)
-    return [[-v for v in row] for row in X]
+    return linalg.mat_mul(linalg.inverse_laurent(H.as_matrix()), slices(full)[chart.dim])
 
 
 def jfield_identity_defects(pkg: GeometryPackage):
@@ -298,22 +298,22 @@ def npk_verify(orbit: OrbitStructure) -> NPKReport:
     if not weyl_ok:
         failures.append("weyl-identity")
 
-    # Nijenhuis tensor against 4 J (nabla_U J) V on frame pairs
-    nij_ok = True
-    Jcols = [[J[a][b] for a in range(n)] for b in range(n)]  # J E_b has components Jcols[b]
+    # Nijenhuis tensor against 4 J (nabla_U J) V on frame pairs:
+    # N(E_b, E_c) = -eps [E_b, E_c] - [JE_b, JE_c] + J([JE_b, E_c] + [E_b, JE_c])
+    # is skew in b, c and [E_b, E_c] = C[b][c], so three brackets per b < c
+    E = [[chart.one() if i == b else chart.zero() for i in range(n)] for b in range(n)]
+    JE = [[J[a][b] for a in range(n)] for b in range(n)]
+    N = [[[chart.zero()] * n for _ in range(n)] for _ in range(n)]
     for b in range(n):
-        for c in range(n):
-            U = [chart.one() if i == b else chart.zero() for i in range(n)]
-            V = [chart.one() if i == c else chart.zero() for i in range(n)]
-            JU, JV = Jcols[b], Jcols[c]
-            t = [chart.lift(-eps) * x for x in _field_bracket(chart, U, V)]
-            t2 = _field_bracket(chart, JU, JV)
-            t3 = _field_bracket(chart, JU, V)
-            t4 = _field_bracket(chart, U, JV)
+        for c in range(b + 1, n):
+            t2 = _field_bracket(chart, JE[b], JE[c])
+            t3 = _field_bracket(chart, JE[b], E[c])
+            t4 = _field_bracket(chart, E[b], JE[c])
             Jt34 = linalg.mat_vec(J, [x + y for x, y in zip(t3, t4)])
-            for i in range(n):
-                if not (t[i] - t2[i] + Jt34[i] - JdJ[b][i][c] * 4).is_zero():
-                    nij_ok = False
+            N[b][c] = [x * -eps - y + z for x, y, z in zip(chart.C[b][c], t2, Jt34)]
+            N[c][b] = [-x for x in N[b][c]]
+    nij_ok = all((N[b][c][i] - JdJ[b][i][c] * 4).is_zero()
+                 for b in range(n) for c in range(n) for i in range(n))
     if not nij_ok:
         failures.append("nijenhuis")
 

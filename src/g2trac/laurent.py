@@ -219,6 +219,18 @@ class CoeffFn:
         (e, c), = self.terms.items()
         return _cf({-e: c.inverse()}, self.param)
 
+    def cbrt(self) -> "CoeffFn":
+        """Exact cube root c^(1/3) s^(e/3) of a monomial c s^e.
+
+        ValueError when self is not a monomial, when 3 does not divide e,
+        or when c^(1/3) is not in Q(sqrt2, sqrt5)."""
+        if len(self.terms) != 1:
+            raise ValueError("cube root only for Laurent monomials")
+        (e, c), = self.terms.items()
+        if e % 3:
+            raise ValueError("cube root exponent not divisible by 3")
+        return _cf({e // 3: c.cbrt()}, self.param)
+
     def __truediv__(self, other) -> "CoeffFn":
         o = self._join(other)
         if len(o.terms) == 1:

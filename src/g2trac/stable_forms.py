@@ -10,12 +10,12 @@ Compatible pairs glue the two pictures together.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import List
 
 from . import linalg
 from .scalars import DegenerateError, QScalar
-from .tensors import NONE, SYM, AltTensor, perm_sign_rel
+from .tensors import ALT, NONE, SYM, AltTensor
 
 B1, B2, B3, B4, B5, B6 = "beta1", "beta2", "beta3", "beta4", "beta5", "beta6"
 DEFINITE, SPLIT, DEGENERATE = "definite", "split", "degenerate"
@@ -64,10 +64,7 @@ def lam(beta: AltTensor) -> QScalar:
 
 
 def kernel_dim(beta: AltTensor) -> int:
-    rows = []
-    for a in range(6):
-        two = beta.interior(_unit(6, a))
-        rows.append([two.get((), (i, j)) for i, j in combinations(range(6), 2)])
+    rows = [[s[i][j] for i, j in combinations(range(6), 2)] for s in slices(beta)]
     return 6 - linalg.rank(rows)
 
 
@@ -157,63 +154,37 @@ def htilde_matrix(phi: AltTensor):
     return out
 
 
-def _phi_norm_with(phi: AltTensor, hinv):
-    """phi_{ABC} phi_{DEF} h^{AD} h^{BE} h^{CF}, all indices raised with hinv.
+def slices(phi: AltTensor):
+    """S[a][b][c] = phi_{abc}: S[a] is the matrix of the 2-form e_a . phi.
 
-    Staged: the three raisings are applied one slot at a time, so the
-    cost stays cubic in the dimension."""
+    Every stored component fills its six signed entries once; entries lie
+    in phi's ring."""
     n = phi.dim
-    zero = phi.zero
-    raised = [[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                v = phi.get((), (a, b, c))
-                if not v.is_zero():
-                    raised[a][b][c] = v
-    for slot in range(3):
-        new = [[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    v = raised[a][b][c]
-                    if v.is_zero():
-                        continue
-                    idx = (a, b, c)[slot]
-                    for d in range(n):
-                        w = hinv[idx][d]
-                        if w.is_zero():
-                            continue
-                        key = list((a, b, c))
-                        key[slot] = d
-                        ka, kb, kc = key
-                        new[ka][kb][kc] = new[ka][kb][kc] + v * w
-        raised = new
-    acc = zero
+    S = [[[phi.zero] * n for _ in range(n)] for _ in range(n)]
     for (_, (a, b, c)), v in phi.comps.items():
-        for p in permutations((a, b, c)):
-            sv = v if perm_sign_rel((a, b, c), p) > 0 else -v
-            t = raised[p[0]][p[1]][p[2]]
-            if not t.is_zero():
-                acc = acc + sv * t
-    return acc
+        S[a][b][c] = S[b][c][a] = S[c][a][b] = v
+        S[a][c][b] = S[c][b][a] = S[b][a][c] = -v
+    return S
+
+
+def _flat(M):
+    return [v for row in M for v in row]
+
+
+def _phi_norm_with(phi: AltTensor, hinv):
+    """phi_{ABC} phi_{DEF} h^{AD} h^{BE} h^{CF} for a symmetric hinv: the sum of
+    h^{aa'} <S_a, hinv S_a' hinv> over the slice matrices, each slice a left
+    factor so that mat_mul skips its zero entries."""
+    S = slices(phi)
+    raised = [_flat(linalg.mat_mul(hinv, linalg.mat_mul(s, hinv))) for s in S]
+    pairings = linalg.mat_mul([_flat(s) for s in S], linalg.transpose(raised))
+    return linalg.sum_prod(_flat(hinv), _flat(pairings))
 
 
 def cross_matrix(phi: AltTensor, hinv, a: int):
     """Matrix X[c][b] = h^{ck} phi_{kab} of v -> e_a x v, the cross product
-    phi and h define; entries lie in phi's ring."""
-    n = phi.dim
-    out = [[phi.zero for _ in range(n)] for _ in range(n)]
-    for c in range(n):
-        for k in range(n):
-            w = hinv[c][k]
-            if w.is_zero():
-                continue
-            for b in range(n):
-                v = phi.get((), (k, a, b))
-                if not v.is_zero():
-                    out[c][b] = out[c][b] + w * v
-    return out
+    phi and h define: hinv S_a^T.  Entries lie in phi's ring."""
+    return linalg.mat_mul(hinv, linalg.transpose(slices(phi)[a]))
 
 
 def phi_volume_with(phi: AltTensor, hinv):
@@ -222,21 +193,19 @@ def phi_volume_with(phi: AltTensor, hinv):
 
     With Psi_{ABCD} = phi_{KAB} h^{KL} phi_{LCD}, the signed sum over all
     orderings of the seven legs is 144 (Alt Psi ^ phi), and
-    42 * 7! / 144 = 1470."""
+    42 * 7! / 144 = 1470.  Psi_a, with rows b and columns the pairs c < d,
+    is S_a hinv times the slices' entries at those pairs, stacked as rows."""
     n = phi.dim
-    slices = [phi.interior(_unit(n, l)).comps.items() for l in range(n)]
+    S = slices(phi)
+    pairs = list(combinations(range(n), 2))
+    stacked = [[s[c][d] for c, d in pairs] for s in S]
     psi = AltTensor(n, 0, 4, NONE, phi.zero)
     for a in range(n):
-        X = cross_matrix(phi, hinv, a)
-        for l in range(n):
-            for b in range(n):
-                x = X[l][b]
-                if x.is_zero():
-                    continue
-                for (_, (c, d)), v in slices[l]:
-                    t = x * v
-                    psi.add_to((), (a, b, c, d), t)
-                    psi.add_to((), (a, b, d, c), -t)
+        for b, row in enumerate(linalg.mat_mul(linalg.mat_mul(S[a], hinv), stacked)):
+            for (c, d), v in zip(pairs, row):
+                if not v.is_zero():
+                    psi.set((), (a, b, c, d), v)
+                    psi.set((), (a, b, d, c), -v)
     top = psi.alternation().wedge(phi).get((), tuple(range(n)))
     return top * QScalar(Fraction(1, 1470))
 
@@ -384,7 +353,6 @@ def split_by_unit_vector(phi: AltTensor, n: List[QScalar]):
     # change of basis: columns = complement basis then n
     A = [[comp[j][i] for j in range(6)] + [n[i]] for i in range(7)]
     phi_ad = phi.pullback(A)
-    two = phi_ad.interior([QScalar.zero()] * 6 + [QScalar.one()])
-    omega = _restrict_form(two)
+    omega = AltTensor.from_matrix([row[:6] for row in slices(phi_ad)[6][:6]], 6, 0, ALT)
     beta = _restrict_form(phi_ad)
     return omega, beta, A

@@ -19,7 +19,7 @@ from .laurent import CoeffFn
 from .linalg import inverse_laurent
 from .scalars import DegenerateError, QScalar
 from .stable_forms import _phi_norm_with, htilde_matrix, phi_volume_with
-from .tensors import ALT, NONE, SYM, AltTensor, perm_sign
+from .tensors import ALT, NONE, SYM, AltTensor, perm_sign, perm_sign_rel
 
 
 class Tractor3Form:
@@ -187,15 +187,6 @@ def tractor_volume(chart: FrameChart) -> AltTensor:
     return eps
 
 
-def laurent_cbrt(f: CoeffFn) -> CoeffFn:
-    if len(f.terms) != 1:
-        raise ValueError("cube root only for Laurent monomials")
-    (e, c), = f.terms.items()
-    if e % 3:
-        raise ValueError("cube root exponent not divisible by 3")
-    return CoeffFn.monomial(c.cbrt(), e // 3, f.param)
-
-
 def tractor_metric_from_phi(chart: FrameChart, phi: Tractor3Form) -> AltTensor:
     """The tractor metric a generic parallel 3-form induces.
 
@@ -212,14 +203,8 @@ def tractor_metric_from_phi(chart: FrameChart, phi: Tractor3Form) -> AltTensor:
     s = _phi_norm_with(full, inverse_laurent(ht))
     if s.is_zero():
         raise DegenerateError("tractor 3-form is degenerate")
-    c = laurent_cbrt(s * QScalar(Fraction(1, 42)))
-    H = AltTensor(7, 0, 2, SYM, chart.zero())
-    for i in range(7):
-        for j in range(i, 7):
-            v = ht[i][j] * c
-            if not v.is_zero():
-                H.set((), (i, j), v)
-    return H
+    c = (s / 42).cbrt()
+    return AltTensor.from_matrix([[x * c for x in row] for row in ht], 7, 0, SYM, chart.zero())
 
 
 def tractor_metric_hhdef(chart: FrameChart, phi: Tractor3Form, orientation: int = 1) -> AltTensor:
@@ -280,9 +265,7 @@ def perm_sign_rel_cached(base, perm):
     key = (base, perm)
     v = _psr_cache.get(key)
     if v is None:
-        pos = {x: i for i, x in enumerate(base)}
-        v = perm_sign([pos[x] for x in perm])
-        _psr_cache[key] = v
+        v = _psr_cache[key] = perm_sign_rel(base, perm)
     return v
 
 

@@ -129,6 +129,17 @@ def test_monge_parser_signs():
     assert monge_check(F)["is235"]
 
 
+@pytest.mark.parametrize("text", ["q^2 + x^1/2", "q^2 + p^2.5"])
+def test_monge_parser_rejects_fractional_powers_of_x_y_p_z(text):
+    with pytest.raises(ValueError):
+        parse_monge_polynomial(text)
+
+
+def test_monge_parser_keeps_rational_powers_of_q():
+    F = parse_monge_polynomial("q^5/2")
+    assert list(F.terms) == [(0, 0, 0, Fraction(5, 2), 0)]
+
+
 # -- symmetry generators -----------------------------------------------------
 
 

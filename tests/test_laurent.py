@@ -209,3 +209,22 @@ def test_constant_hash_agrees_with_equality():
     assert 1 in {CoeffFn.one()} and CoeffFn.one(RHO_MINUS) in {1}
     assert hash(CoeffFn.zero(RHO_MINUS)) == hash(0) and 0 in {CoeffFn.zero(RHO_PLUS)}
     assert hash(poly((1, 2), (-1, 1))) == hash(poly((-1, 1), (1, 2)))
+
+
+@pytest.mark.parametrize("param", [PLAIN, RHO_PLUS, RHO_MINUS])
+def test_cbrt_of_monomials(param):
+    got = CoeffFn.monomial(QScalar(Fraction(-8, 27)), 6, param).cbrt()
+    assert got.terms == {2: QScalar(Fraction(-2, 3))} and got.param == param
+    got = CoeffFn.monomial(SQRT2 * 2, -3, param).cbrt()
+    assert got.terms == {-1: SQRT2} and got.param == param
+
+
+@pytest.mark.parametrize("f", [
+    poly((0, 1), (1, 1)),                     # not a monomial
+    CoeffFn.zero(),                           # no term at all
+    poly((2, 8)),                             # exponent 2 is not divisible by 3
+    poly((3, 2)),                             # cube root of 2 is not in Q(sqrt2, sqrt5)
+], ids=["binomial", "zero", "exponent", "root"])
+def test_cbrt_rejects(f):
+    with pytest.raises(ValueError):
+        f.cbrt()

@@ -5,7 +5,7 @@ import pytest
 
 from g2trac import linalg, stable_forms as sf
 from g2trac.octonions import ImaginaryVector, cross
-from g2trac.scalars import QScalar
+from g2trac.scalars import QScalar, SQRT2
 from g2trac.tensors import AltTensor
 
 
@@ -244,3 +244,63 @@ def test_adapted_frame_pair_assembles_to_stable_form():
                 assert (M[i][j] - g.get((), (i, j))).is_zero()
             assert M[i][6].is_zero()
         assert (M[6][6] + QScalar(eps)).is_zero()
+
+
+# -- slice forms against their direct index sums --------------------------------
+
+
+def _sqrt2_hinv(rng, n=7):
+    """Seeded symmetric invertible matrix with entries in Q(sqrt2)."""
+    while True:
+        M = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                v = QScalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+                v = v + SQRT2 * Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                M[i][j] = M[j][i] = v
+        if linalg.rank(M) == n:
+            return M
+
+
+def _slice_inputs(case, pkg_half):
+    if case == "laurent":
+        full = pkg_half.phi.full(pkg_half.chart.zero())
+        return full, linalg.inverse_laurent(pkg_half.H.as_matrix())
+    rng = random.Random(41)
+    phi = phi_xi(-1).pullback(random_sl(rng, 7))
+    hinv = _sqrt2_hinv(rng)
+    # not the normalized metric of the conjugate
+    H = sf.metric_from_3form7(phi)[0].as_matrix()
+    assert linalg.inverse(H) != hinv
+    return phi, hinv
+
+
+def _nonzero_components(phi):
+    n = phi.dim
+    return [((a, b, c), phi.get((), (a, b, c))) for a in range(n) for b in range(n)
+            for c in range(n) if not phi.get((), (a, b, c)).is_zero()]
+
+
+@pytest.mark.parametrize("case", ["sl7", "laurent"])
+def test_slice_forms_match_direct_index_sums(case, pkg_half):
+    phi, hinv = _slice_inputs(case, pkg_half)
+    n, zero = phi.dim, phi.zero
+    S = sf.slices(phi)
+    assert all(S[a][b][c] == phi.get((), (a, b, c))
+               for a in range(n) for b in range(n) for c in range(n))
+    for a in range(n):
+        X = sf.cross_matrix(phi, hinv, a)
+        for c in range(n):
+            for b in range(n):
+                want = zero
+                for k in range(n):
+                    want = want + hinv[c][k] * phi.get((), (k, a, b))
+                assert X[c][b] == want
+    comps = _nonzero_components(phi)
+    want = zero
+    for (a, b, c), v in comps:
+        for (d, e, f), w in comps:
+            h = hinv[a][d] * hinv[b][e] * hinv[c][f]
+            if not h.is_zero():
+                want = want + v * w * h
+    assert not want.is_zero() and sf._phi_norm_with(phi, hinv) == want

@@ -279,3 +279,22 @@ def test_cli_classify_form_input_cases(case, tmp_path, capsys):
     if want is not None:
         # the normalizer of 2 phi is not in the field: no metric diagonal
         assert json.loads(captured.out) == dict(want, dim=7)
+
+
+@pytest.mark.parametrize("poly", ["q^2 + x^1/2", "q^2 + p^2.5"])
+def test_cli_monge_check_rejects_fractional_powers(poly, capsys):
+    # only q takes rational powers; x, y, p and z were truncated before
+    rc = cli.main(["monge-check", "--poly", poly])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("m", ["1", "0", "abc", "1/0"])
+@pytest.mark.parametrize("argv", [["verify-family", "--depth", "quick"],
+                                  ["orbit", "--s", "1"], ["export"]], ids=lambda a: a[0])
+def test_cli_bad_family_parameter_exit_2(argv, m, capsys):
+    rc = cli.main(argv + [f"--m={m}"])
+    captured = capsys.readouterr()
+    assert rc == 2 and not captured.out
+    assert len(captured.err.strip().splitlines()) == 1 and "Traceback" not in captured.err
