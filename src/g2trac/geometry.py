@@ -34,6 +34,9 @@ class GeometryPackage:
     chi: List[CoeffFn]
     J: List[List[CoeffFn]]
     meta: Dict[str, object] = field(default_factory=dict)
+    # side -> Levi-Civita chart of g_side, built once by levi_civita_collar
+    _collar: Dict[int, FrameChart] = field(default_factory=dict, init=False, compare=False,
+                                           repr=False)
 
     @property
     def dim(self) -> int:
@@ -376,9 +379,15 @@ def collar_metric(Hm, side: int, param: str) -> AltTensor:
 
 
 def levi_civita_collar(pkg: GeometryPackage, side: int) -> FrameChart:
-    """Levi-Civita chart of g_side in the polynomial-in-rho parameterization."""
-    chart = pkg.chart
-    return chart.levi_civita(collar_metric(pkg.H.as_matrix(), side, chart.param))
+    """Levi-Civita chart of g_side in the polynomial-in-rho parameterization,
+    built once per package and side (change_scale returns a new chart, so
+    the cached one is never changed)."""
+    lc = pkg._collar.get(side)
+    if lc is None:
+        chart = pkg.chart
+        lc = pkg._collar[side] = chart.levi_civita(
+            collar_metric(pkg.H.as_matrix(), side, chart.param))
+    return lc
 
 
 def compactness_check(pkg: GeometryPackage, side: int, order: Fraction) -> CompactnessResult:

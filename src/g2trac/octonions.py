@@ -380,19 +380,15 @@ class NullFiltration:
 
     def kernel_isotropic(self) -> bool:
         G = dot_matrix(-1)
-        for u in self.kernel:
-            for v in self.kernel:
-                if not linalg.sum_prod(linalg.mat_vec(G, u), v).is_zero():
-                    return False
-        return True
+        lowered = [linalg.mat_vec(G, u) for u in self.kernel]
+        return all(linalg.sum_prod(gu, v).is_zero() for gu in lowered for v in self.kernel)
 
     def chain_ok(self) -> bool:
+        """Each step lies in the next: adding it to the next step's basis
+        leaves the rank unchanged."""
         steps = [self.line, self.kernel, self.kernel_perp, self.line_perp]
-        for small, big in zip(steps, steps[1:]):
-            for v in small:
-                if not linalg.subspace_contains(big, v):
-                    return False
-        return True
+        return all(linalg.rank(big + small) == linalg.rank(big)
+                   for small, big in zip(steps, steps[1:]))
 
     def mapping_ok(self) -> bool:
         """im J = (ker J)^perp, J(<x>^perp) = ker J, J((ker J)^perp) = <x>."""

@@ -316,7 +316,10 @@ class QScalar:
     def from_strings(parts) -> "QScalar":
         if len(parts) != 4:
             raise ValueError("expected four rational strings")
-        return QScalar(*[Fraction(p) for p in parts])
+        try:
+            return QScalar(*[Fraction(p) for p in parts])
+        except ZeroDivisionError:
+            raise ValueError(f"rational strings {list(parts)} have a zero denominator") from None
 
     def __repr__(self):
         if self.is_zero():

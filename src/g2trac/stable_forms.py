@@ -10,12 +10,14 @@ Compatible pairs glue the two pictures together.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import List
 
 from . import linalg
 from .scalars import DegenerateError, QScalar
-from .tensors import ALT, NONE, SYM, AltTensor
+from .tensors import ALT, NONE, SYM, AltTensor, perm_sign
 
 B1, B2, B3, B4, B5, B6 = "beta1", "beta2", "beta3", "beta4", "beta5", "beta6"
 DEFINITE, SPLIT, DEGENERATE = "definite", "split", "degenerate"
@@ -25,32 +27,17 @@ class ClassificationError(RuntimeError):
     """Witness invariants landed outside the classification; internal error."""
 
 
-def _unit(n: int, i: int) -> List[QScalar]:
-    return [QScalar.one() if j == i else QScalar.zero() for j in range(n)]
-
-
 # -- dimension 6 -------------------------------------------------------------
 
 
-def _vol_vector_of_5form(gamma: AltTensor) -> List[QScalar]:
-    """v with gamma = v . e^{1..6}: v^a = (-1)^(a) * gamma_{complement}."""
-    out = []
-    for a in range(6):
-        rest = tuple(i for i in range(6) if i != a)
-        sign = 1 if a % 2 == 0 else -1
-        out.append(gamma.get((), rest) * QScalar.of(sign))
-    return out
-
-
 def jtilde_matrix(beta: AltTensor):
-    """Matrix of v -> kappa((v . beta) ^ beta), with the e^{1..6} factor dropped."""
+    """Matrix of v -> kappa((v . beta) ^ beta), with the e^{1..6} factor dropped.
+
+    Row r of column a is the e^{1..6} coefficient of e^r ^ (e_a . beta) ^
+    beta: the sum over the splits (r, p, t) of sign(r p t) S_a[p] beta_t."""
     if beta.dim != 6 or beta.n_down != 3 or beta.n_up:
         raise ValueError("expected a 3-form on a 6-dimensional space")
-    cols = []
-    for a in range(6):
-        gamma = beta.interior(_unit(6, a)).wedge(beta)
-        cols.append(_vol_vector_of_5form(gamma))
-    return [[cols[j][i] for j in range(6)] for i in range(6)]
+    return linalg.mat_mul(_split_matrix(beta), linalg.transpose(_pair_rows(slices(beta))))
 
 
 def lam(beta: AltTensor) -> QScalar:
@@ -64,8 +51,7 @@ def lam(beta: AltTensor) -> QScalar:
 
 
 def kernel_dim(beta: AltTensor) -> int:
-    rows = [[s[i][j] for i, j in combinations(range(6), 2)] for s in slices(beta)]
-    return 6 - linalg.rank(rows)
+    return 6 - linalg.rank(_pair_rows(slices(beta)))
 
 
 def classify6(beta: AltTensor) -> dict:
@@ -137,21 +123,16 @@ def eps_complex_from_3form(beta: AltTensor, orientation: int = 1):
 
 
 def htilde_matrix(phi: AltTensor):
-    """Matrix of (1/6)(X . phi)^(Y . phi)^phi, e^{1..7} coefficient.
+    """Matrix of (1/6)(X . phi)^(Y . phi)^phi, e^{1..7} coefficient: the
+    sum over the splits (p, q, t) of (1/6) sign(p q t) S_i[p] S_j[q] phi_t,
+    which is (1/6) U N U^T for the slice rows U and the split matrix N.
 
     Entries lie in phi's ring: QScalar pointwise, CoeffFn on a chart."""
     if phi.dim != 7 or phi.n_down != 3 or phi.n_up:
         raise ValueError("expected a 3-form on a 7-dimensional space")
-    basis = [phi.interior(_unit(7, a)) for a in range(7)]
-    out = [[QScalar.zero()] * 7 for _ in range(7)]
     sixth = QScalar(Fraction(1, 6))
-    for i in range(7):
-        for j in range(i, 7):
-            w = basis[i].wedge(basis[j]).wedge(phi)
-            val = w.get((), tuple(range(7))) * sixth
-            out[i][j] = val
-            out[j][i] = val
-    return out
+    ht = linalg.congruence(linalg.transpose(_pair_rows(slices(phi))), _split_matrix(phi))
+    return [[x * sixth for x in row] for row in ht]
 
 
 def slices(phi: AltTensor):
@@ -169,6 +150,44 @@ def slices(phi: AltTensor):
 
 def _flat(M):
     return [v for row in M for v in row]
+
+
+def _pair_rows(S):
+    """U[a][p] = S[a][p_0][p_1] over the pairs p_0 < p_1 in combinations
+    order: row a lists the components of the 2-form e_a . phi."""
+    pairs = list(combinations(range(len(S)), 2))
+    return [[s[c][d] for c, d in pairs] for s in S]
+
+
+@lru_cache(maxsize=None)
+def _leg_splits(n: int):
+    """For each increasing triple t of the n legs, the splits of the other
+    legs into an increasing head h of n - 5 legs and a pair p, as (index of
+    h, index of p, sign of the permutation h p t), h and p numbered in
+    combinations order."""
+    legs = range(n)
+    heads = {h: i for i, h in enumerate(combinations(legs, n - 5))}
+    pairs = {p: i for i, p in enumerate(combinations(legs, 2))}
+    table = {}
+    for t in combinations(legs, 3):
+        rest = [x for x in legs if x not in t]
+        table[t] = [(heads[h], pairs[p], perm_sign(h + p + t))
+                    for h in combinations(rest, n - 5)
+                    for p in [tuple(x for x in rest if x not in h)]]
+    return table
+
+
+def _split_matrix(form: AltTensor):
+    """N[h][p] = sign(h p t) form_t for a 3-form on 6 or 7 legs, over the
+    splits of _leg_splits; the head h is one leg in dimension 6 and a pair
+    in dimension 7, where N is symmetric."""
+    n = form.dim
+    N = [[form.zero] * comb(n, 2) for _ in range(comb(n, n - 5))]
+    splits = _leg_splits(n)
+    for (_, t), v in form.comps.items():
+        for h, p, sign in splits[t]:
+            N[h][p] = v if sign > 0 else -v
+    return N
 
 
 def _phi_norm_with(phi: AltTensor, hinv):
@@ -198,7 +217,7 @@ def phi_volume_with(phi: AltTensor, hinv):
     n = phi.dim
     S = slices(phi)
     pairs = list(combinations(range(n), 2))
-    stacked = [[s[c][d] for c, d in pairs] for s in S]
+    stacked = _pair_rows(S)
     psi = AltTensor(n, 0, 4, NONE, phi.zero)
     for a in range(n):
         for b, row in enumerate(linalg.mat_mul(linalg.mat_mul(S[a], hinv), stacked)):

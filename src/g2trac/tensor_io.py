@@ -83,7 +83,12 @@ def tensor_from_json(doc: dict, force_scalar: bool = False) -> AltTensor:
     scalar = force_scalar or all(v.is_constant() for v in values)
     zero = QScalar.zero() if scalar else CoeffFn.zero(param)
     out = AltTensor(dim, n_up, n_down, sym, zero)
+    seen = set()
     for (up, down), v in zip(keys, values):
+        key, sign = out._canon(up, down)
+        if sign and key in seen:
+            raise ValueError(f"component {[i + 1 for i in up + down]} is given twice")
+        seen.add(key)
         out.set(up, down, v.constant_value() if scalar else v)
     return out
 

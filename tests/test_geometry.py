@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from g2trac import linalg
+from g2trac import frames, linalg, tractor
+from g2trac import verify as battery
 from g2trac.geometry import (NPKReport, compactness_check, jfield_identity_defects,
                              normal_form_check, npk_extract, npk_verify,
                              recompute_H_defect, stratify)
 from g2trac.laurent import RHO_MINUS, RHO_PLUS, CoeffFn
-from g2trac.qm_family import (REGRESSION_PARAMETERS, build_model,
+from g2trac.qm_family import (REGRESSION_PARAMETERS, FamilyParams, build_model, build_qm,
                               displayed_endomorphism, displayed_orbit_complex_structure,
                               displayed_orbit_kahler_form, displayed_orbit_metric,
                               expected_tractor_metric)
@@ -154,6 +155,26 @@ def test_projective_compactness_orders(pkg_half, side):
     assert compactness_check(pkg_half, side, Fraction(2)).regular
     r1 = compactness_check(pkg_half, side, Fraction(1))
     assert not r1.regular and r1.worst_pole >= 1
+
+
+def test_full_battery_builds_each_collar_chart_once(monkeypatch):
+    # both compactness orders of a side share one Levi-Civita chart, whose
+    # construction inverts the collar metric: 12 Laurent inverses, not 14
+    calls = []
+    original = linalg.inverse_laurent
+
+    def counted(A):
+        calls.append(len(A))
+        return original(A)
+
+    for module in (linalg, frames, tractor):
+        monkeypatch.setattr(module, "inverse_laurent", counted)
+    pkg = build_qm(FamilyParams(Fraction(1, 2)))
+    del calls[:]
+    assert battery.verify(pkg, depth="full").all_ok()
+    assert len(calls) == 12
+    compactness_check(pkg, 1, Fraction(3))
+    assert len(calls) == 12
 
 
 def test_compactness_returns_modified_connection(pkg_half):

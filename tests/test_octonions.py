@@ -175,6 +175,17 @@ def test_null_filtration_100_random():
         assert f.mapping_ok()
 
 
+@pytest.mark.parametrize("step, following", [("line", "kernel"), ("kernel", "kernel_perp"),
+                                             ("kernel_perp", "line_perp")])
+def test_chain_ok_rejects_a_step_leaving_the_next(step, following):
+    f = null_filtration(random_null_vector(random.Random(9)))
+    assert f.chain_ok()
+    basis = [[QScalar.one() if i == j else QScalar.zero() for j in range(7)] for i in range(7)]
+    outside = next(e for e in basis if not linalg.subspace_contains(getattr(f, following), e))
+    setattr(f, step, getattr(f, step)[:-1] + [outside])
+    assert not f.chain_ok()
+
+
 def test_null_filtration_preconditions():
     with pytest.raises(ValueError):
         null_filtration(ImaginaryVector.basis(1, -1))  # non-null

@@ -304,3 +304,58 @@ def test_slice_forms_match_direct_index_sums(case, pkg_half):
             if not h.is_zero():
                 want = want + v * w * h
     assert not want.is_zero() and sf._phi_norm_with(phi, hinv) == want
+
+
+# -- the split sums against the wedge definitions --------------------------------
+
+
+def _unit(n, a):
+    return [QScalar.one() if i == a else QScalar.zero() for i in range(n)]
+
+
+def htilde_by_wedges(phi):
+    """(1/6)(e_i . phi) ^ (e_j . phi) ^ phi on e^{1..7}, by interior and wedge."""
+    ins = [phi.interior(_unit(7, a)) for a in range(7)]
+    top = tuple(range(7))
+    return [[ins[i].wedge(ins[j]).wedge(phi).get((), top) * QScalar(Fraction(1, 6))
+             for j in range(7)] for i in range(7)]
+
+
+def jtilde_by_wedges(beta):
+    """Column a is kappa((e_a . beta) ^ beta): the 5-form's component on the
+    legs other than r, times (-1)^r, in row r."""
+    cols = []
+    for a in range(6):
+        gamma = beta.interior(_unit(6, a)).wedge(beta)
+        cols.append([gamma.get((), tuple(i for i in range(6) if i != r)) * QScalar((-1) ** r)
+                     for r in range(6)])
+    return [[cols[a][r] for a in range(6)] for r in range(6)]
+
+
+def _assert_same_matrix(got, want):
+    assert all(got[i][j] == want[i][j] for i in range(len(want)) for j in range(len(want)))
+
+
+def _assert_htilde_matches_wedges(phi):
+    got = sf.htilde_matrix(phi)
+    assert all(type(x) is type(phi.zero) for row in got for x in row)
+    _assert_same_matrix(got, htilde_by_wedges(phi))
+
+
+def test_htilde_matches_wedge_definition_on_sl7_conjugates():
+    rng = random.Random(53)
+    for xi in (1, -1):
+        for _ in range(2):
+            _assert_htilde_matches_wedges(phi_xi(xi).pullback(random_sl(rng, 7)))
+
+
+def test_htilde_matches_wedge_definition_on_laurent_form(pkg_half):
+    _assert_htilde_matches_wedges(pkg_half.phi.full(pkg_half.chart.zero()))
+
+
+def test_jtilde_matches_wedge_definition():
+    rng = random.Random(59)
+    for beta in NORMAL_FORMS.values():
+        for _ in range(2):
+            conj = beta.pullback(random_sl(rng, 6))
+            _assert_same_matrix(sf.jtilde_matrix(conj), jtilde_by_wedges(conj))

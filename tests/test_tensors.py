@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2trac import linalg
-from g2trac.scalars import QScalar, DegenerateError
+from g2trac.laurent import CoeffFn
+from g2trac.scalars import SQRT2, QScalar, DegenerateError
 from g2trac.tensors import NONE, SYM, AltTensor, contract, wedge
 
 
@@ -161,3 +162,78 @@ def test_pullback_matches_component_transform():
     # double pullback through inverse returns the original
     Ainv = linalg.inverse(A)
     assert (back.pullback(Ainv) - t).is_zero()
+
+
+# -- the alternating pullback against the dense n^k loop ----------------------
+
+
+def dense_alt_pullback(t, A):
+    """(A^* T)_J = sum over all n^k source tuples I of T_I A[i_1][j_1] ..
+    A[i_k][j_k], read through get for each increasing target J."""
+    out = AltTensor(t.dim, 0, t.n_down, t.sym, t.zero)
+    for tgt in combinations(range(t.dim), t.n_down):
+        acc = t.zero
+        for src in product(range(t.dim), repeat=t.n_down):
+            term = t.get((), src)
+            for s, j in zip(src, tgt):
+                term = term * A[s][j]
+            acc = acc + term
+        if not acc.is_zero():
+            out.set((), tgt, acc)
+    return out
+
+
+def sqrt2_form(rng, dim, degree):
+    """About two thirds of the components nonzero, in Q(sqrt2)."""
+    t = AltTensor.form(dim, degree)
+    for idx in combinations(range(dim), degree):
+        if rng.random() < 2 / 3:
+            t.set((), idx, QScalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                  + SQRT2 * Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+    return t
+
+
+def pullback_matrices(rng, n):
+    """An SL(n) shear product, a Q(sqrt2) matrix, a singular one (two equal
+    rows) and one with a zero row and a zero column."""
+    zero = QScalar.zero()
+    sl = random_sl(rng, n)
+    sqrt2 = [[QScalar(rng.randint(-2, 2)) + SQRT2 * rng.randint(-1, 1) for _ in range(n)]
+             for _ in range(n)]
+    singular = [row[:] for row in sl]
+    singular[n - 1] = singular[0][:]
+    holes = [row[:] for row in sqrt2]
+    holes[1] = [zero] * n
+    for row in holes:
+        row[n - 2] = zero
+    assert linalg.rank(singular) == linalg.rank(holes) == n - 1
+    return {"sl": sl, "sqrt2": sqrt2, "singular": singular, "holes": holes}
+
+
+def assert_same_form(got, want):
+    assert got.comps.keys() == want.comps.keys()
+    assert all(got.comps[k] == v for k, v in want.comps.items())
+    assert type(got.zero) is type(want.zero)
+    assert all(type(v) is type(want.zero) for v in got.comps.values())
+
+
+@pytest.mark.parametrize("dim", [5, 6, 7])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_alt_pullback_matches_dense_loop(dim, degree):
+    rng = random.Random(100 * dim + degree)
+    t = sqrt2_form(rng, dim, degree)
+    for A in pullback_matrices(rng, dim).values():
+        assert_same_form(t.pullback(A), dense_alt_pullback(t, A))
+
+
+def test_alt_pullback_of_laurent_form_matches_dense_loop():
+    rng = random.Random(29)
+    zero = CoeffFn.zero()
+    t = AltTensor.form(6, 3, zero)
+    for idx in combinations(range(6), 3):
+        if rng.random() < 0.5:
+            t.set((), idx, CoeffFn({-1: rng.randint(-2, 2), 0: 1, 2: rng.randint(-2, 2)}))
+    for A in pullback_matrices(rng, 6).values():
+        got = t.pullback(A)
+        assert isinstance(got.zero, CoeffFn)
+        assert_same_form(got, dense_alt_pullback(t, A))

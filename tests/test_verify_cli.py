@@ -262,6 +262,11 @@ CLASSIFY_CASES = {
     "json-list": ([1, 2, 3], [], 2, None),
     "index-9-in-dim-6": (tensor_doc(6, 3, [([1, 2, 9], [1])]), [], 2, None),
     "pole-at-0": (POLE, ["--at", "0"], 2, None),
+    "coeff-1/0": (tensor_doc(7, 3, [([1, 2, 3], ["1/0"])] + [(i, [c]) for i, c in PHI_PLUS[1:]]),
+                  [], 2, None),
+    # [2, 1, 3] names e^{123} again, with the opposite sign
+    "repeated-component": (tensor_doc(7, 3, [([1, 2, 3], [1]), ([2, 1, 3], [1])]
+                                      + [(i, [c]) for i, c in PHI_PLUS[1:]]), [], 2, None),
 }
 
 
