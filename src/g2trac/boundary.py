@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Tuple
 from . import linalg
 from .frames import FrameChart
 from .laurent import PLAIN, CoeffFn
+from .octonions import NullFiltration
 from .scalars import QScalar
 from .tensors import NONE, SYM, AltTensor
 from .geometry import GeometryPackage
@@ -252,7 +253,8 @@ def j0_checks(bd: BoundaryData) -> Dict[str, bool]:
     J0sq = linalg.mat_mul(J0, J0)
     out["J0_squared_zero"] = all(v.is_zero() for row in J0sq for v in row)
     out["J0_rank_2"] = linalg.rank(J0) == 2
-    out["J0_kernel_dim_3"] = len(linalg.nullspace(J0)) == 3
+    kerJ0 = linalg.nullspace(J0)
+    out["J0_kernel_dim_3"] = len(kerJ0) == 3
     Jt = bd.Jtr0
     H0 = bd.H0
     # Jtr^2 = X (x) X_flat (tau = 0 on the boundary)
@@ -264,29 +266,19 @@ def j0_checks(bd: BoundaryData) -> Dict[str, bool]:
             if not (J2[A][B] - want).is_zero():
                 ok = False
     out["Jtractor_squared_is_XX"] = ok
-    kerJ = linalg.nullspace(Jt)
-    out["tractor_kernel_dim_3"] = len(kerJ) == 3
-    img = linalg.row_space(linalg.transpose(Jt))
-    out["tractor_image_dim_4"] = len(img) == 4
-    # filtration dims (1,3,4,6): <X> < ker < ker-perp=im < X-perp
+    # the null filtration <X> < ker < ker-perp = im < X-perp, dims (1,3,4,6)
     X = [QScalar.zero()] * 6 + [QScalar.one()]
-    out["X_in_kernel"] = linalg.subspace_contains(kerJ, X)
-    kerperp = linalg.nullspace([linalg.mat_vec(H0, v) for v in kerJ])
-    out["image_is_kernel_perp"] = linalg.same_subspace(img, kerperp)
-    Xperp = linalg.nullspace([linalg.mat_vec(H0, X)])
-    out["filtration_dims"] = (1, len(kerJ), len(kerperp), len(Xperp)) == (1, 3, 4, 6)
-    chain = True
-    for small, big in (([X], kerJ), (kerJ, kerperp), (kerperp, Xperp)):
-        for v in small:
-            if not linalg.subspace_contains(big, v):
-                chain = False
-    out["filtration_chain"] = chain
+    filt = NullFiltration(Jt, H0, X)
+    out["tractor_kernel_dim_3"] = len(filt.kernel) == 3
+    out["tractor_image_dim_4"] = len(filt.image) == 4
+    out["X_in_kernel"] = linalg.subspace_contains(filt.kernel, X)
+    out["image_is_kernel_perp"] = linalg.same_subspace(filt.image, filt.kernel_perp)
+    out["filtration_dims"] = filt.dims() == (1, 3, 4, 6)
+    out["filtration_chain"] = filt.chain_ok()
     # varpi projections: varpi(ker Jtr) = im J0, varpi(im Jtr) = ker J0
-    varpi_ker = linalg.row_space([v[:5] for v in kerJ])
-    varpi_im = linalg.row_space([v[:5] for v in img])
-    cols = linalg.transpose(bd.J0)
-    out["varpi_ker_is_im_J0"] = linalg.same_subspace(varpi_ker, linalg.row_space(cols))
-    out["varpi_im_is_ker_J0"] = linalg.same_subspace(varpi_im, linalg.nullspace(bd.J0))
+    out["varpi_ker_is_im_J0"] = linalg.same_subspace([v[:5] for v in filt.kernel],
+                                                     linalg.transpose(J0))
+    out["varpi_im_is_ker_J0"] = linalg.same_subspace([v[:5] for v in filt.image], kerJ0)
     return out
 
 

@@ -204,13 +204,17 @@ def cmd_export(args) -> int:
             "H": tensor_to_json(pkg.H, PLAIN),
             "J": tensor_to_json(Jt, PLAIN)}
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for name, doc in docs.items():
-            path = os.path.join(args.out, f"{name}_m_{m.numerator}_{m.denominator}.json")
-            with open(path, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(path)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            for name, doc in docs.items():
+                path = os.path.join(args.out, f"{name}_m_{m.numerator}_{m.denominator}.json")
+                with open(path, "w") as fh:
+                    json.dump(doc, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+                print(path)
+        except OSError as exc:
+            print(f"cannot write to --out: {exc}", file=sys.stderr)
+            return 2
     else:
         print(json.dumps(docs, indent=2, sort_keys=True))
     return 0

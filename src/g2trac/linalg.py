@@ -136,14 +136,9 @@ def row_space(A: Mat) -> List[list]:
 
 
 def same_subspace(B1: List[list], B2: List[list]) -> bool:
-    """Do two lists of row vectors span the same subspace (exactly)?"""
-    if not B1 and not B2:
-        return True
-    if bool(B1) != bool(B2):
-        return False
-    r1 = rank(B1)
-    r2 = rank(B2)
-    return r1 == r2 == rank(B1 + B2)
+    """Do two lists of row vectors span the same subspace (exactly)?  The
+    reduced row echelon form of a span is unique."""
+    return row_space(B1) == row_space(B2)
 
 
 def subspace_contains(B: List[list], v: list) -> bool:

@@ -356,22 +356,16 @@ def cross_to_volume(xi: int) -> QScalar:
 
 
 class NullFiltration:
-    """Exact filtration <x> < ker J_x < (ker J_x)^perp < <x>^perp for null x."""
+    """Exact filtration <x> < ker J < (ker J)^perp < <x>^perp of a nilpotent
+    endomorphism J with J x = 0, perps taken with the Gram matrix G: the
+    split-octonion one of a null x, and the boundary's degenerate tractor
+    endomorphism with the canonical tractor X."""
 
-    def __init__(self, x: ImaginaryVector):
-        if x.xi != -1:
-            raise ValueError("null filtration lives in the split imaginary octonions")
-        if x.is_zero():
-            raise ValueError("filtration needs a nonzero vector")
-        if not dot(x, x).is_zero():
-            raise ValueError("filtration needs a null vector")
-        self.x = x
-        J = jmap(x)
-        G = dot_matrix(-1)
-        self.line = [list(x.comps)]
+    def __init__(self, J, G, x):
+        self.J, self.G = J, G
+        self.line = [list(x)]
         self.kernel = linalg.nullspace(J)
-        JT = linalg.transpose(J)
-        self.image = linalg.row_space(JT)  # column space of J as row vectors
+        self.image = linalg.row_space(linalg.transpose(J))  # column space of J as row vectors
         self.kernel_perp = _perp(self.kernel, G)
         self.line_perp = _perp(self.line, G)
 
@@ -379,36 +373,40 @@ class NullFiltration:
         return (len(self.line), len(self.kernel), len(self.kernel_perp), len(self.line_perp))
 
     def kernel_isotropic(self) -> bool:
-        G = dot_matrix(-1)
-        lowered = [linalg.mat_vec(G, u) for u in self.kernel]
+        lowered = [linalg.mat_vec(self.G, u) for u in self.kernel]
         return all(linalg.sum_prod(gu, v).is_zero() for gu in lowered for v in self.kernel)
 
     def chain_ok(self) -> bool:
-        """Each step lies in the next: adding it to the next step's basis
-        leaves the rank unchanged."""
+        """Each step lies in the next: every step is a basis, so adding it to
+        the next step's basis leaves that basis's length as the rank."""
         steps = [self.line, self.kernel, self.kernel_perp, self.line_perp]
-        return all(linalg.rank(big + small) == linalg.rank(big)
+        return all(linalg.rank(big + small) == len(big)
                    for small, big in zip(steps, steps[1:]))
 
     def mapping_ok(self) -> bool:
         """im J = (ker J)^perp, J(<x>^perp) = ker J, J((ker J)^perp) = <x>."""
-        J = jmap(self.x)
-        if not linalg.same_subspace(self.image, self.kernel_perp):
-            return False
-        img1 = [linalg.mat_vec(J, v) for v in self.line_perp]
-        if not linalg.same_subspace(linalg.row_space(img1), self.kernel):
-            return False
-        img2 = [linalg.mat_vec(J, v) for v in self.kernel_perp]
-        return linalg.same_subspace(linalg.row_space(img2), self.line)
+        J = self.J
+        return (linalg.same_subspace(self.image, self.kernel_perp)
+                and linalg.same_subspace([linalg.mat_vec(J, v) for v in self.line_perp],
+                                         self.kernel)
+                and linalg.same_subspace([linalg.mat_vec(J, v) for v in self.kernel_perp],
+                                         self.line))
 
 
 def null_filtration(x: ImaginaryVector) -> NullFiltration:
-    return NullFiltration(x)
+    """The filtration of J_x = -x X . for a nonzero null split x."""
+    if x.xi != -1:
+        raise ValueError("null filtration lives in the split imaginary octonions")
+    if x.is_zero():
+        raise ValueError("filtration needs a nonzero vector")
+    if not dot(x, x).is_zero():
+        raise ValueError("filtration needs a null vector")
+    return NullFiltration(jmap(x), dot_matrix(-1), x.comps)
 
 
 def _perp(basis: List[list], G) -> List[list]:
     if not basis:
-        return [[QScalar.one() if i == j else QScalar.zero() for j in range(7)] for i in range(7)]
+        return linalg.eye(len(G), QScalar.one(), QScalar.zero())
     rows = [linalg.mat_vec(G, v) for v in basis]
     return linalg.nullspace(rows)
 

@@ -148,10 +148,6 @@ def slices(phi: AltTensor):
     return S
 
 
-def _flat(M):
-    return [v for row in M for v in row]
-
-
 def _pair_rows(S):
     """U[a][p] = S[a][p_0][p_1] over the pairs p_0 < p_1 in combinations
     order: row a lists the components of the 2-form e_a . phi."""
@@ -191,13 +187,24 @@ def _split_matrix(form: AltTensor):
 
 
 def _phi_norm_with(phi: AltTensor, hinv):
-    """phi_{ABC} phi_{DEF} h^{AD} h^{BE} h^{CF} for a symmetric hinv: the sum of
-    h^{aa'} <S_a, hinv S_a' hinv> over the slice matrices, each slice a left
-    factor so that mat_mul skips its zero entries."""
-    S = slices(phi)
-    raised = [_flat(linalg.mat_mul(hinv, linalg.mat_mul(s, hinv))) for s in S]
-    pairings = linalg.mat_mul([_flat(s) for s in S], linalg.transpose(raised))
-    return linalg.sum_prod(_flat(hinv), _flat(pairings))
+    """phi_{ABC} phi_{DEF} h^{AD} h^{BE} h^{CF} for a symmetric hinv: 6 times the
+    sum over a < b < c of phi_abc phi^abc, with phi raised once by the sparse
+    pullback along hinv."""
+    raised = phi.pullback(hinv).comps
+    acc = phi.zero
+    for key, v in phi.comps.items():
+        w = raised.get(key)
+        if w is not None:
+            acc = acc + v * w
+    return acc * 6
+
+
+def _trace_normalised(phi: AltTensor, inverse):
+    """(htilde, s) for a 7-dim 3-form: s = phi.phi raised by inverse(htilde),
+    so that H = (s/42)^(1/3) htilde has phi.phi = 42 under H-raising; the
+    inverse is linalg.inverse pointwise and inverse_laurent on a chart."""
+    ht = htilde_matrix(phi)
+    return ht, _phi_norm_with(phi, inverse(ht))
 
 
 def cross_matrix(phi: AltTensor, hinv, a: int):
@@ -241,12 +248,10 @@ def metric_from_3form7(phi: AltTensor):
     Resolving c needs a cube root, taken exactly when it lies in the
     coefficient field; when it does not, H and vol are None.
     """
-    ht = htilde_matrix(phi)
     try:
-        hinv = linalg.inverse(ht)
+        ht, s = _trace_normalised(phi, linalg.inverse)
     except DegenerateError:
         return None, None, DEGENERATE
-    s = _phi_norm_with(phi, hinv)
     p, q = linalg.signature(ht)
     sig = (p, q) if s.sign() > 0 else (q, p)
     cls = next((k for k, v in SIGNATURES.items() if v == sig), None)

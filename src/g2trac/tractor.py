@@ -18,7 +18,7 @@ from .frames import FrameChart
 from .laurent import CoeffFn
 from .linalg import inverse_laurent
 from .scalars import DegenerateError, QScalar
-from .stable_forms import _phi_norm_with, htilde_matrix, phi_volume_with
+from .stable_forms import _trace_normalised, phi_volume_with
 from .tensors import ALT, NONE, SYM, AltTensor, perm_sign, perm_sign_rel
 
 
@@ -199,8 +199,7 @@ def tractor_metric_from_phi(chart: FrameChart, phi: Tractor3Form) -> AltTensor:
     if n != 6:
         raise ValueError("the tractor metric construction needs a 6-dimensional chart")
     full = phi.full(chart.zero())
-    ht = htilde_matrix(full)
-    s = _phi_norm_with(full, inverse_laurent(ht))
+    ht, s = _trace_normalised(full, inverse_laurent)
     if s.is_zero():
         raise DegenerateError("tractor 3-form is degenerate")
     c = (s / 42).cbrt()

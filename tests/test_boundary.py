@@ -8,6 +8,8 @@ from g2trac.boundary import (bgg_round_trip_defect, bgg_split, boundary_3form,
                              distribution_checks, extract_distribution, j0_checks,
                              restrict_to_zero_locus)
 from g2trac.coordfields import monge_check, parse_monge_polynomial
+from g2trac.octonions import NullFiltration
+from g2trac.qm_family import REGRESSION_PARAMETERS
 from g2trac.scalars import QScalar
 from g2trac.symmetries import (dilation_negative_control, is_distribution_symmetry,
                                frame_symmetry_kernel_dim, solve_frame_symmetry,
@@ -39,6 +41,15 @@ def test_restriction_needs_zero_locus():
 def test_j0_facts(bd):
     checks = j0_checks(bd)
     assert all(checks.values()), [k for k, v in checks.items() if not v]
+
+
+@pytest.mark.parametrize("m", REGRESSION_PARAMETERS, ids=str)
+def test_boundary_null_filtration(family_package, m):
+    # the degenerate tractor endomorphism has a null split octonion's filtration
+    bd = restrict_to_zero_locus(family_package(m))
+    f = NullFiltration(bd.Jtr0, bd.H0, [QScalar.zero()] * 6 + [QScalar.one()])
+    assert f.dims() == (1, 3, 4, 6)
+    assert f.chain_ok() and f.mapping_ok() and f.kernel_isotropic()
 
 
 def test_distribution_three_ways_and_facts(pkg_half, bd):

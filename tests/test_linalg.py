@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from g2trac.laurent import CoeffFn, PLAIN, RHO_MINUS, RHO_PLUS
 from g2trac.linalg import (P, det_perm, eye, independent_rows_mod_p, inverse_laurent,
-                           mat_mul, mod_p, rank, rref, surds_mod_p)
+                           mat_mul, mod_p, rank, rref, same_subspace, surds_mod_p)
 from g2trac.scalars import SQRT2, SQRT5, SQRT10, DegenerateError, QScalar
 
 
@@ -257,3 +257,39 @@ def test_entry_vanishing_mod_p_only_lowers_the_count():
          [QScalar(1), QScalar(1)]]
     assert rank(A) == 2
     assert independent_rows_mod_p(A) == [2]
+
+
+# -- same_subspace against a rank oracle ---------------------------------------
+
+entries = st.builds(lambda a, b: QScalar(a) + SQRT2 * b,
+                    st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2)]), st.sampled_from([0, 0, 0, 1]))
+
+
+@st.composite
+def row_list_pairs(draw):
+    """Two lists of rows of one length, often empty, zero or repeated; half
+    the time the second is drawn from the first's rows, its sums and zeros."""
+    cols = draw(st.integers(1, 3))
+    row = st.lists(entries, min_size=cols, max_size=cols)
+    B1 = draw(st.lists(row, max_size=4))
+    if B1 and draw(st.booleans()):
+        sums = [[x + y for x, y in zip(u, v)] for u in B1 for v in B1]
+        zero = [[QScalar.zero()] * cols]
+        B2 = draw(st.lists(st.sampled_from(B1 + sums + zero), max_size=5))
+    else:
+        B2 = draw(st.lists(row, max_size=4))
+    return B1, B2
+
+
+@given(row_list_pairs())
+def test_same_subspace_matches_the_rank_oracle(pair):
+    B1, B2 = pair
+    assert same_subspace(B1, B2) == (rank(B1) == rank(B2) == rank(B1 + B2))
+    assert same_subspace(B1, B1 + B1 + B2) == (rank(B1) == rank(B1 + B2))
+
+
+def test_zero_rows_span_the_zero_subspace():
+    z = QScalar.zero()
+    assert same_subspace([[z, z]], [])
+    assert same_subspace([], [[z, z], [z, z]])
+    assert not same_subspace([[z, QScalar.one()]], [])

@@ -1,0 +1,26 @@
+"""Smoke runs of the command line scripts under scripts/."""
+
+import os
+import subprocess
+import sys
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+
+def _run(name, *args):
+    return subprocess.run([sys.executable, os.path.join(SCRIPTS, name), *args],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_orbit_profile_labels_the_three_orbits():
+    proc = _run("orbit_profile.py", "--m", "1/2", "--points=-1,0,1")
+    assert proc.returncode == 0, proc.stderr
+    labels = [line.split()[6] for line in proc.stdout.splitlines()[1:]]
+    assert labels == ["M-", "M0", "M+"]
+
+
+def test_quick_family_sweep_passes():
+    proc = _run("run_family_sweep.py", "--depth", "quick")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "sweep: ALL PASS" and len(lines) == 9

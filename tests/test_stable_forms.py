@@ -1,4 +1,7 @@
+import importlib.util
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -124,6 +127,44 @@ def test_phi_norm_is_42():
         hinv = linalg.inverse(H.as_matrix())
         from g2trac.stable_forms import _phi_norm_with
         assert _phi_norm_with(phi, hinv) == QScalar(42)
+
+
+def phi_norm_by_slices(phi, hinv):
+    """The sum of h^{aa'} <S_a, hinv S_a' hinv> over the slice matrices."""
+    S = sf.slices(phi)
+    raised = [linalg.mat_mul(hinv, linalg.mat_mul(s, hinv)) for s in S]
+    acc = phi.zero
+    for a, row in enumerate(hinv):
+        for b, h in enumerate(row):
+            if not h.is_zero():
+                acc = acc + h * linalg.sum_prod([v for r in S[a] for v in r],
+                                                [v for r in raised[b] for v in r])
+    return acc
+
+
+def _classify_workload_inputs(seed):
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module.classify_inputs(seed)
+
+
+@pytest.mark.parametrize("xi", [1, -1])
+def test_phi_norm_matches_slice_oracle_on_seed1_conjugates(xi):
+    (A,) = _classify_workload_inputs(1)["sl7"][xi]
+    phi = phi_xi(xi).pullback([[QScalar(x) for x in row] for row in A])
+    hinv = linalg.inverse(sf.htilde_matrix(phi))
+    got = sf._phi_norm_with(phi, hinv)
+    assert not got.is_zero() and got == phi_norm_by_slices(phi, hinv)
+
+
+def test_phi_norm_matches_slice_oracle_on_laurent_form(pkg_half):
+    full = pkg_half.phi.full(pkg_half.chart.zero())
+    hinv = linalg.inverse_laurent(pkg_half.H.as_matrix())
+    got = sf._phi_norm_with(full, hinv)
+    assert got == phi_norm_by_slices(full, hinv) == pkg_half.chart.lift(42)
 
 
 def test_degenerate_3form_returns_class_not_error():

@@ -303,3 +303,13 @@ def test_cli_bad_family_parameter_exit_2(argv, m, capsys):
     captured = capsys.readouterr()
     assert rc == 2 and not captured.out
     assert len(captured.err.strip().splitlines()) == 1 and "Traceback" not in captured.err
+
+
+def test_cli_export_out_is_a_file_exit_2(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n")
+    rc = cli.main(["export", "--m", "1/2", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert rc == 2 and not captured.out
+    assert len(captured.err.strip().splitlines()) == 1 and "Traceback" not in captured.err
+    assert target.read_text() == "not a directory\n"
