@@ -76,7 +76,7 @@ def cmd_classify_form(args) -> int:
                     raise ValueError(f"component {idx} has a pole at s = 0")
                 pt.set(up, down, v.eval(at))
             t = pt
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"invalid tensor file: {exc}", file=sys.stderr)
         return 2
     dim = args.dim or t.dim

@@ -3,14 +3,14 @@
 Every constant appearing in the structure tables, connection forms and
 tensor displays handled by this package lies in the degree-4 extension
 Q(sqrt2, sqrt5) = Q + Q*sqrt2 + Q*sqrt5 + Q*sqrt10.  Elements are stored
-on that basis with Fraction coordinates, so equality and the zero test
-are exact and signs are decidable.
+on that basis as four integer numerators over one shared denominator,
+so equality and the zero test are exact and signs are decidable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Union
 
 Rat = Union[int, Fraction]
@@ -20,52 +20,60 @@ class DegenerateError(ZeroDivisionError):
     """Division by zero in the scalar field; signals degenerate geometric input."""
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _ratio(x):
+    """Numerator and denominator of an int, Fraction or rational string."""
     if isinstance(x, int):
-        return Fraction(x) if x else _FZERO
+        return x, 1
     if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
+        x = Fraction(x)
+    elif not isinstance(x, Fraction):
+        raise TypeError(f"cannot coerce {type(x).__name__} to a rational")
+    return x.numerator, x.denominator
 
 
-_FZERO = Fraction(0)
+def _ints(x):
+    """The reduced int tuple of a QScalar, int or Fraction; None otherwise."""
+    if isinstance(x, QScalar):
+        return x._v
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, 0, 0, x.denominator
+    return None
 
 
-def _q(a: Fraction, b: Fraction = _FZERO, c: Fraction = _FZERO,
-       d: Fraction = _FZERO) -> "QScalar":
-    """QScalar from coordinates that are already Fractions (no coercion)."""
+def _reduced(a: int, b: int, c: int, d: int, n: int) -> "QScalar":
+    """(a + b*sqrt2 + c*sqrt5 + d*sqrt10) / n for n > 0, in lowest terms."""
+    g = gcd(a, b, c, d, n)
     q = object.__new__(QScalar)
-    q.a = a
-    q.b = b
-    q.c = c
-    q.d = d
+    q._v = (a // g, b // g, c // g, d // g, n // g)
     return q
 
 
 class QScalar:
     """a + b*sqrt2 + c*sqrt5 + d*sqrt10 with rational a, b, c, d.
 
-    Sums and products with a rational operand (b = c = d = 0), including
-    int and Fraction operands, skip the four-coordinate formulas.
+    Stored as the int tuple _v = (A, B, C, D, n) with a = A/n, ..., n > 0
+    and gcd(A, B, C, D, n) = 1.  That form is unique, so equality compares
+    tuples; a, b, c and d are read-only Fraction views of it.
     """
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("_v",)
+
+    a = property(lambda self: Fraction(self._v[0], self._v[4]))
+    b = property(lambda self: Fraction(self._v[1], self._v[4]))
+    c = property(lambda self: Fraction(self._v[2], self._v[4]))
+    d = property(lambda self: Fraction(self._v[3], self._v[4]))
 
     def __init__(self, a: Rat = 0, b: Rat = 0, c: Rat = 0, d: Rat = 0):
-        self.a = _frac(a)
-        self.b = _frac(b)
-        self.c = _frac(c)
-        self.d = _frac(d)
+        (na, da), (nb, db), (nc, dc), (nd, dd) = _ratio(a), _ratio(b), _ratio(c), _ratio(d)
+        # reduced denominators over their lcm leave the tuple in lowest terms
+        n = lcm(da, db, dc, dd)
+        self._v = (na * (n // da), nb * (n // db), nc * (n // dc), nd * (n // dd), n)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def of(x) -> "QScalar":
-        if isinstance(x, QScalar):
-            return x
-        return _q(_frac(x))
+        return x if isinstance(x, QScalar) else QScalar(x)
 
     @staticmethod
     def zero() -> "QScalar":
@@ -88,93 +96,73 @@ class QScalar:
         return QScalar(0, 0, 0, 1)
 
     # -- ring structure ----------------------------------------------
-    #
-    # Every coordinate is a Fraction and Fraction arithmetic returns
-    # Fractions, so results are built with _q.  A rational operand r
-    # changes only the a coordinate of a sum and scales all four
-    # coordinates of a product.
 
     def __add__(self, other) -> "QScalar":
-        if isinstance(other, QScalar):
-            if not (other.b or other.c or other.d):
-                return _q(self.a + other.a, self.b, self.c, self.d)
-            if not (self.b or self.c or self.d):
-                return _q(self.a + other.a, other.b, other.c, other.d)
-            return _q(self.a + other.a, self.b + other.b,
-                      self.c + other.c, self.d + other.d)
-        if isinstance(other, (int, Fraction)):
-            return _q(self.a + other, self.b, self.c, self.d)
-        return NotImplemented
+        o = _ints(other)
+        if o is None:
+            return NotImplemented
+        a1, b1, c1, d1, n1 = self._v
+        a2, b2, c2, d2, n2 = o
+        return _reduced(a1 * n2 + a2 * n1, b1 * n2 + b2 * n1,
+                        c1 * n2 + c2 * n1, d1 * n2 + d2 * n1, n1 * n2)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QScalar":
-        b, c, d = self.b, self.c, self.d
-        return _q(-self.a, -b if b else b, -c if c else c, -d if d else d)
+        a, b, c, d, n = self._v
+        return _reduced(-a, -b, -c, -d, n)
 
     def __sub__(self, other) -> "QScalar":
-        if isinstance(other, QScalar):
-            if not (other.b or other.c or other.d):
-                return _q(self.a - other.a, self.b, self.c, self.d)
-            return _q(self.a - other.a, self.b - other.b,
-                      self.c - other.c, self.d - other.d)
-        if isinstance(other, (int, Fraction)):
-            return _q(self.a - other, self.b, self.c, self.d)
-        return NotImplemented
+        o = _ints(other)
+        if o is None:
+            return NotImplemented
+        a1, b1, c1, d1, n1 = self._v
+        a2, b2, c2, d2, n2 = o
+        return _reduced(a1 * n2 - a2 * n1, b1 * n2 - b2 * n1,
+                        c1 * n2 - c2 * n1, d1 * n2 - d2 * n1, n1 * n2)
 
     def __rsub__(self, other) -> "QScalar":
-        if isinstance(other, (QScalar, int, Fraction)):
-            return -self + other
-        return NotImplemented
+        return NotImplemented if _ints(other) is None else -self + other
 
     def __mul__(self, other) -> "QScalar":
-        if isinstance(other, QScalar):
-            a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-            if not (b2 or c2 or d2):
-                return self._scale(a2)
-            a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-            if not (b1 or c1 or d1):
-                return other._scale(a1)
-            return _q(
-                a1 * a2 + b1 * b2 * 2 + c1 * c2 * 5 + d1 * d2 * 10,
-                a1 * b2 + b1 * a2 + (c1 * d2 + d1 * c2) * 5,
-                a1 * c2 + c1 * a2 + (b1 * d2 + d1 * b2) * 2,
-                a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-            )
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other)
-        return NotImplemented
+        o = _ints(other)
+        if o is None:
+            return NotImplemented
+        a1, b1, c1, d1, n1 = self._v
+        a2, b2, c2, d2, n2 = o
+        return _reduced(
+            a1 * a2 + b1 * b2 * 2 + c1 * c2 * 5 + d1 * d2 * 10,
+            a1 * b2 + b1 * a2 + (c1 * d2 + d1 * c2) * 5,
+            a1 * c2 + c1 * a2 + (b1 * d2 + d1 * b2) * 2,
+            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+            n1 * n2,
+        )
 
     __rmul__ = __mul__
 
-    def _scale(self, r: Rat) -> "QScalar":
-        """self * r for a rational r."""
-        if not r:
-            return _ZERO
-        b, c, d = self.b, self.c, self.d
-        if not (b or c or d):
-            a = self.a
-            return _q(a * r) if a else _ZERO
-        return _q(self.a * r, b * r, c * r, d * r)
-
     def conj2(self) -> "QScalar":
         """Galois conjugate sending sqrt2 -> -sqrt2."""
-        return _q(self.a, -self.b, self.c, -self.d)
+        a, b, c, d, n = self._v
+        return _reduced(a, -b, c, -d, n)
 
     def conj5(self) -> "QScalar":
         """Galois conjugate sending sqrt5 -> -sqrt5."""
-        return _q(self.a, self.b, -self.c, -self.d)
+        a, b, c, d, n = self._v
+        return _reduced(a, b, -c, -d, n)
 
     def inverse(self) -> "QScalar":
-        if self.is_zero():
+        # u = a + b r2 + c r5 + d r10 times conj2(u) is e + f r5, and that
+        # times e - f r5 is the integer norm: 1/u = conj2(u) (e - f r5) / norm
+        a, b, c, d, n = self._v
+        e = a * a - 2 * b * b + 5 * c * c - 10 * d * d
+        f = 2 * (a * c - 2 * b * d)
+        norm = e * e - 5 * f * f
+        if not norm:
             raise DegenerateError("inverse of zero in Q(sqrt2,sqrt5)")
-        if self.is_rational():
-            return _q(1 / self.a)
-        # multiply through by the three nontrivial Galois conjugates;
-        # the product of all four lies in Q
-        p = self.conj2() * self.conj5() * self.conj2().conj5()
-        norm = (self * p).a
-        return _q(p.a / norm, p.b / norm, p.c / norm, p.d / norm)
+        if norm < 0:
+            norm, n = -norm, -n
+        return _reduced(n * (a * e - 5 * c * f), n * (5 * d * f - b * e),
+                        n * (c * e - a * f), n * (b * f - d * e), norm)
 
     def __truediv__(self, other) -> "QScalar":
         return self * QScalar.of(other).inverse()
@@ -197,23 +185,21 @@ class QScalar:
     # -- predicates and order ----------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
+        return self._v == (0, 0, 0, 0, 1)
 
     def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
+        _, b, c, d, _ = self._v
+        return not (b or c or d)
 
     def __eq__(self, other) -> bool:
-        # the basis representation is unique: compare coordinates
-        if isinstance(other, QScalar):
-            return (self.a == other.a and self.b == other.b
-                    and self.c == other.c and self.d == other.d)
-        if isinstance(other, (int, Fraction)):
-            return self.a == other and not (self.b or self.c or self.d)
-        return NotImplemented
+        o = _ints(other)
+        if o is None:
+            return NotImplemented
+        return self._v == o
 
     def __hash__(self):
         # a rational value hashes like its Fraction, as __eq__ requires
-        if not (self.b or self.c or self.d):
+        if self.is_rational():
             return hash(self.a)
         return hash((self.a, self.b, self.c, self.d))
 
@@ -281,9 +267,9 @@ class QScalar:
             raise ValueError("square root of a negative value")
         if self.is_zero():
             return _ZERO
-        u, v = _q(self.a, self.b), _q(self.c, self.d)
+        u, v = QScalar(self.a, self.b), QScalar(self.c, self.d)
         for p, q in _denest(u, v, 5, _sqrt_q2):
-            r = _q(p.a, p.b, q.a, q.b)
+            r = QScalar(p.a, p.b, q.a, q.b)
             if r * r == self:
                 return r if r.sign() >= 0 else -r
         raise ValueError(f"square root of {self} not in Q(sqrt2,sqrt5)")
@@ -316,8 +302,11 @@ class QScalar:
     def from_strings(parts) -> "QScalar":
         if len(parts) != 4:
             raise ValueError("expected four rational strings")
+        for p in parts:
+            if not isinstance(p, str):
+                raise ValueError(f"coefficient part {p!r} is not a rational string")
         try:
-            return QScalar(*[Fraction(p) for p in parts])
+            return QScalar(*parts)
         except ZeroDivisionError:
             raise ValueError(f"rational strings {list(parts)} have a zero denominator") from None
 
@@ -366,7 +355,7 @@ def _denest(u, v, k: int, root):
 def _sqrt_q2(y: "QScalar"):
     """A square root of y = a + b*sqrt2 inside Q(sqrt2), or None."""
     for p, q in _denest(y.a, y.b, 2, _rat_sqrt):
-        r = _q(p, q)
+        r = QScalar(p, q)
         if r * r == y:
             return r
     return None

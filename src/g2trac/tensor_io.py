@@ -5,11 +5,11 @@ Tensor documents look like
     {"dim": 7, "valence": [0, 3], "alt": true, "param": "plain",
      "entries": [{"idx": [1, 2, 3], "coeff": [["1","0","0","0"]]}]}
 
-idx tuples are 1-based and strictly increasing for alternating storage.
-A coeff is a list of quadruples of rational strings (components on
-1, sqrt2, sqrt5, sqrt10); list position i encodes the s-exponent
-offset + i, with "offset" defaulting to 0 and recorded per entry when
-nonzero.
+dim, valence, idx and offset are JSON integers.  idx tuples are 1-based
+and strictly increasing for alternating storage.  A coeff is a list of
+quadruples of rational strings (components on 1, sqrt2, sqrt5, sqrt10);
+list position i encodes the s-exponent offset + i, with "offset"
+defaulting to 0 and recorded per entry when nonzero.
 """
 
 from __future__ import annotations
@@ -33,9 +33,16 @@ def coeff_to_json(f: CoeffFn):
     return out
 
 
+def _json_int(v, what: str) -> int:
+    # int() would truncate 1.7 and accept true
+    if type(v) is not int:
+        raise ValueError(f"{what} must be a JSON integer, not {json.dumps(v)}")
+    return v
+
+
 def coeff_from_json(entry, param: str) -> CoeffFn:
     rows = entry.get("coeff", [])
-    offset = int(entry.get("offset", 0))
+    offset = _json_int(entry.get("offset", 0), "offset")
     terms = {}
     for i, quad in enumerate(rows):
         q = QScalar.from_strings(quad)
@@ -66,14 +73,14 @@ def tensor_to_json(t: AltTensor, param: Optional[str] = None) -> dict:
 def tensor_from_json(doc: dict, force_scalar: bool = False) -> AltTensor:
     if not isinstance(doc, dict):
         raise ValueError(f"a tensor document is a JSON object, not {type(doc).__name__}")
-    dim = int(doc["dim"])
-    n_up, n_down = (int(v) for v in doc.get("valence", [0, 0]))
+    dim = _json_int(doc["dim"], "dim")
+    n_up, n_down = (_json_int(v, "valence") for v in doc.get("valence", [0, 0]))
     sym = ALT if doc.get("alt") else (SYM if doc.get("symmetric") else NONE)
     param = doc.get("param", PLAIN)
     values = []
     keys = []
     for e in doc.get("entries", []):
-        idx = [int(i) - 1 for i in e["idx"]]
+        idx = [_json_int(i, "idx") - 1 for i in e["idx"]]
         if len(idx) != n_up + n_down:
             raise ValueError("entry index length does not match valence")
         if any(not 0 <= i < dim for i in idx):
@@ -113,4 +120,4 @@ def octonion_to_json(o) -> dict:
 def octonion_from_json(doc: dict):
     from .octonions import Octonion
     comps = [QScalar.from_strings(q) for q in doc["octonion"]]
-    return Octonion(comps, int(doc["xi"]))
+    return Octonion(comps, _json_int(doc["xi"], "xi"))

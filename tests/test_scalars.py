@@ -11,9 +11,9 @@ from g2trac.scalars import QScalar, SQRT2, SQRT5, SQRT10, DegenerateError, _icbr
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 scalars = st.builds(QScalar, rationals, rationals, rationals, rationals)
 
-# Rational and mostly-zero elements take the fast paths of the arithmetic,
-# which the four-coordinate strategy above seldom reaches; the operand
-# strategies add plain int and Fraction right operands.
+# Rational and mostly-zero elements, which the four-coordinate strategy
+# above seldom draws; the operand strategies add plain int and Fraction
+# right operands.
 rational_scalars = st.builds(QScalar, rationals)
 sparse_coords = st.one_of(st.just(0), st.just(0), rationals)
 zero_heavy_scalars = st.builds(QScalar, sparse_coords, sparse_coords,
@@ -97,7 +97,7 @@ def test_field_axioms_zero_heavy(x, y, z):
 
 
 def _general_formula(op, x, y):
-    """x op y by the four-coordinate formulas, with no fast path."""
+    """x op y by the four-coordinate Fraction formulas."""
     x, y = QScalar.of(x), QScalar.of(y)
     a1, b1, c1, d1 = x.a, x.b, x.c, x.d
     a2, b2, c2, d2 = y.a, y.b, y.c, y.d
@@ -117,11 +117,13 @@ _OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
 @given(st.sampled_from(sorted(_OPS)), st.booleans(),
-       st.one_of(rational_scalars, zero_heavy_scalars),
-       st.one_of(rational_operands, zero_heavy_operands))
+       st.one_of(scalars, rational_scalars, zero_heavy_scalars),
+       st.one_of(scalars, rational_operands, zero_heavy_operands))
 @settings(max_examples=200)
 def test_fast_paths_match_general_formula(op, reflected, x, y):
-    # reflected: the plain operand (if any) sits on the left
+    # the integer ring ops against the Fraction coordinate formulas, on
+    # general, rational and mostly-zero operands; reflected: the plain
+    # operand (if any) sits on the left
     lhs, rhs = (y, x) if reflected else (x, y)
     got = _OPS[op](lhs, rhs)
     want = _general_formula(op, lhs, rhs)
@@ -129,7 +131,20 @@ def test_fast_paths_match_general_formula(op, reflected, x, y):
     assert coords == (want.a, want.b, want.c, want.d)
     assert all(isinstance(v, Fraction) for v in coords)
     assert hash(got) == hash(want)
+    if not got.is_rational():
+        assert hash(got) == hash(coords)
     assert got.as_strings() == want.as_strings()
+
+
+def test_no_float_enters_the_field():
+    from g2trac.laurent import CoeffFn
+    for make in (lambda: QScalar(0.5), lambda: QScalar(0, 0.5), lambda: QScalar.of(0.5),
+                 lambda: QScalar(1) + 0.5, lambda: 0.5 * QScalar(1),
+                 lambda: QScalar(1) / 0.5, lambda: CoeffFn.of(0.5)):
+        with pytest.raises(TypeError):
+            make()
+    # __slots__ only: no per-instance dict
+    assert not hasattr(QScalar(1), "__dict__")
 
 
 def test_zero_iff_all_coordinates_zero():

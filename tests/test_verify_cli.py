@@ -108,6 +108,8 @@ def test_octonion_round_trip():
     from g2trac.octonions import Octonion
     o = Octonion([1, 2, 0, 0, -1, 0, Fraction(1, 3), 0], -1)
     assert octonion_from_json(octonion_to_json(o)) == o
+    with pytest.raises(ValueError):
+        octonion_from_json(dict(octonion_to_json(o), xi=-1.5))
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -252,6 +254,13 @@ def scaled_phi(xi, t):
 POLE = tensor_doc(6, 3, [([1, 2, 3], [1, 1]), ([4, 5, 6], [1])])
 POLE["entries"][0]["offset"] = -1     # 1/s + 1: undefined at s = 0
 
+
+def with_first_entry(doc, **fields):
+    """doc with fields of its first entry replaced."""
+    entries = [dict(doc["entries"][0], **fields)] + doc["entries"][1:]
+    return dict(doc, entries=entries)
+
+
 # (doc, extra argv, exit code, expected payload for exit 0)
 CLASSIFY_CASES = {
     "2phi+": (scaled_phi(1, 2), [], 0, {"class": "definite", "signature": [7, 0]}),
@@ -267,6 +276,14 @@ CLASSIFY_CASES = {
     # [2, 1, 3] names e^{123} again, with the opposite sign
     "repeated-component": (tensor_doc(7, 3, [([1, 2, 3], [1]), ([2, 1, 3], [1])]
                                       + [(i, [c]) for i, c in PHI_PLUS[1:]]), [], 2, None),
+    # a JSON number 0.1 would enter as its binary expansion
+    "coeff-number": (with_first_entry(scaled_phi(1, 1), coeff=[[0.1, 0, 0, 0]]), [], 2, None),
+    # int() would read these as leg 1, leg 1 and offset 0
+    "index-1.7": (with_first_entry(scaled_phi(1, 1), idx=[1.7, 2, 3]), [], 2, None),
+    "index-true": (with_first_entry(scaled_phi(1, 1), idx=[True, 2, 3]), [], 2, None),
+    "offset-0.9": (with_first_entry(scaled_phi(1, 1), offset=0.9), [], 2, None),
+    # written as raw text: json.dumps would itself recurse
+    "nested-json": ("[" * 100_000, [], 2, None),
 }
 
 
@@ -274,7 +291,7 @@ CLASSIFY_CASES = {
 def test_cli_classify_form_input_cases(case, tmp_path, capsys):
     doc, extra, want_rc, want = CLASSIFY_CASES[case]
     path = tmp_path / "form.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     rc = cli.main(["classify-form", "--file", str(path), "--report", "json"] + extra)
     captured = capsys.readouterr()
     assert rc == want_rc and "Traceback" not in captured.err
