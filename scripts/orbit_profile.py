@@ -12,10 +12,10 @@ canonical structure, all from exact data (floats only in the display).
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from g2trac.cli import _family_parameter, _parse_fraction
 from g2trac.geometry import npk_extract, npk_verify
 from g2trac.qm_family import FamilyParams, build_qm
 from g2trac.scalars import QScalar
@@ -27,12 +27,18 @@ def main() -> int:
     ap.add_argument("--points", default="-2,-1,0,1,2",
                     help="signed collar coordinates s; the point has rho = s|s|")
     args = ap.parse_args()
-    m = Fraction(args.m)
+    m = _family_parameter(args.m)
+    if m is None:
+        return 2
+    try:
+        points = [_parse_fraction(chunk) for chunk in args.points.split(",")]
+    except ValueError as exc:
+        print(f"invalid --points: {exc}", file=sys.stderr)
+        return 2
     pkg = build_qm(FamilyParams(m))
     cache = {}
     print(f"family parameter m = {m}; tau = {pkg.tau}")
-    for chunk in args.points.split(","):
-        s = Fraction(chunk)
+    for s in points:
         rho = QScalar(s * abs(s))
         tau = pkg.tau.eval(rho)
         sign = tau.sign()

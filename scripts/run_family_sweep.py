@@ -12,10 +12,10 @@ import argparse
 import os
 import sys
 import time
-from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from g2trac.cli import _family_parameter
 from g2trac.qm_family import REGRESSION_PARAMETERS, FamilyParams, build_qm
 from g2trac.verify import verify
 
@@ -30,7 +30,10 @@ def main() -> int:
 
     params = list(REGRESSION_PARAMETERS)
     for extra in args.m or ():
-        params.append(Fraction(extra))
+        m = _family_parameter(extra)
+        if m is None:
+            return 2
+        params.append(m)
     failures = 0
     for m in params:
         t0 = time.time()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
@@ -361,8 +361,8 @@ def bgg_split(conf: ConformalChart, omega0: AltTensor) -> ConformalTractor3Form:
     t = AltTensor(n, 0, 3, NONE, lc.zero())   # t_{a bc} = nabla_a omega_{bc}
     for a in range(n):
         da = lc.cov_deriv(omega0, a)
-        for (_, bc), v in da.comps.items():
-            t.set((), (a,) + bc, v)
+        for bc in product(range(n), repeat=2):
+            t.set((), (a,) + bc, da.get((), bc))
     s = AltTensor(n, 0, 4, NONE, lc.zero())   # s_{a b cd} = nabla_a t_{b cd}
     for a in range(n):
         da = lc.cov_deriv(t, a)

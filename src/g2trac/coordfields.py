@@ -8,6 +8,7 @@ exact); differentiation and Lie brackets are closed on this class.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -191,22 +192,20 @@ def monge_fields(F: CoordPoly) -> Tuple[CoordField, CoordField]:
 
 def parse_monge_polynomial(text: str) -> CoordPoly:
     """Tiny parser for expressions like 'q^2 + 3*p^3 - z' (rational
-    coefficients, integer powers, coordinates x, y, p, q, z)."""
-    s = text.replace("-", "+-").replace(" ", "")
+    coefficients, integer powers, coordinates x, y, p, q, z).  Terms are
+    joined by single signs, with one optional sign in front; an empty
+    term or factor raises ValueError."""
+    parts = re.split(r"([+-])", text.replace(" ", ""))
+    parts = parts[1:] if len(parts) > 1 and not parts[0] else ["+"] + parts
     out = CoordPoly()
-    for chunk in s.split("+"):
+    for sign, chunk in zip(parts[::2], parts[1::2]):
         if not chunk:
-            continue
-        coeff = Fraction(1)
-        if chunk.startswith("-"):
-            coeff = -coeff
-            chunk = chunk[1:]
-            if not chunk:
-                raise ValueError("dangling minus sign")
+            raise ValueError("empty term")
+        coeff = Fraction(1 if sign == "+" else -1)
         mono = CoordPoly.const(1)
         for factor in chunk.split("*"):
             if not factor:
-                continue
+                raise ValueError(f"empty factor in {chunk!r}")
             if factor[0].isalpha():
                 if "^" in factor:
                     name, power = factor.split("^")

@@ -8,16 +8,24 @@ table saying which frame directions differentiate the coefficient ring
 Conventions: [E_a, E_b] = c^c_{ab} E_c and nabla_{E_a} E_c = G^b_{ac} E_b
 (direction first); curvature (nabla_a nabla_b - nabla_b nabla_a) U^c =
 R_{ab}{}^c{}_d U^d includes the -nabla_{[E_a,E_b]} frame correction.
+
+cov_deriv differentiates along E_a with a connection matrix A on the
+tensor's index range, A[b][e] being the e-component of nabla_a of basis
+element b: a covariant slot b gets -sum_e A[b][e] (slot -> e) and a
+contravariant slot b gets +sum_e A[e][b] (slot -> e).  The default A is
+the frame connection G[a]; tractor.tractor_connection supplies the
+(n+1)x(n+1) matrix of the tractor connection, so one kernel serves both.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, product
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .laurent import PLAIN, CoeffFn
 from .linalg import inverse_laurent, mat_mul
-from .tensors import NONE, AltTensor
+from .tensors import ALT, NONE, AltTensor
 
 
 class FrameChart:
@@ -81,34 +89,39 @@ class FrameChart:
 
     # -- tensor covariant derivative -----------------------------------------
 
-    def cov_deriv(self, T: AltTensor, a: int, weight: int = 0) -> AltTensor:
-        """Frame components of nabla_{E_a} T (same valence, raw symmetry).
+    def cov_deriv(self, T: AltTensor, a: int, weight: int = 0, conn=None) -> AltTensor:
+        """Frame components of nabla_{E_a} T (same valence).
 
-        weight is the projective density weight of the components; it
-        couples through the chart's scale 1-form (zero in a scale whose
-        frame volume is parallel)."""
-        from itertools import product
-        out = AltTensor(self.dim, T.n_up, T.n_down, NONE, self.zero())
-        rng = range(self.dim)
-        wform = self.weight_form[a] if weight else None
+        conn is the connection matrix A of direction a on T's index range
+        (default self.G[a], so A[b][e] = G^e_{ab}): a covariant slot b
+        subtracts sum_e A[b][e] T_{..e..} and a contravariant slot b adds
+        sum_e A[e][b] T^{..e..}.  weight is the projective density weight
+        of the components; it couples through the chart's scale 1-form
+        (zero in a scale whose frame volume is parallel).  Alternating
+        input gives an alternating result, and only increasing index sets
+        are visited for it; any other input gives raw components."""
+        A = self.G[a] if conn is None else conn
+        rng = range(T.dim)
+        rows = [[(e, g) for e, g in enumerate(A[b]) if not g.is_zero()] for b in rng]
+        cols = [[(e, A[e][b]) for e in rng if not A[e][b].is_zero()] for b in rng]
+        wform = self.weight_form[a] * weight
+        sym = ALT if T.sym == ALT else NONE
+        out = AltTensor(T.dim, T.n_up, T.n_down, sym, self.zero())
+        downs = list(combinations(rng, T.n_down) if sym == ALT
+                     else product(rng, repeat=T.n_down))
         for up in product(rng, repeat=T.n_up):
-            for down in product(rng, repeat=T.n_down):
-                acc = self.dir_deriv(a, T.get(up, down))
-                if wform is not None and not wform.is_zero():
-                    acc = acc + wform * T.get(up, down) * weight
-                for s in range(T.n_up):
-                    for e in rng:
-                        g = self.G[a][e][up[s]]
-                        if g.is_zero():
-                            continue
+            for down in downs:
+                base = T.get(up, down)
+                acc = self.dir_deriv(a, base)
+                if not wform.is_zero():
+                    acc = acc + wform * base
+                for s, b in enumerate(up):
+                    for e, g in cols[b]:
                         t = T.get(up[:s] + (e,) + up[s + 1:], down)
                         if not t.is_zero():
                             acc = acc + g * t
-                for s in range(T.n_down):
-                    for e in rng:
-                        g = self.G[a][down[s]][e]
-                        if g.is_zero():
-                            continue
+                for s, b in enumerate(down):
+                    for e, g in rows[b]:
                         t = T.get(up, down[:s] + (e,) + down[s + 1:])
                         if not t.is_zero():
                             acc = acc - g * t
@@ -350,7 +363,6 @@ class FrameChart:
 
     def d_exterior(self, form: AltTensor) -> AltTensor:
         """Frame exterior derivative of a covariant alternating form."""
-        from itertools import combinations
         k = form.n_down
         out = AltTensor.form(self.dim, k + 1, self.zero())
         for idx in combinations(range(self.dim), k + 1):

@@ -4,13 +4,14 @@ Components live in any ring with +/-/* and is_zero (QScalar or CoeffFn).
 Alternating tensors store only strictly increasing covariant tuples and
 reconstruct every other component by permutation sign; symmetric ones
 store nondecreasing tuples.  Dimensions are small, so most operations
-iterate densely over index tuples; the alternating pullback instead
-contracts one slot at a time and skips the zero entries of the matrix.
+iterate densely over index tuples; the pullback, defined for alternating
+forms only, instead contracts one slot at a time and skips the zero
+entries of the matrix.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, permutations, product
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -199,56 +200,39 @@ class AltTensor:
         return out
 
     def pullback(self, A) -> "AltTensor":
-        """(A^* T)(v_1..v_k) = T(A v_1, .., A v_k) for covariant T; A is a matrix.
+        """(A^* T)(v_1..v_k) = T(A v_1, .., A v_k) for a covariant alternating
+        T; A is a matrix.
 
-        An alternating T is pulled back one slot at a time: its stored
-        components are expanded over their k! signed orderings, and slot i
-        of each partial term, keyed (targets so far, sources left), is
-        replaced by every target t with A[s][t] nonzero and t above the
-        previous target, so only strictly increasing keys reach the end."""
-        if self.n_up:
-            raise ValueError("pullback expects a covariant tensor")
-        out = AltTensor(self.dim, 0, self.n_down, self.sym, self.zero)
-        if self.sym == ALT:
-            k = self.n_down
-            rows = [[(t, a) for t, a in enumerate(row) if a] for row in A]
-            orders = [(p, perm_sign(p)) for p in permutations(range(k))]
-            terms = {}
-            for (_, idx), v in self.comps.items():
-                for p, sign in orders:
-                    terms[tuple(idx[i] for i in p)] = v if sign > 0 else -v
-            for i in range(k):
-                nxt = {}
-                for key, v in terms.items():
-                    floor = key[i - 1] if i else -1
-                    head, rest = key[:i], key[i + 1:]
-                    for t, a in rows[key[i]]:
-                        if t > floor:
-                            nk = head + (t,) + rest
-                            term = v * a
-                            prev = nxt.get(nk)
-                            nxt[nk] = term if prev is None else prev + term
-                terms = nxt
+        T is pulled back one slot at a time: its stored components are
+        expanded over their k! signed orderings, and slot i of each partial
+        term, keyed (targets so far, sources left), is replaced by every
+        target t with A[s][t] nonzero and t above the previous target, so
+        only strictly increasing keys reach the end."""
+        if self.n_up or self.sym != ALT:
+            raise ValueError("pullback expects a covariant alternating tensor")
+        out = AltTensor(self.dim, 0, self.n_down, ALT, self.zero)
+        k = self.n_down
+        rows = [[(t, a) for t, a in enumerate(row) if a] for row in A]
+        orders = [(p, perm_sign(p)) for p in permutations(range(k))]
+        terms = {}
+        for (_, idx), v in self.comps.items():
+            for p, sign in orders:
+                terms[tuple(idx[i] for i in p)] = v if sign > 0 else -v
+        for i in range(k):
+            nxt = {}
             for key, v in terms.items():
-                if not v.is_zero():
-                    out.comps[((), key)] = v
-            return out
-        if self.sym == SYM:
-            targets = list(combinations_with_replacement(range(self.dim), self.n_down))
-        else:
-            targets = list(product(range(self.dim), repeat=self.n_down))
-        for tgt in targets:
-            acc = None
-            for src in product(range(self.dim), repeat=self.n_down):
-                v = self.get((), src)
-                if v.is_zero():
-                    continue
-                prod_ = v
-                for s_i, t_i in zip(src, tgt):
-                    prod_ = prod_ * A[s_i][t_i]
-                acc = prod_ if acc is None else acc + prod_
-            if acc is not None and not acc.is_zero():
-                out.set((), tgt, acc)
+                floor = key[i - 1] if i else -1
+                head, rest = key[:i], key[i + 1:]
+                for t, a in rows[key[i]]:
+                    if t > floor:
+                        nk = head + (t,) + rest
+                        term = v * a
+                        prev = nxt.get(nk)
+                        nxt[nk] = term if prev is None else prev + term
+            terms = nxt
+        for key, v in terms.items():
+            if not v.is_zero():
+                out.comps[((), key)] = v
         return out
 
     def alternation(self) -> "AltTensor":

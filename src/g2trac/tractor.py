@@ -19,7 +19,7 @@ from .laurent import CoeffFn
 from .linalg import inverse_laurent
 from .scalars import DegenerateError, QScalar
 from .stable_forms import _trace_normalised, phi_volume_with
-from .tensors import ALT, NONE, SYM, AltTensor, perm_sign, perm_sign_rel
+from .tensors import NONE, SYM, AltTensor, perm_sign, perm_sign_rel
 
 
 class Tractor3Form:
@@ -58,51 +58,41 @@ class Tractor3Form:
 # -- connections -----------------------------------------------------------
 
 
-def d_tractor(chart: FrameChart, V: List[CoeffFn], a: int) -> List[CoeffFn]:
-    """nabla_a of an (unweighted) tractor V = (nu^0..nu^{n-1}, rho)."""
+def tractor_connection(chart: FrameChart, a: int) -> List[List[CoeffFn]]:
+    """The projective tractor connection along E_a in the chart scale, as
+    the (n+1)x(n+1) connection matrix of FrameChart.cov_deriv:
+    A[b][e] = G^e_{ab}, A[b][n] = -P_{ab}, A[n][a] = 1, zero elsewhere.
+
+    On a cotractor, nabla_a U_B = E_a U_B + w (weight form)_a U_B
+    - sum_E A[B][E] U_E; a tractor V is acted on through A^T."""
     n = chart.dim
     P = chart.schouten()
-    wf = chart.weight_form[a]
-    nu, rho = V[:n], V[n]
-    out = []
-    for b in range(n):
-        acc = chart.dir_deriv(a, nu[b]) - wf * nu[b]
-        for e in range(n):
-            g = chart.G[a][e][b]
-            if not g.is_zero():
-                acc = acc + g * nu[e]
-        if b == a:
-            acc = acc + rho
-        out.append(acc)
-    acc = chart.dir_deriv(a, rho) - wf * rho
-    for b in range(n):
-        p = P.get((), (a, b))
-        if not p.is_zero():
-            acc = acc - p * nu[b]
-    out.append(acc)
-    return out
+    z = chart.zero()
+    A = [list(chart.G[a][b]) + [-P.get((), (a, b))] for b in range(n)]
+    A.append([chart.one() if e == a else z for e in range(n)] + [z])
+    return A
+
+
+def _d_one_slot(chart: FrameChart, comps: List[CoeffFn], a: int, n_up: int) -> List[CoeffFn]:
+    """nabla_a of a tractor (n_up = 1, weight -1) or a cotractor
+    (n_up = 0, weight +1) in the frame trivialization."""
+    def key(i):
+        return ((i,), ()) if n_up else ((), (i,))
+    T = AltTensor(len(comps), n_up, 1 - n_up, NONE, chart.zero())
+    for i, v in enumerate(comps):
+        T.set(*key(i), v)
+    d = chart.cov_deriv(T, a, -1 if n_up else 1, tractor_connection(chart, a))
+    return [d.get(*key(i)) for i in range(len(comps))]
+
+
+def d_tractor(chart: FrameChart, V: List[CoeffFn], a: int) -> List[CoeffFn]:
+    """nabla_a of an (unweighted) tractor V = (nu^0..nu^{n-1}, rho)."""
+    return _d_one_slot(chart, V, a, 1)
 
 
 def d_cotractor(chart: FrameChart, U: List[CoeffFn], a: int) -> List[CoeffFn]:
     """nabla_a of a cotractor U = (mu_0..mu_{n-1}, sigma)."""
-    n = chart.dim
-    P = chart.schouten()
-    wf = chart.weight_form[a]
-    mu, sigma = U[:n], U[n]
-    out = []
-    for b in range(n):
-        acc = chart.dir_deriv(a, mu[b]) + wf * mu[b]
-        for e in range(n):
-            g = chart.G[a][b][e]
-            if not g.is_zero():
-                acc = acc - g * mu[e]
-        p = P.get((), (a, b))
-        if not p.is_zero():
-            acc = acc + p * sigma
-        out.append(acc)
-    acc = chart.dir_deriv(a, sigma) + wf * sigma - mu[a]
-    out.append(acc)
-    return out
+    return _d_one_slot(chart, U, a, 0)
 
 
 def d_tractor_3form(chart: FrameChart, phi: Tractor3Form, a: int) -> Tractor3Form:
@@ -129,50 +119,10 @@ def d_tractor_3form(chart: FrameChart, phi: Tractor3Form, a: int) -> Tractor3For
 
 
 def d_cotractor_tensor(chart: FrameChart, T: AltTensor, a: int) -> AltTensor:
-    """nabla_a of a covariant tractor tensor with components on indices 0..n.
-
-    Generic slot-by-slot action: tangent slots get the frame connection
-    plus P_{a b}*(slot -> density), the density slot subtracts
-    (slot -> a).  Used to cross-validate the closed slot formulas and to
-    differentiate the tractor volume.  Alternating input stays
-    alternating, so only canonical index sets are visited for it.
-    """
-    n = chart.dim
-    P = chart.schouten()
-    k = T.n_down
-    if T.sym == ALT:
-        out = AltTensor(n + 1, 0, k, ALT, chart.zero())
-        tuples = combinations(range(n + 1), k)
-    else:
-        out = AltTensor(n + 1, 0, k, NONE, chart.zero())
-        tuples = product(range(n + 1), repeat=k)
-    wf = chart.weight_form[a]
-    for down in tuples:
-        base = T.get((), down)
-        acc = chart.dir_deriv(a, base)
-        if not wf.is_zero():
-            acc = acc + wf * base * k
-        for s in range(k):
-            B = down[s]
-            if B < n:
-                for e in range(n):
-                    g = chart.G[a][B][e]
-                    if not g.is_zero():
-                        t = T.get((), down[:s] + (e,) + down[s + 1:])
-                        if not t.is_zero():
-                            acc = acc - g * t
-                p_row = [P.get((), (a, B))]
-                if not p_row[0].is_zero():
-                    t = T.get((), down[:s] + (n,) + down[s + 1:])
-                    if not t.is_zero():
-                        acc = acc + p_row[0] * t
-            else:
-                t = T.get((), down[:s] + (a,) + down[s + 1:])
-                if not t.is_zero():
-                    acc = acc - t
-        if not acc.is_zero():
-            out.set((), down, acc)
-    return out
+    """nabla_a of a covariant tractor tensor with components on indices 0..n,
+    of weight one per slot.  Used to cross-validate the closed slot
+    formulas and to differentiate the tractor volume."""
+    return chart.cov_deriv(T, a, T.n_down, tractor_connection(chart, a))
 
 
 def tractor_volume(chart: FrameChart) -> AltTensor:
@@ -321,8 +271,8 @@ def ky_prolong(chart: FrameChart, omega: AltTensor):
     d = [chart.cov_deriv(omega, a, weight=3) for a in range(n)]
     raw = AltTensor(n, 0, 3, NONE, chart.zero())
     for a in range(n):
-        for (_, bc), v in d[a].comps.items():
-            raw.set((), (a,) + bc, raw.get((), (a,) + bc) + v)
+        for bc in product(range(n), repeat=2):
+            raw.set((), (a,) + bc, d[a].get((), bc))
     mu = raw.alternation()
     pair = Tractor3Form(omega, mu)
     W = chart.weyl()

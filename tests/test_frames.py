@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 from g2trac.frames import FrameChart
 from g2trac.laurent import CoeffFn, PLAIN
 from g2trac.scalars import QScalar
-from g2trac.tensors import AltTensor
+from g2trac.tensors import NONE, AltTensor
+from g2trac.tractor import d_cotractor, d_tractor
 from g2trac.qm_family import family_chart
 
 
@@ -115,3 +117,76 @@ def test_levi_civita_is_metric_and_torsion_free(chart):
     assert lc.is_torsion_free()
     for a in range(6):
         assert lc.cov_deriv(g, a).is_zero()
+
+
+# -- the sparse covariant derivative against the dense loop -------------------
+
+
+def dense_cov_deriv(chart, T, a, weight=0):
+    """nabla_a T over every index tuple, slot by slot with the frame
+    connection G[a], read through get: the raw-symmetry loop."""
+    out = AltTensor(chart.dim, T.n_up, T.n_down, NONE, chart.zero())
+    rng = range(chart.dim)
+    wform = chart.weight_form[a]
+    for up in product(rng, repeat=T.n_up):
+        for down in product(rng, repeat=T.n_down):
+            acc = chart.dir_deriv(a, T.get(up, down)) + wform * T.get(up, down) * weight
+            for s in range(T.n_up):
+                for e in rng:
+                    acc = acc + chart.G[a][e][up[s]] * T.get(up[:s] + (e,) + up[s + 1:], down)
+            for s in range(T.n_down):
+                for e in rng:
+                    acc = acc - chart.G[a][down[s]][e] * T.get(up, down[:s] + (e,) + down[s + 1:])
+            out.set(up, down, acc)
+    return out
+
+
+def _rescaled(chart):
+    """A projective change of scale of chart: its weight form is nonzero."""
+    f = CoeffFn({2: QScalar(Fraction(1, 3)), 1: QScalar(-2)}, chart.param)
+    hat = chart.change_scale(chart.exact_upsilon(f))
+    assert any(not w.is_zero() for w in hat.weight_form)
+    return hat
+
+
+def _random_coeff(chart, rng):
+    """c0 + c1 rho with small random integers."""
+    c0, c1 = rng.randint(-3, 3), rng.randint(-2, 2)
+    return chart.lift(QScalar(c0)) + chart.lift(QScalar(c1)) * chart.rho()
+
+
+@pytest.mark.parametrize("rescale", [False, True], ids=["family", "rescaled"])
+@pytest.mark.parametrize("weight", [0, 3])
+@pytest.mark.parametrize("degree", [2, 3])
+def test_alternating_cov_deriv_matches_dense_loop(chart, rescale, weight, degree):
+    ch = _rescaled(chart) if rescale else chart
+    rng = random.Random(10 * degree + weight + rescale)
+    form = AltTensor.form(6, degree, ch.zero())
+    for idx in combinations(range(6), degree):
+        if rng.random() < 0.6:
+            form.set((), idx, _random_coeff(ch, rng))
+    for a in range(6):
+        got = ch.cov_deriv(form, a, weight)
+        want = dense_cov_deriv(ch, form, a, weight)
+        assert got.sym == form.sym
+        for idx in product(range(6), repeat=degree):
+            assert got.get((), idx) == want.get((), idx)
+
+
+@pytest.mark.parametrize("rescale", [False, True], ids=["family", "rescaled"])
+def test_tractor_pairing_is_parallel(chart, rescale):
+    # E_a <U, V> = <nabla_a U, V> + <U, nabla_a V>: the cotractor and
+    # tractor derivatives are dual, weight forms included
+    ch = _rescaled(chart) if rescale else chart
+    rng = random.Random(53 + rescale)
+
+    def pair(U, V):
+        return sum((u * v for u, v in zip(U, V)), ch.zero())
+
+    for _ in range(3):
+        U = [_random_coeff(ch, rng) for _ in range(7)]
+        V = [_random_coeff(ch, rng) for _ in range(7)]
+        for a in range(6):
+            lhs = ch.dir_deriv(a, pair(U, V))
+            rhs = pair(d_cotractor(ch, U, a), V) + pair(U, d_tractor(ch, V, a))
+            assert lhs == rhs

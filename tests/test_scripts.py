@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
@@ -24,3 +26,14 @@ def test_quick_family_sweep_passes():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[-1] == "sweep: ALL PASS" and len(lines) == 9
+
+
+@pytest.mark.parametrize("name, args", [
+    ("orbit_profile.py", ["--m", "1"]),
+    ("orbit_profile.py", ["--m", "1/2", "--points", "1,,2"]),
+    ("run_family_sweep.py", ["--depth", "quick", "--m", "x"]),
+], ids=["orbit-m-1", "orbit-empty-point", "sweep-m-x"])
+def test_scripts_reject_bad_input_exit_2(name, args):
+    proc = _run(name, *args)
+    assert proc.returncode == 2 and not proc.stdout
+    assert len(proc.stderr.strip().splitlines()) == 1 and "Traceback" not in proc.stderr

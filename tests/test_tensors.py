@@ -164,6 +164,14 @@ def test_pullback_matches_component_transform():
     assert (back.pullback(Ainv) - t).is_zero()
 
 
+@pytest.mark.parametrize("sym", [SYM, NONE])
+def test_pullback_rejects_non_alternating_input(sym):
+    t = AltTensor(3, 0, 2, sym)
+    t.set((), (0, 1), QScalar(1))
+    with pytest.raises(ValueError):
+        t.pullback(random_sl(random.Random(5), 3))
+
+
 # -- the alternating pullback against the dense n^k loop ----------------------
 
 

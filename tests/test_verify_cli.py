@@ -180,6 +180,8 @@ def test_cli_orbit_boundary_point(capsys):
 def test_cli_monge_check(capsys):
     assert cli.main(["monge-check", "--poly", "q^2 + p^3"]) == 0
     assert cli.main(["monge-check", "--poly", "q"]) == 1
+    # a leading minus is a sign, not an empty term
+    assert cli.main(["monge-check", "--poly", "-q^2 + p"]) == 0
 
 
 def test_cli_export_round_trip(tmp_path, capsys):
@@ -303,9 +305,11 @@ def test_cli_classify_form_input_cases(case, tmp_path, capsys):
         assert json.loads(captured.out) == dict(want, dim=7)
 
 
-@pytest.mark.parametrize("poly", ["q^2 + x^1/2", "q^2 + p^2.5"])
+@pytest.mark.parametrize("poly", ["q^2 + x^1/2", "q^2 + p^2.5", "q**2", "", "q^2 +"])
 def test_cli_monge_check_rejects_fractional_powers(poly, capsys):
-    # only q takes rational powers; x, y, p and z were truncated before
+    # only q takes rational powers; x, y, p and z were truncated before.
+    # An empty factor or term is malformed too: q**2 was read as 2q (exit
+    # 1), and '' and 'q^2 +' were accepted.
     rc = cli.main(["monge-check", "--poly", poly])
     err = capsys.readouterr().err
     assert rc == 2
