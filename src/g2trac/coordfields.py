@@ -192,10 +192,12 @@ def monge_fields(F: CoordPoly) -> Tuple[CoordField, CoordField]:
 
 def parse_monge_polynomial(text: str) -> CoordPoly:
     """Tiny parser for expressions like 'q^2 + 3*p^3 - z' (rational
-    coefficients, integer powers, coordinates x, y, p, q, z).  Terms are
-    joined by single signs, with one optional sign in front; an empty
-    term or factor raises ValueError."""
-    parts = re.split(r"([+-])", text.replace(" ", ""))
+    coefficients, coordinates x, y, p, q, z; integer powers, and rational
+    ones of q).  Terms are
+    joined by single signs, with one optional sign in front; a sign right
+    after ^ belongs to the exponent, as in 'q^-1'.  An empty term or
+    factor raises ValueError."""
+    parts = re.split(r"(?<!\^)([+-])", text.replace(" ", ""))
     parts = parts[1:] if len(parts) > 1 and not parts[0] else ["+"] + parts
     out = CoordPoly()
     for sign, chunk in zip(parts[::2], parts[1::2]):

@@ -210,15 +210,7 @@ class FrameChart:
     def ricci(self) -> AltTensor:
         if "Ric" in self._cache:
             return self._cache["Ric"]
-        R = self.curvature()
-        out = AltTensor(self.dim, 0, 2, NONE, self.zero())
-        for b in range(self.dim):
-            for d in range(self.dim):
-                acc = self.zero()
-                for a in range(self.dim):
-                    acc = acc + R.get((a,), (a, b, d))
-                if not acc.is_zero():
-                    out.set((), (b, d), acc)
+        out = self.curvature().trace(0, 0)
         self._cache["Ric"] = out
         return out
 
@@ -270,20 +262,8 @@ class FrameChart:
     def weyl_trace_defects(self) -> Tuple[List[CoeffFn], List[CoeffFn]]:
         """Both traces of W: over (c,a) and over (c,d)."""
         W = self.weyl()
-        t1, t2 = [], []
-        for b in range(self.dim):
-            for d in range(self.dim):
-                acc = self.zero()
-                for a in range(self.dim):
-                    acc = acc + W.get((a,), (a, b, d))
-                t1.append(acc)
-        for a in range(self.dim):
-            for b in range(self.dim):
-                acc = self.zero()
-                for c in range(self.dim):
-                    acc = acc + W.get((c,), (a, b, c))
-                t2.append(acc)
-        return t1, t2
+        return tuple([v for row in W.trace(0, slot).as_matrix() for v in row]
+                     for slot in (0, 2))
 
     def is_projectively_flat(self) -> bool:
         return self.weyl().is_zero() and self.cotton().is_zero()

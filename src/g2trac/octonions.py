@@ -3,152 +3,116 @@
 xi = +1 selects the definite algebra, xi = -1 the split one.  Imaginary
 basis conventions are tied to the classical multiplication table whose
 quadratic form is diag(1,1,1,xi,xi,xi,xi); the doubling construction is
-mapped onto that basis once and for all in _CD_BASIS below.
+mapped onto that basis once and for all by _CD_SIGNS below.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from . import linalg
 from .scalars import QScalar
 from .stable_forms import phi_volume_with
 from .tensors import AltTensor
 
-
-class Quaternion:
-    __slots__ = ("w", "x", "y", "z")
-
-    def __init__(self, w, x, y, z):
-        self.w, self.x, self.y, self.z = (QScalar.of(t) for t in (w, x, y, z))
-
-    def __add__(self, o):
-        return Quaternion(self.w + o.w, self.x + o.x, self.y + o.y, self.z + o.z)
-
-    def __sub__(self, o):
-        return Quaternion(self.w - o.w, self.x - o.x, self.y - o.y, self.z - o.z)
-
-    def __neg__(self):
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, o):
-        a1, b1, c1, d1 = self.w, self.x, self.y, self.z
-        a2, b2, c2, d2 = o.w, o.x, o.y, o.z
-        return Quaternion(
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        )
-
-    def conj(self):
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def is_zero(self):
-        return all(t.is_zero() for t in (self.w, self.x, self.y, self.z))
+# Basis element i sits at position i of the quaternion pair (a, b), read
+# as eight components (w, x, y, z) of a then b, with this sign; chosen so
+# the doubled product reproduces the classical table for both xi.
+_CD_SIGNS = (1, 1, 1, 1, -1, 1, 1, -1)
 
 
-_Q_ZERO = Quaternion(0, 0, 0, 0)
-
-# imaginary basis element -> (pair index 0|1, quaternion component, sign)
-# chosen so the doubled product reproduces the classical table for both xi
-_CD_BASIS = {
-    1: (0, "x", 1),
-    2: (0, "y", 1),
-    3: (0, "z", 1),
-    4: (1, "w", -1),
-    5: (1, "x", 1),
-    6: (1, "y", 1),
-    7: (1, "z", -1),
-}
+def _signed(comps):
+    """Octonion components to the pair's, and back: the signs are involutive."""
+    return [c if s > 0 else -c for s, c in zip(_CD_SIGNS, comps)]
 
 
-class Octonion:
-    """Eight components on the basis (1, e1..e7) plus the algebra flag xi."""
+def _qmul(p, q):
+    """Quaternion product of the 4-lists (w, x, y, z)."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return [
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    ]
+
+
+def _qconj(p):
+    return [p[0], -p[1], -p[2], -p[3]]
+
+
+class _Vector:
+    """Components over QScalar plus the algebra flag xi, with the
+    vector-space operations; basis(i) is the component at i - FIRST."""
 
     __slots__ = ("comps", "xi")
+    SIZE = FIRST = 0
+    NAME = ""
 
     def __init__(self, comps: Sequence, xi: int = -1):
         if xi not in (1, -1):
             raise ValueError("xi must be +1 or -1")
         comps = list(comps)
-        if len(comps) != 8:
-            raise ValueError("octonion needs 8 components")
+        if len(comps) != self.SIZE:
+            raise ValueError(f"{self.NAME} needs {self.SIZE} components")
         self.comps = [QScalar.of(c) for c in comps]
         self.xi = xi
 
-    @staticmethod
-    def unit(xi: int = -1) -> "Octonion":
-        return Octonion([1, 0, 0, 0, 0, 0, 0, 0], xi)
+    @classmethod
+    def basis(cls, i: int, xi: int = -1):
+        comps = [0] * cls.SIZE
+        comps[i - cls.FIRST] = 1
+        return cls(comps, xi)
 
-    @staticmethod
-    def basis(i: int, xi: int = -1) -> "Octonion":
-        comps = [0] * 8
-        comps[i] = 1
-        return Octonion(comps, xi)
-
-    def _check(self, other: "Octonion"):
+    def _check(self, other):
         if self.xi != other.xi:
             raise ValueError("mixing definite and split octonions")
 
     def __add__(self, o):
         self._check(o)
-        return Octonion([a + b for a, b in zip(self.comps, o.comps)], self.xi)
+        return type(self)([a + b for a, b in zip(self.comps, o.comps)], self.xi)
 
     def __sub__(self, o):
         self._check(o)
-        return Octonion([a - b for a, b in zip(self.comps, o.comps)], self.xi)
+        return type(self)([a - b for a, b in zip(self.comps, o.comps)], self.xi)
 
     def __neg__(self):
-        return Octonion([-a for a in self.comps], self.xi)
+        return type(self)([-a for a in self.comps], self.xi)
 
     def scale(self, c):
         c = QScalar.of(c)
-        return Octonion([a * c for a in self.comps], self.xi)
+        return type(self)([a * c for a in self.comps], self.xi)
 
     def __eq__(self, o):
-        if not isinstance(o, Octonion):
+        if not isinstance(o, type(self)):
             return NotImplemented
         return self.xi == o.xi and all((a - b).is_zero() for a, b in zip(self.comps, o.comps))
 
     def is_zero(self):
         return all(a.is_zero() for a in self.comps)
 
-    def _pair(self) -> Tuple[Quaternion, Quaternion]:
-        a = [self.comps[0], QScalar.zero(), QScalar.zero(), QScalar.zero()]
-        b = [QScalar.zero()] * 4
-        slot = {"w": 0, "x": 1, "y": 2, "z": 3}
-        for i in range(1, 8):
-            half, comp, sign = _CD_BASIS[i]
-            v = self.comps[i] if sign > 0 else -self.comps[i]
-            if half == 0:
-                a[slot[comp]] = a[slot[comp]] + v
-            else:
-                b[slot[comp]] = b[slot[comp]] + v
-        return Quaternion(*a), Quaternion(*b)
+
+class Octonion(_Vector):
+    """Eight components on the basis (1, e1..e7) plus the algebra flag xi."""
+
+    __slots__ = ()
+    SIZE, FIRST, NAME = 8, 0, "octonion"
 
     @staticmethod
-    def _from_pair(a: Quaternion, b: Quaternion, xi: int) -> "Octonion":
-        comps = [a.w] + [QScalar.zero()] * 7
-        slot = {"w": 0, "x": 1, "y": 2, "z": 3}
-        bl = [b.w, b.x, b.y, b.z]
-        al = [a.w, a.x, a.y, a.z]
-        for i in range(1, 8):
-            half, comp, sign = _CD_BASIS[i]
-            src = al[slot[comp]] if half == 0 else bl[slot[comp]]
-            comps[i] = src if sign > 0 else -src
-        return Octonion(comps, xi)
+    def unit(xi: int = -1) -> "Octonion":
+        return Octonion.basis(0, xi)
 
     def __mul__(self, o: "Octonion") -> "Octonion":
         """Doubled product (a,b)(c,d) = (ac -+ d b*, a* d + c b); -+ is -
         for the definite algebra and + for the split one."""
         self._check(o)
-        a, b = self._pair()
-        c, d = o._pair()
-        t = d * b.conj()
-        first = a * c - t if self.xi == 1 else a * c + t
-        second = a.conj() * d + c * b
-        return Octonion._from_pair(first, second, self.xi)
+        ab, cd = _signed(self.comps), _signed(o.comps)
+        a, b, c, d = ab[:4], ab[4:], cd[:4], cd[4:]
+        ac, t = _qmul(a, c), _qmul(d, _qconj(b))
+        first = [x - y if self.xi == 1 else x + y for x, y in zip(ac, t)]
+        second = [x + y for x, y in zip(_qmul(_qconj(a), d), _qmul(c, b))]
+        return Octonion(_signed(first + second), self.xi)
 
     def conj(self) -> "Octonion":
         return Octonion([self.comps[0]] + [-c for c in self.comps[1:]], self.xi)
@@ -169,23 +133,11 @@ def cd_multiply(x: Octonion, y: Octonion) -> Octonion:
     return x * y
 
 
-class ImaginaryVector:
+class ImaginaryVector(_Vector):
     """Element of the 7-dimensional imaginary part, components on e1..e7."""
 
-    __slots__ = ("comps", "xi")
-
-    def __init__(self, comps: Sequence, xi: int = -1):
-        comps = list(comps)
-        if len(comps) != 7:
-            raise ValueError("imaginary vector needs 7 components")
-        self.comps = [QScalar.of(c) for c in comps]
-        self.xi = xi
-
-    @staticmethod
-    def basis(i: int, xi: int = -1) -> "ImaginaryVector":
-        comps = [0] * 7
-        comps[i - 1] = 1
-        return ImaginaryVector(comps, xi)
+    __slots__ = ()
+    SIZE, FIRST, NAME = 7, 1, "imaginary vector"
 
     def to_octonion(self) -> Octonion:
         return Octonion([QScalar.zero()] + self.comps, self.xi)
@@ -193,33 +145,6 @@ class ImaginaryVector:
     @staticmethod
     def from_octonion(o: Octonion) -> "ImaginaryVector":
         return ImaginaryVector(o.comps[1:], o.xi)
-
-    def _check(self, other: "ImaginaryVector"):
-        if self.xi != other.xi:
-            raise ValueError("mixing definite and split imaginary octonions")
-
-    def __add__(self, o):
-        self._check(o)
-        return ImaginaryVector([a + b for a, b in zip(self.comps, o.comps)], self.xi)
-
-    def __sub__(self, o):
-        self._check(o)
-        return ImaginaryVector([a - b for a, b in zip(self.comps, o.comps)], self.xi)
-
-    def __neg__(self):
-        return ImaginaryVector([-a for a in self.comps], self.xi)
-
-    def scale(self, c):
-        c = QScalar.of(c)
-        return ImaginaryVector([a * c for a in self.comps], self.xi)
-
-    def __eq__(self, o):
-        if not isinstance(o, ImaginaryVector):
-            return NotImplemented
-        return self.xi == o.xi and all((a - b).is_zero() for a, b in zip(self.comps, o.comps))
-
-    def is_zero(self):
-        return all(a.is_zero() for a in self.comps)
 
 
 def dot_cd(x: ImaginaryVector, y: ImaginaryVector) -> QScalar:
@@ -340,19 +265,25 @@ def _sign_table(xi: int):
     return signs
 
 
+def g2_form(xi: int) -> AltTensor:
+    """The model 3-form phi(e_a, e_b, e_c) = <e_a x e_b, e_c> on the legs
+    e1..e7 (numbered 0..6): e123 + xi(e145 + e167 + e246 - e257 - e347 - e356)."""
+    G = dot_matrix(xi)
+    phi = AltTensor.form(7, 3)
+    for (k, a, b), v in _structure_table(xi).items():
+        if k < a < b:
+            phi.set((), (k, a, b), v * G[k][k])
+    return phi
+
+
 def cross_to_volume(xi: int) -> QScalar:
     """Coefficient on e^{1..7} of (1/42) X_{K[AB} X^K_{CD} X_{EFG]}.
 
     The sign is reported as computed; the caller decides whether it
     matches the declared positive orientation.
     """
-    G = dot_matrix(xi)
-    phi = AltTensor.form(7, 3)
-    for (k, a, b), v in _structure_table(xi).items():
-        if k < a < b:
-            phi.set((), (k, a, b), v * G[k][k])
     # the Gram matrix is diagonal with entries +-1: its own inverse
-    return phi_volume_with(phi, G)
+    return phi_volume_with(g2_form(xi), dot_matrix(xi))
 
 
 class NullFiltration:

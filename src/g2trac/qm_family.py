@@ -18,6 +18,7 @@ from typing import Dict, Optional, Tuple
 
 from .frames import FrameChart
 from .laurent import PLAIN, CoeffFn
+from .octonions import g2_form
 from .scalars import QScalar, SQRT2, SQRT10
 from .tensors import SYM, AltTensor
 from .tractor import Tractor3Form
@@ -253,20 +254,16 @@ def dw_checksum_defect(pkg: GeometryPackage) -> AltTensor:
 def model_3form(xi: int, chart: FrameChart) -> Tractor3Form:
     """Constant algebraic 3-form of the homogeneous model over a flat chart.
 
-    Basis adapted so the last tractor leg is the distinguished unit/
+    The octonions' g2_form, whose last leg is the distinguished unit/
     pseudo-unit direction: sigma is its insertion slot, mu the rest.
     """
     sigma = AltTensor.form(6, 2, chart.zero())
     mu = AltTensor.form(6, 3, chart.zero())
-    x = QScalar.of(xi)
-    # full form e123 + xi(e145 + e167 + e246 - e257 - e347 - e356), leg 7 split off
-    sigma.set((), (0, 5), chart.lift(x))
-    sigma.set((), (1, 4), chart.lift(-x))
-    sigma.set((), (2, 3), chart.lift(-x))
-    mu.set((), (0, 1, 2), chart.one())
-    mu.set((), (0, 3, 4), chart.lift(x))
-    mu.set((), (1, 3, 5), chart.lift(x))
-    mu.set((), (2, 4, 5), chart.lift(-x))
+    for (_, idx), v in g2_form(xi).comps.items():
+        if idx[-1] == 6:
+            sigma.set((), idx[:2], chart.lift(v))
+        else:
+            mu.set((), idx, chart.lift(v))
     return Tractor3Form(sigma, mu)
 
 

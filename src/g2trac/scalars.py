@@ -140,19 +140,10 @@ class QScalar:
 
     __rmul__ = __mul__
 
-    def conj2(self) -> "QScalar":
-        """Galois conjugate sending sqrt2 -> -sqrt2."""
-        a, b, c, d, n = self._v
-        return _reduced(a, -b, c, -d, n)
-
-    def conj5(self) -> "QScalar":
-        """Galois conjugate sending sqrt5 -> -sqrt5."""
-        a, b, c, d, n = self._v
-        return _reduced(a, b, -c, -d, n)
-
     def inverse(self) -> "QScalar":
-        # u = a + b r2 + c r5 + d r10 times conj2(u) is e + f r5, and that
-        # times e - f r5 is the integer norm: 1/u = conj2(u) (e - f r5) / norm
+        # u = a + b r2 + c r5 + d r10 times its conjugate u2 under r2 -> -r2
+        # is e + f r5, and that times e - f r5 is the integer norm:
+        # 1/u = u2 (e - f r5) / norm
         a, b, c, d, n = self._v
         e = a * a - 2 * b * b + 5 * c * c - 10 * d * d
         f = 2 * (a * c - 2 * b * d)
@@ -392,7 +383,3 @@ _ONE = QScalar(1)
 SQRT2 = QScalar.sqrt2()
 SQRT5 = QScalar.sqrt5()
 SQRT10 = QScalar.sqrt10()
-
-
-def rational(p, q=1) -> QScalar:
-    return QScalar(Fraction(p, q))

@@ -17,7 +17,7 @@ from typing import List
 
 from . import linalg
 from .scalars import DegenerateError, QScalar
-from .tensors import ALT, NONE, SYM, AltTensor, perm_sign
+from .tensors import ALT, SYM, AltTensor, perm_sign
 
 B1, B2, B3, B4, B5, B6 = "beta1", "beta2", "beta3", "beta4", "beta5", "beta6"
 DEFINITE, SPLIT, DEGENERATE = "definite", "split", "degenerate"
@@ -217,23 +217,18 @@ def phi_volume_with(phi: AltTensor, hinv):
     """e^{0..6} coefficient of (1/42) phi_{K[AB} phi^K_{CD} phi_{EFG]}, the
     indices raised with hinv; entries lie in phi's ring.
 
-    With Psi_{ABCD} = phi_{KAB} h^{KL} phi_{LCD}, the signed sum over all
-    orderings of the seven legs is 144 (Alt Psi ^ phi), and
-    42 * 7! / 144 = 1470.  Psi_a, with rows b and columns the pairs c < d,
-    is S_a hinv times the slices' entries at those pairs, stacked as rows."""
-    n = phi.dim
-    S = slices(phi)
-    pairs = list(combinations(range(n), 2))
-    stacked = _pair_rows(S)
-    psi = AltTensor(n, 0, 4, NONE, phi.zero)
-    for a in range(n):
-        for b, row in enumerate(linalg.mat_mul(linalg.mat_mul(S[a], hinv), stacked)):
-            for (c, d), v in zip(pairs, row):
-                if not v.is_zero():
-                    psi.set((), (a, b, c, d), v)
-                    psi.set((), (a, b, d, c), -v)
-    top = psi.alternation().wedge(phi).get((), tuple(range(n)))
-    return top * QScalar(Fraction(1, 1470))
+    It is tr(hinv htilde) / 1470.  The signed sum over the 7! orderings
+    of the legs meets each split (p, q, t) into two pairs and a triple
+    2! 2! 3! = 24 times, so it is 24 sum_pq Psi_pq N_pq for the split
+    matrix N and Psi_pq = phi_{Kp} h^{KL} phi_{Lq} = (U^T hinv U)_pq, U the
+    slice rows.  That is 24 tr(hinv U N U^T) = 144 tr(hinv htilde), and
+    42 * 7! / 144 = 1470."""
+    acc = phi.zero
+    for hrow, trow in zip(hinv, htilde_matrix(phi)):
+        for h, t in zip(hrow, trow):
+            if not h.is_zero():
+                acc = acc + h * t
+    return acc * QScalar(Fraction(1, 1470))
 
 
 SIGNATURES = {DEFINITE: (7, 0), SPLIT: (3, 4)}

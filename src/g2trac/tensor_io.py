@@ -70,7 +70,7 @@ def tensor_to_json(t: AltTensor, param: Optional[str] = None) -> dict:
     return doc
 
 
-def tensor_from_json(doc: dict, force_scalar: bool = False) -> AltTensor:
+def tensor_from_json(doc: dict) -> AltTensor:
     if not isinstance(doc, dict):
         raise ValueError(f"a tensor document is a JSON object, not {type(doc).__name__}")
     dim = _json_int(doc["dim"], "dim")
@@ -87,7 +87,7 @@ def tensor_from_json(doc: dict, force_scalar: bool = False) -> AltTensor:
             raise ValueError(f"entry index {[i + 1 for i in idx]} outside 1..{dim}")
         keys.append((tuple(idx[:n_up]), tuple(idx[n_up:])))
         values.append(coeff_from_json(e, param))
-    scalar = force_scalar or all(v.is_constant() for v in values)
+    scalar = all(v.is_constant() for v in values)
     zero = QScalar.zero() if scalar else CoeffFn.zero(param)
     out = AltTensor(dim, n_up, n_down, sym, zero)
     seen = set()
@@ -100,9 +100,9 @@ def tensor_from_json(doc: dict, force_scalar: bool = False) -> AltTensor:
     return out
 
 
-def load_tensor(path: str, force_scalar: bool = False) -> AltTensor:
+def load_tensor(path: str) -> AltTensor:
     with open(path) as fh:
-        return tensor_from_json(json.load(fh), force_scalar)
+        return tensor_from_json(json.load(fh))
 
 
 def dump_tensor(t: AltTensor, path: Optional[str] = None, param: Optional[str] = None) -> str:

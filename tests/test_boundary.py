@@ -151,6 +151,15 @@ def test_monge_parser_keeps_rational_powers_of_q():
     assert list(F.terms) == [(0, 0, 0, Fraction(5, 2), 0)]
 
 
+@pytest.mark.parametrize("text, power", [("q^-1", Fraction(-1)), ("q^-1/2", Fraction(-1, 2))],
+                         ids=["q^-1", "q^-1/2"])
+def test_monge_parser_reads_negative_powers_of_q(text, power):
+    # a sign right after ^ is the exponent's: q^-1 is F for m = -1
+    F = parse_monge_polynomial(text)
+    assert F.terms == {(0, 0, 0, power, 0): QScalar.one()}
+    assert monge_check(F)["is235"]
+
+
 # -- symmetry generators -----------------------------------------------------
 
 

@@ -61,9 +61,31 @@ def test_unit_law():
         assert cd_multiply(x, Octonion.unit(xi)) == x
 
 
+@pytest.mark.parametrize("xi", [1, -1])
+def test_all_64_basis_products(xi):
+    # 1 is the unit, e_a e_a = -e_a.e_a, and e_a e_b = e_a x e_b for a != b
+    table = reference_mult_table(xi)
+    for i in range(8):
+        for j in range(8):
+            want = [0] * 8
+            if i == 0 or j == 0:
+                want[i + j] = 1
+            elif i == j:
+                want[0] = -1 if i <= 3 else -xi
+            else:
+                c, s = table[(i, j)]
+                want[c] = s
+            assert Octonion.basis(i, xi) * Octonion.basis(j, xi) == Octonion(want, xi), (i, j)
+
+
 def test_xi_mismatch_rejected():
     with pytest.raises(ValueError):
         cd_multiply(Octonion.unit(1), Octonion.unit(-1))
+
+
+def test_imaginary_vector_rejects_xi_other_than_pm1():
+    with pytest.raises(ValueError):
+        ImaginaryVector([0] * 7, 2)
 
 
 def test_conjugation_antiautomorphism():

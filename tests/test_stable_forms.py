@@ -3,13 +3,17 @@ import os
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from g2trac import linalg, stable_forms as sf
-from g2trac.octonions import ImaginaryVector, cross
+from g2trac.frames import FrameChart
+from g2trac.laurent import PLAIN
+from g2trac.octonions import ImaginaryVector, cross, g2_form
+from g2trac.qm_family import model_3form
 from g2trac.scalars import QScalar, SQRT2
-from g2trac.tensors import AltTensor
+from g2trac.tensors import NONE, AltTensor
 
 
 def form(dim, degree, entries):
@@ -200,6 +204,62 @@ def test_volume_coefficient_is_sl7_invariant():
             hinv = linalg.inverse(linalg.congruence(A, H0))
             got = sf.phi_volume_with(phi.pullback(A), hinv)
             assert got == QScalar(Fraction(1, 210))
+
+
+def phi_volume_by_alternation(phi, hinv):
+    """The volume coefficient by its definition, as an oracle: with
+    Psi_{ABCD} = phi_{KAB} h^{KL} phi_{LCD}, the signed sum over all
+    orderings of the seven legs is 144 (Alt Psi ^ phi), and
+    42 * 7! / 144 = 1470."""
+    n = phi.dim
+    S = sf.slices(phi)
+    pairs = list(combinations(range(n), 2))
+    stacked = [[s[c][d] for c, d in pairs] for s in S]
+    psi = AltTensor(n, 0, 4, NONE, phi.zero)
+    for a in range(n):
+        for b, row in enumerate(linalg.mat_mul(linalg.mat_mul(S[a], hinv), stacked)):
+            for (c, d), v in zip(pairs, row):
+                if not v.is_zero():
+                    psi.set((), (a, b, c, d), v)
+                    psi.set((), (a, b, d, c), -v)
+    top = psi.alternation().wedge(phi).get((), tuple(range(n)))
+    return top * QScalar(Fraction(1, 1470))
+
+
+def _random_symmetric(rng, n):
+    A = [[QScalar.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            A[i][j] = A[j][i] = QScalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    return A
+
+
+def test_phi_volume_trace_matches_alternation_on_sl7_conjugates():
+    rng = random.Random(1)
+    for xi in (1, -1):
+        phi = phi_xi(xi)
+        H0 = sf.metric_from_3form7(phi)[0].as_matrix()
+        A = random_sl(rng, 7)
+        conj = phi.pullback(A)
+        for hinv in (linalg.inverse(linalg.congruence(A, H0)), _random_symmetric(rng, 7)):
+            assert sf.phi_volume_with(conj, hinv) == phi_volume_by_alternation(conj, hinv)
+
+
+def test_phi_volume_trace_matches_alternation_on_laurent_form(pkg_half):
+    full = pkg_half.phi.full(pkg_half.chart.zero())
+    hinv = linalg.inverse_laurent(pkg_half.H.as_matrix())
+    got = sf.phi_volume_with(full, hinv)
+    assert not got.is_zero() and got == phi_volume_by_alternation(full, hinv)
+
+
+@pytest.mark.parametrize("xi", [1, -1])
+def test_model_3form_is_the_octonions_g2_form(xi):
+    assert g2_form(xi) == phi_xi(xi)
+    chart = FrameChart.flat(6, PLAIN, rho_directions=(5,))
+    lifted = AltTensor.form(7, 3, chart.zero())
+    for (_, idx), v in phi_xi(xi).comps.items():
+        lifted.set((), idx, chart.lift(v))
+    assert model_3form(xi, chart).full(chart.zero()) == lifted
 
 
 @pytest.mark.parametrize("xi", [1, -1])

@@ -182,6 +182,9 @@ def test_cli_monge_check(capsys):
     assert cli.main(["monge-check", "--poly", "q"]) == 1
     # a leading minus is a sign, not an empty term
     assert cli.main(["monge-check", "--poly", "-q^2 + p"]) == 0
+    # a minus right after ^ is the exponent's: F = q^-1 is the member m = -1
+    assert cli.main(["monge-check", "--poly", "q^-1"]) == 0
+    assert capsys.readouterr().out.startswith("is235: True")
 
 
 def test_cli_export_round_trip(tmp_path, capsys):
@@ -305,11 +308,13 @@ def test_cli_classify_form_input_cases(case, tmp_path, capsys):
         assert json.loads(captured.out) == dict(want, dim=7)
 
 
-@pytest.mark.parametrize("poly", ["q^2 + x^1/2", "q^2 + p^2.5", "q**2", "", "q^2 +"])
+@pytest.mark.parametrize("poly", ["q^2 + x^1/2", "q^2 + p^2.5", "q**2", "", "q^2 +",
+                                  "q^-", "q^--1"])
 def test_cli_monge_check_rejects_fractional_powers(poly, capsys):
     # only q takes rational powers; x, y, p and z were truncated before.
     # An empty factor or term is malformed too: q**2 was read as 2q (exit
-    # 1), and '' and 'q^2 +' were accepted.
+    # 1), and '' and 'q^2 +' were accepted.  An exponent that is a bare
+    # sign (q^-) or has two (q^--1) is malformed.
     rc = cli.main(["monge-check", "--poly", poly])
     err = capsys.readouterr().err
     assert rc == 2
