@@ -37,29 +37,40 @@ class GeometryPackage:
     # side -> Levi-Civita chart of g_side, built once by levi_civita_collar
     _collar: Dict[int, FrameChart] = field(default_factory=dict, init=False, compare=False,
                                            repr=False)
+    # the inverse matrix of H: set by build_package, else inverted on first use
+    _Hinv: Optional[List[List[CoeffFn]]] = field(default=None, init=False, compare=False,
+                                                 repr=False)
 
     @property
     def dim(self) -> int:
         return self.chart.dim
 
+    @property
+    def Hinv(self) -> List[List[CoeffFn]]:
+        if self._Hinv is None:
+            self._Hinv = linalg.inverse_laurent(self.H.as_matrix())
+        return self._Hinv
+
 
 def build_package(chart: FrameChart, phi: Tractor3Form, meta=None) -> GeometryPackage:
-    H = tractor_metric_from_phi(chart, phi)
+    H, Hinv = tractor_metric_from_phi(chart, phi)
     Hm = H.as_matrix()
     tau = Hm[chart.dim][chart.dim]
-    Jfull = jfield_full(chart, phi, H)
+    Jfull = jfield_full(chart, phi, Hinv)
     n = chart.dim
     J = [[Jfull[a][b] for b in range(n)] for a in range(n)]
     chi = [Jfull[n][b] for b in range(n)]
     pkg = GeometryPackage(chart, phi, H, tau, chi, J, dict(meta or {}))
+    pkg._Hinv = Hinv
     return pkg
 
 
-def jfield_full(chart: FrameChart, phi: Tractor3Form, H: AltTensor):
+def jfield_full(chart: FrameChart, phi: Tractor3Form, Hinv):
     """The weighted endomorphism V -> -X x V in tractor components: with
-    X = e_n, it is H^-1 S_n for the slice S_n = e_n . Phi."""
+    X = e_n, it is H^-1 S_n for the slice S_n = e_n . Phi, given the
+    inverse matrix Hinv of the tractor metric."""
     full = phi.full(chart.zero())
-    return linalg.mat_mul(linalg.inverse_laurent(H.as_matrix()), slices(full)[chart.dim])
+    return linalg.mat_mul(Hinv, slices(full)[chart.dim])
 
 
 def jfield_identity_defects(pkg: GeometryPackage):
@@ -85,7 +96,7 @@ def jfield_identity_defects(pkg: GeometryPackage):
 
 
 def recompute_H_defect(pkg: GeometryPackage) -> List[CoeffFn]:
-    H2 = tractor_metric_from_phi(pkg.chart, pkg.phi)
+    H2, _ = tractor_metric_from_phi(pkg.chart, pkg.phi)
     return [v for row in (H2 - pkg.H).as_matrix() for v in row]
 
 

@@ -15,6 +15,7 @@ appear in the open-orbit structures are honest Laurent monomials in s.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, Optional
 
 from .scalars import DegenerateError, QScalar
@@ -60,7 +61,10 @@ class CoeffFn:
 
     @staticmethod
     def zero(param: str = PLAIN) -> "CoeffFn":
-        return CoeffFn({}, param)
+        try:
+            return _ZEROS[param]
+        except KeyError:
+            raise ValueError(f"unknown parameterization {param!r}") from None
 
     @staticmethod
     def one(param: str = PLAIN) -> "CoeffFn":
@@ -193,10 +197,13 @@ class CoeffFn:
         if not self.terms:
             return self
         if c.is_zero():
-            return _cf({}, self.param)
+            return _ZEROS[self.param]
         return _cf({e: x * c for e, x in self.terms.items()}, self.param)
 
     def __eq__(self, other) -> bool:
+        # like QScalar: an operand outside the ring is not equal, not an error
+        if not isinstance(other, (CoeffFn, QScalar, int, Fraction)):
+            return NotImplemented
         try:
             return (self - other).is_zero()
         except ValueError:
@@ -323,3 +330,7 @@ class CoeffFn:
             else:
                 bits.append(f"({c})*{var}^{e}")
         return " + ".join(bits)
+
+
+# one zero per parameterization, shared by every CoeffFn.zero(param)
+_ZEROS = {p: _cf(MappingProxyType({}), p) for p in _MARKERS}

@@ -292,15 +292,17 @@ def inverse_laurent(A: Mat) -> Mat:
 
     Bareiss's update divides by the previous pivot, a quotient that is
     exact in any integral domain, so [A | I] becomes [d I | d A^-1] with
-    d = +-det A the last pivot.  The final division by d succeeds exactly when the
-    inverse has Laurent entries (e.g. for the collar metrics handled
-    here, whose determinants are monomials) and raises ValueError
-    otherwise.
+    d = +-det A the last pivot.  A monomial pivot is inverted once per
+    step and multiplied in; any other pivot divides by exact Laurent long
+    division.  The final division by d succeeds exactly when the inverse
+    has Laurent entries (e.g. for the collar metrics handled here, whose
+    determinants are monomials) and raises ValueError otherwise; a
+    singular matrix raises DegenerateError.
     """
     n = len(A)
     param = A[0][0].param
     M = [list(row) + e for row, e in zip(A, eye(n, CoeffFn.one(param), CoeffFn.zero(param)))]
-    prev = None
+    div = None
     for k in range(n):
         pr = next((i for i in range(k, n) if not M[i][k].is_zero()), None)
         if pr is None:
@@ -313,6 +315,15 @@ def inverse_laurent(A: Mat) -> Mat:
             row = M[i]
             f = row[k]
             new = [piv[k] * row[j] - f * piv[j] for j in range(2 * n)]
-            M[i] = new if prev is None else [x / prev for x in new]
-        prev = piv[k]
-    return [[x / prev for x in row[n:]] for row in M]
+            M[i] = new if div is None else div(new)
+        div = _exact_divider(piv[k])
+    return [div(row[n:]) for row in M]
+
+
+def _exact_divider(d):
+    """row -> row / d entrywise, for quotients known to be exact: one
+    inverse when d is a Laurent monomial, long division otherwise."""
+    if len(d.terms) == 1:
+        inv = d.inverse()
+        return lambda row: [x * inv for x in row]
+    return lambda row: [x / d for x in row]

@@ -200,11 +200,13 @@ def _phi_norm_with(phi: AltTensor, hinv):
 
 
 def _trace_normalised(phi: AltTensor, inverse):
-    """(htilde, s) for a 7-dim 3-form: s = phi.phi raised by inverse(htilde),
-    so that H = (s/42)^(1/3) htilde has phi.phi = 42 under H-raising; the
-    inverse is linalg.inverse pointwise and inverse_laurent on a chart."""
+    """(htilde, htilde^-1, s) for a 7-dim 3-form: s = phi.phi raised by
+    htilde^-1, so that H = (s/42)^(1/3) htilde has phi.phi = 42 under
+    H-raising; the inverse is linalg.inverse pointwise and inverse_laurent
+    on a chart."""
     ht = htilde_matrix(phi)
-    return ht, _phi_norm_with(phi, inverse(ht))
+    hinv = inverse(ht)
+    return ht, hinv, _phi_norm_with(phi, hinv)
 
 
 def cross_matrix(phi: AltTensor, hinv, a: int):
@@ -244,7 +246,7 @@ def metric_from_3form7(phi: AltTensor):
     coefficient field; when it does not, H and vol are None.
     """
     try:
-        ht, s = _trace_normalised(phi, linalg.inverse)
+        ht, _, s = _trace_normalised(phi, linalg.inverse)
     except DegenerateError:
         return None, None, DEGENERATE
     p, q = linalg.signature(ht)

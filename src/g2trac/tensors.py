@@ -11,6 +11,7 @@ entries of the matrix.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
@@ -33,8 +34,13 @@ def perm_sign(perm) -> int:
     return sign
 
 
+@lru_cache(maxsize=None)
 def sort_with_sign(idx: Tuple[int, ...]):
-    """Sorted tuple and the sign of the sorting permutation; None if repeated."""
+    """Sorted tuple and the sign of the sorting permutation; None if repeated.
+
+    Memoised: every alternating component access sorts its index tuple,
+    the tuples range over dimensions up to 7 (a full battery meets about
+    300 of them), and the result is an immutable pair."""
     if len(set(idx)) != len(idx):
         return None, 0
     sign = perm_sign(idx)
@@ -72,8 +78,10 @@ class AltTensor:
         return out
 
     def _canon(self, up, down):
-        up = tuple(up)
-        down = tuple(down)
+        if type(up) is not tuple:
+            up = tuple(up)
+        if type(down) is not tuple:
+            down = tuple(down)
         if len(up) != self.n_up or len(down) != self.n_down:
             raise ValueError("index tuple lengths do not match valence")
         if self.sym == ALT:

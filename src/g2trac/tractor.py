@@ -137,23 +137,28 @@ def tractor_volume(chart: FrameChart) -> AltTensor:
     return eps
 
 
-def tractor_metric_from_phi(chart: FrameChart, phi: Tractor3Form) -> AltTensor:
-    """The tractor metric a generic parallel 3-form induces.
+def tractor_metric_from_phi(chart: FrameChart, phi: Tractor3Form):
+    """(H, H^-1): the tractor metric a generic parallel 3-form induces, and
+    its inverse matrix.
 
     Normalized by the trace identity 6 H_{AD} = Phi_{ABC} Phi_D^{BC}
     (equivalently Phi.Phi = 42 under H-raising), which is orientation
     free and needs no root extraction beyond an exact monomial cube
-    root.  Degenerate input raises DegenerateError.
+    root.  H = c htilde for that root c, so H^-1 = c^-1 htilde^-1 reuses
+    the one inverse the normalisation takes.  Degenerate input raises
+    DegenerateError.
     """
     n = chart.dim
     if n != 6:
         raise ValueError("the tractor metric construction needs a 6-dimensional chart")
     full = phi.full(chart.zero())
-    ht, s = _trace_normalised(full, inverse_laurent)
+    ht, htinv, s = _trace_normalised(full, inverse_laurent)
     if s.is_zero():
         raise DegenerateError("tractor 3-form is degenerate")
     c = (s / 42).cbrt()
-    return AltTensor.from_matrix([[x * c for x in row] for row in ht], 7, 0, SYM, chart.zero())
+    cinv = c.inverse()
+    H = AltTensor.from_matrix([[x * c for x in row] for row in ht], 7, 0, SYM, chart.zero())
+    return H, [[x * cinv for x in row] for row in htinv]
 
 
 def tractor_metric_hhdef(chart: FrameChart, phi: Tractor3Form, orientation: int = 1) -> AltTensor:
@@ -198,12 +203,13 @@ def tractor_metric_hhdef(chart: FrameChart, phi: Tractor3Form, orientation: int 
     return H
 
 
-def phi_volume_ratio(chart: FrameChart, phi: Tractor3Form, H: AltTensor) -> CoeffFn:
+def phi_volume_ratio(chart: FrameChart, phi: Tractor3Form, Hinv) -> CoeffFn:
     """Coefficient of (1/42) Phi_{K[AB} Phi^K_{CD} Phi_{EFG]} against the
-    frame tractor volume; its sign is the orientation of Phi relative to
+    frame tractor volume, indices raised with the inverse matrix Hinv of
+    the tractor metric; its sign is the orientation of Phi relative to
     the chart frame."""
     full = phi.full(chart.zero())
-    ratio = phi_volume_with(full, inverse_laurent(H.as_matrix()))
+    ratio = phi_volume_with(full, Hinv)
     return ratio * tractor_volume(chart).get((), tuple(range(7)))
 
 

@@ -127,7 +127,7 @@ def verify(pkg: GeometryPackage, depth: str = "full",
                 residual_max_degree=worst_deg)
 
     # tractor metric consistency and genericity typing
-    ratio = phi_volume_ratio(chart, pkg.phi, pkg.H)
+    ratio = phi_volume_ratio(chart, pkg.phi, pkg.Hinv)
     orient = 1 if ratio.coeff(ratio.min_exp()).sign() > 0 else -1
     rep.meta["phi_volume_ratio"] = repr(ratio)
     H2 = tractor_metric_hhdef(chart, pkg.phi, orient)

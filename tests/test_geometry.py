@@ -30,7 +30,7 @@ def test_H_recomputed_from_phi_coincides(pkg_half):
 @pytest.mark.parametrize("m", REGRESSION_PARAMETERS)
 def test_orientation_ratio_and_hhdef_cross_check(family_package, m):
     pkg = family_package(m)
-    ratio = phi_volume_ratio(pkg.chart, pkg.phi, pkg.H)
+    ratio = phi_volume_ratio(pkg.chart, pkg.phi, pkg.Hinv)
     assert ratio == CoeffFn.of(QScalar(Fraction(-1, 210)), pkg.chart.param)
     H2 = tractor_metric_hhdef(pkg.chart, pkg.phi, -1)
     assert (H2 - pkg.H).is_zero()
@@ -40,7 +40,7 @@ def test_orientation_ratio_and_hhdef_cross_check(family_package, m):
 @pytest.mark.parametrize("m", REGRESSION_PARAMETERS)
 def test_orientation_ratio_at_every_regression_parameter(family_package, m):
     pkg = family_package(m)
-    ratio = phi_volume_ratio(pkg.chart, pkg.phi, pkg.H)
+    ratio = phi_volume_ratio(pkg.chart, pkg.phi, pkg.Hinv)
     assert ratio == CoeffFn.of(QScalar(Fraction(-1, 210)), pkg.chart.param)
 
 
@@ -157,9 +157,7 @@ def test_projective_compactness_orders(pkg_half, side):
     assert not r1.regular and r1.worst_pole >= 1
 
 
-def test_full_battery_builds_each_collar_chart_once(monkeypatch):
-    # both compactness orders of a side share one Levi-Civita chart, whose
-    # construction inverts the collar metric: 12 Laurent inverses, not 14
+def _count_inverse_laurent(monkeypatch):
     calls = []
     original = linalg.inverse_laurent
 
@@ -169,12 +167,61 @@ def test_full_battery_builds_each_collar_chart_once(monkeypatch):
 
     for module in (linalg, frames, tractor):
         monkeypatch.setattr(module, "inverse_laurent", counted)
+    return calls
+
+
+def test_build_qm_inverts_the_tractor_metric_once(monkeypatch):
+    # the normalisation's inverse of htilde gives H^-1 as well
+    calls = _count_inverse_laurent(monkeypatch)
+    build_qm(FamilyParams(Fraction(1, 2)))
+    assert calls == [7]
+
+
+def test_full_battery_builds_each_collar_chart_once(monkeypatch):
+    # both compactness orders of a side share one Levi-Civita chart, whose
+    # construction inverts the collar metric, and the package carries H^-1:
+    # 11 Laurent inverses, not 14
+    calls = _count_inverse_laurent(monkeypatch)
     pkg = build_qm(FamilyParams(Fraction(1, 2)))
     del calls[:]
     assert battery.verify(pkg, depth="full").all_ok()
-    assert len(calls) == 12
+    assert len(calls) == 11
     compactness_check(pkg, 1, Fraction(3))
-    assert len(calls) == 12
+    assert len(calls) == 11
+
+
+@pytest.mark.parametrize("m", REGRESSION_PARAMETERS)
+def test_package_inverse_is_the_inverse_of_H(family_package, m):
+    pkg = family_package(m)
+    Hm = pkg.H.as_matrix()
+    assert pkg.Hinv == linalg.inverse_laurent(Hm)
+    one, zero = pkg.chart.one(), pkg.chart.zero()
+    assert linalg.mat_mul(Hm, pkg.Hinv) == linalg.eye(7, one, zero)
+
+
+def test_package_inverse_of_a_rescaled_3form(pkg_half):
+    # Phi -> 8 s^3 Phi rescales H by (8 s^3)^(2/3) = 4 s^2, so the cube-root
+    # factor c of H = c htilde is no longer +-1
+    from g2trac.geometry import build_package
+    from g2trac.tractor import Tractor3Form
+    chart = pkg_half.chart
+    lam = CoeffFn.monomial(8, 3, chart.param)
+    pkg = build_package(chart, Tractor3Form(pkg_half.phi.sigma.scale(lam),
+                                            pkg_half.phi.mu.scale(lam)))
+    four_s2 = CoeffFn.monomial(4, 2, chart.param)
+    assert (pkg.H - pkg_half.H.scale(four_s2)).is_zero()
+    assert pkg.Hinv == linalg.inverse_laurent(pkg.H.as_matrix())
+    assert pkg.Hinv == [[x * four_s2.inverse() for x in row] for row in pkg_half.Hinv]
+
+
+def test_hand_built_package_inverts_H_on_first_use(pkg_half):
+    from g2trac.geometry import GeometryPackage
+    H = pkg_half.H.scale(2)
+    pkg = GeometryPackage(pkg_half.chart, pkg_half.phi, H, pkg_half.tau,
+                          pkg_half.chi, pkg_half.J, dict(pkg_half.meta))
+    half = QScalar(Fraction(1, 2))
+    assert pkg.Hinv == [[x * half for x in row] for row in pkg_half.Hinv]
+    assert pkg.Hinv is pkg.Hinv
 
 
 def test_compactness_returns_modified_connection(pkg_half):

@@ -211,6 +211,30 @@ def test_constant_hash_agrees_with_equality():
     assert hash(poly((1, 2), (-1, 1))) == hash(poly((-1, 1), (1, 2)))
 
 
+@pytest.mark.parametrize("one", [QScalar.one(), CoeffFn.one(), CoeffFn.one(RHO_MINUS)],
+                         ids=["QScalar", "CoeffFn", "CoeffFn-rho-"])
+def test_equality_with_operands_outside_the_ring_is_false(one):
+    for other in (None, 0.5, 1.0, "1", [1], object()):
+        assert not one == other
+        assert one != other
+        assert not other == one
+    assert one == 1 and one == Fraction(1) and one == QScalar(1)
+
+
+@pytest.mark.parametrize("param", [PLAIN, RHO_PLUS, RHO_MINUS])
+def test_zero_is_one_shared_constant_per_parameterization(param):
+    z = CoeffFn.zero(param)
+    assert z is CoeffFn.zero(param) and z.param == param and z.is_zero()
+    assert CoeffFn.s(param) * QScalar(0) is z
+    with pytest.raises(TypeError):
+        z.terms[0] = QScalar(1)
+
+
+def test_zero_rejects_an_unknown_parameterization():
+    with pytest.raises(ValueError):
+        CoeffFn.zero("bad")
+
+
 @pytest.mark.parametrize("param", [PLAIN, RHO_PLUS, RHO_MINUS])
 def test_cbrt_of_monomials(param):
     got = CoeffFn.monomial(QScalar(Fraction(-8, 27)), 6, param).cbrt()

@@ -92,6 +92,37 @@ def test_inverse_laurent_rejects_singular_matrix():
         inverse_laurent(A)
 
 
+def test_inverse_laurent_divides_by_a_non_monomial_pivot():
+    # the first pivot 1 + s is no monomial, so the next step divides by
+    # long division; the last pivot s = det A is inverted once
+    one, s = CoeffFn.one(), CoeffFn.s()
+    A = [[one + s, one], [one, one]]
+    inv = inverse_laurent(A)
+    s_inv = s.inverse()
+    assert inv == [[s_inv, -s_inv], [-s_inv, one + s_inv]]
+    ident = eye(2, one, CoeffFn.zero())
+    assert mat_mul(A, inv) == ident
+    assert mat_mul(inv, A) == ident
+
+
+def test_inverse_laurent_two_non_monomial_pivots():
+    # pivots 1 + s, then the leading 2x2 minor 1 + s, then det A = -s^2
+    one, zero, s = CoeffFn.one(), CoeffFn.zero(), CoeffFn.s()
+    A = [[one + s, one + s, s], [zero, one, zero], [s, one, zero]]
+    inv = inverse_laurent(A)
+    assert inv == _adjugate_inverse(A)
+    ident = eye(3, one, CoeffFn.zero())
+    assert mat_mul(A, inv) == ident
+
+
+def test_inverse_laurent_non_monomial_pivots_keep_their_errors():
+    one, s = CoeffFn.one(), CoeffFn.s()
+    with pytest.raises(ValueError):      # det = 2s + s^2
+        inverse_laurent([[one + s, one], [one, one + s]])
+    with pytest.raises(DegenerateError):
+        inverse_laurent([[one + s, one], [one + s, one]])
+
+
 def _triple_loop(A, B):
     """Every product of rows of A with columns of B: the reference product."""
     return [[sum((A[i][t] * B[t][j] for t in range(1, len(B))), A[i][0] * B[0][j])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from g2trac import linalg
 from g2trac.laurent import CoeffFn
 from g2trac.scalars import SQRT2, QScalar, DegenerateError
-from g2trac.tensors import NONE, SYM, AltTensor, contract, wedge
+from g2trac.tensors import NONE, SYM, AltTensor, contract, perm_sign, sort_with_sign, wedge
 
 
 def form(dim, degree, entries):
@@ -43,6 +43,33 @@ def test_alternating_storage_semantics():
     assert t.get((), (1, 1)).is_zero()
     with pytest.raises(ValueError):
         t.set((), (2, 2), QScalar(1))
+
+
+def test_memoised_sort_with_sign_matches_sorted_and_perm_sign():
+    for k in range(5):
+        for idx in product(range(7), repeat=k):
+            want = ((None, 0) if len(set(idx)) < k
+                    else (tuple(sorted(idx)), perm_sign(idx)))
+            assert sort_with_sign(idx) == want
+            assert sort_with_sign(idx) == want     # the cached answer
+
+
+@pytest.mark.parametrize("sym", ["alt", SYM, NONE])
+def test_get_and_set_accept_list_indices(sym):
+    t = AltTensor(6, 1, 2, sym)
+    t.set([4], [3, 1], QScalar(5))
+    assert t.get([4], [3, 1]) == t.get((4,), (3, 1)) == QScalar(5)
+    assert t.get((4,), [1, 3]) == QScalar({"alt": -5, SYM: 5, NONE: 0}[sym])
+
+
+@pytest.mark.parametrize("up, down", [((), (1, 2)), ((0,), (1,)), ((0,), (1, 2, 3)),
+                                      ([0, 1], [1, 2]), ((0,), [1])])
+def test_wrong_length_indices_raise(up, down):
+    t = AltTensor(6, 1, 2, "alt")
+    with pytest.raises(ValueError):
+        t.get(up, down)
+    with pytest.raises(ValueError):
+        t.set(up, down, QScalar(1))
 
 
 def test_wedge_graded_commutative_and_associative():
