@@ -50,6 +50,19 @@ def _family_parameter(text: str):
     return m
 
 
+def _emit(*lines: str) -> None:
+    """Print lines to stdout and flush.  Once the reader has closed the
+    pipe (as `| head` does), stdout is pointed at os.devnull: the rest of
+    the output is dropped, and the exit code stays the one the run
+    reaches."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _default_samples():
     env = os.environ.get("G2TRAC_SAMPLES")
     if env:
@@ -102,10 +115,9 @@ def cmd_classify_form(args) -> int:
         print("only dimensions 6 and 7 are supported", file=sys.stderr)
         return 2
     if args.report == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _emit(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for k, v in payload.items():
-            print(f"{k}: {v}")
+        _emit(*(f"{k}: {v}" for k, v in payload.items()))
     return 2 if degenerate else 0
 
 
@@ -127,7 +139,7 @@ def cmd_verify_family(args) -> int:
         return 2
     pkg = _build_package(m, samples)
     rep = verify(pkg, depth=args.depth, samples=samples)
-    print(rep.to_json() if args.report == "json" else rep.to_text())
+    _emit(rep.to_json() if args.report == "json" else rep.to_text())
     return 0 if rep.all_ok() else 1
 
 
@@ -166,10 +178,9 @@ def cmd_orbit(args) -> int:
             "nabla_j_norm": str(rep.nabla_j_norm),
         })
     if args.report == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _emit(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for k, v in payload.items():
-            print(f"{k}: {v}")
+        _emit(*(f"{k}: {v}" for k, v in payload.items()))
     return 0
 
 
@@ -182,12 +193,11 @@ def cmd_monge_check(args) -> int:
         return 2
     res = monge_check(F)
     if args.report == "json":
-        print(json.dumps(res, indent=2, sort_keys=True, default=str))
+        _emit(json.dumps(res, indent=2, sort_keys=True, default=str))
     else:
-        print(f"is235: {res['is235']}")
-        for s in res["samples"]:
-            print(f"  point {s['point']}: growth {s['growth']}, "
-                  f"d2F/dq2 nonzero: {s['fqq_nonzero']}")
+        _emit(f"is235: {res['is235']}", *(
+            f"  point {s['point']}: growth {s['growth']}, "
+            f"d2F/dq2 nonzero: {s['fqq_nonzero']}" for s in res["samples"]))
     return 0 if res["is235"] else 1
 
 
@@ -211,12 +221,12 @@ def cmd_export(args) -> int:
                 with open(path, "w") as fh:
                     json.dump(doc, fh, indent=2, sort_keys=True)
                     fh.write("\n")
-                print(path)
+                _emit(path)
         except OSError as exc:
             print(f"cannot write to --out: {exc}", file=sys.stderr)
             return 2
     else:
-        print(json.dumps(docs, indent=2, sort_keys=True))
+        _emit(json.dumps(docs, indent=2, sort_keys=True))
     return 0
 
 
@@ -256,12 +266,14 @@ def main(argv=None) -> int:
     p.add_argument("--out", help="directory for JSON files (stdout if omitted)")
     p.set_defaults(fn=cmd_export)
 
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(argv)
         return args.fn(args)
     except DegenerateError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return 2
+    finally:
+        _emit()   # what is still buffered, e.g. --help text
 
 
 if __name__ == "__main__":

@@ -15,17 +15,76 @@ element b: a covariant slot b gets -sum_e A[b][e] (slot -> e) and a
 contravariant slot b gets +sum_e A[e][b] (slot -> e).  The default A is
 the frame connection G[a]; tractor.tractor_connection supplies the
 (n+1)x(n+1) matrix of the tractor connection, so one kernel serves both.
+
+The kernels read only stored nonzeros: cov_deriv scatters from the
+tensor's stored components, the curvature is one function of the
+connection matrices over their nonzero entries, the Weyl and Cotton
+tensors are built from the stored components of R and P (and of nabla P),
+and the Jacobi defect walks the nonzero bracket rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .laurent import PLAIN, CoeffFn
 from .linalg import inverse_laurent, mat_mul
-from .tensors import ALT, NONE, AltTensor
+from .tensors import ALT, NONE, AltTensor, sort_with_sign
+
+
+def _scatter(acc: dict, key, v, sign: int = 1) -> None:
+    """acc[key] += sign * v, starting from v itself."""
+    prev = acc.get(key)
+    if prev is None:
+        acc[key] = v if sign > 0 else -v
+    else:
+        acc[key] = prev + v if sign > 0 else prev - v
+
+
+def _tensor(dim, n_up, n_down, sym, zero, acc: dict) -> AltTensor:
+    """The tensor whose stored components are the nonzero values of acc."""
+    out = AltTensor(dim, n_up, n_down, sym, zero)
+    out.comps = {k: v for k, v in acc.items() if not v.is_zero()}
+    return out
+
+
+def _nonzero_rows(M) -> List[List[List[Tuple[int, CoeffFn]]]]:
+    """For a list of matrices M[i][j][k], the (k, M[i][j][k]) with nonzero entry."""
+    return [[[(k, v) for k, v in enumerate(row) if not v.is_zero()] for row in Mi] for Mi in M]
+
+
+def _connection_curvature(M, C, rho_directions) -> Dict[Tuple[int, int], Dict[tuple, CoeffFn]]:
+    """F_ab = E_a(M_b) - E_b(M_a) + M_b M_a - M_a M_b - sum_e C^e_ab M_e for
+    a < b, each as {(d, c): nonzero F_ab[d][c]}.
+
+    M[a] is the connection matrix of direction a (M[a][d][c] the
+    c-component of nabla_a of basis element d), C the chart's brackets,
+    and only the rho_directions differentiate the coefficients.  Only the
+    nonzero entries of each M_a and C_ab are visited."""
+    n = len(M)
+    rows = _nonzero_rows(M)
+    entries = [[(d, c, v) for d, row in enumerate(Ma) for c, v in row] for Ma in rows]
+    brackets = _nonzero_rows(C)
+    out = {}
+    for a, b in combinations(range(n), 2):
+        acc: Dict[Tuple[int, int], CoeffFn] = {}
+        for x, y, sign in ((a, b, 1), (b, a, -1)):
+            if x in rho_directions:
+                for d, c, v in entries[y]:
+                    dv = v.d_drho()
+                    if not dv.is_zero():
+                        _scatter(acc, (d, c), dv, sign)
+        for x, y, sign in ((b, a, 1), (a, b, -1)):
+            for d, e, v in entries[x]:
+                for c, w in rows[y][e]:
+                    _scatter(acc, (d, c), v * w, sign)
+        for e, f in brackets[a][b]:
+            for d, c, v in entries[e]:
+                _scatter(acc, (d, c), f * v, -1)
+        out[(a, b)] = {k: v for k, v in acc.items() if not v.is_zero()}
+    return out
 
 
 class FrameChart:
@@ -74,12 +133,6 @@ class FrameChart:
             self.G[a][c][b] = self.lift(v)
         self._cache.clear()
 
-    def bracket(self, a: int, b: int) -> List[CoeffFn]:
-        return list(self.C[a][b])
-
-    def gamma(self, a: int, c: int, b: int) -> CoeffFn:
-        return self.G[a][c][b]
-
     # -- derivation table ----------------------------------------------------
 
     def dir_deriv(self, a: int, f: CoeffFn) -> CoeffFn:
@@ -97,58 +150,60 @@ class FrameChart:
         subtracts sum_e A[b][e] T_{..e..} and a contravariant slot b adds
         sum_e A[e][b] T^{..e..}.  weight is the projective density weight
         of the components; it couples through the chart's scale 1-form
-        (zero in a scale whose frame volume is parallel).  Alternating
-        input gives an alternating result, and only increasing index sets
-        are visited for it; any other input gives raw components."""
+        (zero in a scale whose frame volume is parallel).  The result is
+        scattered from T's stored components: each one sends its terms to
+        the components whose index it carries in one slot.  Alternating
+        input gives an alternating result, scattered from the increasing
+        index sets alone; any other input is expanded to raw components
+        and gives raw components."""
         A = self.G[a] if conn is None else conn
         rng = range(T.dim)
-        rows = [[(e, g) for e, g in enumerate(A[b]) if not g.is_zero()] for b in rng]
-        cols = [[(e, A[e][b]) for e in rng if not A[e][b].is_zero()] for b in rng]
+        # index e in an up slot feeds index b with A[e][b], in a down slot with -A[b][e]
+        ups = [[(b, g) for b, g in enumerate(A[e]) if not g.is_zero()] for e in rng]
+        downs = [[(b, -A[b][e]) for b in rng if not A[b][e].is_zero()] for e in rng]
         wform = self.weight_form[a] * weight
-        sym = ALT if T.sym == ALT else NONE
-        out = AltTensor(T.dim, T.n_up, T.n_down, sym, self.zero())
-        downs = list(combinations(rng, T.n_down) if sym == ALT
-                     else product(rng, repeat=T.n_down))
-        for up in product(rng, repeat=T.n_up):
-            for down in downs:
-                base = T.get(up, down)
-                acc = self.dir_deriv(a, base)
-                if not wform.is_zero():
-                    acc = acc + wform * base
-                for s, b in enumerate(up):
-                    for e, g in cols[b]:
-                        t = T.get(up[:s] + (e,) + up[s + 1:], down)
-                        if not t.is_zero():
-                            acc = acc + g * t
-                for s, b in enumerate(down):
-                    for e, g in rows[b]:
-                        t = T.get(up, down[:s] + (e,) + down[s + 1:])
-                        if not t.is_zero():
-                            acc = acc - g * t
-                if not acc.is_zero():
-                    out.set(up, down, acc)
-        return out
+        alt = T.sym == ALT
+        acc: Dict[tuple, CoeffFn] = {}
+        for (up, down), t in (T.comps.items() if alt else T.raw_items()):
+            base = self.dir_deriv(a, t)
+            if not wform.is_zero():
+                base = base + wform * t
+            if not base.is_zero():
+                _scatter(acc, (up, down), base)
+            for s, e in enumerate(up):
+                for b, g in ups[e]:
+                    _scatter(acc, (up[:s] + (b,) + up[s + 1:], down), g * t)
+            for s, e in enumerate(down):
+                for b, g in downs[e]:
+                    key, sign = down[:s] + (b,) + down[s + 1:], 1
+                    if alt:
+                        key, sign = sort_with_sign(key)
+                        if not sign:
+                            continue
+                    _scatter(acc, (up, key), g * t, sign)
+        return _tensor(T.dim, T.n_up, T.n_down, ALT if alt else NONE, self.zero(), acc)
 
     # -- structural checks ------------------------------------------------------
 
     def jacobi_defect(self) -> List[CoeffFn]:
-        """All components of sum_cyc [[E_a,E_b],E_c]; empty chart data is fine
-        because the structure functions here never depend on group directions."""
-        out = []
+        """All components of sum_cyc [[E_a,E_b],E_c], for a < b < c and then
+        d; empty chart data is fine because the structure functions here
+        never depend on group directions."""
         n = self.dim
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(b + 1, n):
-                    for d in range(n):
-                        acc = self.zero()
-                        for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
-                            # [[E_x,E_y],E_z]^d, structure functions may depend on rho
-                            for e in range(n):
-                                f = self.C[x][y][e]
-                                if not f.is_zero():
-                                    acc = acc + f * self.C[e][z][d]
-                            acc = acc + self.dir_deriv(z, self.C[x][y][d]) * (-1)
-                        out.append(acc)
+        zero = self.zero()
+        brackets = _nonzero_rows(self.C)
+        out = []
+        for a, b, c in combinations(range(n), 3):
+            acc: Dict[int, CoeffFn] = {}
+            for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
+                # [[E_x,E_y],E_z]^d, structure functions may depend on rho
+                for e, f in brackets[x][y]:
+                    for d, g in brackets[e][z]:
+                        _scatter(acc, d, f * g)
+                if z in self.rho_directions:
+                    for d, f in brackets[x][y]:
+                        _scatter(acc, d, f.d_drho(), -1)
+            out.extend(acc.get(d, zero) for d in range(n))
         return out
 
     def is_jacobi(self) -> bool:
@@ -181,29 +236,16 @@ class FrameChart:
     # -- curvature tower -----------------------------------------------------------
 
     def curvature(self) -> AltTensor:
-        """R_{ab}{}^c{}_d stored with up slot (c,) and down slots (a, b, d)."""
+        """R_{ab}{}^c{}_d stored with up slot (c,) and down slots (a, b, d):
+        the curvature F_ab[d][c] of the connection matrices G[a]."""
         if "R" in self._cache:
             return self._cache["R"]
-        n = self.dim
-        R = AltTensor(n, 1, 3, NONE, self.zero())
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(n):
-                    for d in range(n):
-                        acc = self.dir_deriv(a, self.G[b][d][c]) - self.dir_deriv(b, self.G[a][d][c])
-                        for e in range(n):
-                            t1 = self.G[b][d][e]
-                            if not t1.is_zero():
-                                acc = acc + t1 * self.G[a][e][c]
-                            t2 = self.G[a][d][e]
-                            if not t2.is_zero():
-                                acc = acc - t2 * self.G[b][e][c]
-                            t3 = self.C[a][b][e]
-                            if not t3.is_zero():
-                                acc = acc - t3 * self.G[e][d][c]
-                        if not acc.is_zero():
-                            R.set((c,), (a, b, d), acc)
-                            R.set((c,), (b, a, d), -acc)
+        R = AltTensor(self.dim, 1, 3, NONE, self.zero())
+        F = _connection_curvature(self.G, self.C, self.rho_directions)
+        for (a, b), Fab in F.items():
+            for (d, c), v in Fab.items():
+                R.comps[((c,), (a, b, d))] = v
+                R.comps[((c,), (b, a, d))] = -v
         self._cache["R"] = R
         return R
 
@@ -223,23 +265,16 @@ class FrameChart:
         return out
 
     def weyl(self) -> AltTensor:
+        """W^c_{abd} = R^c_{abd} - delta^c_a P_bd + delta^c_b P_ad."""
         if "W" in self._cache:
             return self._cache["W"]
-        R = self.curvature()
-        P = self.schouten()
-        n = self.dim
-        W = AltTensor(n, 1, 3, NONE, self.zero())
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    for d in range(n):
-                        acc = R.get((c,), (a, b, d))
-                        if c == a:
-                            acc = acc - P.get((), (b, d))
-                        if c == b:
-                            acc = acc + P.get((), (a, d))
-                        if not acc.is_zero():
-                            W.set((c,), (a, b, d), acc)
+        acc = dict(self.curvature().comps)
+        for (_, (x, d)), p in self.schouten().comps.items():
+            for y in range(self.dim):
+                if y != x:
+                    _scatter(acc, ((y,), (y, x, d)), p, -1)
+                    _scatter(acc, ((y,), (x, y, d)), p)
+        W = _tensor(self.dim, 1, 3, NONE, self.zero(), acc)
         self._cache["W"] = W
         return W
 
@@ -248,14 +283,12 @@ class FrameChart:
         if "Cot" in self._cache:
             return self._cache["Cot"]
         P = self.schouten()
-        dP = [self.cov_deriv(P, a) for a in range(self.dim)]
-        out = AltTensor(self.dim, 0, 3, NONE, self.zero())
+        acc: Dict[tuple, CoeffFn] = {}
         for a in range(self.dim):
-            for b in range(self.dim):
-                for d in range(self.dim):
-                    acc = dP[a].get((), (b, d)) - dP[b].get((), (a, d))
-                    if not acc.is_zero():
-                        out.set((), (a, b, d), acc)
+            for (_, (b, d)), v in self.cov_deriv(P, a).comps.items():
+                _scatter(acc, ((), (a, b, d)), v)
+                _scatter(acc, ((), (b, a, d)), v, -1)
+        out = _tensor(self.dim, 0, 3, NONE, self.zero(), acc)
         self._cache["Cot"] = out
         return out
 

@@ -3,10 +3,12 @@
 Components live in any ring with +/-/* and is_zero (QScalar or CoeffFn).
 Alternating tensors store only strictly increasing covariant tuples and
 reconstruct every other component by permutation sign; symmetric ones
-store nondecreasing tuples.  Dimensions are small, so most operations
-iterate densely over index tuples; the pullback, defined for alternating
-forms only, instead contracts one slot at a time and skips the zero
-entries of the matrix.
+store nondecreasing tuples.  The trace, the wedge and the pullback read
+only stored components (the trace expands alternating and symmetric
+storage to raw components first; the pullback, defined for alternating
+forms only, contracts one slot at a time and skips the zero entries of
+the matrix); insertion, alternation, as_matrix and contract iterate
+densely over index tuples, which is affordable at these dimensions.
 """
 
 from __future__ import annotations
@@ -118,6 +120,25 @@ class AltTensor:
 
     def items(self) -> Iterable:
         return self.comps.items()
+
+    def raw_items(self) -> Iterable:
+        """((up, down), value) for every nonzero component under raw
+        indexing: the stored components, and for alternating or symmetric
+        storage each distinct reordering of the covariant block too (with
+        the permutation's sign for alternating storage)."""
+        if self.sym == NONE:
+            yield from self.comps.items()
+            return
+        alt = self.sym == ALT
+        for (up, down), v in self.comps.items():
+            neg = None
+            for p in dict.fromkeys(permutations(down)):
+                if alt and sort_with_sign(p)[1] < 0:
+                    if neg is None:
+                        neg = -v
+                    yield (up, p), neg
+                else:
+                    yield (up, p), v
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.comps.values())
@@ -268,19 +289,17 @@ class AltTensor:
     # -- contraction --------------------------------------------------------
 
     def trace(self, up_slot: int, down_slot: int) -> "AltTensor":
+        """Contraction of one up slot with one down slot: the raw
+        components whose two traced indices agree, summed (raw storage)."""
+        acc = {}
+        for (up, down), v in self.raw_items():
+            if up[up_slot] != down[down_slot]:
+                continue
+            key = (up[:up_slot] + up[up_slot + 1:], down[:down_slot] + down[down_slot + 1:])
+            prev = acc.get(key)
+            acc[key] = v if prev is None else prev + v
         out = AltTensor(self.dim, self.n_up - 1, self.n_down - 1, NONE, self.zero)
-        for up in product(range(self.dim), repeat=self.n_up - 1):
-            for down in product(range(self.dim), repeat=self.n_down - 1):
-                acc = None
-                for a in range(self.dim):
-                    fu = up[:up_slot] + (a,) + up[up_slot:]
-                    fd = down[:down_slot] + (a,) + down[down_slot:]
-                    t = self.get(fu, fd)
-                    if t.is_zero():
-                        continue
-                    acc = t if acc is None else acc + t
-                if acc is not None and not acc.is_zero():
-                    out.set(up, down, acc)
+        out.comps = {k: v for k, v in acc.items() if not v.is_zero()}
         return out
 
     def as_matrix(self):

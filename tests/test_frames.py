@@ -1,15 +1,16 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
 from g2trac.frames import FrameChart
 from g2trac.laurent import CoeffFn, PLAIN
 from g2trac.scalars import QScalar
-from g2trac.tensors import NONE, AltTensor
-from g2trac.tractor import d_cotractor, d_tractor
-from g2trac.qm_family import family_chart
+from g2trac.geometry import levi_civita_collar
+from g2trac.tensors import ALT, NONE, SYM, AltTensor
+from g2trac.tractor import d_cotractor, d_tractor, tractor_connection
+from g2trac.qm_family import REGRESSION_PARAMETERS, family_chart
 
 
 def test_flat_chart_curvature_vanishes():
@@ -119,26 +120,109 @@ def test_levi_civita_is_metric_and_torsion_free(chart):
         assert lc.cov_deriv(g, a).is_zero()
 
 
-# -- the sparse covariant derivative against the dense loop -------------------
+# -- the sparse kernels against the dense loops -------------------------------
 
 
-def dense_cov_deriv(chart, T, a, weight=0):
-    """nabla_a T over every index tuple, slot by slot with the frame
-    connection G[a], read through get: the raw-symmetry loop."""
-    out = AltTensor(chart.dim, T.n_up, T.n_down, NONE, chart.zero())
-    rng = range(chart.dim)
+def dense_curvature(chart):
+    """R_{ab}{}^c{}_d over every (a < b, c, d), with its skew partner."""
+    n = chart.dim
+    G, C = chart.G, chart.C
+    R = AltTensor(n, 1, 3, NONE, chart.zero())
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(n):
+                for d in range(n):
+                    acc = chart.dir_deriv(a, G[b][d][c]) - chart.dir_deriv(b, G[a][d][c])
+                    for e in range(n):
+                        acc = acc + G[b][d][e] * G[a][e][c] - G[a][d][e] * G[b][e][c] \
+                            - C[a][b][e] * G[e][d][c]
+                    R.set((c,), (a, b, d), acc)
+                    R.set((c,), (b, a, d), -acc)
+    return R
+
+
+def dense_trace(T, up_slot, down_slot):
+    """Contraction of one up and one down slot, every free index tuple
+    summed over the traced index, read through get."""
+    out = AltTensor(T.dim, T.n_up - 1, T.n_down - 1, NONE, T.zero)
+    for up in product(range(T.dim), repeat=T.n_up - 1):
+        for down in product(range(T.dim), repeat=T.n_down - 1):
+            acc = T.zero
+            for a in range(T.dim):
+                acc = acc + T.get(up[:up_slot] + (a,) + up[up_slot:],
+                                  down[:down_slot] + (a,) + down[down_slot:])
+            out.set(up, down, acc)
+    return out
+
+
+def dense_weyl(chart, R, P):
+    """W^c_{abd} = R^c_{abd} - delta^c_a P_bd + delta^c_b P_ad, every component."""
+    n = chart.dim
+    W = AltTensor(n, 1, 3, NONE, chart.zero())
+    for a, b, c, d in product(range(n), repeat=4):
+        acc = R.get((c,), (a, b, d))
+        if c == a:
+            acc = acc - P.get((), (b, d))
+        if c == b:
+            acc = acc + P.get((), (a, d))
+        W.set((c,), (a, b, d), acc)
+    return W
+
+
+def dense_cotton(chart, P):
+    """C_{abd} = nabla_a P_bd - nabla_b P_ad from the dense derivative."""
+    n = chart.dim
+    dP = [dense_cov_deriv(chart, P, a) for a in range(n)]
+    out = AltTensor(n, 0, 3, NONE, chart.zero())
+    for a, b, d in product(range(n), repeat=3):
+        out.set((), (a, b, d), dP[a].get((), (b, d)) - dP[b].get((), (a, d)))
+    return out
+
+
+def dense_jacobi_defect(chart):
+    """sum_cyc [[E_a,E_b],E_c]^d for a < b < c, then d."""
+    n = chart.dim
+    C = chart.C
+    out = []
+    for a, b, c in combinations(range(n), 3):
+        for d in range(n):
+            acc = chart.zero()
+            for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
+                for e in range(n):
+                    acc = acc + C[x][y][e] * C[e][z][d]
+                acc = acc - chart.dir_deriv(z, C[x][y][d])
+            out.append(acc)
+    return out
+
+
+def dense_cov_deriv(chart, T, a, weight=0, conn=None):
+    """nabla_a T over every index tuple, slot by slot with the connection
+    matrix conn (default the frame connection G[a]), read through get:
+    the raw-symmetry loop."""
+    A = chart.G[a] if conn is None else conn
+    out = AltTensor(T.dim, T.n_up, T.n_down, NONE, chart.zero())
+    rng = range(T.dim)
     wform = chart.weight_form[a]
     for up in product(rng, repeat=T.n_up):
         for down in product(rng, repeat=T.n_down):
             acc = chart.dir_deriv(a, T.get(up, down)) + wform * T.get(up, down) * weight
             for s in range(T.n_up):
                 for e in rng:
-                    acc = acc + chart.G[a][e][up[s]] * T.get(up[:s] + (e,) + up[s + 1:], down)
+                    acc = acc + A[e][up[s]] * T.get(up[:s] + (e,) + up[s + 1:], down)
             for s in range(T.n_down):
                 for e in rng:
-                    acc = acc - chart.G[a][down[s]][e] * T.get(up, down[:s] + (e,) + down[s + 1:])
+                    acc = acc - A[down[s]][e] * T.get(up, down[:s] + (e,) + down[s + 1:])
             out.set(up, down, acc)
     return out
+
+
+def assert_same_components(got, want):
+    """Same valence and, under raw indexing, the same value at every index."""
+    assert (got.dim, got.n_up, got.n_down) == (want.dim, want.n_up, want.n_down)
+    rng = range(got.dim)
+    for up in product(rng, repeat=got.n_up):
+        for down in product(rng, repeat=got.n_down):
+            assert got.get(up, down) == want.get(up, down), (up, down)
 
 
 def _rescaled(chart):
@@ -155,22 +239,124 @@ def _random_coeff(chart, rng):
     return chart.lift(QScalar(c0)) + chart.lift(QScalar(c1)) * chart.rho()
 
 
+def _random_chart(seed=71):
+    """Sparse random brackets and connection in which E5 and E6 both
+    differentiate, so the E_a and E_b terms of the curvature both act."""
+    rng = random.Random(seed)
+    ch = FrameChart(6, PLAIN, rho_directions={4, 5})
+    for a, b in combinations(range(6), 2):
+        ch.set_bracket(a, b, {c: _random_coeff(ch, rng) for c in range(6) if rng.random() < 0.3})
+    for a, c in product(range(6), repeat=2):
+        ch.set_gamma(a, c, {b: _random_coeff(ch, rng) for b in range(6) if rng.random() < 0.3})
+    return ch
+
+
+def _random_tensor(chart, dim, n_up, n_down, sym, rng, density=0.3):
+    """Random components on canonical index tuples of the given storage."""
+    T = AltTensor(dim, n_up, n_down, sym, chart.zero())
+    downs = {"alt": combinations, "sym": combinations_with_replacement}.get(sym)
+    for up in product(range(dim), repeat=n_up):
+        for down in (downs(range(dim), n_down) if downs else product(range(dim), repeat=n_down)):
+            if rng.random() < density:
+                T.set(up, down, _random_coeff(chart, rng))
+    return T
+
+
+_TOWER_CHARTS = [f"family:{m}" for m in REGRESSION_PARAMETERS] + [
+    f"collar{side:+d}:{m}" for m in ("1/2", "3/7") for side in (1, -1)] + [
+    "rescaled", "random"]
+
+
+@pytest.fixture(params=_TOWER_CHARTS)
+def tower_chart(request, family_package):
+    kind, _, m = request.param.partition(":")
+    if kind == "family":
+        return family_chart(Fraction(m))
+    if kind.startswith("collar"):
+        return levi_civita_collar(family_package(Fraction(m)), int(kind[len("collar"):]))
+    if kind == "rescaled":
+        return _rescaled(family_chart(Fraction(1, 2)))
+    return _random_chart()
+
+
+def test_curvature_tower_matches_dense_loops(tower_chart):
+    ch = tower_chart
+    R = dense_curvature(ch)
+    Ric = dense_trace(R, 0, 0)
+    P = Ric.scale(ch.lift(Fraction(1, ch.dim - 1)))
+    assert_same_components(ch.curvature(), R)
+    assert_same_components(ch.ricci(), Ric)
+    assert_same_components(ch.weyl(), dense_weyl(ch, R, P))
+    assert_same_components(ch.cotton(), dense_cotton(ch, P))
+    W = ch.weyl()
+    assert [v for row in dense_trace(W, 0, 2).as_matrix() for v in row] \
+        == ch.weyl_trace_defects()[1]
+    assert ch.jacobi_defect() == dense_jacobi_defect(ch)
+
+
+def test_random_chart_exercises_every_curvature_term():
+    # a vacuous oracle check would pass on a flat chart: this one curves,
+    # and its curvature differs once either derivative term is dropped
+    ch = _random_chart()
+    assert not ch.curvature().is_zero() and not ch.weyl().is_zero()
+    for x in (4, 5):
+        dropped = FrameChart(6, PLAIN, rho_directions={4, 5} - {x})
+        dropped.C, dropped.G = ch.C, ch.G
+        assert not (dropped.curvature() - ch.curvature()).is_zero()
+
+
 @pytest.mark.parametrize("rescale", [False, True], ids=["family", "rescaled"])
 @pytest.mark.parametrize("weight", [0, 3])
 @pytest.mark.parametrize("degree", [2, 3])
 def test_alternating_cov_deriv_matches_dense_loop(chart, rescale, weight, degree):
     ch = _rescaled(chart) if rescale else chart
     rng = random.Random(10 * degree + weight + rescale)
-    form = AltTensor.form(6, degree, ch.zero())
-    for idx in combinations(range(6), degree):
-        if rng.random() < 0.6:
-            form.set((), idx, _random_coeff(ch, rng))
+    form = _random_tensor(ch, 6, 0, degree, ALT, rng, 0.6)
     for a in range(6):
         got = ch.cov_deriv(form, a, weight)
         want = dense_cov_deriv(ch, form, a, weight)
         assert got.sym == form.sym
-        for idx in product(range(6), repeat=degree):
-            assert got.get((), idx) == want.get((), idx)
+        assert_same_components(got, want)
+
+
+@pytest.mark.parametrize("rescale", [False, True], ids=["family", "rescaled"])
+@pytest.mark.parametrize("valence, sym", [((1, 2), NONE), ((2, 1), NONE),
+                                          ((1, 2), SYM), ((0, 3), SYM)])
+def test_raw_and_symmetric_cov_deriv_matches_dense_loop(chart, rescale, valence, sym):
+    ch = _rescaled(chart) if rescale else chart
+    rng = random.Random(len(sym) + 7 * valence[0] + rescale)
+    T = _random_tensor(ch, 6, *valence, sym, rng)
+    for a in range(6):
+        got = ch.cov_deriv(T, a, 2)
+        assert got.sym == NONE
+        assert_same_components(got, dense_cov_deriv(ch, T, a, 2))
+
+
+@pytest.mark.parametrize("rescale", [False, True], ids=["family", "rescaled"])
+@pytest.mark.parametrize("n_down, sym", [(2, NONE), (3, ALT)])
+def test_tractor_connection_cov_deriv_matches_dense_loop(chart, rescale, n_down, sym):
+    # a covariant tractor tensor on the 7 indices 0..6, weight one per slot
+    ch = _rescaled(chart) if rescale else chart
+    rng = random.Random(31 * n_down + rescale)
+    T = _random_tensor(ch, 7, 0, n_down, sym, rng)
+    for a in range(6):
+        conn = tractor_connection(ch, a)
+        got = ch.cov_deriv(T, a, n_down, conn)
+        assert got.sym == sym
+        assert_same_components(got, dense_cov_deriv(ch, T, a, n_down, conn))
+
+
+@pytest.mark.parametrize("valence, sym, slots", [
+    ((1, 3), ALT, [(0, 0), (0, 1), (0, 2)]),
+    ((1, 2), SYM, [(0, 0), (0, 1)]),
+    ((2, 2), NONE, [(0, 1), (1, 0)]),
+])
+def test_trace_matches_dense_trace(chart, valence, sym, slots):
+    T = _random_tensor(chart, 6, *valence, sym, random.Random(len(slots)), 0.4)
+    for up_slot, down_slot in slots:
+        got = T.trace(up_slot, down_slot)
+        assert got.sym == NONE
+        assert_same_components(got, dense_trace(T, up_slot, down_slot))
 
 
 @pytest.mark.parametrize("rescale", [False, True], ids=["family", "rescaled"])

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -339,3 +341,30 @@ def test_cli_export_out_is_a_file_exit_2(tmp_path, capsys):
     assert rc == 2 and not captured.out
     assert len(captured.err.strip().splitlines()) == 1 and "Traceback" not in captured.err
     assert target.read_text() == "not a directory\n"
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, want_rc", [
+    (["verify-family", "--m", "1/2", "--depth", "quick", "--report", "json"], 0),
+    (["orbit", "--m", "1/2", "--s", "1", "--report", "json"], 0),
+    (["monge-check", "--poly", "q", "--report", "json"], 1),
+    (["--help"], 0),
+], ids=["verify-family", "orbit", "monge-check-fails", "help"])
+def test_cli_reader_closing_the_pipe_early_keeps_the_exit_code(argv, want_rc, unbuffered):
+    # as `g2trac ... | head -1` does once it has its line: here the read
+    # end is closed before the first write, so every write finds it closed.
+    # Buffered output meets the closed pipe only at the final flush.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "g2trac.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=300) == want_rc
+    assert "Traceback" not in err and "BrokenPipeError" not in err
