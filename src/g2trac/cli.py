@@ -25,7 +25,8 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _parse_samples(text: str):
-    """Comma-separated nonzero rationals; ValueError names the bad one."""
+    """Comma-separated nonzero rationals, at least one; ValueError names
+    the bad one."""
     out = []
     for chunk in text.split(","):
         if chunk.strip():
@@ -33,6 +34,36 @@ def _parse_samples(text: str):
             if s == 0:
                 raise ValueError("0 is excluded (samples must avoid s = 0)")
             out.append(QScalar(s))
+    if not out:
+        raise ValueError(f"{text!r} lists no sample")
+    return out
+
+
+# options whose value may begin with a minus sign: rationals, sample lists
+# and Monge polynomials
+_SIGNED_VALUE_OPTIONS = ("--m", "--s", "--samples", "--at", "--poly")
+
+
+def _join_signed_values(argv):
+    """Rewrite `--opt -1/2` as `--opt=-1/2` for the options above and
+    their abbreviations.
+
+    argparse reads a token that starts with '-' as an option unless it
+    looks like a plain negative number, so `--m -1/2` or `--poly -q^2`
+    would stop with "expected one argument"."""
+    out = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        nxt = argv[i + 1] if i + 1 < len(argv) else None
+        signed = len(tok) > 2 and tok.startswith("--") \
+            and any(o.startswith(tok) for o in _SIGNED_VALUE_OPTIONS)
+        if signed and nxt and nxt.startswith("-") and not nxt.startswith("--"):
+            out.append(f"{tok}={nxt}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
     return out
 
 
@@ -133,7 +164,8 @@ def cmd_verify_family(args) -> int:
     if m is None:
         return 2
     try:
-        samples = _parse_samples(args.samples) if args.samples else _default_samples()
+        samples = _parse_samples(args.samples) if args.samples is not None \
+            else _default_samples()
     except ValueError as exc:
         print(f"invalid samples: {exc}", file=sys.stderr)
         return 2
@@ -267,7 +299,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_export)
 
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
         return args.fn(args)
     except DegenerateError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)

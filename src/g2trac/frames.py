@@ -20,7 +20,8 @@ The kernels read only stored nonzeros: cov_deriv scatters from the
 tensor's stored components, the curvature is one function of the
 connection matrices over their nonzero entries, the Weyl and Cotton
 tensors are built from the stored components of R and P (and of nabla P),
-and the Jacobi defect walks the nonzero bracket rows.
+the Jacobi defect walks the nonzero bracket rows, and the Levi-Civita
+connection is scattered from the nonzero metric and bracket entries.
 """
 
 from __future__ import annotations
@@ -308,29 +309,39 @@ class FrameChart:
         return FrameChart(dim, param, rho_directions)
 
     def levi_civita(self, g: AltTensor) -> "FrameChart":
-        """Chart with the same brackets and the Levi-Civita connection of g."""
+        """Chart with the same brackets and the Levi-Civita connection of g.
+
+        K[a][c][d] = 2 g(nabla_a E_c, E_d) is scattered from the nonzero
+        entries alone: each E_x-derivative of a nonzero g_cd (x a rho
+        direction) goes to (x, c, d), (c, x, d) and -(c, d, x), and each
+        nonzero bracket entry C^e_ac times a nonzero g_ed to (a, c, d),
+        -(a, d, c) and -(d, a, c)."""
         n = self.dim
         gm = g.as_matrix()
         ginv = inverse_laurent(gm)
         half = self.lift(Fraction(1, 2))
-        K = [[[self.zero() for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for a in range(n):
-            for c in range(n):
-                for d in range(n):
-                    # 2 g(nabla_a E_c, E_d)
-                    acc = self.dir_deriv(a, gm[c][d]) + self.dir_deriv(c, gm[a][d]) \
-                        - self.dir_deriv(d, gm[a][c])
-                    for e in range(n):
-                        f1 = self.C[a][c][e]
-                        if not f1.is_zero():
-                            acc = acc + f1 * gm[e][d]
-                        f2 = self.C[a][d][e]
-                        if not f2.is_zero():
-                            acc = acc - f2 * gm[e][c]
-                        f3 = self.C[c][d][e]
-                        if not f3.is_zero():
-                            acc = acc - f3 * gm[e][a]
-                    K[a][c][d] = acc
+        grows = [[(d, v) for d, v in enumerate(row) if not v.is_zero()] for row in gm]
+        acc: Dict[Tuple[int, int, int], CoeffFn] = {}
+        for x in self.rho_directions:
+            for c, row in enumerate(grows):
+                for d, v in row:
+                    dv = v.d_drho()
+                    if not dv.is_zero():
+                        _scatter(acc, (x, c, d), dv)
+                        _scatter(acc, (c, x, d), dv)
+                        _scatter(acc, (c, d, x), dv, -1)
+        for a, Ca in enumerate(_nonzero_rows(self.C)):
+            for c, bracket in enumerate(Ca):
+                for e, f in bracket:
+                    for d, v in grows[e]:
+                        fv = f * v
+                        _scatter(acc, (a, c, d), fv)
+                        _scatter(acc, (a, d, c), fv, -1)
+                        _scatter(acc, (d, a, c), fv, -1)
+        z = self.zero()
+        K = [[[z] * n for _ in range(n)] for _ in range(n)]
+        for (a, c, d), v in acc.items():
+            K[a][c][d] = v
         # G[a][c][b] = (1/2) g^{bd} K[a][c][d], and g^-1 is symmetric
         G = [[[x * half for x in row] for row in mat_mul(Ka, ginv)] for Ka in K]
         out = FrameChart(self.dim, self.param, self.rho_directions, self.labels)

@@ -149,9 +149,10 @@ def signature(G: Mat):
     """Sylvester signature (p, q) of an exact symmetric QScalar matrix.
 
     Symmetric reduction with exact pivot signs; an off-diagonal
-    hyperbolic pivot contributes (1, 1).  A nonzero matrix whose active
-    block is identically zero below full elimination means a degenerate
-    form and raises DegenerateError.
+    hyperbolic pivot contributes (1, 1).  Each step updates only the
+    rows and columns with a nonzero entry in the pivot columns.  A
+    nonzero matrix whose active block is identically zero below full
+    elimination means a degenerate form and raises DegenerateError.
     """
     n = len(G)
     M = [row[:] for row in G]
@@ -167,11 +168,13 @@ def signature(G: Mat):
                 q += 1
             inv = M[piv][piv].inverse()
             rest = [i for i in active if i != piv]
-            col = {i: M[i][piv] for i in rest}
-            for i in rest:
-                fi = col[i] * inv
-                for j in rest:
-                    M[i][j] = M[i][j] - fi * col[j]
+            # only the rows and columns meeting the pivot column change
+            col = {i: M[i][piv] for i in rest if not M[i][piv].is_zero()}
+            for i, ci in col.items():
+                fi = ci * inv
+                row = M[i]
+                for j, cj in col.items():
+                    row[j] = row[j] - fi * cj
             active = rest
             continue
         pair = None
@@ -191,11 +194,14 @@ def signature(G: Mat):
         b = M[i][j]
         rest = [k for k in active if k not in (i, j)]
         binv = b.inverse()
-        ci = {k: M[k][i] for k in rest}
-        cj = {k: M[k][j] for k in rest}
-        for k in rest:
-            for l in rest:
-                M[k][l] = M[k][l] - (ci[k] * cj[l] + cj[k] * ci[l]) * binv
+        # a row (or column) zero in both pivot columns is unchanged
+        hit = [k for k in rest if not (M[k][i].is_zero() and M[k][j].is_zero())]
+        ci = {k: M[k][i] for k in hit}
+        cj = {k: M[k][j] for k in hit}
+        for k in hit:
+            row = M[k]
+            for l in hit:
+                row[l] = row[l] - (ci[k] * cj[l] + cj[k] * ci[l]) * binv
         active = rest
     return p, q
 
@@ -294,10 +300,12 @@ def inverse_laurent(A: Mat) -> Mat:
     exact in any integral domain, so [A | I] becomes [d I | d A^-1] with
     d = +-det A the last pivot.  A monomial pivot is inverted once per
     step and multiplied in; any other pivot divides by exact Laurent long
-    division.  The final division by d succeeds exactly when the inverse
-    has Laurent entries (e.g. for the collar metrics handled here, whose
-    determinants are monomials) and raises ValueError otherwise; a
-    singular matrix raises DegenerateError.
+    division.  A row with a zero pivot-column entry is only rescaled, and
+    the pivot row is subtracted over its nonzero entries alone.  The
+    final division by d succeeds exactly when the inverse has Laurent
+    entries (e.g. for the collar metrics handled here, whose determinants
+    are monomials) and raises ValueError otherwise; a singular matrix
+    raises DegenerateError.
     """
     n = len(A)
     param = A[0][0].param
@@ -309,21 +317,28 @@ def inverse_laurent(A: Mat) -> Mat:
             raise DegenerateError("singular matrix over the Laurent ring")
         M[k], M[pr] = M[pr], M[k]
         piv = M[k]
+        p = piv[k]
+        zero = CoeffFn.zero(p.param)
+        support = [(j, x) for j, x in enumerate(piv) if x.terms]
         for i in range(n):
             if i == k:
                 continue
             row = M[i]
             f = row[k]
-            new = [piv[k] * row[j] - f * piv[j] for j in range(2 * n)]
+            new = [p * x if x.terms else zero for x in row]
+            if f.terms:
+                for j, x in support:
+                    new[j] = new[j] - f * x
             M[i] = new if div is None else div(new)
-        div = _exact_divider(piv[k])
+        div = _exact_divider(p)
     return [div(row[n:]) for row in M]
 
 
 def _exact_divider(d):
     """row -> row / d entrywise, for quotients known to be exact: one
-    inverse when d is a Laurent monomial, long division otherwise."""
+    inverse when d is a Laurent monomial, long division otherwise.  Zero
+    entries are kept as they are."""
     if len(d.terms) == 1:
         inv = d.inverse()
-        return lambda row: [x * inv for x in row]
-    return lambda row: [x / d for x in row]
+        return lambda row: [x * inv if x.terms else x for x in row]
+    return lambda row: [x / d if x.terms else x for x in row]

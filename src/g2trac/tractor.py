@@ -14,12 +14,12 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import List
 
-from .frames import FrameChart
+from .frames import FrameChart, _scatter, _tensor
 from .laurent import CoeffFn
 from .linalg import inverse_laurent
 from .scalars import DegenerateError, QScalar
 from .stable_forms import _trace_normalised, phi_volume_with
-from .tensors import NONE, SYM, AltTensor, perm_sign, perm_sign_rel
+from .tensors import ALT, NONE, SYM, AltTensor, perm_sign, perm_sign_rel, sort_with_sign
 
 
 class Tractor3Form:
@@ -29,7 +29,8 @@ class Tractor3Form:
     __slots__ = ("sigma", "mu")
 
     def __init__(self, sigma: AltTensor, mu: AltTensor):
-        if sigma.n_down != 2 or mu.n_down != 3 or sigma.n_up or mu.n_up:
+        if (sigma.n_down != 2 or mu.n_down != 3 or sigma.n_up or mu.n_up
+                or sigma.sym != ALT or mu.sym != ALT):
             raise ValueError("tractor 3-form slots must be a 2-form and a 3-form")
         self.sigma = sigma
         self.mu = mu
@@ -97,25 +98,29 @@ def d_cotractor(chart: FrameChart, U: List[CoeffFn], a: int) -> List[CoeffFn]:
 
 def d_tractor_3form(chart: FrameChart, phi: Tractor3Form, a: int) -> Tractor3Form:
     """Slot formula: (nabla_a sigma_{bc} - mu_{abc},
-                      nabla_a mu_{bcd} + P_{ab}sigma_{cd} + P_{ac}sigma_{db} + P_{ad}sigma_{bc})."""
+                      nabla_a mu_{bcd} + P_{ab}sigma_{cd} + P_{ac}sigma_{db} + P_{ad}sigma_{bc}).
+
+    Each slot starts from the stored components of the covariant
+    derivative and scatters the stored components of mu (those holding
+    the index a) and the products of a nonzero P_{ax} with a stored
+    sigma_{cd}.  The three cyclic P terms are the one term P_{ax}sigma_{cd}
+    sent to the sorted (x, c, d) with the sign of the sort."""
     n = chart.dim
-    P = chart.schouten()
-    ds = chart.cov_deriv(phi.sigma, a, weight=3)
-    dm = chart.cov_deriv(phi.mu, a, weight=3)
-    top = AltTensor.form(n, 2, chart.zero())
-    for idx in combinations(range(n), 2):
-        v = ds.get((), idx) - phi.mu.get((), (a,) + idx)
-        if not v.is_zero():
-            top.set((), idx, v)
-    bot = AltTensor.form(n, 3, chart.zero())
-    for (b, c, d) in combinations(range(n), 3):
-        v = dm.get((), (b, c, d))
-        v = v + P.get((), (a, b)) * phi.sigma.get((), (c, d))
-        v = v + P.get((), (a, c)) * phi.sigma.get((), (d, b))
-        v = v + P.get((), (a, d)) * phi.sigma.get((), (b, c))
-        if not v.is_zero():
-            bot.set((), (b, c, d), v)
-    return Tractor3Form(top, bot)
+    top = dict(chart.cov_deriv(phi.sigma, a, weight=3).comps)
+    for (_, idx), v in phi.mu.comps.items():
+        if a in idx:
+            rest = tuple(x for x in idx if x != a)
+            _scatter(top, ((), rest), v, -sort_with_sign((a,) + rest)[1])
+    bot = dict(chart.cov_deriv(phi.mu, a, weight=3).comps)
+    for (_, (b, x)), p in chart.schouten().comps.items():
+        if b != a:
+            continue
+        for (_, (c, d)), s in phi.sigma.comps.items():
+            key, sign = sort_with_sign((x, c, d))
+            if sign:
+                _scatter(bot, ((), key), p * s, sign)
+    zero = chart.zero()
+    return Tractor3Form(_tensor(n, 0, 2, ALT, zero, top), _tensor(n, 0, 3, ALT, zero, bot))
 
 
 def d_cotractor_tensor(chart: FrameChart, T: AltTensor, a: int) -> AltTensor:
@@ -167,40 +172,39 @@ def tractor_metric_hhdef(chart: FrameChart, phi: Tractor3Form, orientation: int 
     tractor volume.  Used to cross-check the trace-normalized metric.
 
     The summand is unchanged by reordering C1 C2, C3 C4 or C5 C6 C7, so
-    the 5040 orderings collapse to the 210 splits of the seven legs into
-    increasing p, q, t, each counted 2! 2! 3! = 24 times."""
+    the 5040 orderings collapse to the splits of the seven legs into
+    increasing p, q, t, each counted 2! 2! 3! = 24 times.  The sum runs
+    over the stored components' pair index: each stored Phi_K lists
+    (A, Phi_{A p}) under the pair p = K minus A, and each stored Phi_t
+    multiplies the two lists of every split of the other four legs into
+    pairs p, q."""
     n = chart.dim
     if n != 6:
         raise ValueError("the tractor metric construction needs a 6-dimensional chart")
     full = phi.full(chart.zero())
-    vol = tractor_volume(chart)
     legs = tuple(range(7))
-    eps_sign = vol.get((), legs) * QScalar.of(orientation)
-    splits = []
-    for t in combinations(legs, 3):
+    pairs = {}
+    for (_, K), v in full.comps.items():
+        for A in K:
+            p = tuple(x for x in K if x != A)
+            pairs.setdefault(p, []).append((A, v if sort_with_sign((A,) + p)[1] > 0 else -v))
+    acc = {}
+    for (_, t), phi3 in full.comps.items():
         rest = [x for x in legs if x not in t]
         for p in combinations(rest, 2):
             q = tuple(x for x in rest if x not in p)
-            sign = perm_sign_rel_cached(legs, p + q + t)
-            phi3 = full.get((), t)
-            if not phi3.is_zero():
-                splits.append((p, q, phi3 if sign > 0 else -phi3))
-    H = AltTensor(7, 0, 2, SYM, chart.zero())
-    pref = QScalar(Fraction(1, 6))
-    for A in range(7):
-        for B in range(A, 7):
-            acc = chart.zero()
-            for p, q, phi3 in splits:
-                va = full.get((), (A,) + p)
-                if va.is_zero():
-                    continue
-                vb = full.get((), (B,) + q)
-                if not vb.is_zero():
-                    acc = acc + va * vb * phi3
-            acc = acc * pref * eps_sign
-            if not acc.is_zero():
-                H.set((), (A, B), acc)
-    return H
+            pa, qb = pairs.get(p), pairs.get(q)
+            if not pa or not qb:
+                continue
+            phi3s = phi3 if perm_sign_rel_cached(legs, p + q + t) > 0 else -phi3
+            for A, va in pa:
+                vat = va * phi3s
+                for B, vb in qb:
+                    if A <= B:
+                        _scatter(acc, ((), (A, B)), vat * vb)
+    eps_sign = tractor_volume(chart).get((), legs) * QScalar.of(orientation)
+    scale = eps_sign * QScalar(Fraction(1, 6))
+    return _tensor(7, 0, 2, SYM, chart.zero(), {k: v * scale for k, v in acc.items()})
 
 
 def phi_volume_ratio(chart: FrameChart, phi: Tractor3Form, Hinv) -> CoeffFn:

@@ -5,9 +5,11 @@ from itertools import combinations, combinations_with_replacement, product
 import pytest
 
 from g2trac.frames import FrameChart
+from g2trac.linalg import inverse_laurent, mat_mul
 from g2trac.laurent import CoeffFn, PLAIN
 from g2trac.scalars import QScalar
-from g2trac.geometry import levi_civita_collar
+from g2trac.boundary import restrict_to_zero_locus
+from g2trac.geometry import collar_metric, levi_civita_collar, npk_extract
 from g2trac.tensors import ALT, NONE, SYM, AltTensor
 from g2trac.tractor import d_cotractor, d_tractor, tractor_connection
 from g2trac.qm_family import REGRESSION_PARAMETERS, family_chart
@@ -292,6 +294,52 @@ def test_curvature_tower_matches_dense_loops(tower_chart):
     assert [v for row in dense_trace(W, 0, 2).as_matrix() for v in row] \
         == ch.weyl_trace_defects()[1]
     assert ch.jacobi_defect() == dense_jacobi_defect(ch)
+
+
+def dense_levi_civita(chart, g):
+    """Levi-Civita chart of g from K[a][c][d] = 2 g(nabla_a E_c, E_d) over
+    every (a, c, d, e)."""
+    n = chart.dim
+    gm = g.as_matrix()
+    ginv = inverse_laurent(gm)
+    half = chart.lift(Fraction(1, 2))
+    K = [[[chart.zero() for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for a, c, d in product(range(n), repeat=3):
+        acc = chart.dir_deriv(a, gm[c][d]) + chart.dir_deriv(c, gm[a][d]) \
+            - chart.dir_deriv(d, gm[a][c])
+        for e in range(n):
+            acc = acc + chart.C[a][c][e] * gm[e][d] - chart.C[a][d][e] * gm[e][c] \
+                - chart.C[c][d][e] * gm[e][a]
+        K[a][c][d] = acc
+    G = [[[x * half for x in row] for row in mat_mul(Ka, ginv)] for Ka in K]
+    out = FrameChart(n, chart.param, chart.rho_directions, chart.labels)
+    out.C = [[list(col) for col in row] for row in chart.C]
+    out.G = G
+    return out
+
+
+_METRIC_CHARTS = [f"{kind}{side:+d}:{m}" for kind in ("collar", "npk")
+                  for m in ("1/2", "3/7", "3") for side in (1, -1)] + ["boundary:1/2"]
+
+
+@pytest.mark.parametrize("case", _METRIC_CHARTS)
+def test_levi_civita_matches_dense_loop(case, family_package):
+    kind, _, m = case.partition(":")
+    pkg = family_package(Fraction(m))
+    if kind.startswith("collar"):
+        chart = pkg.chart
+        g = collar_metric(pkg.H.as_matrix(), int(kind[len("collar"):]), chart.param)
+    elif kind.startswith("npk"):
+        orbit = npk_extract(pkg, int(kind[len("npk"):]))
+        chart, g = orbit.chart, orbit.g
+    else:
+        conf = restrict_to_zero_locus(pkg).conformal
+        chart, g = conf.chart, conf.g0
+        assert chart.dim == 5
+    got, want = chart.levi_civita(g), dense_levi_civita(chart, g)
+    assert got.G == want.G
+    assert got.C == want.C and got.rho_directions == want.rho_directions
+    assert any(v for Ga in got.G for row in Ga for v in row)
 
 
 def test_random_chart_exercises_every_curvature_term():

@@ -6,8 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from g2trac.laurent import CoeffFn, PLAIN, RHO_MINUS, RHO_PLUS
+from g2trac.geometry import collar_metric
 from g2trac.linalg import (P, det_perm, eye, independent_rows_mod_p, inverse_laurent,
-                           mat_mul, mod_p, rank, rref, same_subspace, surds_mod_p)
+                           mat_mul, mod_p, rank, rref, same_subspace, signature,
+                           surds_mod_p)
+from g2trac.qm_family import REGRESSION_PARAMETERS
 from g2trac.scalars import SQRT2, SQRT5, SQRT10, DegenerateError, QScalar
 
 
@@ -64,6 +67,20 @@ def test_inverse_laurent_matches_adjugate(param):
         assert inv == _adjugate_inverse(A)
         assert all(x.param == param for row in inv for x in row)
         ident = eye(n, CoeffFn.one(param), CoeffFn.zero(param))
+        assert mat_mul(A, inv) == ident
+        assert mat_mul(inv, A) == ident
+
+
+@pytest.mark.parametrize("m", REGRESSION_PARAMETERS, ids=str)
+def test_inverse_laurent_inverts_sparse_collar_metrics(family_package, m):
+    # the collar metrics g_+-, and H itself, are mostly zero entries
+    pkg = family_package(m)
+    Hm = pkg.H.as_matrix()
+    for A in [Hm] + [collar_metric(Hm, side, pkg.chart.param).as_matrix() for side in (1, -1)]:
+        n = len(A)
+        assert sum(x.is_zero() for row in A for x in row) > n * n // 2
+        inv = inverse_laurent(A)
+        ident = eye(n, CoeffFn.one(pkg.chart.param), CoeffFn.zero(pkg.chart.param))
         assert mat_mul(A, inv) == ident
         assert mat_mul(inv, A) == ident
 
@@ -214,6 +231,100 @@ def test_sparse_rref_matches_dense_elimination(shape, density, four):
 
 
 # -- rows independent modulo P -------------------------------------------------
+
+
+def dense_signature(G):
+    """Symmetric reduction updating every active row and column: the
+    reference signature."""
+    n = len(G)
+    M = [row[:] for row in G]
+    active = list(range(n))
+    p = q = 0
+    while active:
+        piv = next((i for i in active if not M[i][i].is_zero()), None)
+        if piv is not None:
+            if M[piv][piv].sign() > 0:
+                p += 1
+            else:
+                q += 1
+            inv = M[piv][piv].inverse()
+            rest = [i for i in active if i != piv]
+            col = {i: M[i][piv] for i in rest}
+            for i in rest:
+                fi = col[i] * inv
+                for j in rest:
+                    M[i][j] = M[i][j] - fi * col[j]
+            active = rest
+            continue
+        pair = next(((i, j) for ii, i in enumerate(active) for j in active[ii + 1:]
+                     if not M[i][j].is_zero()), None)
+        if pair is None:
+            raise DegenerateError("degenerate form: zero block in symmetric reduction")
+        i, j = pair
+        p += 1
+        q += 1
+        binv = M[i][j].inverse()
+        rest = [k for k in active if k not in (i, j)]
+        ci = {k: M[k][i] for k in rest}
+        cj = {k: M[k][j] for k in rest}
+        for k in rest:
+            for l in rest:
+                M[k][l] = M[k][l] - (ci[k] * cj[l] + cj[k] * ci[l]) * binv
+        active = rest
+    return p, q
+
+
+def _symmetric(rng, n, density, four_coordinate, zero_diagonal):
+    A = _sparse_matrix(rng, n, n, density, four_coordinate)
+    S = [[A[i][j] if i <= j else A[j][i] for j in range(n)] for i in range(n)]
+    if zero_diagonal:
+        for i in range(n):
+            S[i][i] = QScalar.zero()
+    return S
+
+
+def _signature_or_error(f, M):
+    try:
+        return f(M)
+    except DegenerateError:
+        return DegenerateError
+
+
+@pytest.mark.parametrize("n,density,four,zero_diagonal", [
+    (7, 1.0, True, False), (7, 0.3, False, False), (7, 0.5, True, True),
+    (6, 0.4, False, True), (5, 0.25, True, False)],
+    ids=["dense7", "sparse7", "hyperbolic7", "hyperbolic6", "sparse5"])
+def test_signature_matches_dense_reduction(n, density, four, zero_diagonal):
+    # a zero diagonal makes the first pivot hyperbolic
+    rng = random.Random(f"signature-{n}-{density}-{four}-{zero_diagonal}")
+    results = []
+    for _ in range(30):
+        M = _symmetric(rng, n, density, four, zero_diagonal)
+        got = _signature_or_error(signature, M)
+        assert got == _signature_or_error(dense_signature, M)
+        results.append(got)
+    assert any(r is not DegenerateError for r in results)
+
+
+def test_signature_hyperbolic_pivots_and_degenerate_forms():
+    one, zero = QScalar.one(), QScalar.zero()
+    # (x1 x2 + x3 x4) has signature (2, 2) and no nonzero diagonal entry
+    split = [[zero, one, zero, zero], [one, zero, zero, zero],
+             [zero, zero, zero, one], [zero, zero, one, zero]]
+    assert signature(split) == dense_signature(split) == (2, 2)
+    # a hyperbolic pivot leaves a zero block behind
+    degenerate = [[zero, one, zero], [one, zero, zero], [zero, zero, zero]]
+    for f in (signature, dense_signature):
+        with pytest.raises(DegenerateError):
+            f(degenerate)
+    # a rank-2 form v v^T - w w^T on Q^5
+    rng = random.Random("signature-rank-2")
+    v = [QScalar(rng.randint(-3, 3)) for _ in range(5)]
+    w = [QScalar(rng.randint(-3, 3)) for _ in range(5)]
+    low = [[v[i] * v[j] - w[i] * w[j] for j in range(5)] for i in range(5)]
+    for f in (signature, dense_signature):
+        with pytest.raises(DegenerateError):
+            f(low)
 
 
 def test_surds_mod_p_square_to_2_and_5():

@@ -2,15 +2,18 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from g2trac.frames import FrameChart
 from g2trac.laurent import CoeffFn, PLAIN
 from g2trac.scalars import QScalar
-from g2trac.tensors import NONE, AltTensor
-from g2trac.tractor import (d_cotractor, d_cotractor_tensor,
+from g2trac.tensors import NONE, SYM, AltTensor
+from g2trac.tractor import (Tractor3Form, d_cotractor, d_cotractor_tensor,
                             d_tractor, d_tractor_3form, ky_prolong,
-                            ky_symmetrized_derivative, omega_weyl_cycle, scale_3form,
-                            scale_cotractor, scale_tractor, tractor_volume)
-from g2trac.qm_family import family_chart
+                            ky_symmetrized_derivative, omega_weyl_cycle,
+                            perm_sign_rel_cached, scale_3form, scale_cotractor,
+                            scale_tractor, tractor_metric_hhdef, tractor_volume)
+from g2trac.qm_family import REGRESSION_PARAMETERS, family_chart
 
 
 def random_2form(chart, rng, rho_dependent=True):
@@ -169,3 +172,123 @@ def test_omega_weyl_cycle_is_three_times_the_alternation():
             assert (got - T.alternation().scale(chart.lift(3))).is_zero()
             nonzero += not got.is_zero()
     assert nonzero
+
+
+# -- the sparse tractor kernels against the dense loops --------------------------
+
+
+def dense_hhdef(chart, phi, orientation=1):
+    """H_{AB} summed over all 210 splits (p, q, t) of the seven legs, every
+    component read through get."""
+    full = phi.full(chart.zero())
+    vol = tractor_volume(chart)
+    legs = tuple(range(7))
+    eps_sign = vol.get((), legs) * QScalar.of(orientation)
+    splits = []
+    for t in combinations(legs, 3):
+        rest = [x for x in legs if x not in t]
+        for p in combinations(rest, 2):
+            q = tuple(x for x in rest if x not in p)
+            sign = perm_sign_rel_cached(legs, p + q + t)
+            phi3 = full.get((), t)
+            if not phi3.is_zero():
+                splits.append((p, q, phi3 if sign > 0 else -phi3))
+    H = AltTensor(7, 0, 2, SYM, chart.zero())
+    pref = QScalar(Fraction(1, 6))
+    for A in range(7):
+        for B in range(A, 7):
+            acc = chart.zero()
+            for p, q, phi3 in splits:
+                va = full.get((), (A,) + p)
+                if va.is_zero():
+                    continue
+                vb = full.get((), (B,) + q)
+                if not vb.is_zero():
+                    acc = acc + va * vb * phi3
+            acc = acc * pref * eps_sign
+            if not acc.is_zero():
+                H.set((), (A, B), acc)
+    return H
+
+
+def dense_d_tractor_3form(chart, phi, a):
+    """The slot formula over every index combination, read through get."""
+    n = chart.dim
+    P = chart.schouten()
+    ds = chart.cov_deriv(phi.sigma, a, weight=3)
+    dm = chart.cov_deriv(phi.mu, a, weight=3)
+    top = AltTensor.form(n, 2, chart.zero())
+    for idx in combinations(range(n), 2):
+        top.set((), idx, ds.get((), idx) - phi.mu.get((), (a,) + idx))
+    bot = AltTensor.form(n, 3, chart.zero())
+    for (b, c, d) in combinations(range(n), 3):
+        v = dm.get((), (b, c, d))
+        v = v + P.get((), (a, b)) * phi.sigma.get((), (c, d))
+        v = v + P.get((), (a, c)) * phi.sigma.get((), (d, b))
+        v = v + P.get((), (a, d)) * phi.sigma.get((), (b, c))
+        bot.set((), (b, c, d), v)
+    return Tractor3Form(top, bot)
+
+
+def assert_same_form(got, want):
+    assert (got.dim, got.n_up, got.n_down, got.sym) == (want.dim, want.n_up, want.n_down, want.sym)
+    assert got.comps == want.comps
+
+
+def test_tractor_3form_slots_must_be_alternating():
+    # the kernels read the slots' stored components as increasing index sets
+    chart = family_chart(Fraction(1, 2))
+    sigma, mu = AltTensor.form(6, 2, chart.zero()), AltTensor.form(6, 3, chart.zero())
+    with pytest.raises(ValueError):
+        Tractor3Form(AltTensor(6, 0, 2, NONE, chart.zero()), mu)
+    with pytest.raises(ValueError):
+        Tractor3Form(sigma, AltTensor(6, 0, 3, SYM, chart.zero()))
+
+
+@pytest.mark.parametrize("m", REGRESSION_PARAMETERS, ids=str)
+def test_tractor_kernels_match_dense_loops_on_regression_packages(family_package, m):
+    pkg = family_package(m)
+    chart = pkg.chart
+    for orientation in (1, -1):
+        assert_same_form(tractor_metric_hhdef(chart, pkg.phi, orientation),
+                         dense_hhdef(chart, pkg.phi, orientation))
+    for a in range(6):
+        got, want = d_tractor_3form(chart, pkg.phi, a), dense_d_tractor_3form(chart, pkg.phi, a)
+        assert_same_form(got.sigma, want.sigma)
+        assert_same_form(got.mu, want.mu)
+
+
+def _random_3form_pair(chart, rng, density=0.4):
+    sigma, mu = AltTensor.form(6, 2, chart.zero()), AltTensor.form(6, 3, chart.zero())
+    for form, k in ((sigma, 2), (mu, 3)):
+        for idx in combinations(range(6), k):
+            if rng.random() < density:
+                c0, c1 = rng.randint(-3, 3), rng.randint(-2, 2)
+                form.set((), idx, chart.lift(QScalar(c0)) + chart.lift(QScalar(c1)) * chart.rho())
+    return Tractor3Form(sigma, mu)
+
+
+@pytest.mark.parametrize("rescale", [False, True], ids=["family", "rescaled"])
+@pytest.mark.parametrize("m", [Fraction(1, 2), Fraction(3, 7)], ids=str)
+def test_tractor_kernels_match_dense_loops_on_random_forms(m, rescale):
+    chart = family_chart(m)
+    if rescale:
+        f = CoeffFn({2: QScalar(Fraction(1, 3)), 1: QScalar(-2)}, chart.param)
+        chart = chart.change_scale(chart.exact_upsilon(f))
+        assert any(not w.is_zero() for w in chart.weight_form)
+    # P is nonzero on the family charts, with more entries after the rescale
+    assert len(chart.schouten().comps) > (3 if rescale else 0)
+    rng = random.Random(61 + 7 * rescale + m.denominator)
+    moved = 0
+    for _ in range(3):
+        phi = _random_3form_pair(chart, rng)
+        for a in range(6):
+            got, want = d_tractor_3form(chart, phi, a), dense_d_tractor_3form(chart, phi, a)
+            assert_same_form(got.sigma, want.sigma)
+            assert_same_form(got.mu, want.mu)
+            moved += not got.mu.is_zero()
+        for orientation in (1, -1):
+            got = tractor_metric_hhdef(chart, phi, orientation)
+            assert_same_form(got, dense_hhdef(chart, phi, orientation))
+            assert not got.is_zero()
+    assert moved

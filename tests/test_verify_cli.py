@@ -231,6 +231,9 @@ VERIFY_QUICK = ["verify-family", "--m", "1/2", "--depth", "quick"]
     (VERIFY_QUICK + ["--samples", "1/0"], None),
     (VERIFY_QUICK, "1,x"),
     (["orbit", "--m", "1/2", "--s", "1"], "0"),
+    (VERIFY_QUICK + ["--samples", ",,"], None),
+    (VERIFY_QUICK + ["--samples", ""], None),
+    (VERIFY_QUICK, ","),
 ])
 def test_cli_bad_samples_exit_2(argv, env, monkeypatch, capsys):
     if env is not None:
@@ -331,6 +334,34 @@ def test_cli_bad_family_parameter_exit_2(argv, m, capsys):
     captured = capsys.readouterr()
     assert rc == 2 and not captured.out
     assert len(captured.err.strip().splitlines()) == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (["verify-family", "--depth", "quick", "--report", "json"], "--m", "-5/2"),
+    (VERIFY_QUICK + ["--report", "json"], "--samples", "-1/2,1"),
+    (["orbit", "--m", "1/2", "--report", "json"], "--s", "-1/2"),
+    (["classify-form", "--report", "json"], "--at", "-1/2"),
+    (["monge-check", "--report", "json"], "--poly", "-q^2"),
+    (VERIFY_QUICK + ["--report", "json"], "--sam", "-1/2,1"),
+], ids=["m", "samples", "s", "at", "poly", "abbreviated"])
+def test_cli_option_takes_a_negative_value(argv, option, value, tmp_path, capsys):
+    # `--opt -1/2` reads like `--opt=-1/2`, not as an unknown option
+    if argv[0] == "classify-form":
+        assert cli.main(["export", "--m", "1/2", "--out", str(tmp_path)]) == 0
+        argv = argv + ["--file", str(tmp_path / "phi_m_1_2.json")]
+    capsys.readouterr()
+    rc = cli.main(argv + [option, value])
+    captured = capsys.readouterr()
+    assert rc == 0 and not captured.err
+    assert cli.main(argv + [f"{option}={value}"]) == 0
+    assert capsys.readouterr().out == captured.out
+    out = json.loads(captured.out)
+    if option == "--m":
+        assert out["meta"]["m"] == value
+    elif option == "--samples":
+        assert out["meta"]["samples"] == value
+    elif option == "--s":
+        assert out["s"] == value and out["orbit"] == "M-"
 
 
 def test_cli_export_out_is_a_file_exit_2(tmp_path, capsys):
