@@ -15,7 +15,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from g2trac.cli import _family_parameter, _parse_fraction
+from g2trac.cli import _family_parameter, _join_signed_values, _parse_fraction
 from g2trac.geometry import npk_extract, npk_verify
 from g2trac.qm_family import FamilyParams, build_qm
 from g2trac.scalars import QScalar
@@ -26,7 +26,7 @@ def main() -> int:
     ap.add_argument("--m", required=True)
     ap.add_argument("--points", default="-2,-1,0,1,2",
                     help="signed collar coordinates s; the point has rho = s|s|")
-    args = ap.parse_args()
+    args = ap.parse_args(_join_signed_values(sys.argv[1:]))
     m = _family_parameter(args.m)
     if m is None:
         return 2

@@ -15,7 +15,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from g2trac.cli import _family_parameter
+from g2trac.cli import _family_parameter, _join_signed_values
 from g2trac.qm_family import REGRESSION_PARAMETERS, FamilyParams, build_qm
 from g2trac.verify import verify
 
@@ -26,7 +26,7 @@ def main() -> int:
     ap.add_argument("--json", help="directory for per-parameter JSON reports")
     ap.add_argument("--m", action="append",
                     help="extra rational parameters to include (repeatable)")
-    args = ap.parse_args()
+    args = ap.parse_args(_join_signed_values(sys.argv[1:]))
 
     params = list(REGRESSION_PARAMETERS)
     for extra in args.m or ():

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
@@ -22,7 +21,7 @@ from .frames import FrameChart
 from .laurent import PLAIN, CoeffFn
 from .octonions import NullFiltration
 from .scalars import QScalar
-from .tensors import NONE, SYM, AltTensor
+from .tensors import ALT, NONE, SYM, AltTensor, _scatter, _tensor, sort_with_sign
 from .geometry import GeometryPackage
 
 
@@ -53,15 +52,14 @@ def _eval0(f: CoeffFn) -> QScalar:
     return f.eval(QScalar.zero())
 
 
-def _g_trace(ginv, f):
-    """sum_{k,l} g^{kl} f(k, l) over the nonzero entries of g^-1."""
-    n = len(ginv)
-    acc = ginv[0][0] * 0
-    for k in range(n):
-        for l in range(n):
-            w = ginv[k][l]
-            if not w.is_zero():
-                acc = acc + w * f(k, l)
+def _metric_trace(ginv, T: AltTensor, i: int, j: int) -> dict:
+    """g^{kl} T_{..k..l..} over the covariant slots i < j of T, scattered
+    from T's raw components: {the other indices of T: value}."""
+    acc = {}
+    for (_, idx), v in T.raw_items():
+        w = ginv[idx[i]][idx[j]]
+        if not w.is_zero():
+            _scatter(acc, idx[:i] + idx[i + 1:j] + idx[j + 1:], w * v)
     return acc
 
 
@@ -69,17 +67,14 @@ def conformal_schouten(chart: FrameChart, g: AltTensor) -> AltTensor:
     """(1/(d-2)) (Ric - Sc/(2(d-1)) g) for the Levi-Civita chart of g."""
     d = chart.dim
     ric = chart.ricci()
-    gm = g.as_matrix()
-    sc = _g_trace(linalg.inverse_laurent(gm), lambda a, b: ric.get((), (a, b)))
-    out = AltTensor(d, 0, 2, NONE, chart.zero())
+    sc = _metric_trace(linalg.inverse_laurent(g.as_matrix()), ric, 0, 1).get((), chart.zero())
     pref = chart.lift(Fraction(1, d - 2))
     trace_pref = chart.lift(Fraction(1, 2 * (d - 1)))
-    for a in range(d):
-        for b in range(d):
-            v = (ric.get((), (a, b)) - gm[a][b] * sc * trace_pref) * pref
-            if not v.is_zero():
-                out.set((), (a, b), v)
-    return out
+    acc = dict(ric.comps)
+    if not sc.is_zero():
+        for key, v in g.raw_items():
+            _scatter(acc, key, v * sc * trace_pref, -1)
+    return _tensor(d, 0, 2, NONE, chart.zero(), {k: v * pref for k, v in acc.items()})
 
 
 def restrict_to_zero_locus(pkg: GeometryPackage) -> BoundaryData:
@@ -104,36 +99,21 @@ def restrict_to_zero_locus(pkg: GeometryPackage) -> BoundaryData:
                     comps[c] = _eval0(v)
             if comps:
                 base.set_bracket(a, b, comps)
-    g0 = AltTensor(5, 0, 2, SYM, base.zero())
-    for a in range(5):
-        for b in range(a, 5):
-            v = Hm[a][b]
-            if not v.is_zero():
-                g0.set((), (a, b), base.lift(v))
+    g0 = AltTensor.from_matrix([[base.lift(v) for v in row[:5]] for row in Hm[:5]],
+                               5, 0, SYM, base.zero())
     lc = base.levi_civita(g0)
     P0 = conformal_schouten(lc, g0)
     conf = ConformalChart(lc, g0, P0)
 
-    full = pkg.phi.full(pkg.chart.zero())
-    sigma0 = AltTensor.form(5, 2)
-    psi0 = AltTensor.form(5, 3)
-    nu0 = AltTensor.form(5, 1)
-    rho0 = AltTensor.form(5, 2)
-    for idx in combinations(range(5), 2):
-        v = _eval0(full.get((), (6,) + idx))
-        if not v.is_zero():
-            sigma0.set((), idx, v)
-        w = _eval0(full.get((), (5,) + idx))
-        if not w.is_zero():
-            rho0.set((), idx, w)
-    for idx in combinations(range(5), 3):
-        v = _eval0(full.get((), idx))
-        if not v.is_zero():
-            psi0.set((), idx, v)
-    for c in range(5):
-        v = _eval0(full.get((), (6, 5, c)))
-        if not v.is_zero():
-            nu0.set((), (c,), v)
+    # each stored Phi_K by the legs 5 (Y) and 6 (X) it holds: psi0 = Phi_{bcd},
+    # rho0 = Phi_{5bc}, sigma0 = Phi_{6bc}, nu0_c = Phi_{65c} = -Phi_{c56}
+    legs = ((), (5,), (6,), (5, 6))
+    slots = {leg: {} for leg in legs}
+    for (_, K), v in pkg.phi.full(pkg.chart.zero()).comps.items():
+        rest = tuple(x for x in K if x < 5)
+        leg, v = K[len(rest):], _eval0(v)
+        slots[leg][((), rest)] = -v if leg == (5, 6) else v
+    psi0, rho0, sigma0, nu0 = (_tensor(5, 0, 3 - len(leg), ALT, None, slots[leg]) for leg in legs)
 
     Jtr0 = [[_eval0(pkg.J[a][b]) if a < 6 and b < 6 else QScalar.zero()
              for b in range(7)] for a in range(7)]
@@ -355,47 +335,41 @@ def bgg_split(conf: ConformalChart, omega0: AltTensor) -> ConformalTractor3Form:
     """
     lc = conf.chart
     n = 5
-    gm = conf.g0.as_matrix()
-    ginv = linalg.inverse_laurent(gm)
+    z = lc.zero()
+    ginv = linalg.inverse_laurent(conf.g0.as_matrix())
     P = conf.schouten
-    t = AltTensor(n, 0, 3, NONE, lc.zero())   # t_{a bc} = nabla_a omega_{bc}
-    for a in range(n):
-        da = lc.cov_deriv(omega0, a)
-        for bc in product(range(n), repeat=2):
-            t.set((), (a,) + bc, da.get((), bc))
-    s = AltTensor(n, 0, 4, NONE, lc.zero())   # s_{a b cd} = nabla_a t_{b cd}
-    for a in range(n):
-        da = lc.cov_deriv(t, a)
-        for (_, idx), v in da.comps.items():
-            s.set((), (a,) + idx, v)
+    # t_{a bc} = nabla_a omega_{bc} and s_{a b cd} = nabla_a t_{b cd}
+    t = _tensor(n, 0, 3, NONE, z, {((), (a,) + bc): v for a in range(n)
+                                   for (_, bc), v in lc.cov_deriv(omega0, a).raw_items()})
+    s = _tensor(n, 0, 4, NONE, z, {((), (a,) + idx): v for a in range(n)
+                                   for (_, idx), v in lc.cov_deriv(t, a).comps.items()})
     psi = t.alternation()
-    nu = AltTensor.form(n, 1, lc.zero())
     quarter = lc.lift(Fraction(-1, 4))
-    for c in range(n):
-        v = _g_trace(ginv, lambda k, l: t.get((), (l, k, c))) * quarter
-        if not v.is_zero():
-            nu.set((), (c,), v)
-    trP = _g_trace(ginv, lambda k, l: P.get((), (l, k)))
-    bottom = AltTensor.form(n, 2, lc.zero())
-    for (b, c) in combinations(range(n), 2):
-        acc = lc.zero()
-        # -(1/15) laplacian
-        lap = _g_trace(ginv, lambda k, l: s.get((), (l, k, b, c)))
-        acc = acc + lap * Fraction(-1, 15)
-        # -(2/15) alt_{bc} nabla^k nabla_c omega_{kb}
-        t2 = _g_trace(ginv, lambda k, l: s.get((), (l, c, k, b)) - s.get((), (l, b, k, c)))
-        acc = acc + t2 * Fraction(-1, 15)   # includes the 1/2 of the alternation
-        # -(1/10) alt_{bc} nabla_c nabla^k omega_{kb}
-        t3 = _g_trace(ginv, lambda k, l: s.get((), (c, l, k, b)) - s.get((), (b, l, k, c)))
-        acc = acc + t3 * Fraction(-1, 20)
-        # -(4/5) P^k_{[b} omega_{c]k}
-        t4 = _g_trace(ginv, lambda k, l: P.get((), (l, b)) * omega0.get((), (c, k))
-                      - P.get((), (l, c)) * omega0.get((), (b, k)))
-        acc = acc + t4 * Fraction(-2, 5)    # includes the 1/2 of the alternation
-        # -(1/5) P^k_k omega_{bc}
-        acc = acc + trP * omega0.get((), (b, c)) * Fraction(-1, 5)
-        if not acc.is_zero():
-            bottom.set((), (b, c), acc)
+    nu = _tensor(n, 0, 1, ALT, z, {((), c): v * quarter
+                                   for c, v in _metric_trace(ginv, t, 0, 1).items()})
+    trP = _metric_trace(ginv, P, 0, 1).get((), z)
+    acc = {}
+    # -(1/15) laplacian
+    for (b, c), v in _metric_trace(ginv, s, 0, 1).items():
+        if b < c:
+            _scatter(acc, ((), (b, c)), v * Fraction(-1, 15))
+    # T_{xy} - T_{yx} sends T_{xy} to the sorted (x, y) against the sort's sign;
+    # each coefficient includes the 1/2 of the alternation:
+    # -(2/15) alt_{bc} nabla^k nabla_c omega_{kb}, -(1/10) alt_{bc} nabla_c nabla^k omega_{kb}
+    # and -(4/5) P^k_{[b} omega_{c]k}, with M_{cb} = omega_{ck} P^k_b
+    M = linalg.mat_mul(omega0.as_matrix(), linalg.mat_mul(ginv, P.as_matrix()))
+    skew = [(_metric_trace(ginv, s, 0, 2), Fraction(-1, 15)),
+            (_metric_trace(ginv, s, 1, 2), Fraction(-1, 20)),
+            ({(x, y): v for x, row in enumerate(M) for y, v in enumerate(row)}, Fraction(-2, 5))]
+    for terms, coeff in skew:
+        for xy, v in terms.items():
+            key, sign = sort_with_sign(xy)
+            if sign:
+                _scatter(acc, ((), key), v * coeff, -sign)
+    # -(1/5) P^k_k omega_{bc}
+    for key, v in omega0.comps.items():
+        _scatter(acc, key, trP * v * Fraction(-1, 5))
+    bottom = _tensor(n, 0, 2, ALT, z, acc)
     return ConformalTractor3Form(omega0.copy(), psi, nu, bottom)
 
 

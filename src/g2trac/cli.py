@@ -39,9 +39,9 @@ def _parse_samples(text: str):
     return out
 
 
-# options whose value may begin with a minus sign: rationals, sample lists
-# and Monge polynomials
-_SIGNED_VALUE_OPTIONS = ("--m", "--s", "--samples", "--at", "--poly")
+# options whose value may begin with a minus sign, here and in scripts/:
+# rationals, sample lists, orbit_profile.py's point list and Monge polynomials
+_SIGNED_VALUE_OPTIONS = ("--m", "--s", "--samples", "--points", "--at", "--poly")
 
 
 def _join_signed_values(argv):

@@ -16,12 +16,13 @@ contravariant slot b gets +sum_e A[e][b] (slot -> e).  The default A is
 the frame connection G[a]; tractor.tractor_connection supplies the
 (n+1)x(n+1) matrix of the tractor connection, so one kernel serves both.
 
-The kernels read only stored nonzeros: cov_deriv scatters from the
-tensor's stored components, the curvature is one function of the
-connection matrices over their nonzero entries, the Weyl and Cotton
-tensors are built from the stored components of R and P (and of nabla P),
-the Jacobi defect walks the nonzero bracket rows, and the Levi-Civita
-connection is scattered from the nonzero metric and bracket entries.
+The kernels read only stored nonzeros, through the accumulator of
+tensors.py: cov_deriv and d_exterior scatter from the tensor's stored
+components, the curvature is one function of the connection matrices
+over their nonzero entries, the Weyl and Cotton tensors are built from
+the stored components of R and P (and of nabla P), the Jacobi defect
+walks the nonzero bracket rows, and the Levi-Civita connection is
+scattered from the nonzero metric and bracket entries.
 """
 
 from __future__ import annotations
@@ -32,23 +33,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .laurent import PLAIN, CoeffFn
 from .linalg import inverse_laurent, mat_mul
-from .tensors import ALT, NONE, AltTensor, sort_with_sign
-
-
-def _scatter(acc: dict, key, v, sign: int = 1) -> None:
-    """acc[key] += sign * v, starting from v itself."""
-    prev = acc.get(key)
-    if prev is None:
-        acc[key] = v if sign > 0 else -v
-    else:
-        acc[key] = prev + v if sign > 0 else prev - v
-
-
-def _tensor(dim, n_up, n_down, sym, zero, acc: dict) -> AltTensor:
-    """The tensor whose stored components are the nonzero values of acc."""
-    out = AltTensor(dim, n_up, n_down, sym, zero)
-    out.comps = {k: v for k, v in acc.items() if not v.is_zero()}
-    return out
+from .tensors import ALT, NONE, AltTensor, _scatter, _tensor, sort_with_sign
 
 
 def _nonzero_rows(M) -> List[List[List[Tuple[int, CoeffFn]]]]:
@@ -386,27 +371,27 @@ class FrameChart:
         return out
 
     def d_exterior(self, form: AltTensor) -> AltTensor:
-        """Frame exterior derivative of a covariant alternating form."""
-        k = form.n_down
-        out = AltTensor.form(self.dim, k + 1, self.zero())
-        for idx in combinations(range(self.dim), k + 1):
-            acc = self.zero()
-            for pos in range(k + 1):
-                rest = idx[:pos] + idx[pos + 1:]
-                sign = 1 if pos % 2 == 0 else -1
-                term = self.dir_deriv(idx[pos], form.get((), rest))
-                acc = acc + (term if sign > 0 else -term)
-            for i in range(k + 1):
-                for j in range(i + 1, k + 1):
-                    rest = tuple(x for p, x in enumerate(idx) if p not in (i, j))
-                    sign = 1 if (i + j) % 2 == 0 else -1
-                    br = self.C[idx[i]][idx[j]]
-                    term = self.zero()
-                    for e in range(self.dim):
-                        f = br[e]
-                        if not f.is_zero():
-                            term = term + f * form.get((), (e,) + rest)
-                    acc = acc + (term if sign > 0 else -term)
-            if not acc.is_zero():
-                out.set((), idx, acc)
-        return out
+        """Frame exterior derivative of a covariant alternating form,
+        scattered from each stored omega_J: E_x(omega_J) goes to the sorted
+        (x,) + J with the sort's sign, and C^e_ij (-1)^s omega_J for
+        e = J_s, i < j to the sorted (i, j) + J minus e with the opposite
+        sign.  It reads the brackets alone, not the connection."""
+        n = self.dim
+        by_e = [[] for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            for e, f in enumerate(self.C[i][j]):
+                if not f.is_zero():
+                    by_e[e].append((i, j, f))
+        acc: Dict[tuple, CoeffFn] = {}
+        for (_, J), w in form.comps.items():
+            for x in self.rho_directions:
+                key, sign = sort_with_sign((x,) + J)
+                if sign:
+                    _scatter(acc, ((), key), w.d_drho(), sign)
+            for s, e in enumerate(J):
+                rest = J[:s] + J[s + 1:]
+                for i, j, f in by_e[e]:
+                    key, sign = sort_with_sign((i, j) + rest)
+                    if sign:
+                        _scatter(acc, ((), key), f * w, sign if s % 2 else -sign)
+        return _tensor(n, 0, form.n_down + 1, ALT, self.zero(), acc)

@@ -32,15 +32,12 @@ REGRESSION_PARAMETERS = (Fraction(-1), Fraction(1, 3), Fraction(1, 2), Fraction(
 @dataclass
 class FamilyParams:
     m: Fraction
-    xi: int = -1
     samples: Tuple[QScalar, ...] = ()
 
     def __post_init__(self):
         self.m = Fraction(self.m)
         if self.m in (Fraction(0), Fraction(1)):
             raise ValueError("the family parameter m must avoid 0 and 1")
-        if self.xi not in (1, -1):
-            raise ValueError("xi must be +1 or -1")
         if not self.samples:
             self.samples = (QScalar.one(), QScalar(Fraction(1, 2)), QScalar(2))
         for s in self.samples:

@@ -211,13 +211,11 @@ def frame_symmetry_kernel_dim(pkg: GeometryPackage, weight: Fraction = Fraction(
     return frame_symmetry_system(pkg, weight)[1]
 
 
-def dilation_negative_control(pkg: GeometryPackage,
-                              sym2: Optional[FrameSymmetry] = None) -> bool:
+def dilation_negative_control(pkg: GeometryPackage, sym2: Optional[FrameSymmetry]) -> bool:
     """True when the weight-2 symmetry's group action, stripped of its
     rho-dilation, fails to preserve the package (the uncorrected sixth
-    generator is not a symmetry)."""
-    if sym2 is None:
-        sym2 = solve_frame_symmetry(pkg, Fraction(2))
+    generator is not a symmetry); False when there is no weight-2
+    symmetry (sym2 is None)."""
     if sym2 is None:
         return False
     lam0 = [row[:] for row in sym2.lam]

@@ -1,20 +1,21 @@
-"""Dense multilinear tensors over a framed 5/6/7-dimensional space.
+"""Multilinear tensors over a framed 5/6/7-dimensional space.
 
 Components live in any ring with +/-/* and is_zero (QScalar or CoeffFn).
 Alternating tensors store only strictly increasing covariant tuples and
 reconstruct every other component by permutation sign; symmetric ones
-store nondecreasing tuples.  The trace, the wedge and the pullback read
-only stored components (the trace expands alternating and symmetric
-storage to raw components first; the pullback, defined for alternating
-forms only, contracts one slot at a time and skips the zero entries of
-the matrix); insertion, alternation, as_matrix and contract iterate
-densely over index tuples, which is affordable at these dimensions.
+store nondecreasing tuples.
+
+Every operation reads only stored components: it walks comps (or
+raw_items, which expands alternating and symmetric storage to raw
+components) and sends each term to the component it lands on through
+the one accumulator _scatter, and _tensor keeps the nonzero sums.  The
+curvature, tractor and boundary kernels use the same pair.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -47,6 +48,22 @@ def sort_with_sign(idx: Tuple[int, ...]):
         return None, 0
     sign = perm_sign(idx)
     return tuple(sorted(idx)), sign
+
+
+def _scatter(acc: dict, key, v, sign: int = 1) -> None:
+    """acc[key] += sign * v, starting from v itself."""
+    prev = acc.get(key)
+    if prev is None:
+        acc[key] = v if sign > 0 else -v
+    else:
+        acc[key] = prev + v if sign > 0 else prev - v
+
+
+def _tensor(dim, n_up, n_down, sym, zero, acc: dict) -> "AltTensor":
+    """The tensor whose stored components are the nonzero values of acc."""
+    out = AltTensor(dim, n_up, n_down, sym, zero)
+    out.comps = {k: v for k, v in acc.items() if not v.is_zero()}
+    return out
 
 
 class AltTensor:
@@ -115,12 +132,6 @@ class AltTensor:
         else:
             self.comps[key] = value
 
-    def add_to(self, up, down, value) -> None:
-        self.set(up, down, self.get(up, down) + value)
-
-    def items(self) -> Iterable:
-        return self.comps.items()
-
     def raw_items(self) -> Iterable:
         """((up, down), value) for every nonzero component under raw
         indexing: the stored components, and for alternating or symmetric
@@ -147,10 +158,10 @@ class AltTensor:
 
     def __add__(self, other: "AltTensor") -> "AltTensor":
         self._compat(other)
-        out = self.copy()
-        for (up, down), v in other.comps.items():
-            out.add_to(up, down, v)
-        return out
+        acc = dict(self.comps)
+        for key, v in other.comps.items():
+            _scatter(acc, key, v)
+        return _tensor(self.dim, self.n_up, self.n_down, self.sym, self.zero, acc)
 
     def __neg__(self) -> "AltTensor":
         out = AltTensor(self.dim, self.n_up, self.n_down, self.sym, self.zero)
@@ -192,41 +203,27 @@ class AltTensor:
             raise ValueError("wedge expects covariant alternating tensors")
         if self.dim != other.dim:
             raise ValueError("wedge: dimension mismatch")
-        k, l = self.n_down, other.n_down
-        out = AltTensor.form(self.dim, k + l, self.zero)
-        if k + l > self.dim:
-            return out
-        for (_, a_idx), av in self.comps.items():
-            for (_, b_idx), bv in other.comps.items():
-                merged = a_idx + b_idx
-                canon, sign = sort_with_sign(merged)
-                if sign == 0:
-                    continue
-                term = av * bv
-                if sign < 0:
-                    term = -term
-                out.add_to((), canon, term)
-        return out
+        acc = {}
+        if self.n_down + other.n_down <= self.dim:
+            for (_, a_idx), av in self.comps.items():
+                for (_, b_idx), bv in other.comps.items():
+                    canon, sign = sort_with_sign(a_idx + b_idx)
+                    if sign:
+                        _scatter(acc, ((), canon), av * bv, sign)
+        return _tensor(self.dim, 0, self.n_down + other.n_down, ALT, self.zero, acc)
 
     def interior(self, vec) -> "AltTensor":
-        """Insertion of a vector (component list) into the first slot."""
+        """Insertion of a vector (component list) into the first slot: each
+        stored T_K sends (-1)^s vec[K_s] T_K to K minus K_s."""
         if self.n_up or self.sym != ALT or self.n_down == 0:
             raise ValueError("interior product expects a covariant form of positive degree")
-        out = AltTensor.form(self.dim, self.n_down - 1, self.zero)
-        for rest in combinations(range(self.dim), self.n_down - 1):
-            acc = None
-            for a in range(self.dim):
+        acc = {}
+        for (_, idx), v in self.comps.items():
+            for s, a in enumerate(idx):
                 va = vec[a]
-                if hasattr(va, "is_zero") and va.is_zero():
-                    continue
-                term = self.get((), (a,) + rest)
-                if term.is_zero():
-                    continue
-                term = va * term
-                acc = term if acc is None else acc + term
-            if acc is not None and not acc.is_zero():
-                out.set((), rest, acc)
-        return out
+                if not (hasattr(va, "is_zero") and va.is_zero()):
+                    _scatter(acc, ((), idx[:s] + idx[s + 1:]), va * v, -1 if s % 2 else 1)
+        return _tensor(self.dim, 0, self.n_down - 1, ALT, self.zero, acc)
 
     def pullback(self, A) -> "AltTensor":
         """(A^* T)(v_1..v_k) = T(A v_1, .., A v_k) for a covariant alternating
@@ -239,7 +236,6 @@ class AltTensor:
         only strictly increasing keys reach the end."""
         if self.n_up or self.sym != ALT:
             raise ValueError("pullback expects a covariant alternating tensor")
-        out = AltTensor(self.dim, 0, self.n_down, ALT, self.zero)
         k = self.n_down
         rows = [[(t, a) for t, a in enumerate(row) if a] for row in A]
         orders = [(p, perm_sign(p)) for p in permutations(range(k))]
@@ -254,37 +250,28 @@ class AltTensor:
                 head, rest = key[:i], key[i + 1:]
                 for t, a in rows[key[i]]:
                     if t > floor:
-                        nk = head + (t,) + rest
-                        term = v * a
-                        prev = nxt.get(nk)
-                        nxt[nk] = term if prev is None else prev + term
+                        _scatter(nxt, head + (t,) + rest, v * a)
             terms = nxt
-        for key, v in terms.items():
-            if not v.is_zero():
-                out.comps[((), key)] = v
-        return out
+        return _tensor(self.dim, 0, k, ALT, self.zero,
+                       {((), key): v for key, v in terms.items()})
 
     def alternation(self) -> "AltTensor":
-        """Full alternation of the covariant block of a (0,k) tensor."""
+        """Full alternation of the covariant block of a (0,k) tensor: each
+        raw component goes to its sorted indices with the sort's sign, and
+        the sums are divided by k!."""
         if self.n_up:
             raise ValueError("alternation expects a covariant tensor")
         k = self.n_down
-        out = AltTensor.form(self.dim, k, self.zero)
         norm = Fraction(1)
         for i in range(2, k + 1):
             norm /= i
-        for idx in combinations(range(self.dim), k):
-            acc = None
-            for p in permutations(idx):
-                term = self.get((), p)
-                if term.is_zero():
-                    continue
-                if perm_sign_rel(idx, p) < 0:
-                    term = -term
-                acc = term if acc is None else acc + term
-            if acc is not None and not acc.is_zero():
-                out.set((), idx, acc * QScalar(norm))
-        return out
+        acc = {}
+        for (_, idx), v in self.raw_items():
+            canon, sign = sort_with_sign(idx)
+            if sign:
+                _scatter(acc, ((), canon), v, sign)
+        return _tensor(self.dim, 0, k, ALT, self.zero,
+                       {key: v * QScalar(norm) for key, v in acc.items()})
 
     # -- contraction --------------------------------------------------------
 
@@ -293,27 +280,18 @@ class AltTensor:
         components whose two traced indices agree, summed (raw storage)."""
         acc = {}
         for (up, down), v in self.raw_items():
-            if up[up_slot] != down[down_slot]:
-                continue
-            key = (up[:up_slot] + up[up_slot + 1:], down[:down_slot] + down[down_slot + 1:])
-            prev = acc.get(key)
-            acc[key] = v if prev is None else prev + v
-        out = AltTensor(self.dim, self.n_up - 1, self.n_down - 1, NONE, self.zero)
-        out.comps = {k: v for k, v in acc.items() if not v.is_zero()}
-        return out
+            if up[up_slot] == down[down_slot]:
+                _scatter(acc, (up[:up_slot] + up[up_slot + 1:],
+                               down[:down_slot] + down[down_slot + 1:]), v)
+        return _tensor(self.dim, self.n_up - 1, self.n_down - 1, NONE, self.zero, acc)
 
     def as_matrix(self):
         """Dense matrix of a valence-2 tensor ((0,2), (1,1) or (2,0))."""
         n = self.dim
         out = [[self.zero for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if self.n_up == 0:
-                    out[i][j] = self.get((), (i, j))
-                elif self.n_up == 1:
-                    out[i][j] = self.get((i,), (j,))
-                else:
-                    out[i][j] = self.get((i, j), ())
+        for (up, down), v in self.raw_items():
+            i, j = up + down
+            out[i][j] = v
         return out
 
     @staticmethod
@@ -374,81 +352,52 @@ def contract(a: AltTensor, b: AltTensor, pairs, metric: Optional[AltTensor] = No
     directly; a both-covariant pair is weighted by the inverse of the
     supplied metric and a both-contravariant pair by the metric itself.
     Free slots keep their variance, a-side first.
-    """
+
+    Each raw component of a meets the raw components of b whose
+    contracted indices match its own (mixed pair) or meet a nonzero
+    weight entry (same-variance pair), and their product goes to the
+    free indices."""
     if a.dim != b.dim:
         raise ValueError("contract: dimension mismatch")
-    g = ginv = None
-    kinds = []
-    for sa, sb in pairs:
-        if sa[0] == sb[0]:
-            kinds.append(sa[0])
-        else:
-            kinds.append("mixed")
-    if any(k != "mixed" for k in kinds):
+    weights = [None] * len(pairs)
+    if any(sa[0] == sb[0] for sa, sb in pairs):
         if metric is None:
             raise ValueError("metric required for same-variance contraction")
         from .linalg import inverse as inv_field, inverse_laurent
         g = metric.as_matrix()
         ginv = inv_field(g) if isinstance(g[0][0], QScalar) else inverse_laurent(g)
+        for p, (sa, sb) in enumerate(pairs):
+            if sa[0] == sb[0]:
+                M = ginv if sa[0] == "d" else g
+                weights[p] = [[(l, w) for l, w in enumerate(row) if not w.is_zero()] for row in M]
 
-    def slots(t):
-        return [("u", i) for i in range(t.n_up)] + [("d", i) for i in range(t.n_down)]
+    def read(key, slot):
+        """The index that slot ('u', i) or ('d', i) holds in a raw key (up, down)."""
+        return key[0 if slot[0] == "u" else 1][slot[1]]
 
-    pa = [p[0] for p in pairs]
-    pb = [p[1] for p in pairs]
-    free_a = [s for s in slots(a) if s not in pa]
-    free_b = [s for s in slots(b) if s not in pb]
-    n_up = sum(1 for s in free_a + free_b if s[0] == "u")
-    n_down = sum(1 for s in free_a + free_b if s[0] == "d")
-    out = AltTensor(a.dim, n_up, n_down, NONE, a.zero)
-    rng = range(a.dim)
+    def free_slots(t, contracted):
+        return ([i for i in range(t.n_up) if ("u", i) not in contracted],
+                [i for i in range(t.n_down) if ("d", i) not in contracted])
 
-    def read(t, assign):
-        up = tuple(assign[("u", i)] for i in range(t.n_up))
-        down = tuple(assign[("d", i)] for i in range(t.n_down))
-        return t.get(up, down)
-
-    n_free = len(free_a) + len(free_b)
-    for free_vals in product(rng, repeat=n_free):
-        fa = dict(zip(free_a, free_vals[:len(free_a)]))
-        fb = dict(zip(free_b, free_vals[len(free_a):]))
-        acc = None
-        # mixed pairs use one dummy index; same-variance pairs use two
-        dummy_count = sum(1 if k == "mixed" else 2 for k in kinds)
-        for dummies in product(rng, repeat=dummy_count):
-            aa = dict(fa)
-            bb = dict(fb)
+    a_up, a_down = free_slots(a, [sa for sa, _ in pairs])
+    b_up, b_down = free_slots(b, [sb for _, sb in pairs])
+    # b's raw components by the indices in their contracted slots
+    by_pair = {}
+    for key, vb in b.raw_items():
+        by_pair.setdefault(tuple(read(key, sb) for _, sb in pairs), []).append(
+            (tuple(key[0][i] for i in b_up), tuple(key[1][i] for i in b_down), vb))
+    acc = {}
+    for key, va in a.raw_items():
+        up = tuple(key[0][i] for i in a_up)
+        down = tuple(key[1][i] for i in a_down)
+        choices = [[(read(key, sa), None)] if rows is None else rows[read(key, sa)]
+                   for (sa, _), rows in zip(pairs, weights)]
+        for choice in product(*choices):
             weight = None
-            pos = 0
-            for (sa, sb), kind in zip(pairs, kinds):
-                if kind == "mixed":
-                    aa[sa] = bb[sb] = dummies[pos]
-                    pos += 1
-                else:
-                    k, l = dummies[pos], dummies[pos + 1]
-                    pos += 2
-                    aa[sa] = k
-                    bb[sb] = l
-                    w = ginv[k][l] if kind == "d" else g[k][l]
-                    if hasattr(w, "is_zero") and w.is_zero():
-                        weight = None
-                        aa = None
-                        break
+            for _, w in choice:
+                if w is not None:
                     weight = w if weight is None else weight * w
-            if aa is None:
-                continue
-            va = read(a, aa)
-            if va.is_zero():
-                continue
-            vb = read(b, bb)
-            if vb.is_zero():
-                continue
-            term = va * vb
-            if weight is not None:
-                term = term * weight
-            acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero():
-            up = tuple(v for v, s in zip(free_vals, free_a + free_b) if s[0] == "u")
-            down = tuple(v for v, s in zip(free_vals, free_a + free_b) if s[0] == "d")
-            out.set(up, down, acc)
-    return out
+            for b_u, b_d, vb in by_pair.get(tuple(l for l, _ in choice), ()):
+                term = va * vb
+                _scatter(acc, (up + b_u, down + b_d), term if weight is None else term * weight)
+    return _tensor(a.dim, len(a_up) + len(b_up), len(a_down) + len(b_down), NONE, a.zero, acc)

@@ -11,15 +11,16 @@ beyond bookkeeping.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import List
 
-from .frames import FrameChart, _scatter, _tensor
+from .frames import FrameChart
 from .laurent import CoeffFn
 from .linalg import inverse_laurent
 from .scalars import DegenerateError, QScalar
 from .stable_forms import _trace_normalised, phi_volume_with
-from .tensors import ALT, NONE, SYM, AltTensor, perm_sign, perm_sign_rel, sort_with_sign
+from .tensors import (ALT, NONE, SYM, AltTensor, _scatter, _tensor, perm_sign, perm_sign_rel,
+                      sort_with_sign)
 
 
 class Tractor3Form:
@@ -234,36 +235,33 @@ def perm_sign_rel_cached(base, perm):
 def ky_symmetrized_derivative(chart: FrameChart, omega: AltTensor) -> AltTensor:
     """Brute-force oracle: S_{abc} = (nabla_a omega_{bc} + nabla_b omega_{ac})/2."""
     n = chart.dim
-    d = [chart.cov_deriv(omega, a, weight=3) for a in range(n)]
-    out = AltTensor(n, 0, 3, NONE, chart.zero())
     half = chart.lift(Fraction(1, 2))
+    acc = {}
     for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                v = (d[a].get((), (b, c)) + d[b].get((), (a, c))) * half
-                if not v.is_zero():
-                    out.set((), (a, b, c), v)
-    return out
+        for (_, (b, c)), v in chart.cov_deriv(omega, a, weight=3).raw_items():
+            _scatter(acc, ((), (a, b, c)), v)
+            _scatter(acc, ((), (b, a, c)), v)
+    return _tensor(n, 0, 3, NONE, chart.zero(), {k: v * half for k, v in acc.items()})
 
 
 def omega_weyl_cycle(omega: AltTensor, W: AltTensor, a: int) -> AltTensor:
     """The 3-form omega_{kb} W_{cd}{}^k{}_a + (cyclic in b, c, d), which is
-    3 omega_{k[b} W_{cd]}{}^k{}_a because W is skew in its first two legs."""
-    n = omega.dim
-    out = AltTensor.form(n, 3, omega.zero)
-    for (b, c, d) in combinations(range(n), 3):
-        acc = omega.zero
-        for (x, y, z) in ((b, c, d), (c, d, b), (d, b, c)):
-            for k in range(n):
-                o = omega.get((), (k, x))
-                if o.is_zero():
-                    continue
-                w = W.get((k,), (y, z, a))
-                if not w.is_zero():
-                    acc = acc + o * w
-        if not acc.is_zero():
-            out.set((), (b, c, d), acc)
-    return out
+    3 omega_{k[b} W_{cd]}{}^k{}_a because W is skew in its first two legs.
+
+    Each stored W^k_{yza} with y < z, times each nonzero omega_{kx}, goes
+    to the sorted (x, y, z) with the sort's sign; the skew symmetry of W
+    supplies the terms with y > z."""
+    rows = [[] for _ in range(omega.dim)]
+    for (_, (k, x)), o in omega.raw_items():
+        rows[k].append((x, o))
+    acc = {}
+    for ((k,), (y, z, c)), w in W.raw_items():
+        if c == a and y < z:
+            for x, o in rows[k]:
+                key, sign = sort_with_sign((x, y, z))
+                if sign:
+                    _scatter(acc, ((), key), o * w, sign)
+    return _tensor(omega.dim, 0, 3, ALT, omega.zero, acc)
 
 
 def ky_prolong(chart: FrameChart, omega: AltTensor):
@@ -278,11 +276,11 @@ def ky_prolong(chart: FrameChart, omega: AltTensor):
                  first-slot defect d via S_abc = d_abc - d_cba / 2.
     """
     n = chart.dim
-    d = [chart.cov_deriv(omega, a, weight=3) for a in range(n)]
-    raw = AltTensor(n, 0, 3, NONE, chart.zero())
-    for a in range(n):
-        for bc in product(range(n), repeat=2):
-            raw.set((), (a,) + bc, d[a].get((), bc))
+    zero = chart.zero()
+    # raw_{abc} = nabla_a omega_{bc}
+    raw = _tensor(n, 0, 3, NONE, zero, {
+        ((), (a,) + bc): v for a in range(n)
+        for (_, bc), v in chart.cov_deriv(omega, a, weight=3).raw_items()})
     mu = raw.alternation()
     pair = Tractor3Form(omega, mu)
     W = chart.weyl()
@@ -293,22 +291,16 @@ def ky_prolong(chart: FrameChart, omega: AltTensor):
         # (3/2) omega_{k[b} W_{cd]}{}^k{}_a = (1/2) * cyclic sum
         corr = omega_weyl_cycle(omega, W, a).scale(half)
         hat.append(Tractor3Form(base.sigma, base.mu - corr))
-    # first-slot defect and the exact recovery of the symmetrized derivative
-    defect = AltTensor(n, 0, 3, NONE, chart.zero())
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                v = d[a].get((), (b, c)) - mu.get((), (a, b, c))
-                if not v.is_zero():
-                    defect.set((), (a, b, c), v)
-    residual = AltTensor(n, 0, 3, NONE, chart.zero())
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                v = defect.get((), (a, b, c)) - defect.get((), (c, b, a)) * half
-                if not v.is_zero():
-                    residual.set((), (a, b, c), v)
-    return pair, hat, residual
+    # first-slot defect d_abc = raw_abc - mu_abc and the exact recovery
+    # S_abc = d_abc - d_cba / 2 of the symmetrized derivative
+    acc = dict(raw.comps)
+    for key, v in mu.raw_items():
+        _scatter(acc, key, v, -1)
+    defect = _tensor(n, 0, 3, NONE, zero, acc)
+    acc = dict(defect.comps)
+    for (_, (a, b, c)), v in defect.comps.items():
+        _scatter(acc, ((), (c, b, a)), v * half, -1)
+    return pair, hat, _tensor(n, 0, 3, NONE, zero, acc)
 
 
 # -- scale changes --------------------------------------------------------------
@@ -328,12 +320,13 @@ def scale_cotractor(U: List[CoeffFn], upsilon: List[CoeffFn]) -> List[CoeffFn]:
 
 
 def scale_3form(phi: Tractor3Form, upsilon: List[CoeffFn]) -> Tractor3Form:
-    n = phi.sigma.dim
-    mu = phi.mu.copy()
-    for (b, c, d) in combinations(range(n), 3):
-        v = mu.get((), (b, c, d))
-        v = v + upsilon[b] * phi.sigma.get((), (c, d))
-        v = v + upsilon[c] * phi.sigma.get((), (d, b))
-        v = v + upsilon[d] * phi.sigma.get((), (b, c))
-        mu.set((), (b, c, d), v)
+    """mu_{bcd} + Upsilon_b sigma_{cd} + Upsilon_c sigma_{db} + Upsilon_d sigma_{bc}:
+    each stored sigma_{cd} sends Upsilon_b sigma_{cd} to the sorted (b, c, d)."""
+    acc = dict(phi.mu.comps)
+    for (_, cd), v in phi.sigma.comps.items():
+        for b, u in enumerate(upsilon):
+            key, sign = sort_with_sign((b,) + cd)
+            if sign and not u.is_zero():
+                _scatter(acc, ((), key), u * v, sign)
+    mu = _tensor(phi.mu.dim, 0, 3, ALT, phi.mu.zero, acc)
     return Tractor3Form(phi.sigma.copy(), mu)

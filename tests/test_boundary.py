@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from g2trac import linalg
+from g2trac import linalg, symmetries
 from g2trac.boundary import (bgg_round_trip_defect, bgg_split, boundary_3form,
                              boundary_connection_checks, conformal_parallel_defect,
-                             distribution_checks, extract_distribution, j0_checks,
-                             restrict_to_zero_locus)
+                             conformal_schouten, distribution_checks, extract_distribution,
+                             j0_checks, restrict_to_zero_locus)
 from g2trac.coordfields import monge_check, parse_monge_polynomial
+from g2trac.geometry import npk_extract
 from g2trac.octonions import NullFiltration
 from g2trac.qm_family import REGRESSION_PARAMETERS
 from g2trac.scalars import QScalar
@@ -30,6 +31,21 @@ def test_conformal_representative(pkg_half, bd):
     assert g0.get((), (1, 4)) == pkg_half.chart.one()
     assert g0.get((), (2, 2)) == pkg_half.chart.lift(-1)
     assert g0.get((), (0, 0)).is_zero()
+
+
+@pytest.mark.parametrize("side, alpha", [(1, 1), (-1, -1)], ids=["M+", "M-"])
+def test_conformal_schouten_of_einstein_orbit_metric(pkg_half, side, alpha):
+    # Ric = 5 alpha g on the open orbits, so Sc = 30 alpha and
+    # P = (Ric - (Sc/10) g)/4 = (alpha/2) g: the trace term is nonzero here,
+    # unlike on the boundary, where the scalar curvature vanishes
+    orbit = npk_extract(pkg_half, side)
+    lc = orbit.chart.levi_civita(orbit.g)
+    ric, P = lc.ricci(), conformal_schouten(lc, orbit.g)
+    for a in range(6):
+        for b in range(6):
+            g_ab = orbit.g.get((), (a, b))
+            assert ric.get((), (a, b)) == g_ab * (5 * alpha)
+            assert P.get((), (a, b)) == g_ab * Fraction(alpha, 2)
 
 
 def test_restriction_needs_zero_locus():
@@ -176,6 +192,17 @@ def test_xi7_when_polynomial():
     assert xi7 is not None
     # with the antiderivative constant fixed at 0 it is a symmetry too
     assert is_distribution_symmetry(xi7, m)
+
+
+def test_negative_control_without_weight_2_symmetry_solves_nothing(pkg_half, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("the weight-2 system was solved again")
+
+    monkeypatch.setattr(symmetries, "frame_symmetry_system", no_solve)
+    monkeypatch.setattr(symmetries, "solve_frame_symmetry", no_solve)
+    assert dilation_negative_control(pkg_half, None) is False
+    with pytest.raises(TypeError):
+        dilation_negative_control(pkg_half)
 
 
 def test_xi7_degenerates_at_one_half():

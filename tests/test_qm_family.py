@@ -19,6 +19,12 @@ def test_family_params_validation():
     assert FamilyParams(Fraction(1, 2)).samples
 
 
+def test_family_params_have_no_xi_knob():
+    # the family is the split one; build_model(+1) is the definite route
+    with pytest.raises(TypeError):
+        FamilyParams(Fraction(1, 2), xi=1)
+
+
 def test_bracket_spot_values():
     br = family_brackets(Fraction(1, 2))
     assert br[(2, 5)][2] == -SQRT10

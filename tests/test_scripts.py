@@ -1,6 +1,7 @@
 """Smoke runs of the command line scripts under scripts/."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -26,6 +27,24 @@ def test_quick_family_sweep_passes():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[-1] == "sweep: ALL PASS" and len(lines) == 9
+
+
+def _untimed(stdout):
+    return re.sub(r"\(\s*[0-9.]+s\)", "", stdout)
+
+
+@pytest.mark.parametrize("name, args, joined, shown", [
+    ("orbit_profile.py", ["--m", "-5/2"], ["--m=-5/2"], "m = -5/2;"),
+    ("orbit_profile.py", ["--m", "1/2", "--points", "-1,1"], ["--m", "1/2", "--points=-1,1"],
+     "s =    -1"),
+    ("run_family_sweep.py", ["--depth", "quick", "--m", "-5/2"],
+     ["--depth", "quick", "--m=-5/2"], "m =  -5/2"),
+], ids=["orbit-m", "orbit-points", "sweep-m"])
+def test_scripts_take_negative_option_values(name, args, joined, shown):
+    proc = _run(name, *args)
+    assert proc.returncode == 0, proc.stderr
+    assert shown in proc.stdout
+    assert _untimed(proc.stdout) == _untimed(_run(name, *joined).stdout)
 
 
 @pytest.mark.parametrize("name, args", [

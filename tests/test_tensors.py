@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from g2trac import linalg
 from g2trac.laurent import CoeffFn
 from g2trac.scalars import SQRT2, QScalar, DegenerateError
-from g2trac.tensors import NONE, SYM, AltTensor, contract, perm_sign, sort_with_sign, wedge
+from g2trac.tensors import (ALT, NONE, SYM, AltTensor, contract, perm_sign, sort_with_sign,
+                             wedge)
 
 
 def form(dim, degree, entries):
@@ -134,6 +135,115 @@ def test_contract_with_metric_pairs_covariant_slots():
     b = form(7, 1, [((4,), 5)])
     out = contract(a, b, [(("d", 0), ("d", 0))], metric=g)
     assert out.get((), ()) == QScalar(-15)
+
+
+def dense_contract(a, b, pairs, metric=None):
+    """The product loop contract used to run: every assignment of the free
+    and dummy indices, read through get."""
+    g = ginv = None
+    kinds = ["mixed" if sa[0] != sb[0] else sa[0] for sa, sb in pairs]
+    if any(k != "mixed" for k in kinds):
+        g = metric.as_matrix()
+        ginv = linalg.inverse(g) if isinstance(g[0][0], QScalar) else linalg.inverse_laurent(g)
+
+    def slots(t):
+        return [("u", i) for i in range(t.n_up)] + [("d", i) for i in range(t.n_down)]
+
+    free_a = [s for s in slots(a) if s not in [p[0] for p in pairs]]
+    free_b = [s for s in slots(b) if s not in [p[1] for p in pairs]]
+    free = free_a + free_b
+    out = AltTensor(a.dim, sum(s[0] == "u" for s in free), sum(s[0] == "d" for s in free),
+                    NONE, a.zero)
+
+    def read(t, assign):
+        return t.get(tuple(assign[("u", i)] for i in range(t.n_up)),
+                     tuple(assign[("d", i)] for i in range(t.n_down)))
+
+    rng = range(a.dim)
+    dummy_count = sum(1 if k == "mixed" else 2 for k in kinds)
+    for free_vals in product(rng, repeat=len(free)):
+        acc = None
+        for dummies in product(rng, repeat=dummy_count):
+            aa = dict(zip(free_a, free_vals[:len(free_a)]))
+            bb = dict(zip(free_b, free_vals[len(free_a):]))
+            weight, pos = None, 0
+            for (sa, sb), kind in zip(pairs, kinds):
+                if kind == "mixed":
+                    aa[sa] = bb[sb] = dummies[pos]
+                    pos += 1
+                    continue
+                k, l = dummies[pos], dummies[pos + 1]
+                aa[sa], bb[sb] = k, l
+                pos += 2
+                w = ginv[k][l] if kind == "d" else g[k][l]
+                weight = w if weight is None else weight * w
+            va = read(a, aa)
+            if va.is_zero() or (weight is not None and weight.is_zero()):
+                continue
+            term = va * read(b, bb)
+            if weight is not None:
+                term = term * weight
+            acc = term if acc is None else acc + term
+        if acc is not None and not acc.is_zero():
+            out.set(tuple(v for v, s in zip(free_vals, free) if s[0] == "u"),
+                    tuple(v for v, s in zip(free_vals, free) if s[0] == "d"), acc)
+    return out
+
+
+def random_tensor(rng, dim, n_up, n_down, sym, value, zero, density=0.4):
+    t = AltTensor(dim, n_up, n_down, sym, zero)
+    for up in product(range(dim), repeat=n_up):
+        for down in product(range(dim), repeat=n_down):
+            if (sym == ALT and len(set(down)) < n_down) or rng.random() >= density:
+                continue
+            t.set(up, down, value(rng))
+    return t
+
+
+def contract_metric(laurent):
+    """A metric on 4 legs with an off-diagonal entry whose inverse is exact:
+    over the Laurent ring the (0, 1) block has determinant 1."""
+    g = AltTensor(4, 0, 2, SYM, CoeffFn.zero() if laurent else None)
+    if laurent:
+        rho = CoeffFn.rho()
+        for key, v in (((0, 0), rho), ((0, 1), CoeffFn.of(1)), ((1, 1), rho.inverse() * 2),
+                       ((2, 2), CoeffFn.of(-3)), ((3, 3), rho * rho)):
+            g.set((), key, v)
+    else:
+        for key, v in (((0, 0), 2), ((0, 1), Fraction(1, 2)), ((1, 1), -1), ((2, 2), 3),
+                       ((3, 3), 5)):
+            g.set((), key, QScalar(v))
+    return g
+
+
+@pytest.mark.parametrize("laurent", [False, True], ids=["qscalar", "laurent"])
+@pytest.mark.parametrize("pairs", [
+    [(("u", 0), ("d", 1))],
+    [(("d", 1), ("d", 0))],
+    [(("u", 0), ("u", 0))],
+    [(("d", 0), ("d", 1)), (("u", 0), ("d", 0))],
+], ids=["mixed", "covariant", "contravariant", "two-pairs"])
+def test_contract_matches_dense_loop(pairs, laurent):
+    rng = random.Random(83 + 2 * len(pairs) + laurent)
+    if laurent:
+        def value(r):
+            return CoeffFn({-1: QScalar(r.randint(-1, 1)), 0: QScalar(r.randint(-3, 3)),
+                            1: QScalar(r.randint(-2, 2))})
+    else:
+        def value(r):
+            return QScalar(Fraction(r.randint(-3, 3), 2)) + QScalar(r.randint(-1, 1)) * SQRT2
+    metric = contract_metric(laurent)
+    nonzero = 0
+    for sym_a, sym_b in product([ALT, SYM, NONE], repeat=2):
+        for _ in range(2):
+            a = random_tensor(rng, 4, 1, 2, sym_a, value, metric.zero)
+            b = random_tensor(rng, 4, 1, 2, sym_b, value, metric.zero)
+            got, want = contract(a, b, pairs, metric), dense_contract(a, b, pairs, metric)
+            assert (got.n_up, got.n_down, got.sym) == (want.n_up, want.n_down, NONE)
+            assert got.comps.keys() == want.comps.keys()
+            assert all(got.comps[k] == v for k, v in want.comps.items())
+            nonzero += bool(want.comps)
+    assert nonzero >= 12
 
 
 def test_signature_examples_and_congruence_invariance():
