@@ -36,14 +36,20 @@ def main() -> int:
         print(f"invalid --points: {exc}", file=sys.stderr)
         return 2
     pkg = build_qm(FamilyParams(m))
+    # tau at each point, checked to fit a float before anything is printed
+    taus = [pkg.tau.eval(QScalar(s * abs(s))) for s in points]
+    try:
+        shown = [float(tau) for tau in taus]
+    except OverflowError:
+        print("invalid --points: tau at a point is beyond the float range of the display",
+              file=sys.stderr)
+        return 2
     cache = {}
     print(f"family parameter m = {m}; tau = {pkg.tau}")
-    for s in points:
-        rho = QScalar(s * abs(s))
-        tau = pkg.tau.eval(rho)
+    for s, tau, tau_float in zip(points, taus, shown):
         sign = tau.sign()
         label = "M+" if sign > 0 else ("M-" if sign < 0 else "M0")
-        line = f"  s = {str(s):>5}  tau = {float(tau):+9.4f}  {label}"
+        line = f"  s = {str(s):>5}  tau = {tau_float:+9.4f}  {label}"
         if sign != 0:
             if sign not in cache:
                 cache[sign] = npk_verify(npk_extract(pkg, sign))

@@ -23,6 +23,7 @@ from .octonions import NullFiltration
 from .scalars import QScalar
 from .tensors import ALT, NONE, SYM, AltTensor, _scatter, _tensor, sort_with_sign
 from .geometry import GeometryPackage
+from .tractor import d_cotractor_tensor
 
 
 @dataclass
@@ -167,11 +168,10 @@ def declared_distribution() -> List[list]:
 def bracket_closure(chart: FrameChart, basis: List[list]) -> List[list]:
     """Span of basis together with pairwise brackets (constant components)."""
     fields = [[CoeffFn.of(v, chart.param) for v in vec] for vec in basis]
-    from .geometry import _field_bracket
     rows = [list(vec) for vec in basis]
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
-            br = _field_bracket(chart, fields[i], fields[j])
+            br = chart.bracket(fields[i], fields[j])
             rows.append([b.constant_value() for b in br])
     return linalg.row_space(rows)
 
@@ -396,7 +396,6 @@ def conformal_parallel_defect(pkg: GeometryPackage, form: ConformalTractor3Form,
                               bd: Optional[BoundaryData] = None):
     """Derivative of the assembled tractor form along boundary directions,
     taken with the restricted ambient tractor connection at s = 0."""
-    from .tractor import d_cotractor_tensor
     bd = bd or restrict_to_zero_locus(pkg)
     chart = pkg.chart
     F = AltTensor.form(7, 3, chart.zero())

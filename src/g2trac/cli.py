@@ -140,7 +140,11 @@ def cmd_classify_form(args) -> int:
             payload["signature"] = list(sf.SIGNATURES[cls])
         if H is not None:
             # omitted when the normalizer is not in the field
-            payload["metric_diagonal"] = [float(H.as_matrix()[i][i]) for i in range(7)]
+            try:
+                payload["metric_diagonal"] = [float(H.as_matrix()[i][i]) for i in range(7)]
+            except OverflowError:
+                print("metric entries are beyond the float range of the report", file=sys.stderr)
+                return 2
         degenerate = cls == sf.DEGENERATE
     else:
         print("only dimensions 6 and 7 are supported", file=sys.stderr)
@@ -194,9 +198,14 @@ def cmd_orbit(args) -> int:
     # s is the signed collar coordinate: the point has rho = s * |s|
     rho = QScalar(s * abs(s))
     tau_val = pkg.tau.eval(rho)       # PLAIN: the variable is rho itself
+    try:
+        tau_float = float(tau_val)
+    except OverflowError:
+        print("invalid --s: tau there is beyond the float range of the report", file=sys.stderr)
+        return 2
     sign = tau_val.sign()
     label = "M+" if sign > 0 else ("M-" if sign < 0 else "M0")
-    payload = {"m": str(m), "s": str(s), "tau": float(tau_val), "orbit": label}
+    payload = {"m": str(m), "s": str(s), "tau": tau_float, "orbit": label}
     if sign != 0:
         orb = npk_extract(pkg, 1 if sign > 0 else -1)
         rep = npk_verify(orb)

@@ -190,13 +190,19 @@ def monge_fields(F: CoordPoly) -> Tuple[CoordField, CoordField]:
     return V1, V2
 
 
+# Largest |exponent| parse_monge_polynomial accepts.  monge_check
+# evaluates at y = 2 and at p = 3, so an exponent e costs an e-bit
+# integer: y^100000000000 does not fit in memory.
+MAX_EXPONENT = 1000
+
+
 def parse_monge_polynomial(text: str) -> CoordPoly:
     """Tiny parser for expressions like 'q^2 + 3*p^3 - z' (rational
     coefficients, coordinates x, y, p, q, z; integer powers, and rational
-    ones of q).  Terms are
+    ones of q, at most MAX_EXPONENT in absolute value).  Terms are
     joined by single signs, with one optional sign in front; a sign right
     after ^ belongs to the exponent, as in 'q^-1'.  An empty term or
-    factor raises ValueError."""
+    factor, or a larger exponent, raises ValueError."""
     parts = re.split(r"(?<!\^)([+-])", text.replace(" ", ""))
     parts = parts[1:] if len(parts) > 1 and not parts[0] else ["+"] + parts
     out = CoordPoly()
@@ -211,7 +217,10 @@ def parse_monge_polynomial(text: str) -> CoordPoly:
             if factor[0].isalpha():
                 if "^" in factor:
                     name, power = factor.split("^")
-                    mono = mono * CoordPoly.var(name, Fraction(power))
+                    e = Fraction(power)
+                    if abs(e) > MAX_EXPONENT:
+                        raise ValueError(f"exponent {power} exceeds {MAX_EXPONENT}")
+                    mono = mono * CoordPoly.var(name, e)
                 else:
                     mono = mono * CoordPoly.var(factor)
             else:

@@ -126,6 +126,31 @@ class FrameChart:
             return f.d_drho()
         return self.zero()
 
+    def bracket(self, U: List[CoeffFn], V: List[CoeffFn]) -> List[CoeffFn]:
+        """Frame components of [U, V] for fields U = U^a E_a and V = V^b E_b:
+        U^a V^b C^c_ab + U^x E_x(V^c) - V^x E_x(U^c), x over the rho
+        directions.  Only the nonzero U^a, V^b and bracket entries are
+        visited."""
+        us = [(a, u) for a, u in enumerate(U) if not u.is_zero()]
+        vs = [(b, v) for b, v in enumerate(V) if not v.is_zero()]
+        acc: Dict[int, CoeffFn] = {}
+        for a, u in us:
+            for b, v in vs:
+                row = [(c, f) for c, f in enumerate(self.C[a][b]) if not f.is_zero()]
+                if row:
+                    uv = u * v
+                    for c, f in row:
+                        _scatter(acc, c, uv * f)
+        for x in self.rho_directions:
+            for W, Y, sign in ((U, vs, 1), (V, us, -1)):
+                if not W[x].is_zero():
+                    for c, y in Y:
+                        dy = y.d_drho()
+                        if not dy.is_zero():
+                            _scatter(acc, c, W[x] * dy, sign)
+        z = self.zero()
+        return [acc.get(c, z) for c in range(self.dim)]
+
     # -- tensor covariant derivative -----------------------------------------
 
     def cov_deriv(self, T: AltTensor, a: int, weight: int = 0, conn=None) -> AltTensor:

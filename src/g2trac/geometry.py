@@ -190,32 +190,6 @@ def npk_extract(pkg: GeometryPackage, side: int) -> OrbitStructure:
 # -- nearly (para-)Kahler verification ----------------------------------------------
 
 
-def _field_bracket(chart: FrameChart, U: List[CoeffFn], V: List[CoeffFn]) -> List[CoeffFn]:
-    """Bracket of two fields given by frame components over the coefficient ring."""
-    n = chart.dim
-    out = [chart.zero() for _ in range(n)]
-    for a in range(n):
-        fa = U[a]
-        if not fa.is_zero():
-            for b in range(n):
-                gb = V[b]
-                if gb.is_zero():
-                    continue
-                for c in range(n):
-                    f = chart.C[a][b][c]
-                    if not f.is_zero():
-                        out[c] = out[c] + fa * gb * f
-    for b in range(n):
-        acc = chart.zero()
-        for a in range(n):
-            if not U[a].is_zero():
-                acc = acc + U[a] * chart.dir_deriv(a, V[b])
-            if not V[a].is_zero():
-                acc = acc - V[a] * chart.dir_deriv(a, U[b])
-        out[b] = out[b] + acc
-    return out
-
-
 @dataclass
 class NPKReport:
     eps: int
@@ -320,9 +294,9 @@ def npk_verify(orbit: OrbitStructure) -> NPKReport:
     N = [[[chart.zero()] * n for _ in range(n)] for _ in range(n)]
     for b in range(n):
         for c in range(b + 1, n):
-            t2 = _field_bracket(chart, JE[b], JE[c])
-            t3 = _field_bracket(chart, JE[b], E[c])
-            t4 = _field_bracket(chart, E[b], JE[c])
+            t2 = chart.bracket(JE[b], JE[c])
+            t3 = chart.bracket(JE[b], E[c])
+            t4 = chart.bracket(E[b], JE[c])
             Jt34 = linalg.mat_vec(J, [x + y for x, y in zip(t3, t4)])
             N[b][c] = [x * -eps - y + z for x, y, z in zip(chart.C[b][c], t2, Jt34)]
             N[c][b] = [-x for x in N[b][c]]

@@ -103,6 +103,10 @@ class CoeffFn:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def is_unit(self) -> bool:
+        """The units of the Laurent ring are its monomials c s^e, c != 0."""
+        return len(self.terms) == 1
+
     def is_constant(self) -> bool:
         return self.terms.keys() <= {0}
 

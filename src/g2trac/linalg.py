@@ -1,11 +1,14 @@
 """Exact dense linear algebra over QScalar and over the Laurent ring.
 
-Matrices are plain lists of lists.  Field routines (rank, kernel,
-inverse, Sylvester signature) work over QScalar; the Laurent inverse is
-fraction-free and divides only through exact quotients, so metric
-inverses stay inside the coefficient ring whenever the geometry permits.
-Rows picked independent modulo the prime P = 2^61 - 1 are independent
-exactly, which certifies a rank without eliminating every row exactly.
+Matrices are plain lists of lists.  One Gauss-Jordan elimination, rref,
+serves both coefficient rings: it normalises pivots that are units of
+their ring and clears a column fraction-free where it has none, so the
+inverse built on it divides only through exact quotients and metric
+inverses stay inside the Laurent ring whenever the geometry permits.
+Rank, kernel and the Sylvester signature are field routines over
+QScalar.  Rows picked independent modulo the prime P = 2^61 - 1 are
+independent exactly, which certifies a rank without eliminating every
+row exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence
 
-from .laurent import CoeffFn
 from .scalars import DegenerateError, QScalar
 
 Mat = List[List]
@@ -64,29 +66,45 @@ def congruence(A: Mat, g: Mat) -> Mat:
     return mat_mul(transpose(A), mat_mul(g, A))
 
 
-# -- field routines (QScalar entries) ------------------------------------
+# -- elimination ------------------------------------------------------------
 
 
 def rref(A: Mat):
-    """Reduced row echelon form; returns (R, pivot_columns)."""
+    """Row echelon form by Gauss-Jordan elimination; returns (R, pivot_columns).
+
+    Entries are QScalar or CoeffFn.  Each column takes as pivot the first
+    unit of the ring at or below the current row, scales it to 1 and
+    clears the rest of the column.  Over QScalar every nonzero entry is a
+    unit, so R is the reduced row echelon form.  A Laurent column without
+    a monomial takes its first nonzero entry p and clears the column
+    fraction-free, row <- p row - f (pivot row), so nothing is divided:
+    each pivot column of R still has exactly one nonzero entry, but that
+    entry need not be 1.
+    """
     R = [row[:] for row in A]
     rows = len(R)
     cols = len(R[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(cols):
-        pr = next((i for i in range(r, rows) if not R[i][c].is_zero()), None)
-        if pr is None:
-            continue
+        pr = next((i for i in range(r, rows) if R[i][c].is_unit()), None)
+        unit = pr is not None
+        if not unit:
+            pr = next((i for i in range(r, rows) if not R[i][c].is_zero()), None)
+            if pr is None:
+                continue
         R[r], R[pr] = R[pr], R[r]
-        inv = R[r][c].inverse()
-        prow = R[r] = [x * inv for x in R[r]]
+        if unit:
+            inv = R[r][c].inverse()
+            R[r] = [x * inv for x in R[r]]
+        prow = R[r]
+        p = prow[c]
         # the update leaves the columns where the pivot row is zero unchanged
         support = [j for j in range(cols) if not prow[j].is_zero()]
         for i in range(rows):
             f = R[i][c]
             if i != r and not f.is_zero():
-                row = R[i][:]
+                row = R[i][:] if unit else [p * x for x in R[i]]
                 for j in support:
                     row[j] = row[j] - f * prow[j]
                 R[i] = row
@@ -95,6 +113,38 @@ def rref(A: Mat):
         if r == rows:
             break
     return R, pivots
+
+
+def inverse(A: Mat) -> Mat:
+    """Inverse of a square QScalar or CoeffFn matrix, from rref([A | I]).
+
+    The elimination leaves [D | D A^-1] with D diagonal.  D = I over
+    QScalar, and over the Laurent ring when every pivot was a monomial
+    (as for the collar metrics here, whose determinants are monomials).
+    Otherwise a diagonal entry d is a product of fraction-free pivots,
+    and its row is divided by d in exact Laurent long division, which
+    raises ValueError when A^-1 has entries outside the Laurent ring.  A
+    singular matrix raises DegenerateError.
+    """
+    n = len(A)
+    zero = A[0][0] * 0
+    one = zero + 1
+    R, pivots = rref([row + e for row, e in zip(A, eye(n, one, zero))])
+    if pivots != list(range(n)):
+        raise DegenerateError("singular matrix")
+    out = []
+    for i, row in enumerate(R):
+        d = row[i]
+        out.append(row[n:] if d == one else [x / d for x in row[n:]])
+    return out
+
+
+def inverse_laurent(A: Mat) -> Mat:
+    """inverse(A) for a CoeffFn matrix, under the name its callers use."""
+    return inverse(A)
+
+
+# -- field routines (QScalar entries) ------------------------------------
 
 
 def rank(A: Mat) -> int:
@@ -118,16 +168,6 @@ def nullspace(A: Mat) -> List[list]:
             v[pc] = -R[r][fc]
         basis.append(v)
     return basis
-
-
-def inverse(A: Mat) -> Mat:
-    n = len(A)
-    aug = [A[i][:] + [QScalar.one() if i == j else QScalar.zero() for j in range(n)]
-           for i in range(n)]
-    R, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise DegenerateError("singular matrix")
-    return [row[n:] for row in R]
 
 
 def row_space(A: Mat) -> List[list]:
@@ -291,54 +331,3 @@ def det_perm(A: Mat):
             term = -term
         total = term if total is None else total + term
     return total
-
-
-def inverse_laurent(A: Mat) -> Mat:
-    """Inverse of a CoeffFn matrix by fraction-free Gauss-Jordan elimination.
-
-    Bareiss's update divides by the previous pivot, a quotient that is
-    exact in any integral domain, so [A | I] becomes [d I | d A^-1] with
-    d = +-det A the last pivot.  A monomial pivot is inverted once per
-    step and multiplied in; any other pivot divides by exact Laurent long
-    division.  A row with a zero pivot-column entry is only rescaled, and
-    the pivot row is subtracted over its nonzero entries alone.  The
-    final division by d succeeds exactly when the inverse has Laurent
-    entries (e.g. for the collar metrics handled here, whose determinants
-    are monomials) and raises ValueError otherwise; a singular matrix
-    raises DegenerateError.
-    """
-    n = len(A)
-    param = A[0][0].param
-    M = [list(row) + e for row, e in zip(A, eye(n, CoeffFn.one(param), CoeffFn.zero(param)))]
-    div = None
-    for k in range(n):
-        pr = next((i for i in range(k, n) if not M[i][k].is_zero()), None)
-        if pr is None:
-            raise DegenerateError("singular matrix over the Laurent ring")
-        M[k], M[pr] = M[pr], M[k]
-        piv = M[k]
-        p = piv[k]
-        zero = CoeffFn.zero(p.param)
-        support = [(j, x) for j, x in enumerate(piv) if x.terms]
-        for i in range(n):
-            if i == k:
-                continue
-            row = M[i]
-            f = row[k]
-            new = [p * x if x.terms else zero for x in row]
-            if f.terms:
-                for j, x in support:
-                    new[j] = new[j] - f * x
-            M[i] = new if div is None else div(new)
-        div = _exact_divider(p)
-    return [div(row[n:]) for row in M]
-
-
-def _exact_divider(d):
-    """row -> row / d entrywise, for quotients known to be exact: one
-    inverse when d is a Laurent monomial, long division otherwise.  Zero
-    entries are kept as they are."""
-    if len(d.terms) == 1:
-        inv = d.inverse()
-        return lambda row: [x * inv if x.terms else x for x in row]
-    return lambda row: [x / d if x.terms else x for x in row]

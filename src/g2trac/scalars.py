@@ -178,6 +178,10 @@ class QScalar:
     def is_zero(self) -> bool:
         return self._v == (0, 0, 0, 0, 1)
 
+    def is_unit(self) -> bool:
+        """Every nonzero element of the field is a unit."""
+        return self._v != (0, 0, 0, 0, 1)
+
     def is_rational(self) -> bool:
         _, b, c, d, _ = self._v
         return not (b or c or d)

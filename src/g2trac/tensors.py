@@ -19,7 +19,7 @@ from itertools import permutations, product
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
-from .linalg import signature as matrix_signature
+from .linalg import inverse, signature as matrix_signature
 from .scalars import QScalar
 
 NONE = "none"
@@ -363,9 +363,8 @@ def contract(a: AltTensor, b: AltTensor, pairs, metric: Optional[AltTensor] = No
     if any(sa[0] == sb[0] for sa, sb in pairs):
         if metric is None:
             raise ValueError("metric required for same-variance contraction")
-        from .linalg import inverse as inv_field, inverse_laurent
         g = metric.as_matrix()
-        ginv = inv_field(g) if isinstance(g[0][0], QScalar) else inverse_laurent(g)
+        ginv = inverse(g)
         for p, (sa, sb) in enumerate(pairs):
             if sa[0] == sb[0]:
                 M = ginv if sa[0] == "d" else g

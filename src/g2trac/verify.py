@@ -14,10 +14,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .scalars import QScalar
+from .boundary import (bgg_round_trip_defect, boundary_3form, boundary_connection_checks,
+                       conformal_parallel_defect, distribution_checks, extract_distribution,
+                       j0_checks, restrict_to_zero_locus)
 from .geometry import (GeometryPackage, compactness_check, jfield_identity_defects,
                        normal_form_check, npk_extract, npk_verify, stratify)
+from .linalg import signature as sig_of
 from .qm_family import dw_checksum_defect
+from .scalars import QScalar
+from .symmetries import (dilation_negative_control, frame_symmetry_system,
+                         is_distribution_symmetry, symmetry_fields)
 from .tractor import (d_cotractor_tensor, d_tractor_3form, phi_volume_ratio,
                       tractor_metric_hhdef, tractor_volume)
 
@@ -163,7 +169,6 @@ def verify(pkg: GeometryPackage, depth: str = "full",
         if blk_ok:
             block = [[(Hm[a][b] * tau0.inverse()).constant_value()
                       for b in range(6)] for a in range(6)]
-            from .linalg import signature as sig_of
             blk_ok = sig_of(block) == (6, 0)
         rep.add("orbits.definite-positive-einstein", bool(blk_ok),
                 "block form of H in the tau-scale: metric definite, "
@@ -212,10 +217,6 @@ def verify(pkg: GeometryPackage, depth: str = "full",
         rep.add("curvature.flatness-computed", True, f"flat = {flat}")
 
     # zero locus geometry
-    from .boundary import (bgg_round_trip_defect, boundary_connection_checks,
-                           conformal_parallel_defect, distribution_checks,
-                           extract_distribution, j0_checks, restrict_to_zero_locus,
-                           boundary_3form)
     bd = restrict_to_zero_locus(pkg)
     rep.add("zero_locus.conformal-signature",
             bd.conformal.g0.signature_at(QScalar.zero()) == (2, 3))
@@ -240,8 +241,6 @@ def verify(pkg: GeometryPackage, depth: str = "full",
     rep.add("zero_locus.bgg-output-parallel", all(v.is_zero() for v in par))
 
     # symmetries
-    from .symmetries import (dilation_negative_control, frame_symmetry_system,
-                             is_distribution_symmetry, symmetry_fields)
     m = Fraction(meta["m"])
     fields = symmetry_fields(m)
     for name in ("xi1", "xi2", "xi3", "xi4", "xi5", "xi6"):

@@ -3,19 +3,21 @@ from fractions import Fraction
 import pytest
 
 from g2trac import linalg, symmetries
-from g2trac.boundary import (bgg_round_trip_defect, bgg_split, boundary_3form,
+from g2trac.boundary import (ConformalChart, bgg_round_trip_defect, bgg_split, boundary_3form,
                              boundary_connection_checks, conformal_parallel_defect,
                              conformal_schouten, distribution_checks, extract_distribution,
                              j0_checks, restrict_to_zero_locus)
 from g2trac.coordfields import monge_check, parse_monge_polynomial
+from g2trac.frames import FrameChart
 from g2trac.geometry import npk_extract
+from g2trac.laurent import PLAIN, CoeffFn
 from g2trac.octonions import NullFiltration
 from g2trac.qm_family import REGRESSION_PARAMETERS
 from g2trac.scalars import QScalar
 from g2trac.symmetries import (dilation_negative_control, is_distribution_symmetry,
                                frame_symmetry_kernel_dim, solve_frame_symmetry,
                                symmetry_fields)
-from g2trac.tensors import AltTensor
+from g2trac.tensors import SYM, AltTensor
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +104,87 @@ def test_bgg_round_trip_slotwise(pkg_half, bd):
     assert defect.psi.is_zero()
     assert defect.nu.is_zero()
     assert defect.rho.is_zero()
+
+
+def dense_bgg_split(conf, omega):
+    """The bgg_split docstring formula by dense index loops over frame
+    components: (psi, nu, bottom) as nested lists, the reference slots."""
+    lc, n = conf.chart, 5
+    G = lc.G                       # nabla_a E_c = G[a][c][b] E_b
+    ginv = linalg.inverse_laurent(conf.g0.as_matrix())
+    P = conf.schouten.as_matrix()
+    w = omega.as_matrix()
+    z = lc.zero()
+    rng = range(n)
+
+    def total(terms):
+        acc = z
+        for x in terms:
+            acc = acc + x
+        return acc
+
+    # t[a][b][c] = nabla_a omega_bc, s[a][b][c][d] = nabla_a nabla_b omega_cd
+    t = [[[lc.dir_deriv(a, w[b][c])
+           - total(G[a][b][e] * w[e][c] for e in rng)
+           - total(G[a][c][e] * w[b][e] for e in rng) for c in rng] for b in rng] for a in rng]
+    s = [[[[lc.dir_deriv(a, t[b][c][d])
+            - total(G[a][b][e] * t[e][c][d] for e in rng)
+            - total(G[a][c][e] * t[b][e][d] for e in rng)
+            - total(G[a][d][e] * t[b][c][e] for e in rng) for d in rng] for c in rng]
+          for b in rng] for a in rng]
+    psi = [[[(t[a][b][c] + t[b][c][a] + t[c][a][b]) * Fraction(1, 3) for c in rng]
+            for b in rng] for a in rng]
+    nu = [total(ginv[k][a] * t[a][k][c] for k in rng for a in rng) * Fraction(-1, 4)
+          for c in rng]
+    lap = [[total(ginv[k][l] * s[k][l][b][c] for k in rng for l in rng) for c in rng]
+           for b in rng]
+    # X[b][c] = nabla^k nabla_c omega_kb, Y[b][c] = nabla_c nabla^k omega_kb
+    X = [[total(ginv[k][l] * s[l][c][k][b] for k in rng for l in rng) for c in rng]
+         for b in rng]
+    Y = [[total(ginv[k][l] * s[c][l][k][b] for k in rng for l in rng) for c in rng]
+         for b in rng]
+    Pup = [[total(ginv[k][l] * P[l][b] for l in rng) for b in rng] for k in rng]   # P^k_b
+    trP = total(Pup[k][k] for k in rng)
+    # Z[b][c] = P^k_b omega_ck
+    Z = [[total(Pup[k][b] * w[c][k] for k in rng) for c in rng] for b in rng]
+    bottom = [[lap[b][c] * Fraction(-1, 15)
+               - (X[b][c] - X[c][b]) * Fraction(1, 15)
+               - (Y[b][c] - Y[c][b]) * Fraction(1, 20)
+               - (Z[b][c] - Z[c][b]) * Fraction(2, 5)
+               - trP * w[b][c] * Fraction(1, 5) for c in rng] for b in rng]
+    return psi, nu, bottom, trP
+
+
+def _cone_conformal_chart():
+    """g = drho^2 + rho^2 (dx1^2 + ... + dx4^2) in the coordinate frame
+    (d/drho, d/dx1, ..., d/dx4): the cone over flat space, whose scalar
+    curvature -12/rho^2 is nonzero."""
+    base = FrameChart(5, PLAIN, rho_directions=(0,))
+    rho2 = CoeffFn.monomial(1, 2)
+    g = AltTensor.from_matrix([[(base.one() if i == 0 else rho2) if i == j else base.zero()
+                                for j in range(5)] for i in range(5)], 5, 0, SYM, base.zero())
+    lc = base.levi_civita(g)
+    return ConformalChart(lc, g, conformal_schouten(lc, g))
+
+
+def test_bgg_split_matches_dense_formula_where_scalar_curvature_is_nonzero():
+    # on the boundary P^k_k vanishes; on the cone it is -3/(2 rho^2), so
+    # the -(1/5) P^k_k omega_bc term of the bottom slot counts here
+    conf = _cone_conformal_chart()
+    rho = CoeffFn.s()
+    omega = AltTensor.form(5, 2, conf.chart.zero())
+    for idx, v in [((0, 1), rho), ((1, 2), rho * rho), ((3, 4), CoeffFn.one()),
+                   ((0, 3), CoeffFn.monomial(2, -1)), ((2, 4), rho + 3)]:
+        omega.set((), idx, v)
+    psi, nu, bottom, trP = dense_bgg_split(conf, omega)
+    assert trP == CoeffFn.monomial(Fraction(-3, 2), -2)
+    got = bgg_split(conf, omega)
+    assert (got.sigma - omega).is_zero()
+    rng = range(5)
+    assert [[[got.psi.get((), (a, b, c)) for c in rng] for b in rng] for a in rng] == psi
+    assert [got.nu.get((), (c,)) for c in rng] == nu
+    assert [[got.rho.get((), (b, c)) for c in rng] for b in rng] == bottom
+    assert not got.rho.is_zero()
 
 
 def test_bgg_of_zero_is_zero(bd):

@@ -296,6 +296,35 @@ def test_curvature_tower_matches_dense_loops(tower_chart):
     assert ch.jacobi_defect() == dense_jacobi_defect(ch)
 
 
+def dense_bracket(chart, U, V):
+    """[U, V] over every index triple, each direction differentiating
+    through dir_deriv: the reference field bracket."""
+    n = chart.dim
+    out = [chart.zero() for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                out[c] = out[c] + U[a] * V[b] * chart.C[a][b][c]
+    for b in range(n):
+        for a in range(n):
+            out[b] = out[b] + U[a] * chart.dir_deriv(a, V[b]) - V[a] * chart.dir_deriv(a, U[b])
+    return out
+
+
+def test_bracket_matches_dense_loop(tower_chart):
+    ch = tower_chart
+    rng = random.Random(f"bracket-{ch.param}-{sorted(ch.rho_directions)}")
+    n = ch.dim
+    basis = [[ch.one() if i == a else ch.zero() for i in range(n)] for a in range(n)]
+    fields = [[_random_coeff(ch, rng) if rng.random() < 0.5 else ch.zero() for _ in range(n)]
+              for _ in range(4)] + [[ch.zero()] * n, basis[0], basis[-1]]
+    for U in fields:
+        for V in fields:
+            assert ch.bracket(U, V) == dense_bracket(ch, U, V)
+    for a, b in combinations(range(n), 2):
+        assert ch.bracket(basis[a], basis[b]) == ch.C[a][b]
+
+
 def dense_levi_civita(chart, g):
     """Levi-Civita chart of g from K[a][c][d] = 2 g(nabla_a E_c, E_d) over
     every (a, c, d, e)."""

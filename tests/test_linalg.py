@@ -6,10 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from g2trac.laurent import CoeffFn, PLAIN, RHO_MINUS, RHO_PLUS
-from g2trac.geometry import collar_metric
-from g2trac.linalg import (P, det_perm, eye, independent_rows_mod_p, inverse_laurent,
+from g2trac.geometry import collar_metric, npk_extract
+from g2trac.linalg import (P, det_perm, eye, independent_rows_mod_p, inverse, inverse_laurent,
                            mat_mul, mod_p, rank, rref, same_subspace, signature,
                            surds_mod_p)
+from g2trac.stable_forms import htilde_matrix
 from g2trac.qm_family import REGRESSION_PARAMETERS
 from g2trac.scalars import SQRT2, SQRT5, SQRT10, DegenerateError, QScalar
 
@@ -56,6 +57,93 @@ def _adjugate_inverse(A):
             row.append((m if (i + j) % 2 == 0 else -m) / d)
         out.append(row)
     return out
+
+
+def bareiss_inverse(A):
+    """Inverse of a CoeffFn matrix by fraction-free Bareiss elimination:
+    the reference Laurent inverse.
+
+    Bareiss's update divides by the previous pivot, a quotient that is
+    exact in any integral domain, so [A | I] becomes [d I | d A^-1] with
+    d = +-det A the last pivot, and the last step divides by d."""
+    n = len(A)
+    param = A[0][0].param
+    zero = CoeffFn.zero(param)
+
+    def divider(d):
+        if len(d.terms) == 1:
+            inv = d.inverse()
+            return lambda row: [x * inv if x.terms else x for x in row]
+        return lambda row: [x / d if x.terms else x for x in row]
+
+    M = [list(row) + e for row, e in zip(A, eye(n, CoeffFn.one(param), zero))]
+    div = None
+    for k in range(n):
+        pr = next((i for i in range(k, n) if not M[i][k].is_zero()), None)
+        if pr is None:
+            raise DegenerateError("singular matrix over the Laurent ring")
+        M[k], M[pr] = M[pr], M[k]
+        piv = M[k]
+        p = piv[k]
+        support = [(j, x) for j, x in enumerate(piv) if x.terms]
+        for i in range(n):
+            if i == k:
+                continue
+            row = M[i]
+            f = row[k]
+            new = [p * x if x.terms else zero for x in row]
+            if f.terms:
+                for j, x in support:
+                    new[j] = new[j] - f * x
+            M[i] = new if div is None else div(new)
+        div = divider(p)
+    return [div(row[n:]) for row in M]
+
+
+def _production_matrices(pkg):
+    """H, htilde, the collar metrics g_+- and the npk metrics of both sides."""
+    Hm = pkg.H.as_matrix()
+    yield Hm
+    yield htilde_matrix(pkg.phi.full(pkg.chart.zero()))
+    for side in (1, -1):
+        yield collar_metric(Hm, side, pkg.chart.param).as_matrix()
+        yield npk_extract(pkg, side).g.as_matrix()
+
+
+@pytest.mark.parametrize("m", REGRESSION_PARAMETERS, ids=str)
+def test_inverse_matches_bareiss_on_production_matrices(family_package, m):
+    mats = list(_production_matrices(family_package(m)))
+    assert len(mats) == 6
+    for A in mats:
+        inv = inverse(A)
+        assert inv == bareiss_inverse(A)
+        assert [[x.param for x in row] for row in inv] == [[A[0][0].param] * len(A)] * len(A)
+
+
+@pytest.mark.parametrize("param", [PLAIN, RHO_PLUS, RHO_MINUS])
+def test_inverse_matches_bareiss_on_random_matrices(param):
+    rng = random.Random(f"bareiss-{param}")
+    for n in (2, 3, 4, 5, 6, 7):
+        for _ in range(3):
+            A = _pldu(rng, n, param)
+            assert inverse(A) == bareiss_inverse(A)
+
+
+def test_inverse_clears_a_column_without_monomial_fraction_free():
+    # no entry of the first column is a monomial: the first pivot 1 + s
+    # stays unnormalised, and det A = 2s makes the inverse exact
+    one, s = CoeffFn.one(), CoeffFn.s()
+    A = [[one + s, one], [one - s, one]]
+    R, pivots = rref([row + e for row, e in zip(A, eye(2, one, CoeffFn.zero()))])
+    assert pivots == [0, 1] and R[0][0] == one + s and R[1][1] == one
+    half_s_inv = CoeffFn.monomial(QScalar(Fraction(1, 2)), -1)
+    half = CoeffFn.of(Fraction(1, 2))
+    inv = inverse(A)
+    assert inv == [[half_s_inv, -half_s_inv], [half - half_s_inv, half + half_s_inv]]
+    assert inv == bareiss_inverse(A) == _adjugate_inverse(A)
+    ident = eye(2, one, CoeffFn.zero())
+    assert mat_mul(A, inv) == ident
+    assert mat_mul(inv, A) == ident
 
 
 @pytest.mark.parametrize("param", [PLAIN, RHO_PLUS, RHO_MINUS])
@@ -110,8 +198,8 @@ def test_inverse_laurent_rejects_singular_matrix():
 
 
 def test_inverse_laurent_divides_by_a_non_monomial_pivot():
-    # the first pivot 1 + s is no monomial, so the next step divides by
-    # long division; the last pivot s = det A is inverted once
+    # the first column's monomial 1 lies below 1 + s, so it is swapped up
+    # as pivot; the second pivot -s = -det A is a monomial, inverted once
     one, s = CoeffFn.one(), CoeffFn.s()
     A = [[one + s, one], [one, one]]
     inv = inverse_laurent(A)
@@ -123,7 +211,8 @@ def test_inverse_laurent_divides_by_a_non_monomial_pivot():
 
 
 def test_inverse_laurent_two_non_monomial_pivots():
-    # pivots 1 + s, then the leading 2x2 minor 1 + s, then det A = -s^2
+    # each column has a monomial pivot below a non-monomial entry: s (the
+    # third row), then 1, then s
     one, zero, s = CoeffFn.one(), CoeffFn.zero(), CoeffFn.s()
     A = [[one + s, one + s, s], [zero, one, zero], [s, one, zero]]
     inv = inverse_laurent(A)
@@ -133,6 +222,8 @@ def test_inverse_laurent_two_non_monomial_pivots():
 
 
 def test_inverse_laurent_non_monomial_pivots_keep_their_errors():
+    # the second column's pivot -2s - s^2, and the first column of the
+    # singular matrix, are cleared fraction-free
     one, s = CoeffFn.one(), CoeffFn.s()
     with pytest.raises(ValueError):      # det = 2s + s^2
         inverse_laurent([[one + s, one], [one, one + s]])

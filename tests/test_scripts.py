@@ -51,7 +51,9 @@ def test_scripts_take_negative_option_values(name, args, joined, shown):
     ("orbit_profile.py", ["--m", "1"]),
     ("orbit_profile.py", ["--m", "1/2", "--points", "1,,2"]),
     ("run_family_sweep.py", ["--depth", "quick", "--m", "x"]),
-], ids=["orbit-m-1", "orbit-empty-point", "sweep-m-x"])
+    # tau = 2 * 10^800 does not fit a float
+    ("orbit_profile.py", ["--m", "1/2", "--points", "1,1e400"]),
+], ids=["orbit-m-1", "orbit-empty-point", "sweep-m-x", "orbit-point-1e400"])
 def test_scripts_reject_bad_input_exit_2(name, args):
     proc = _run(name, *args)
     assert proc.returncode == 2 and not proc.stdout

@@ -1,11 +1,15 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2trac import cli
 from g2trac.qm_family import REGRESSION_PARAMETERS, build_model
@@ -362,6 +366,73 @@ def test_cli_option_takes_a_negative_value(argv, option, value, tmp_path, capsys
         assert out["meta"]["samples"] == value
     elif option == "--s":
         assert out["s"] == value and out["orbit"] == "M-"
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["orbit", "--m", "1/2", "--s", "1e400"], None),
+    (["classify-form"], scaled_phi(-1, 10 ** 600)),      # H is about 10^400
+    (["monge-check", "--poly", "y^100000000000"], None),
+], ids=["orbit-s", "classify-metric", "monge-exponent"])
+def test_cli_values_too_large_exit_2(argv, doc, tmp_path, capsys):
+    # tau ~ 10^800 and H ~ 10^400 are beyond the float range of the report,
+    # and y^e at the sample y = 2 would not fit in memory
+    if doc is not None:
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + ["--file", str(path)]
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and not captured.out
+    assert len(captured.err.strip().splitlines()) == 1 and "Traceback" not in captured.err
+
+
+@pytest.fixture(scope="module")
+def laurent_phi_file(tmp_path_factory):
+    """s^3 times the split 3-form: H = s^2 H_0 has a metric diagonal at every s != 0."""
+    doc = scaled_phi(-1, 1)
+    doc["entries"] = [dict(e, offset=3) for e in doc["entries"]]
+    path = tmp_path_factory.mktemp("fuzz") / "laurent_phi.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+_exponent_notation = st.builds("{}e{}".format, st.integers(-99, 99), st.integers(-800, 800))
+_cli_numbers = st.one_of(
+    _exponent_notation,
+    st.integers(-(10 ** 700), 10 ** 700).map(str),
+    st.builds("{}/{}".format, st.integers(-(10 ** 400), 10 ** 400), st.integers(-3, 10 ** 6)),
+    st.sampled_from(["0", "-0", "1e", "e5", "inf", "nan", "1/0", "--1", " 1", "1_000"]),
+    st.text(max_size=6))
+_exponents = st.one_of(st.integers(-3, 6).map(str), _exponent_notation,
+                       st.sampled_from(["100000000000", "-100000000000", "1000", "1001",
+                                        "1/2", "-3/2", "1e3", "", "-"]))
+_factors = st.one_of(
+    st.builds("{}^{}".format, st.sampled_from("xypqz"), _exponents),
+    st.sampled_from("xypqz"), _exponent_notation, st.integers(-9, 9).map(str))
+_polys = st.lists(st.lists(_factors, min_size=1, max_size=3).map("*".join),
+                  min_size=1, max_size=3).flatmap(
+    lambda terms: st.lists(st.sampled_from("+-"), min_size=len(terms), max_size=len(terms))
+    .map(lambda signs: "".join(s + t for s, t in zip(signs, terms))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    _cli_numbers.map(lambda v: ["orbit", "--m", "1/2", f"--s={v}"]),
+    _cli_numbers.map(lambda v: ["classify-form", "--report", "json", f"--at={v}"]),
+    st.one_of(_polys, st.text(max_size=12)).map(lambda v: ["monge-check", f"--poly={v}"])))
+def test_cli_fuzzed_values_keep_the_exit_code_contract(laurent_phi_file, argv):
+    if argv[0] == "classify-form":
+        argv = argv + ["--file", laurent_phi_file]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:      # argparse rejecting the command line
+            rc = exc.code
+    assert rc in (0, 1, 2), (argv, rc)
+    assert "Traceback" not in err.getvalue(), argv
+    # a degenerate form exits 2 with its class on stdout and nothing on stderr
+    assert len(err.getvalue().strip().splitlines()) <= 1, (argv, err.getvalue())
 
 
 def test_cli_export_out_is_a_file_exit_2(tmp_path, capsys):
