@@ -15,7 +15,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from g2trac.cli import _family_parameter, _join_signed_values, _parse_fraction
+from g2trac.cli import _family_parameter, _join_signed_values
+from g2trac.coordfields import parse_rational
 from g2trac.geometry import npk_extract, npk_verify
 from g2trac.qm_family import FamilyParams, build_qm
 from g2trac.scalars import QScalar
@@ -31,7 +32,7 @@ def main() -> int:
     if m is None:
         return 2
     try:
-        points = [_parse_fraction(chunk) for chunk in args.points.split(",")]
+        points = [parse_rational(chunk) for chunk in args.points.split(",")]
     except ValueError as exc:
         print(f"invalid --points: {exc}", file=sys.stderr)
         return 2

@@ -13,15 +13,9 @@ import os
 import sys
 from fractions import Fraction
 
+from .coordfields import parse_rational
 from .scalars import DegenerateError, QScalar
 from .laurent import PLAIN
-
-
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{text.strip()!r} is not a rational number") from exc
 
 
 def _parse_samples(text: str):
@@ -30,7 +24,7 @@ def _parse_samples(text: str):
     out = []
     for chunk in text.split(","):
         if chunk.strip():
-            s = _parse_fraction(chunk)
+            s = parse_rational(chunk)
             if s == 0:
                 raise ValueError("0 is excluded (samples must avoid s = 0)")
             out.append(QScalar(s))
@@ -71,7 +65,7 @@ def _family_parameter(text: str):
     """--m as a Fraction, or None after one stderr line when it is not a
     rational other than 0 and 1 (the caller then exits 2)."""
     try:
-        m = _parse_fraction(text)
+        m = parse_rational(text)
     except ValueError as exc:
         print(f"invalid family parameter: {exc}", file=sys.stderr)
         return None
@@ -112,7 +106,7 @@ def cmd_classify_form(args) -> int:
             raise ValueError("expected a 3-form: valence [0, 3] with alternating storage")
         if isinstance(t.zero, CoeffFn):
             # pointwise classification of a coefficient-function tensor
-            at = QScalar(_parse_fraction(args.at))
+            at = QScalar(parse_rational(args.at))
             pt = AltTensor(t.dim, t.n_up, t.n_down, t.sym)
             for (up, down), v in t.comps.items():
                 if at.is_zero() and v.min_exp() < 0:
@@ -185,7 +179,7 @@ def cmd_orbit(args) -> int:
     if m is None:
         return 2
     try:
-        s = _parse_fraction(args.s)
+        s = parse_rational(args.s)
     except ValueError as exc:
         print(f"invalid --s: {exc}", file=sys.stderr)
         return 2

@@ -190,10 +190,30 @@ def monge_fields(F: CoordPoly) -> Tuple[CoordField, CoordField]:
     return V1, V2
 
 
-# Largest |exponent| parse_monge_polynomial accepts.  monge_check
-# evaluates at y = 2 and at p = 3, so an exponent e costs an e-bit
-# integer: y^100000000000 does not fit in memory.
+# Largest |exponent| parse_monge_polynomial accepts, and the largest
+# |decimal exponent| parse_rational accepts.  monge_check evaluates at
+# y = 2 and at p = 3, so an exponent e costs an e-bit integer:
+# y^100000000000 does not fit in memory.  Fraction expands a decimal
+# exponent e into an e-digit integer: 1e10000000 takes minutes.
 MAX_EXPONENT = 1000
+
+_DECIMAL_EXPONENT = re.compile(r"[eE][+-]?([\d_]+)\s*$")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text) for the rationals read from the command line and
+    the coefficients of a Monge polynomial.  A decimal exponent beyond
+    MAX_EXPONENT in absolute value, or text Fraction does not read,
+    raises ValueError."""
+    exp = _DECIMAL_EXPONENT.search(text)
+    if exp:
+        digits = exp.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise ValueError(f"{text.strip()!r} has a decimal exponent beyond {MAX_EXPONENT}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{text.strip()!r} is not a rational number") from exc
 
 
 def parse_monge_polynomial(text: str) -> CoordPoly:
@@ -201,9 +221,10 @@ def parse_monge_polynomial(text: str) -> CoordPoly:
     coefficients, coordinates x, y, p, q, z; integer powers, and rational
     ones of q, at most MAX_EXPONENT in absolute value).  Terms are
     joined by single signs, with one optional sign in front; a sign right
-    after ^ belongs to the exponent, as in 'q^-1'.  An empty term or
+    after ^ belongs to the exponent, as in 'q^-1', and one right after e
+    or E to a decimal exponent, as in '5e-3*q^2'.  An empty term or
     factor, or a larger exponent, raises ValueError."""
-    parts = re.split(r"(?<!\^)([+-])", text.replace(" ", ""))
+    parts = re.split(r"(?<![\^eE])([+-])", text.replace(" ", ""))
     parts = parts[1:] if len(parts) > 1 and not parts[0] else ["+"] + parts
     out = CoordPoly()
     for sign, chunk in zip(parts[::2], parts[1::2]):
@@ -217,14 +238,14 @@ def parse_monge_polynomial(text: str) -> CoordPoly:
             if factor[0].isalpha():
                 if "^" in factor:
                     name, power = factor.split("^")
-                    e = Fraction(power)
+                    e = parse_rational(power)
                     if abs(e) > MAX_EXPONENT:
                         raise ValueError(f"exponent {power} exceeds {MAX_EXPONENT}")
                     mono = mono * CoordPoly.var(name, e)
                 else:
                     mono = mono * CoordPoly.var(factor)
             else:
-                coeff *= Fraction(factor)
+                coeff *= parse_rational(factor)
         out = out + mono * QScalar(coeff)
     return out
 

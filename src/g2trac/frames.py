@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .laurent import PLAIN, CoeffFn
 from .linalg import inverse_laurent, mat_mul
@@ -74,12 +74,10 @@ def _connection_curvature(M, C, rho_directions) -> Dict[Tuple[int, int], Dict[tu
 
 
 class FrameChart:
-    def __init__(self, dim: int, param: str = PLAIN,
-                 rho_directions: Iterable[int] = (), labels: Optional[List[str]] = None):
+    def __init__(self, dim: int, param: str = PLAIN, rho_directions: Iterable[int] = ()):
         self.dim = dim
         self.param = param
         self.rho_directions = frozenset(rho_directions)
-        self.labels = labels or [f"E{i + 1}" for i in range(dim)]
         z = self.zero()
         self.C = [[[z for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
         self.G = [[[z for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
@@ -354,7 +352,7 @@ class FrameChart:
             K[a][c][d] = v
         # G[a][c][b] = (1/2) g^{bd} K[a][c][d], and g^-1 is symmetric
         G = [[[x * half for x in row] for row in mat_mul(Ka, ginv)] for Ka in K]
-        out = FrameChart(self.dim, self.param, self.rho_directions, self.labels)
+        out = FrameChart(self.dim, self.param, self.rho_directions)
         out.C = [[list(col) for col in row] for row in self.C]
         out.G = G
         return out
@@ -366,7 +364,7 @@ class FrameChart:
         scale 1-form picks up Upsilon (weight-1 densities obey
         nabla-hat sigma = nabla sigma + Upsilon sigma)."""
         n = self.dim
-        out = FrameChart(self.dim, self.param, self.rho_directions, self.labels)
+        out = FrameChart(self.dim, self.param, self.rho_directions)
         out.C = [[list(col) for col in row] for row in self.C]
         G = [[[self.zero() for _ in range(n)] for _ in range(n)] for _ in range(n)]
         for a in range(n):
@@ -390,7 +388,7 @@ class FrameChart:
         """Reinterpret a PLAIN chart in an s^2 parameterization of rho."""
         if self.param != PLAIN:
             raise ValueError("substitute_param expects a PLAIN chart")
-        out = FrameChart(self.dim, param, self.rho_directions, self.labels)
+        out = FrameChart(self.dim, param, self.rho_directions)
         out.C = [[[v.substitute_rho(param) for v in col] for col in row] for row in self.C]
         out.G = [[[v.substitute_rho(param) for v in col] for col in row] for row in self.G]
         return out

@@ -6,16 +6,15 @@ their ring and clears a column fraction-free where it has none, so the
 inverse built on it divides only through exact quotients and metric
 inverses stay inside the Laurent ring whenever the geometry permits.
 Rank, kernel and the Sylvester signature are field routines over
-QScalar.  Rows picked independent modulo the prime P = 2^61 - 1 are
-independent exactly, which certifies a rank without eliminating every
-row exactly.
+QScalar.  solve_sparse solves an overdetermined affine system given as
+sparse QScalar rows, eliminating the sparsest rows first and stopping
+once every unknown holds a pivot.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import permutations
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .scalars import DegenerateError, QScalar
 
@@ -246,71 +245,51 @@ def signature(G: Mat):
     return p, q
 
 
-# -- row selection modulo a prime ------------------------------------------
-
-P = (1 << 61) - 1   # a Mersenne prime with P = 3 mod 4 in which 2 and 5 are squares
+# -- sparse affine systems -------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def surds_mod_p():
-    """Square roots of 2 and 5 modulo P: x^((P+1)/4) squares to x when x is a square."""
-    s2, s5 = pow(2, (P + 1) // 4, P), pow(5, (P + 1) // 4, P)
-    assert s2 * s2 % P == 2 and s5 * s5 % P == 5
-    return s2, s5
+def solve_sparse(rows: List[Dict[int, QScalar]], n: int):
+    """Solve L x = r from sparse rows of [L | r]; returns (x, rank L).
 
-
-def mod_p(x: QScalar) -> Optional[int]:
-    """Image of x under sqrt2 -> s2, sqrt5 -> s5, sqrt10 -> s2 s5 in F_P.
-
-    The map is a ring homomorphism on the elements whose coordinate
-    denominators are units mod P; None when a denominator is divisible by P."""
-    s2, s5 = surds_mod_p()
-    acc = 0
-    for q, unit in ((x.a, 1), (x.b, s2), (x.c, s5), (x.d, s2 * s5)):
-        if q:
-            if q.denominator % P == 0:
-                return None
-            acc += q.numerator * pow(q.denominator, -1, P) * unit
-    return acc % P
-
-
-def independent_rows_mod_p(A: Mat) -> Optional[List[int]]:
-    """Indices of rows of A independent modulo P, taken greedily in order
-    until they span all columns or A runs out; None when an entry read has
-    no image mod P.
-
-    Rows independent mod P have a minor that is nonzero mod P, hence
-    nonzero: they are independent exactly, and at most rank A are found.
+    Each row maps a column to its nonzero entry, column n holding r.  The
+    rows are eliminated exactly, sparsest first, each against the pivot
+    rows kept so far; once all n unknowns hold a pivot the rest are not
+    read, and x is the only candidate, which the caller checks by
+    substitution.  Free unknowns are 0, as with rref.  x is None when a
+    row reduces to column n alone: the rows read are inconsistent.
     """
-    cols = len(A[0]) if A else 0
-    basis: Dict[int, Dict[int, int]] = {}   # leading column -> row with leading 1
-    picked: List[int] = []
-    for i, row in enumerate(A):
-        v = {}
-        for j, x in enumerate(row):
-            if x:
-                y = mod_p(x)
-                if y is None:
-                    return None
-                if y:
-                    v[j] = y
-        while v:
-            c = min(v)
-            if c not in basis:
-                inv = pow(v[c], -1, P)
-                basis[c] = {j: y * inv % P for j, y in v.items()}
-                picked.append(i)
+    zero = QScalar.zero()
+    pivots: Dict[int, Dict[int, QScalar]] = {}   # column -> row with a 1 there
+    consistent = True
+    for row in sorted(rows, key=len):
+        v = dict(row)
+        # a pivot row is zero left of its pivot: clearing in column order
+        # never brings back a column already cleared
+        for c in sorted(pivots):
+            if c in v:
+                f = v[c]
+                for j, y in pivots[c].items():
+                    t = v.pop(j, zero) - f * y
+                    if not t.is_zero():
+                        v[j] = t
+        c = min(v, default=None)
+        if c == n:
+            consistent = False
+        elif c is not None:
+            inv = v[c].inverse()
+            pivots[c] = {j: y * inv for j, y in v.items()}
+            if len(pivots) == n:
                 break
-            f = v[c]
-            for j, y in basis[c].items():
-                t = (v.get(j, 0) - f * y) % P
-                if t:
-                    v[j] = t
-                else:
-                    del v[j]
-        if len(picked) == cols:
-            break
-    return picked
+    if not consistent:
+        return None, len(pivots)
+    x = [zero] * n
+    for c in sorted(pivots, reverse=True):
+        acc = pivots[c].get(n, zero)
+        for j, y in pivots[c].items():
+            if c < j < n:
+                acc = acc - y * x[j]
+        x[c] = acc
+    return x, len(pivots)
 
 
 # -- Laurent-entry routines ----------------------------------------------

@@ -111,8 +111,7 @@ def family_connection(m: Fraction):
 
 
 def family_chart(m: Fraction) -> FrameChart:
-    chart = FrameChart(6, PLAIN, rho_directions=(5,),
-                       labels=["E1", "E2", "E3", "E4", "E5", "d/drho"])
+    chart = FrameChart(6, PLAIN, rho_directions=(5,))
     for (a, b), comps in family_brackets(m).items():
         chart.set_bracket(a - 1, b - 1, {c - 1: v for c, v in comps.items()})
     const, rho_linear = family_connection(m)

@@ -158,12 +158,10 @@ def frame_symmetry_system(pkg: GeometryPackage,
 
     The residuals are affine in the 25 block entries, L x + b, and the
     weight enters only b; one pass over `_residual_terms` gives L and b
-    exponent by exponent.  Rows independent modulo a prime are independent
-    exactly, so 25 such rows of L prove rank L = 25 (kernel dimension 0 at
-    every weight), and the rref of those rows of [L | -b] gives the only
-    candidate.  When a denominator vanishes mod p, fewer rows are found or
-    that rref lacks a pivot, the rref of all of [L | -b] gives the solution
-    and rank L.  One evaluation of the same terms decides feasibility.
+    exponent by exponent, as sparse rows of [L | -b].  One sparse solve
+    gives rank L and a candidate (the only one when rank L = 25, kernel
+    dimension 0 at every weight); one evaluation of the same terms decides
+    feasibility.
     """
     weight = Fraction(weight)
     z = QScalar.zero()
@@ -180,25 +178,15 @@ def frame_symmetry_system(pkg: GeometryPackage,
                 c = 5 * i + j
                 cols[c] = cols[c] + k if c in cols else k
         for e in sorted(set(b.terms).union(*(k.terms for k in cols.values()))):
-            row = [z] * 25 + [-b.coeff(e)]
-            for c, k in cols.items():
-                row[c] = k.coeff(e)
+            row = {c: k.terms[e] for c, k in cols.items() if e in k.terms}
+            if e in b.terms:
+                row[25] = -b.terms[e]
             rows.append(row)
-    picked = linalg.independent_rows_mod_p([row[:25] for row in rows])
-    if picked is not None and len(picked) == 25:
-        R, pivots = linalg.rref([rows[i] for i in picked])
-    if picked is None or len(picked) < 25 or pivots != list(range(25)):
-        R, pivots = linalg.rref(rows)
-    kernel_dim = 25 - len([c for c in pivots if c < 25])
-    if 25 in pivots:
-        return None, kernel_dim
-    sol = [z] * 25
-    for r, c in enumerate(pivots):
-        sol[c] = R[r][25]
-    sym = _group_block_action(sol, weight)
-    if any(not r.is_zero() for r in _evaluate(terms, sym)):
-        return None, kernel_dim
-    return sym, kernel_dim
+    sol, rank = linalg.solve_sparse(rows, 25)
+    sym = None if sol is None else _group_block_action(sol, weight)
+    if sym is not None and any(not r.is_zero() for r in _evaluate(terms, sym)):
+        sym = None
+    return sym, 25 - rank
 
 
 def solve_frame_symmetry(pkg: GeometryPackage, weight: Fraction) -> Optional[FrameSymmetry]:

@@ -259,6 +259,21 @@ def test_monge_parser_reads_negative_powers_of_q(text, power):
     assert monge_check(F)["is235"]
 
 
+Q2, ONE, P1 = (0, 0, 0, Fraction(2), 0), (0, 0, 0, Fraction(0), 0), (0, 0, 1, Fraction(0), 0)
+
+
+@pytest.mark.parametrize("text, terms", [
+    ("5e-3*q^2", {Q2: Fraction(1, 200)}),
+    ("q^2-5e-3", {Q2: Fraction(1), ONE: Fraction(-1, 200)}),
+    ("1E-2*q^2", {Q2: Fraction(1, 100)}),
+    ("q^2+2e+1*p", {Q2: Fraction(1), P1: Fraction(20)}),
+], ids=["5e-3*q^2", "q^2-5e-3", "1E-2*q^2", "q^2+2e+1*p"])
+def test_monge_parser_reads_decimal_exponents(text, terms):
+    # a sign right after e or E is the decimal exponent's: no coordinate is named e
+    F = parse_monge_polynomial(text)
+    assert F.terms == {k: QScalar(v) for k, v in terms.items()}
+
+
 # -- symmetry generators -----------------------------------------------------
 
 

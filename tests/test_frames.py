@@ -341,7 +341,7 @@ def dense_levi_civita(chart, g):
                 - chart.C[c][d][e] * gm[e][a]
         K[a][c][d] = acc
     G = [[[x * half for x in row] for row in mat_mul(Ka, ginv)] for Ka in K]
-    out = FrameChart(n, chart.param, chart.rho_directions, chart.labels)
+    out = FrameChart(n, chart.param, chart.rho_directions)
     out.C = [[list(col) for col in row] for row in chart.C]
     out.G = G
     return out

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from g2trac.laurent import CoeffFn, PLAIN, RHO_MINUS, RHO_PLUS
 from g2trac.geometry import collar_metric, npk_extract
-from g2trac.linalg import (P, det_perm, eye, independent_rows_mod_p, inverse, inverse_laurent,
-                           mat_mul, mod_p, rank, rref, same_subspace, signature,
-                           surds_mod_p)
+from g2trac.linalg import (det_perm, eye, inverse, inverse_laurent, mat_mul, rank, rref,
+                           same_subspace, signature, solve_sparse, sum_prod)
 from g2trac.stable_forms import htilde_matrix
 from g2trac.qm_family import REGRESSION_PARAMETERS
-from g2trac.scalars import SQRT2, SQRT5, SQRT10, DegenerateError, QScalar
+from g2trac.scalars import SQRT2, SQRT5, DegenerateError, QScalar
 
 
 def _coeff(rng):
@@ -321,7 +320,7 @@ def test_sparse_rref_matches_dense_elimination(shape, density, four):
         [[x.as_strings() for x in row] for row in R0]
 
 
-# -- rows independent modulo P -------------------------------------------------
+# -- signature against a dense reduction ------------------------------------
 
 
 def dense_signature(G):
@@ -418,22 +417,7 @@ def test_signature_hyperbolic_pivots_and_degenerate_forms():
             f(low)
 
 
-def test_surds_mod_p_square_to_2_and_5():
-    s2, s5 = surds_mod_p()
-    assert s2 * s2 % P == 2 and s5 * s5 % P == 5
-    assert (mod_p(SQRT2), mod_p(SQRT5), mod_p(SQRT10)) == (s2, s5, s2 * s5 % P)
-    assert mod_p(QScalar(Fraction(-3, 4))) == -3 * pow(4, -1, P) % P
-
-
-rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
-scalars = st.builds(QScalar, rationals, rationals, rationals, rationals)
-
-
-@given(scalars, scalars)
-def test_mod_p_is_a_ring_map(x, y):
-    assert mod_p(x + y) == (mod_p(x) + mod_p(y)) % P
-    assert mod_p(x * y) == mod_p(x) * mod_p(y) % P
-    assert mod_p(-x) == -mod_p(x) % P
+# -- solve_sparse against rref of all rows ------------------------------------
 
 
 def _low_rank(rng, rows, cols, r):
@@ -449,47 +433,64 @@ def _low_rank(rng, rows, cols, r):
     return A
 
 
+def _with_rhs(L, rhs):
+    """Sparse rows of [L | rhs]: each row maps a column to its nonzero entry."""
+    return [{j: x for j, x in enumerate(row + [r]) if not x.is_zero()}
+            for row, r in zip(L, rhs)]
+
+
+def _assert_solve_sparse_matches_rref(L, rhs):
+    """Same rank, same None-ness and the same solution (free unknowns 0) as
+    the rref of all rows of [L | rhs]; returns whether that system is
+    consistent.  At full rank the rows past the last pivot are not read, so
+    an inconsistent system may give a candidate, which substitution rejects."""
+    n = len(L[0])
+    R, pivots = rref([row + [r] for row, r in zip(L, rhs)])
+    x, rank_L = solve_sparse(_with_rhs(L, rhs), n)
+    assert rank_L == len([c for c in pivots if c < n])
+    if n in pivots:
+        assert x is None or (rank_L == n and any(sum_prod(row, x) != r
+                                                 for row, r in zip(L, rhs)))
+        return False
+    want = [QScalar.zero()] * n
+    for r, c in enumerate(pivots):
+        want[c] = R[r][n]
+    assert x == want
+    return True
+
+
 @pytest.mark.parametrize("rows,cols,r", [(6, 5, 5), (8, 5, 3), (12, 7, 7), (12, 9, 4),
                                          (5, 6, 5), (4, 4, 0), (9, 3, 1)])
-def test_rows_picked_mod_p_are_independent_and_as_many_as_the_rank(rows, cols, r):
-    rng = random.Random(f"mod-p-{rows}-{cols}-{r}")
-    A = _low_rank(rng, rows, cols, r)
-    picked = independent_rows_mod_p(A)
-    assert picked == sorted(set(picked))
-    assert len(picked) == rank(A) <= r
-    if picked:
-        assert rank([A[i] for i in picked]) == len(picked)
+def test_solve_sparse_matches_rref_on_low_rank_systems(rows, cols, r):
+    rng = random.Random(f"solve-sparse-{rows}-{cols}-{r}")
+    L = _low_rank(rng, rows, cols, r)
+    x0 = [QScalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), 1) for _ in range(cols)]
+    rhs = [sum_prod(row, x0) for row in L]
+    assert _assert_solve_sparse_matches_rref(L, rhs)
+    # rows 0 and 1 are equal, so a changed right-hand side of row 1 is inconsistent
+    rhs[1] = rhs[1] + 1
+    assert not _assert_solve_sparse_matches_rref(L, rhs)
 
 
 @pytest.mark.parametrize("four", [False, True], ids=["rational", "four"])
-def test_rows_picked_mod_p_on_a_sparse_237x25_system(four):
-    rng = random.Random(f"mod-p-sparse-{four}")
-    A = _sparse_matrix(rng, 237, 25, 0.093, four)
-    picked = independent_rows_mod_p(A)
-    assert len(picked) == rank(A)
-    assert rank([A[i] for i in picked]) == len(picked)
+def test_solve_sparse_matches_rref_on_a_sparse_237x25_system(four):
+    rng = random.Random(f"solve-sparse-sparse-{four}")
+    L = _sparse_matrix(rng, 237, 25, 0.093, four)
+    x0 = [QScalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), 0, 1) for _ in range(25)]
+    rhs = [sum_prod(row, x0) for row in L]
+    assert _assert_solve_sparse_matches_rref(L, rhs)
+    rhs[3] = rhs[3] + 1
+    assert not _assert_solve_sparse_matches_rref(L, rhs)
 
 
-@pytest.mark.parametrize("coord", range(4))
-def test_denominator_divisible_by_p_signals_fallback(coord):
-    rng = random.Random("mod-p-bad")
-    A = _low_rank(rng, 6, 4, 4)
-    coords = [0, 0, 0, 0]
-    coords[coord] = Fraction(1, 2 * P)
-    A[0][2] = QScalar(*coords)
-    assert mod_p(A[0][2]) is None
-    assert independent_rows_mod_p(A) is None
-    # a unit denominator and a numerator divisible by P are fine
-    assert mod_p(QScalar(Fraction(P, 3))) == 0
-
-
-def test_entry_vanishing_mod_p_only_lowers_the_count():
-    # P and P*sqrt2 are nonzero, but their images are 0: the mod-P rank
-    # falls below the exact rank, which the solver reads as "fall back"
-    A = [[QScalar(P), QScalar.zero()], [QScalar.zero(), QScalar(0, P)],
-         [QScalar(1), QScalar(1)]]
-    assert rank(A) == 2
-    assert independent_rows_mod_p(A) == [2]
+def test_solve_sparse_stops_once_every_unknown_holds_a_pivot():
+    # the two sparsest rows give x = (1, 2); the denser third row is never
+    # read, so its inconsistency is left to the caller's substitution
+    one = QScalar.one()
+    rows = [{0: one, 1: one, 2: QScalar(4)}, {0: one, 2: one}, {1: one, 2: QScalar(2)}]
+    assert solve_sparse(rows, 2) == ([one, QScalar(2)], 2)
+    assert rref([[one, one, QScalar(4)], [one, QScalar.zero(), one],
+                 [QScalar.zero(), one, QScalar(2)]])[1] == [0, 1, 2]
 
 
 # -- same_subspace against a rank oracle ---------------------------------------

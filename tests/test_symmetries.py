@@ -6,6 +6,7 @@ perturbations of the group block) and solves it by one rref of all rows.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,10 +14,11 @@ import pytest
 
 from g2trac import linalg
 from g2trac.laurent import CoeffFn
-from g2trac.qm_family import REGRESSION_PARAMETERS
+from g2trac.qm_family import REGRESSION_PARAMETERS, build_model
 from g2trac.scalars import SQRT2, QScalar
 from g2trac.symmetries import (FrameSymmetry, _group_block_action, frame_symmetry_system,
                                symmetry_residuals)
+from g2trac.tractor import Tractor3Form
 
 
 def _direct_residuals(pkg, sym):
@@ -103,13 +105,44 @@ def _view(result):
     return lam, kernel_dim
 
 
-@pytest.mark.parametrize("m", REGRESSION_PARAMETERS, ids=str)
+@pytest.mark.parametrize("m", list(REGRESSION_PARAMETERS) + ["definite"], ids=str)
 def test_solver_matches_the_26_evaluation_oracle(family_package, m):
-    pkg = family_package(m)
+    # each family member has a unique action at weights 0 and 2; the
+    # definite model has a 3-dimensional kernel and no weight-2 action
+    if m == "definite":
+        pkg, want = build_model(1), {0: (True, 3), 2: (False, 3)}
+    else:
+        pkg, want = family_package(m), {0: (True, 0), 2: (True, 0)}
     for w in (0, 2):
         got = frame_symmetry_system(pkg, Fraction(w))
         assert _view(got) == _view(_oracle_system(pkg, w))
-        assert got[0] is not None and got[1] == 0
+        assert (got[0] is not None, got[1]) == want[w]
+
+
+def test_substitution_rejects_a_full_rank_candidate(pkg_half, monkeypatch):
+    # rho^3 added to sigma_12 keeps rank L = 25 but leaves no weight-2
+    # action: the one solve stops at 25 pivots with a candidate, and the
+    # substitution into all residuals rejects it
+    rho = CoeffFn.rho(pkg_half.chart.param)
+    sigma = pkg_half.phi.sigma.copy()
+    sigma.set((), (0, 1), sigma.get((), (0, 1)) + rho * rho * rho)
+    pkg = replace(pkg_half, phi=Tractor3Form(sigma, pkg_half.phi.mu))
+    solve, solved = linalg.solve_sparse, []
+
+    def spy(rows, n):
+        solved.append(solve(rows, n))
+        return solved[-1]
+
+    monkeypatch.setattr(linalg, "solve_sparse", spy)
+    monkeypatch.setattr(linalg, "rref", None)
+    for w, feasible in ((0, True), (2, False)):
+        solved.clear()
+        got = frame_symmetry_system(pkg, Fraction(w))
+        assert [(x is not None, rank) for x, rank in solved] == [(True, 25)]
+        assert (got[0] is not None, got[1]) == (feasible, 0)
+    monkeypatch.undo()
+    for w in (0, 2):
+        assert _view(frame_symmetry_system(pkg, Fraction(w))) == _view(_oracle_system(pkg, w))
 
 
 @pytest.mark.parametrize("m", [Fraction(1, 2), Fraction(2)], ids=str)
@@ -121,32 +154,3 @@ def test_residual_terms_match_the_direct_formula(family_package, m):
                 * (SQRT2 if rng.random() < 0.3 else 1) for _ in range(6)] for _ in range(6)]
         sym = FrameSymmetry(lam, w)
         assert symmetry_residuals(pkg, sym) == _direct_residuals(pkg, sym)
-
-
-def test_fallback_paths_give_the_main_result(pkg_half, monkeypatch):
-    select, full_rref = linalg.independent_rows_mod_p, linalg.rref
-    sizes = []
-
-    def rref(rows):
-        sizes.append(len(rows))
-        return full_rref(rows)
-
-    monkeypatch.setattr(linalg, "rref", rref)
-    main = {}
-    for w in (0, 2):
-        sizes.clear()
-        main[w] = _view(frame_symmetry_system(pkg_half, Fraction(w)))
-        # the main path eliminates the 25 rows picked mod p, nothing more
-        assert sizes == [25]
-    fallbacks = {
-        "bad denominator": lambda rows: None,
-        "24 rows": lambda rows: select(rows)[:24],
-        "dependent rows": lambda rows: select(rows)[:24] + select(rows)[:1],
-    }
-    for name, selector in fallbacks.items():
-        monkeypatch.setattr(linalg, "independent_rows_mod_p", selector)
-        for w in (0, 2):
-            sizes.clear()
-            assert _view(frame_symmetry_system(pkg_half, Fraction(w))) == main[w], name
-            # the full system, well over 25 rows, was eliminated
-            assert max(sizes) > 25, name

@@ -368,14 +368,28 @@ def test_cli_option_takes_a_negative_value(argv, option, value, tmp_path, capsys
         assert out["s"] == value and out["orbit"] == "M-"
 
 
-@pytest.mark.parametrize("argv, doc", [
-    (["orbit", "--m", "1/2", "--s", "1e400"], None),
-    (["classify-form"], scaled_phi(-1, 10 ** 600)),      # H is about 10^400
-    (["monge-check", "--poly", "y^100000000000"], None),
-], ids=["orbit-s", "classify-metric", "monge-exponent"])
-def test_cli_values_too_large_exit_2(argv, doc, tmp_path, capsys):
+@pytest.mark.parametrize("argv, doc, env", [
+    (["orbit", "--m", "1/2", "--s", "1e400"], None, None),
+    (["classify-form"], scaled_phi(-1, 10 ** 600), None),      # H is about 10^400
+    (["monge-check", "--poly", "y^100000000000"], None, None),
+    (["orbit", "--m", "1e10000000", "--s", "1"], None, None),
+    (["orbit", "--m", "1/2", "--s", "1e10000000"], None, None),
+    (["orbit", "--m", "1/2", "--s", "-1E-1_000_000"], None, None),
+    (VERIFY_QUICK + ["--samples", "1,1e10000000"], None, None),
+    (["classify-form", "--at", "1e10000000"], POLE, None),
+    (VERIFY_QUICK, None, "1e10000000"),
+    (["monge-check", "--poly", "q^2+1e10000000*p"], None, None),
+    (["monge-check", "--poly", "q^1e10000000"], None, None),
+], ids=["orbit-s", "classify-metric", "monge-exponent", "m-decimal-exponent",
+        "s-decimal-exponent", "s-negative-decimal-exponent", "samples-decimal-exponent",
+        "at-decimal-exponent", "env-samples-decimal-exponent", "poly-coefficient-exponent",
+        "poly-power-decimal-exponent"])
+def test_cli_values_too_large_exit_2(argv, doc, env, tmp_path, capsys, monkeypatch):
     # tau ~ 10^800 and H ~ 10^400 are beyond the float range of the report,
-    # and y^e at the sample y = 2 would not fit in memory
+    # y^e at the sample y = 2 would not fit in memory, and Fraction would
+    # expand a decimal exponent of 10^7 into ten million digits
+    if env is not None:
+        monkeypatch.setenv("G2TRAC_SAMPLES", env)
     if doc is not None:
         path = tmp_path / "form.json"
         path.write_text(json.dumps(doc))
