@@ -2,19 +2,21 @@
 the rank-2 distribution and its bracket growth, and the splitting operator
 that rebuilds the parallel tractor 3-form from its boundary 2-form slot.
 
-The conformal tractor bundle is realized as the restriction of the
-ambient tractor bundle (same 7 slots: tangent 0..4, the collar leg 5
-playing the null partner Y, the density leg 6 playing X); the collar
-normal form makes this identification exact at s = 0, and the ambient
-connection coefficients encode the conformal ones (checked, not assumed:
-see boundary_connection_checks).
+The normal conformal tractor connection of the boundary is built from g0
+alone (conformal_tractor_connection), on 7 slots: tangent 0..4, then Y = 5
+and X = 6, the slots the collar leg 5 and the density leg 6 of the ambient
+tractor bundle restrict to.  The ambient tractor connection at s = 0 is
+checked against it, entry for entry (boundary_connection_checks), and the
+boundary tractor 3-form is differentiated with it on the 5-dim chart
+(conformal_parallel_defect).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Tuple
 
 from . import linalg
 from .frames import FrameChart
@@ -23,7 +25,7 @@ from .octonions import NullFiltration
 from .scalars import QScalar
 from .tensors import ALT, NONE, SYM, AltTensor, _scatter, _tensor, sort_with_sign
 from .geometry import GeometryPackage
-from .tractor import d_cotractor_tensor
+from .tractor import tractor_connection
 
 
 @dataclass
@@ -35,6 +37,11 @@ class ConformalChart:
     @property
     def dim(self):
         return 5
+
+    @cached_property
+    def ginv(self) -> List[List[CoeffFn]]:
+        """g0^{-1}, taken once for bgg_split and conformal_tractor_connection."""
+        return linalg.inverse_laurent(self.g0.as_matrix())
 
 
 @dataclass
@@ -176,13 +183,12 @@ def bracket_closure(chart: FrameChart, basis: List[list]) -> List[list]:
     return linalg.row_space(rows)
 
 
-def extract_distribution(pkg: GeometryPackage, bd: Optional[BoundaryData] = None) -> Distribution235:
+def extract_distribution(pkg: GeometryPackage, bd: BoundaryData) -> Distribution235:
     """The rank-2 distribution on the zero locus, computed three ways.
 
     im J0, ker omega|_{M0} and the declared span must agree exactly;
     disagreement raises an internal-consistency error.
     """
-    bd = bd or restrict_to_zero_locus(pkg)
     d1 = distribution_from_J0(bd)
     d2 = distribution_from_omega(pkg)
     d3 = declared_distribution()
@@ -195,7 +201,7 @@ def extract_distribution(pkg: GeometryPackage, bd: Optional[BoundaryData] = None
     return Distribution235(d1, step2, growth)
 
 
-def distribution_checks(pkg: GeometryPackage, bd: BoundaryData, dist: Distribution235) -> Dict[str, bool]:
+def distribution_checks(bd: BoundaryData, dist: Distribution235) -> Dict[str, bool]:
     out = {}
     out["growth_235"] = dist.growth == (2, 3, 5)
     # [D,D] = ker J0
@@ -262,45 +268,33 @@ def j0_checks(bd: BoundaryData) -> Dict[str, bool]:
     return out
 
 
-def boundary_connection_checks(pkg: GeometryPackage, bd: BoundaryData) -> Dict[str, bool]:
-    """The ambient connection data encodes the conformal one at s = 0.
-
-    In the collar normal form the ambient Christoffel components with
-    output along the collar leg must be -g0_{ab} (the Y-slot term of the
-    conformal tractor connection) and the restricted projective Schouten
-    must vanish against the collar leg.
-    """
-    out = {}
-    ok = True
-    g0 = bd.conformal.g0
+def conformal_tractor_connection(conf: ConformalChart) -> List[List[List[CoeffFn]]]:
+    """The normal conformal tractor connection of g0: for each boundary
+    direction a, the 7x7 connection matrix C of FrameChart.cov_deriv on
+    the slots Z_0..Z_4, Y = 5, X = 6:
+    C[b][c] = G^c_{ab}, C[b][Y] = -g0_ab, C[b][X] = -P0_ab,
+    C[Y][c] = P0_a^c = P0_{ae} g0^{ec}, C[X][a] = 1, zero elsewhere."""
+    lc = conf.chart
+    z = lc.zero()
+    g0, P = conf.g0.as_matrix(), conf.schouten.as_matrix()
+    Pup = linalg.mat_mul(P, conf.ginv)
+    out = []
     for a in range(5):
-        for b in range(5):
-            got = _eval0(pkg.chart.G[a][b][5])
-            want = -g0.get((), (a, b)).constant_value()
-            if not (got - want).is_zero():
-                ok = False
-    out["collar_christoffel_is_minus_g0"] = ok
-    P = pkg.chart.schouten()
-    out["ambient_schouten_kills_collar_leg"] = all(
-        _eval0(P.get((), (a, 5))).is_zero() for a in range(5))
-    # ambient tangential Christoffel with tangential output reproduces the
-    # boundary Levi-Civita connection of g0
-    lc = bd.conformal.chart
-    ok2 = True
-    for a in range(5):
-        for c in range(5):
-            for b in range(5):
-                if not (_eval0(pkg.chart.G[a][c][b]) - lc.G[a][c][b].constant_value()).is_zero():
-                    ok2 = False
-    out["tangential_christoffel_is_boundary_lc"] = ok2
-    # ambient P restricted tangentially equals the conformal Schouten of g0
-    okP = True
-    for a in range(5):
-        for b in range(5):
-            if not (_eval0(P.get((), (a, b))) - bd.conformal.schouten.get((), (a, b)).constant_value()).is_zero():
-                okP = False
-    out["tangential_schouten_is_conformal_schouten"] = okP
+        C = [list(lc.G[a][b]) + [-g0[a][b], -P[a][b]] for b in range(5)]
+        C.append(Pup[a] + [z, z])
+        C.append([lc.one() if c == a else z for c in range(5)] + [z, z])
+        out.append(C)
     return out
+
+
+def boundary_connection_checks(pkg: GeometryPackage, bd: BoundaryData) -> Dict[str, bool]:
+    """The ambient tractor connection along each boundary direction is,
+    at s = 0 and entry for entry, the conformal tractor connection of g0
+    (in the collar normal form the collar leg 5 restricts to Y)."""
+    C = conformal_tractor_connection(bd.conformal)
+    return {"ambient_connection_is_conformal_tractor_connection": all(
+        [[_eval0(v) for v in row] for row in tractor_connection(pkg.chart, a)]
+        == [[v.constant_value() for v in row] for row in C[a]] for a in range(5))}
 
 
 # -- BGG splitting -------------------------------------------------------------
@@ -336,7 +330,7 @@ def bgg_split(conf: ConformalChart, omega0: AltTensor) -> ConformalTractor3Form:
     lc = conf.chart
     n = 5
     z = lc.zero()
-    ginv = linalg.inverse_laurent(conf.g0.as_matrix())
+    ginv = conf.ginv
     P = conf.schouten
     # t_{a bc} = nabla_a omega_{bc} and s_{a b cd} = nabla_a t_{b cd}
     t = _tensor(n, 0, 3, NONE, z, {((), (a,) + bc): v for a in range(n)
@@ -385,31 +379,20 @@ def boundary_3form(bd: BoundaryData) -> ConformalTractor3Form:
     return ConformalTractor3Form(lift(bd.sigma0), lift(bd.psi0), lift(bd.nu0), lift(bd.rho0))
 
 
-def bgg_round_trip_defect(pkg: GeometryPackage, bd: Optional[BoundaryData] = None):
-    bd = bd or restrict_to_zero_locus(pkg)
+def bgg_round_trip_defect(bd: BoundaryData) -> ConformalTractor3Form:
     target = boundary_3form(bd)
     got = bgg_split(bd.conformal, target.sigma)
     return got - target
 
 
-def conformal_parallel_defect(pkg: GeometryPackage, form: ConformalTractor3Form,
-                              bd: Optional[BoundaryData] = None):
-    """Derivative of the assembled tractor form along boundary directions,
-    taken with the restricted ambient tractor connection at s = 0."""
-    bd = bd or restrict_to_zero_locus(pkg)
-    chart = pkg.chart
-    F = AltTensor.form(7, 3, chart.zero())
-    for (_, idx), v in form.psi.comps.items():
-        F.set((), idx, CoeffFn.of(v.constant_value(), chart.param))
-    for (_, idx), v in form.sigma.comps.items():
-        F.set((), (6,) + idx, CoeffFn.of(v.constant_value(), chart.param))
-    for (_, idx), v in form.rho.comps.items():
-        F.set((), (5,) + idx, CoeffFn.of(v.constant_value(), chart.param))
-    for (_, idx), v in form.nu.comps.items():
-        F.set((), (6, 5) + idx, CoeffFn.of(v.constant_value(), chart.param))
-    defects = []
-    for a in range(5):
-        d = d_cotractor_tensor(chart, F, a)
-        for (_, idx), v in d.comps.items():
-            defects.append(_eval0(v))
-    return defects
+def conformal_parallel_defect(form: ConformalTractor3Form, conf: ConformalChart) -> List[CoeffFn]:
+    """Components of nabla_a of the assembled tractor 3-form (weight 3)
+    along each boundary direction a, with the conformal tractor connection
+    of g0 on the 5-dim chart."""
+    lc = conf.chart
+    F = AltTensor.form(7, 3, lc.zero())
+    for legs, slot in (((), form.psi), ((6,), form.sigma), ((5,), form.rho), ((6, 5), form.nu)):
+        for (_, idx), v in slot.comps.items():
+            F.set((), legs + idx, v)
+    return [v for a, C in enumerate(conformal_tractor_connection(conf))
+            for v in lc.cov_deriv(F, a, 3, C).comps.values()]

@@ -101,12 +101,16 @@ def cmd_classify_form(args) -> int:
     from .tensors import ALT, AltTensor
     from . import stable_forms as sf
     try:
+        at = QScalar(parse_rational(args.at))
+    except ValueError as exc:
+        print(f"invalid --at: {exc}", file=sys.stderr)
+        return 2
+    try:
         t = load_tensor(args.file)
         if t.n_up or t.n_down != 3 or t.sym != ALT:
             raise ValueError("expected a 3-form: valence [0, 3] with alternating storage")
         if isinstance(t.zero, CoeffFn):
             # pointwise classification of a coefficient-function tensor
-            at = QScalar(parse_rational(args.at))
             pt = AltTensor(t.dim, t.n_up, t.n_down, t.sym)
             for (up, down), v in t.comps.items():
                 if at.is_zero() and v.min_exp() < 0:

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .scalars import QScalar
+from .scalars import MAX_EXPONENT, QScalar, parse_rational
 
 VARS = ("x", "y", "p", "q", "z")
 Key = Tuple[int, int, int, Fraction, int]
@@ -188,32 +188,6 @@ def monge_fields(F: CoordPoly) -> Tuple[CoordField, CoordField]:
     V1 = CoordField({"q": one})
     V2 = CoordField({"x": one, "y": CoordPoly.var("p"), "p": CoordPoly.var("q"), "z": F})
     return V1, V2
-
-
-# Largest |exponent| parse_monge_polynomial accepts, and the largest
-# |decimal exponent| parse_rational accepts.  monge_check evaluates at
-# y = 2 and at p = 3, so an exponent e costs an e-bit integer:
-# y^100000000000 does not fit in memory.  Fraction expands a decimal
-# exponent e into an e-digit integer: 1e10000000 takes minutes.
-MAX_EXPONENT = 1000
-
-_DECIMAL_EXPONENT = re.compile(r"[eE][+-]?([\d_]+)\s*$")
-
-
-def parse_rational(text: str) -> Fraction:
-    """Fraction(text) for the rationals read from the command line and
-    the coefficients of a Monge polynomial.  A decimal exponent beyond
-    MAX_EXPONENT in absolute value, or text Fraction does not read,
-    raises ValueError."""
-    exp = _DECIMAL_EXPONENT.search(text)
-    if exp:
-        digits = exp.group(1).replace("_", "").lstrip("0")
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
-            raise ValueError(f"{text.strip()!r} has a decimal exponent beyond {MAX_EXPONENT}")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{text.strip()!r} is not a rational number") from exc
 
 
 def parse_monge_polynomial(text: str) -> CoordPoly:

@@ -9,11 +9,38 @@ so equality and the zero test are exact and signs are decidable.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Union
 
 Rat = Union[int, Fraction]
+
+
+# Largest |exponent| parse_monge_polynomial accepts, and the largest
+# |decimal exponent| parse_rational accepts.  monge_check evaluates at
+# y = 2 and at p = 3, so an exponent e costs an e-bit integer:
+# y^100000000000 does not fit in memory.  Fraction expands a decimal
+# exponent e into an e-digit integer: 1e10000000 takes minutes.
+MAX_EXPONENT = 1000
+
+_DECIMAL_EXPONENT = re.compile(r"[eE][+-]?([\d_]+)\s*$")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text) for the rationals read from the command line, from
+    tensor files and as the coefficients of a Monge polynomial.  A decimal
+    exponent beyond MAX_EXPONENT in absolute value, or text Fraction does
+    not read, raises ValueError."""
+    exp = _DECIMAL_EXPONENT.search(text)
+    if exp:
+        digits = exp.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise ValueError(f"{text.strip()!r} has a decimal exponent beyond {MAX_EXPONENT}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{text.strip()!r} is not a rational number") from exc
 
 
 class DegenerateError(ZeroDivisionError):
@@ -300,10 +327,7 @@ class QScalar:
         for p in parts:
             if not isinstance(p, str):
                 raise ValueError(f"coefficient part {p!r} is not a rational string")
-        try:
-            return QScalar(*parts)
-        except ZeroDivisionError:
-            raise ValueError(f"rational strings {list(parts)} have a zero denominator") from None
+        return QScalar(*map(parse_rational, parts))
 
     def __repr__(self):
         if self.is_zero():

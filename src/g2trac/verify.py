@@ -225,7 +225,7 @@ def verify(pkg: GeometryPackage, depth: str = "full",
             ", ".join(k for k, v in jc.items() if not v) or "rank 2, kernel 3, filtration (1,3,4,6)")
     try:
         dist = extract_distribution(pkg, bd)
-        dc = distribution_checks(pkg, bd, dist)
+        dc = distribution_checks(bd, dist)
         rep.add("zero_locus.distribution-three-ways", True,
                 "im J0 = ker omega = declared span")
         rep.add("zero_locus.distribution-facts", all(dc.values()),
@@ -235,9 +235,9 @@ def verify(pkg: GeometryPackage, depth: str = "full",
     bc = boundary_connection_checks(pkg, bd)
     rep.add("zero_locus.connection-compatibility", all(bc.values()),
             ", ".join(k for k, v in bc.items() if not v) or "ambient data encodes the conformal connection")
-    trip = bgg_round_trip_defect(pkg, bd)
+    trip = bgg_round_trip_defect(bd)
     rep.add("zero_locus.bgg-round-trip", trip.is_zero(), "all four slots")
-    par = conformal_parallel_defect(pkg, boundary_3form(bd), bd)
+    par = conformal_parallel_defect(boundary_3form(bd), bd.conformal)
     rep.add("zero_locus.bgg-output-parallel", all(v.is_zero() for v in par))
 
     # symmetries

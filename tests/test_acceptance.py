@@ -196,10 +196,10 @@ def test_criterion_7_boundary_geometry(family_package):
         bd = restrict_to_zero_locus(pkg)
         ok = ok and bd.conformal.g0.signature_at(QScalar.zero()) == (2, 3)
         dist = extract_distribution(pkg, bd)   # raises if the three ways disagree
-        checks = distribution_checks(pkg, bd, dist)
+        checks = distribution_checks(bd, dist)
         ok = ok and checks["perp_equals_bracket"]
         ok = ok and dist.growth == (2, 3, 5)
-        ok = ok and bgg_round_trip_defect(pkg, bd).is_zero()
+        ok = ok and bgg_round_trip_defect(bd).is_zero()
     report(7, ok, "signature (2,3); distribution three ways; "
                   "orthocomplement = derived; splitting round trip")
 

@@ -2,17 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from g2trac import linalg, symmetries
+from g2trac import boundary, linalg, symmetries
 from g2trac.boundary import (ConformalChart, bgg_round_trip_defect, bgg_split, boundary_3form,
                              boundary_connection_checks, conformal_parallel_defect,
-                             conformal_schouten, distribution_checks, extract_distribution,
-                             j0_checks, restrict_to_zero_locus)
+                             conformal_schouten, conformal_tractor_connection,
+                             distribution_checks, extract_distribution, j0_checks,
+                             restrict_to_zero_locus)
 from g2trac.coordfields import monge_check, parse_monge_polynomial
-from g2trac.frames import FrameChart
+from g2trac.frames import FrameChart, _connection_curvature
 from g2trac.geometry import npk_extract
 from g2trac.laurent import PLAIN, CoeffFn
 from g2trac.octonions import NullFiltration
-from g2trac.qm_family import REGRESSION_PARAMETERS
+from g2trac.qm_family import FLAT_PARAMETERS, REGRESSION_PARAMETERS
 from g2trac.scalars import QScalar
 from g2trac.symmetries import (dilation_negative_control, is_distribution_symmetry,
                                frame_symmetry_kernel_dim, solve_frame_symmetry,
@@ -73,7 +74,7 @@ def test_boundary_null_filtration(family_package, m):
 def test_distribution_three_ways_and_facts(pkg_half, bd):
     dist = extract_distribution(pkg_half, bd)
     assert dist.growth == (2, 3, 5)
-    checks = distribution_checks(pkg_half, bd, dist)
+    checks = distribution_checks(bd, dist)
     assert all(checks.values()), [k for k, v in checks.items() if not v]
     # D = <E4, E5>, [D,D] = <E3, E4, E5>
     z, o = QScalar.zero(), QScalar.one()
@@ -98,8 +99,100 @@ def test_boundary_connection_compatibility(pkg_half, bd):
     assert all(checks.values()), [k for k, v in checks.items() if not v]
 
 
+def four_loop_connection_checks(pkg, bd):
+    """The reference slices of the ambient chart at s = 0: the collar
+    Christoffel column, the Schouten collar leg, the tangential
+    Christoffel symbols and the tangential Schouten tensor.  They do not
+    read the Y row."""
+    _eval0 = boundary._eval0
+    out = {}
+    ok = True
+    g0 = bd.conformal.g0
+    for a in range(5):
+        for b in range(5):
+            got = _eval0(pkg.chart.G[a][b][5])
+            want = -g0.get((), (a, b)).constant_value()
+            if not (got - want).is_zero():
+                ok = False
+    out["collar_christoffel_is_minus_g0"] = ok
+    P = pkg.chart.schouten()
+    out["ambient_schouten_kills_collar_leg"] = all(
+        _eval0(P.get((), (a, 5))).is_zero() for a in range(5))
+    # ambient tangential Christoffel with tangential output reproduces the
+    # boundary Levi-Civita connection of g0
+    lc = bd.conformal.chart
+    ok2 = True
+    for a in range(5):
+        for c in range(5):
+            for b in range(5):
+                if not (_eval0(pkg.chart.G[a][c][b]) - lc.G[a][c][b].constant_value()).is_zero():
+                    ok2 = False
+    out["tangential_christoffel_is_boundary_lc"] = ok2
+    # ambient P restricted tangentially equals the conformal Schouten of g0
+    okP = True
+    for a in range(5):
+        for b in range(5):
+            if not (_eval0(P.get((), (a, b))) - bd.conformal.schouten.get((), (a, b)).constant_value()).is_zero():
+                okP = False
+    out["tangential_schouten_is_conformal_schouten"] = okP
+    return out
+
+
+@pytest.mark.parametrize("m", REGRESSION_PARAMETERS, ids=str)
+def test_connection_check_agrees_with_four_loop_oracle(family_package, m):
+    pkg = family_package(m)
+    bd = restrict_to_zero_locus(pkg)
+    assert all(boundary_connection_checks(pkg, bd).values())
+    assert all(four_loop_connection_checks(pkg, bd).values())
+
+
+def _negated(part):
+    """conformal_tractor_connection with the Y row or the Y column negated."""
+    def connection(conf):
+        out = conformal_tractor_connection(conf)
+        for C in out:
+            if part == "row":
+                C[5] = [-v for v in C[5]]
+            else:
+                for row in C:
+                    row[5] = -row[5]
+        return out
+    return connection
+
+
+@pytest.mark.parametrize("part", ["row", "column"])
+def test_negated_y_slot_fails_both_zero_locus_connection_records(pkg_half, part, monkeypatch):
+    # at m = 1/2 the Y row has a nonzero tangential entry, which the four
+    # loops never read: they pass against the same ambient chart, so only
+    # the matrix check covers the Y row
+    from g2trac.verify import verify
+    monkeypatch.setattr(boundary, "conformal_tractor_connection", _negated(part))
+    status = {r.name: r.status for r in verify(pkg_half, depth="full").records}
+    assert status["zero_locus.connection-compatibility"] == "fail"
+    assert status["zero_locus.bgg-output-parallel"] == "fail"
+    oracle = four_loop_connection_checks(pkg_half, restrict_to_zero_locus(pkg_half))
+    assert all(oracle.values())
+
+
+@pytest.mark.parametrize("m", REGRESSION_PARAMETERS, ids=str)
+def test_conformal_tractor_curvature_is_the_family_weyl_polynomial(family_package, m):
+    # the Weyl block of the curvature: C^1_{040} = -C^3_{044}, zero exactly
+    # at the flat parameters (3/32 at m = 1/2)
+    bd = restrict_to_zero_locus(family_package(m))
+    lc = bd.conformal.chart
+    F = _connection_curvature(conformal_tractor_connection(bd.conformal), lc.C,
+                              lc.rho_directions)
+    nonzero = {ab: Fab for ab, Fab in F.items() if Fab}
+    w = (m + 1) * (3 * m - 1) * (3 * m - 2) * (m - 2) / 6
+    if m in FLAT_PARAMETERS:
+        assert nonzero == {}
+    else:
+        assert list(nonzero) == [(0, 4)] and sorted(nonzero[(0, 4)]) == [(0, 1), (4, 3)]
+        assert nonzero[(0, 4)][(0, 1)] == w and nonzero[(0, 4)][(4, 3)] == -w
+
+
 def test_bgg_round_trip_slotwise(pkg_half, bd):
-    defect = bgg_round_trip_defect(pkg_half, bd)
+    defect = bgg_round_trip_defect(bd)
     assert defect.sigma.is_zero()
     assert defect.psi.is_zero()
     assert defect.nu.is_zero()
@@ -194,7 +287,7 @@ def test_bgg_of_zero_is_zero(bd):
 
 
 def test_bgg_output_parallel(pkg_half, bd):
-    defects = conformal_parallel_defect(pkg_half, boundary_3form(bd), bd)
+    defects = conformal_parallel_defect(boundary_3form(bd), bd.conformal)
     assert all(v.is_zero() for v in defects)
 
 

@@ -265,6 +265,8 @@ def scaled_phi(xi, t):
                              for i, (idx, c) in enumerate(PHI_PLUS)])
 
 
+# 1 + s times the first component of the xi = 1 form: a Laurent file
+LAURENT_PHI = tensor_doc(7, 3, [([1, 2, 3], [1, 1])] + [(i, [c]) for i, c in PHI_PLUS[1:]])
 POLE = tensor_doc(6, 3, [([1, 2, 3], [1, 1]), ([4, 5, 6], [1])])
 POLE["entries"][0]["offset"] = -1     # 1/s + 1: undefined at s = 0
 
@@ -280,8 +282,11 @@ CLASSIFY_CASES = {
     "2phi+": (scaled_phi(1, 2), [], 0, {"class": "definite", "signature": [7, 0]}),
     "2phi-": (scaled_phi(-1, 2), [], 0, {"class": "split", "signature": [3, 4]}),
     "2-form": (tensor_doc(7, 2, [([1, 2], [1])]), [], 2, None),
-    "at-1/0": (tensor_doc(7, 3, [([1, 2, 3], [1, 1])] + [(i, [c]) for i, c in PHI_PLUS[1:]]),
-               ["--at", "1/0"], 2, None),
+    "at-1/0": (LAURENT_PHI, ["--at", "1/0"], 2, None),
+    "at-abc": (LAURENT_PHI, ["--at", "abc"], 2, None),
+    # a file of rational entries is never evaluated, but --at is still read
+    "at-abc-rational": (scaled_phi(1, 1), ["--at", "abc"], 2, None),
+    "at-1/0-rational": (scaled_phi(1, 1), ["--at", "1/0"], 2, None),
     "json-list": ([1, 2, 3], [], 2, None),
     "index-9-in-dim-6": (tensor_doc(6, 3, [([1, 2, 9], [1])]), [], 2, None),
     "pole-at-0": (POLE, ["--at", "0"], 2, None),
@@ -311,7 +316,9 @@ def test_cli_classify_form_input_cases(case, tmp_path, capsys):
     assert rc == want_rc and "Traceback" not in captured.err
     assert len(captured.err.strip().splitlines()) == (1 if want_rc == 2 else 0)
     if want_rc == 2:
-        assert captured.err.startswith("invalid tensor file: ")
+        # a bad --at is reported before the file is read
+        prefix = "invalid --at: " if case.startswith("at-") else "invalid tensor file: "
+        assert captured.err.startswith(prefix)
     if want is not None:
         # the normalizer of 2 phi is not in the field: no metric diagonal
         assert json.loads(captured.out) == dict(want, dim=7)
@@ -377,17 +384,20 @@ def test_cli_option_takes_a_negative_value(argv, option, value, tmp_path, capsys
     (["orbit", "--m", "1/2", "--s", "-1E-1_000_000"], None, None),
     (VERIFY_QUICK + ["--samples", "1,1e10000000"], None, None),
     (["classify-form", "--at", "1e10000000"], POLE, None),
+    (["classify-form"], with_first_entry(scaled_phi(1, 1), coeff=[["1e10000000", "0", "0", "0"]]),
+     None),
     (VERIFY_QUICK, None, "1e10000000"),
     (["monge-check", "--poly", "q^2+1e10000000*p"], None, None),
     (["monge-check", "--poly", "q^1e10000000"], None, None),
 ], ids=["orbit-s", "classify-metric", "monge-exponent", "m-decimal-exponent",
         "s-decimal-exponent", "s-negative-decimal-exponent", "samples-decimal-exponent",
-        "at-decimal-exponent", "env-samples-decimal-exponent", "poly-coefficient-exponent",
+        "at-decimal-exponent", "coeff-decimal-exponent", "env-samples-decimal-exponent", "poly-coefficient-exponent",
         "poly-power-decimal-exponent"])
 def test_cli_values_too_large_exit_2(argv, doc, env, tmp_path, capsys, monkeypatch):
     # tau ~ 10^800 and H ~ 10^400 are beyond the float range of the report,
     # y^e at the sample y = 2 would not fit in memory, and Fraction would
-    # expand a decimal exponent of 10^7 into ten million digits
+    # expand a decimal exponent of 10^7 into ten million digits, also in a
+    # tensor file's coefficient
     if env is not None:
         monkeypatch.setenv("G2TRAC_SAMPLES", env)
     if doc is not None:
@@ -429,13 +439,42 @@ _polys = st.lists(st.lists(_factors, min_size=1, max_size=3).map("*".join),
     .map(lambda signs: "".join(s + t for s, t in zip(signs, terms))))
 
 
+# malformed tensor files: the split 3-form's document truncated, or with its
+# dim, or its first entry's idx, offset or coefficient row, replaced
+_SPLIT_PHI = scaled_phi(-1, 1)
+_SPLIT_PHI_TEXT = json.dumps(_SPLIT_PHI)
+_json_values = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=4),
+                         st.lists(st.integers(-2, 9), max_size=4))
+_tensor_texts = st.one_of(
+    st.integers(0, len(_SPLIT_PHI_TEXT) - 1).map(lambda k: _SPLIT_PHI_TEXT[:k]),
+    st.one_of(st.integers(-2, 12), _json_values).map(lambda v: dict(_SPLIT_PHI, dim=v)),
+    st.lists(st.one_of(st.integers(-2, 10), _json_values), max_size=4).map(
+        lambda v: with_first_entry(_SPLIT_PHI, idx=v)),
+    st.one_of(st.integers(-(10 ** 9), 10 ** 9), _json_values).map(
+        lambda v: with_first_entry(_SPLIT_PHI, offset=v)),
+    st.lists(st.one_of(_cli_numbers, _json_values), max_size=5).map(
+        lambda v: with_first_entry(_SPLIT_PHI, coeff=[v]))).map(
+    lambda doc: doc if isinstance(doc, str) else json.dumps(doc))
+
+
+@pytest.fixture(scope="module")
+def fuzzed_tensor_file(tmp_path_factory):
+    """The file each fuzzed tensor text is written to in turn."""
+    return tmp_path_factory.mktemp("fuzz") / "fuzzed_tensor.json"
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(
-    _cli_numbers.map(lambda v: ["orbit", "--m", "1/2", f"--s={v}"]),
-    _cli_numbers.map(lambda v: ["classify-form", "--report", "json", f"--at={v}"]),
-    st.one_of(_polys, st.text(max_size=12)).map(lambda v: ["monge-check", f"--poly={v}"])))
-def test_cli_fuzzed_values_keep_the_exit_code_contract(laurent_phi_file, argv):
-    if argv[0] == "classify-form":
+    _cli_numbers.map(lambda v: (["orbit", "--m", "1/2", f"--s={v}"], None)),
+    _cli_numbers.map(lambda v: (["classify-form", "--report", "json", f"--at={v}"], None)),
+    _tensor_texts.map(lambda text: (["classify-form", "--report", "json"], text)),
+    st.one_of(_polys, st.text(max_size=12)).map(lambda v: (["monge-check", f"--poly={v}"], None))))
+def test_cli_fuzzed_values_keep_the_exit_code_contract(laurent_phi_file, fuzzed_tensor_file, case):
+    argv, text = case
+    if text is not None:
+        fuzzed_tensor_file.write_text(text)
+        argv = argv + ["--file", str(fuzzed_tensor_file)]
+    elif argv[0] == "classify-form":
         argv = argv + ["--file", laurent_phi_file]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
