@@ -15,7 +15,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from g2trac.cli import _family_parameter, _join_signed_values
+from g2trac.cli import _emit, _family_parameter, _join_signed_values
 from g2trac.coordfields import parse_rational
 from g2trac.geometry import npk_extract, npk_verify
 from g2trac.qm_family import FamilyParams, build_qm
@@ -46,7 +46,7 @@ def main() -> int:
               file=sys.stderr)
         return 2
     cache = {}
-    print(f"family parameter m = {m}; tau = {pkg.tau}")
+    _emit(f"family parameter m = {m}; tau = {pkg.tau}")
     for s, tau, tau_float in zip(points, taus, shown):
         sign = tau.sign()
         label = "M+" if sign > 0 else ("M-" if sign < 0 else "M0")
@@ -58,7 +58,7 @@ def main() -> int:
             kind = "nearly Kahler" if rep.eps == -1 else "nearly para-Kahler"
             line += (f"  {kind}: alpha = {rep.alpha}, Sc sign {rep.scalar_curvature_sign:+d},"
                      f" <dJ,dJ> = {rep.nabla_j_norm}")
-        print(line)
+        _emit(line)
     return 0
 
 

@@ -5,7 +5,8 @@ Usage:
     python scripts/run_family_sweep.py [--depth quick|full] [--json DIR]
 
 Each parameter gets a one-line summary; on request, per-parameter JSON
-reports land in DIR.  Exit code 1 if anything fails.
+reports land in DIR.  Exit code 1 if anything fails, 2 on an invalid --m
+or a DIR that cannot be written.
 """
 
 import argparse
@@ -15,7 +16,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from g2trac.cli import _family_parameter, _join_signed_values
+from g2trac.cli import _emit, _family_parameter, _join_signed_values
 from g2trac.qm_family import REGRESSION_PARAMETERS, FamilyParams, build_qm
 from g2trac.verify import verify
 
@@ -34,6 +35,12 @@ def main() -> int:
         if m is None:
             return 2
         params.append(m)
+    if args.json:
+        try:
+            os.makedirs(args.json, exist_ok=True)
+        except OSError as exc:
+            print(f"cannot write to --json: {exc}", file=sys.stderr)
+            return 2
     failures = 0
     for m in params:
         t0 = time.time()
@@ -43,19 +50,22 @@ def main() -> int:
         n_skip = sum(1 for r in rep.records if r.status == "skipped")
         n_fail = sum(1 for r in rep.records if r.status == "fail")
         flat = "flat" if pkg.chart.is_projectively_flat() else "curved"
-        print(f"m = {str(m):>5}  [{flat:>6}]  pass {n_pass:2d}  skip {n_skip}  "
+        _emit(f"m = {str(m):>5}  [{flat:>6}]  pass {n_pass:2d}  skip {n_skip}  "
               f"fail {n_fail}  ({time.time() - t0:5.1f}s)")
         if n_fail:
             failures += 1
             for r in rep.records:
                 if r.status == "fail":
-                    print(f"    FAIL {r.name}: {r.detail}")
+                    _emit(f"    FAIL {r.name}: {r.detail}")
         if args.json:
-            os.makedirs(args.json, exist_ok=True)
             path = os.path.join(args.json, f"report_m_{m.numerator}_{m.denominator}.json")
-            with open(path, "w") as fh:
-                fh.write(rep.to_json() + "\n")
-    print("sweep:", "ALL PASS" if not failures else f"{failures} parameter(s) FAILED")
+            try:
+                with open(path, "w") as fh:
+                    fh.write(rep.to_json() + "\n")
+            except OSError as exc:
+                print(f"cannot write to --json: {exc}", file=sys.stderr)
+                return 2
+    _emit("sweep: " + ("ALL PASS" if not failures else f"{failures} parameter(s) FAILED"))
     return 1 if failures else 0
 
 

@@ -2,13 +2,15 @@
 the rank-2 distribution and its bracket growth, and the splitting operator
 that rebuilds the parallel tractor 3-form from its boundary 2-form slot.
 
-The normal conformal tractor connection of the boundary is built from g0
-alone (conformal_tractor_connection), on 7 slots: tangent 0..4, then Y = 5
-and X = 6, the slots the collar leg 5 and the density leg 6 of the ambient
-tractor bundle restrict to.  The ambient tractor connection at s = 0 is
-checked against it, entry for entry (boundary_connection_checks), and the
-boundary tractor 3-form is differentiated with it on the 5-dim chart
-(conformal_parallel_defect).
+The boundary tractors have 7 slots: tangent Z_0..Z_4, then Y = 5 and
+X = 6, the slots the collar leg 5 and the density leg 6 of the ambient
+tractor bundle restrict to.  The boundary tractor 3-form is the ambient
+Phi at s = 0 on these legs (BoundaryData.phi0), and bgg_split returns its
+rebuild on the same legs.  The normal conformal tractor connection of the
+boundary is built from g0 alone (conformal_tractor_connection).  The
+ambient tractor connection at s = 0 is checked against it, entry for entry
+(boundary_connection_checks), and the boundary tractor 3-form is
+differentiated with it on the 5-dim chart (conformal_parallel_defect).
 """
 
 from __future__ import annotations
@@ -47,10 +49,7 @@ class ConformalChart:
 @dataclass
 class BoundaryData:
     conformal: ConformalChart
-    sigma0: AltTensor          # X Z Z slot (the boundary 2-form)
-    psi0: AltTensor            # Z Z Z slot
-    nu0: AltTensor             # X Y Z slot (1-form)
-    rho0: AltTensor            # Y Z Z slot (2-form)
+    phi0: AltTensor            # Phi at s = 0 on the slots Z_0..Z_4, Y = 5, X = 6
     J0: List[List[QScalar]]    # degenerate endomorphism of TM0
     Jtr0: List[List[QScalar]]  # full 7x7 tractor endomorphism at s = 0
     H0: List[List[QScalar]]    # tractor metric at s = 0
@@ -113,15 +112,7 @@ def restrict_to_zero_locus(pkg: GeometryPackage) -> BoundaryData:
     P0 = conformal_schouten(lc, g0)
     conf = ConformalChart(lc, g0, P0)
 
-    # each stored Phi_K by the legs 5 (Y) and 6 (X) it holds: psi0 = Phi_{bcd},
-    # rho0 = Phi_{5bc}, sigma0 = Phi_{6bc}, nu0_c = Phi_{65c} = -Phi_{c56}
-    legs = ((), (5,), (6,), (5, 6))
-    slots = {leg: {} for leg in legs}
-    for (_, K), v in pkg.phi.full(pkg.chart.zero()).comps.items():
-        rest = tuple(x for x in K if x < 5)
-        leg, v = K[len(rest):], _eval0(v)
-        slots[leg][((), rest)] = -v if leg == (5, 6) else v
-    psi0, rho0, sigma0, nu0 = (_tensor(5, 0, 3 - len(leg), ALT, None, slots[leg]) for leg in legs)
+    phi0 = _tensor(7, 0, 3, ALT, None, {key: _eval0(v) for key, v in pkg.phi.comps.items()})
 
     Jtr0 = [[_eval0(pkg.J[a][b]) if a < 6 and b < 6 else QScalar.zero()
              for b in range(7)] for a in range(7)]
@@ -132,7 +123,7 @@ def restrict_to_zero_locus(pkg: GeometryPackage) -> BoundaryData:
     for b in range(5):
         if not Jtr0[5][b].is_zero():
             raise ValueError("J does not restrict tangentially to the zero locus")
-    return BoundaryData(conf, sigma0, psi0, nu0, rho0, J0, Jtr0, Hm)
+    return BoundaryData(conf, phi0, J0, Jtr0, Hm)
 
 
 # -- distribution extraction -------------------------------------------------
@@ -154,10 +145,9 @@ def distribution_from_J0(bd: BoundaryData) -> List[list]:
 def distribution_from_omega(pkg: GeometryPackage) -> List[list]:
     """D = ker(omega restricted over M0) inside the full 6-dim tangent space;
     the kernel is tangent to the zero locus and returned in the 5-dim frame."""
-    sig = pkg.phi.sigma
     rows = []
     for b in range(6):
-        rows.append([_eval0(sig.get((), (a, b))) for a in range(6)])
+        rows.append([_eval0(pkg.phi.get((), (a, b, 6))) for a in range(6)])
     ker = linalg.nullspace(rows)
     out = []
     for v in ker:
@@ -210,7 +200,7 @@ def distribution_checks(bd: BoundaryData, dist: Distribution235) -> Dict[str, bo
     # [D,D] = ker(iota* omega)
     rows = []
     for b in range(5):
-        rows.append([bd.sigma0.get((), (a, b)) for a in range(5)])
+        rows.append([bd.phi0.get((), (a, b, 6)) for a in range(5)])
     out["bracket_equals_ker_pullback"] = linalg.same_subspace(
         dist.bracket_basis, linalg.nullspace(rows))
     # D-perp (w.r.t. g0) = [D,D]
@@ -226,8 +216,8 @@ def distribution_checks(bd: BoundaryData, dist: Distribution235) -> Dict[str, bo
             if not linalg.sum_prod(linalg.mat_vec(g0q, u), v).is_zero():
                 nullity = False
     out["g0_kills_D_bracket_pairs"] = nullity
-    # omega0 decomposable with bivector spanning D: rank of sigma0 is 2
-    rows2 = [[bd.sigma0.get((), (a, b)) for a in range(5)] for b in range(5)]
+    # omega0 decomposable with bivector spanning D: rank of omega0 is 2
+    rows2 = [[bd.phi0.get((), (a, b, 6)) for a in range(5)] for b in range(5)]
     out["omega0_rank_2"] = linalg.rank(rows2) == 2
     return out
 
@@ -300,29 +290,13 @@ def boundary_connection_checks(pkg: GeometryPackage, bd: BoundaryData) -> Dict[s
 # -- BGG splitting -------------------------------------------------------------
 
 
-@dataclass
-class ConformalTractor3Form:
-    sigma: AltTensor   # X Z Z slot
-    psi: AltTensor     # Z Z Z slot
-    nu: AltTensor      # X Y Z slot
-    rho: AltTensor     # Y Z Z slot
-
-    def __sub__(self, o):
-        return ConformalTractor3Form(self.sigma - o.sigma, self.psi - o.psi,
-                                     self.nu - o.nu, self.rho - o.rho)
-
-    def is_zero(self):
-        return (self.sigma.is_zero() and self.psi.is_zero()
-                and self.nu.is_zero() and self.rho.is_zero())
-
-
-def bgg_split(conf: ConformalChart, omega0: AltTensor) -> ConformalTractor3Form:
-    """Splitting operator on weight-3 boundary 2-forms.
-
-    Slots, in the scale of the representative metric:
-      top     omega0
-      middle  alternation of nabla omega0  |  -(1/4) nabla^k omega0_{kc}
-      bottom  -(1/15) nabla^k nabla_k omega0_{bc}
+def bgg_split(conf: ConformalChart, omega0: AltTensor) -> AltTensor:
+    """Splitting operator on weight-3 boundary 2-forms: the tractor 3-form
+    on the slots Z_0..Z_4, Y = 5, X = 6 with, in the scale of the
+    representative metric,
+      top     X Z Z: omega0
+      middle  Z Z Z: alternation of nabla omega0  |  X Y Z: -(1/4) nabla^k omega0_{kc}
+      bottom  Y Z Z: -(1/15) nabla^k nabla_k omega0_{bc}
               - (2/15) alt_{bc} nabla^k nabla_{c} omega0_{kb}
               - (1/10) alt_{bc} nabla_{c} nabla^k omega0_{kb}
               - (4/5) P^k_{[b} omega0_{c]k} - (1/5) P^k_k omega0_{bc}
@@ -364,35 +338,32 @@ def bgg_split(conf: ConformalChart, omega0: AltTensor) -> ConformalTractor3Form:
     for key, v in omega0.comps.items():
         _scatter(acc, key, trP * v * Fraction(-1, 5))
     bottom = _tensor(n, 0, 2, ALT, z, acc)
-    return ConformalTractor3Form(omega0.copy(), psi, nu, bottom)
+    F = AltTensor.form(7, 3, z)
+    for legs, slot in (((), psi), ((6,), omega0), ((5,), bottom), ((6, 5), nu)):
+        for (_, idx), v in slot.comps.items():
+            F.set((), legs + idx, v)
+    return F
 
 
-def boundary_3form(bd: BoundaryData) -> ConformalTractor3Form:
-    z = CoeffFn.zero(PLAIN)
-
-    def lift(tensor):
-        out = AltTensor(5, 0, tensor.n_down, tensor.sym, z)
-        for (_, idx), v in tensor.comps.items():
-            out.set((), idx, CoeffFn.of(v, PLAIN))
-        return out
-
-    return ConformalTractor3Form(lift(bd.sigma0), lift(bd.psi0), lift(bd.nu0), lift(bd.rho0))
+def boundary_3form(bd: BoundaryData) -> AltTensor:
+    """phi0 with constant coefficient-function entries."""
+    return _tensor(7, 0, 3, ALT, CoeffFn.zero(PLAIN),
+                   {key: CoeffFn.of(v, PLAIN) for key, v in bd.phi0.comps.items()})
 
 
-def bgg_round_trip_defect(bd: BoundaryData) -> ConformalTractor3Form:
+def bgg_round_trip_defect(bd: BoundaryData) -> AltTensor:
+    """bgg_split of the boundary 2-form omega0_{bc} = Phi_{bcX}, minus the
+    boundary tractor 3-form."""
     target = boundary_3form(bd)
-    got = bgg_split(bd.conformal, target.sigma)
-    return got - target
+    omega0 = _tensor(5, 0, 2, ALT, target.zero, {
+        ((), K[:2]): v for (_, K), v in target.comps.items() if K[1] < 5 and K[2] == 6})
+    return bgg_split(bd.conformal, omega0) - target
 
 
-def conformal_parallel_defect(form: ConformalTractor3Form, conf: ConformalChart) -> List[CoeffFn]:
-    """Components of nabla_a of the assembled tractor 3-form (weight 3)
+def conformal_parallel_defect(F: AltTensor, conf: ConformalChart) -> List[CoeffFn]:
+    """Components of nabla_a F of a boundary tractor 3-form F (weight 3)
     along each boundary direction a, with the conformal tractor connection
     of g0 on the 5-dim chart."""
     lc = conf.chart
-    F = AltTensor.form(7, 3, lc.zero())
-    for legs, slot in (((), form.psi), ((6,), form.sigma), ((5,), form.rho), ((6, 5), form.nu)):
-        for (_, idx), v in slot.comps.items():
-            F.set((), legs + idx, v)
     return [v for a, C in enumerate(conformal_tractor_connection(conf))
             for v in lc.cov_deriv(F, a, 3, C).comps.values()]

@@ -247,9 +247,8 @@ def cmd_export(args) -> int:
     if m is None:
         return 2
     pkg = _build_package(m, None)
-    full = pkg.phi.full(pkg.chart.zero())
     Jt = AltTensor.from_matrix(pkg.J, 6, 1, zero=pkg.chart.zero())
-    docs = {"phi": tensor_to_json(full, PLAIN),
+    docs = {"phi": tensor_to_json(pkg.phi, PLAIN),
             "H": tensor_to_json(pkg.H, PLAIN),
             "J": tensor_to_json(Jt, PLAIN)}
     if args.out:

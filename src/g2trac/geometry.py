@@ -21,14 +21,13 @@ from .laurent import PLAIN, RHO_MINUS, RHO_PLUS, CoeffFn
 from .scalars import DegenerateError, QScalar
 from .stable_forms import slices
 from .tensors import SYM, AltTensor
-from .tractor import (Tractor3Form, ky_symmetrized_derivative, omega_weyl_cycle,
-                      tractor_metric_from_phi)
+from .tractor import ky_symmetrized_derivative, omega_weyl_cycle, slots, tractor_metric_from_phi
 
 
 @dataclass
 class GeometryPackage:
     chart: FrameChart
-    phi: Tractor3Form
+    phi: AltTensor  # the tractor 3-form on the legs 0..n (leg n = X)
     H: AltTensor
     tau: CoeffFn
     chi: List[CoeffFn]
@@ -52,7 +51,7 @@ class GeometryPackage:
         return self._Hinv
 
 
-def build_package(chart: FrameChart, phi: Tractor3Form, meta=None) -> GeometryPackage:
+def build_package(chart: FrameChart, phi: AltTensor, meta=None) -> GeometryPackage:
     H, Hinv = tractor_metric_from_phi(chart, phi)
     Hm = H.as_matrix()
     tau = Hm[chart.dim][chart.dim]
@@ -65,12 +64,11 @@ def build_package(chart: FrameChart, phi: Tractor3Form, meta=None) -> GeometryPa
     return pkg
 
 
-def jfield_full(chart: FrameChart, phi: Tractor3Form, Hinv):
+def jfield_full(chart: FrameChart, phi: AltTensor, Hinv):
     """The weighted endomorphism V -> -X x V in tractor components: with
     X = e_n, it is H^-1 S_n for the slice S_n = e_n . Phi, given the
     inverse matrix Hinv of the tractor metric."""
-    full = phi.full(chart.zero())
-    return linalg.mat_mul(Hinv, slices(full)[chart.dim])
+    return linalg.mat_mul(Hinv, slices(phi)[chart.dim])
 
 
 def jfield_identity_defects(pkg: GeometryPackage):
@@ -170,7 +168,7 @@ def npk_extract(pkg: GeometryPackage, side: int) -> OrbitStructure:
     chart_s = pkg.chart.substitute_param(param)
     g = collar_metric(pkg.H.as_matrix(), side, param)
     sigma_s = AltTensor.form(n, 2, chart_s.zero())
-    for (_, idx), v in pkg.phi.sigma.comps.items():
+    for (_, idx), v in slots(pkg.phi)[0].comps.items():
         sigma_s.set((), idx, v.substitute_rho(param))
     # (+-tau)^(-3/2) = (2 s^2)^(-3/2) = (sqrt2/4) s^-3
     scale = CoeffFn.monomial(QScalar.sqrt2() * Fraction(1, 4), -3, param)

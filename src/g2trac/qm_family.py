@@ -20,8 +20,8 @@ from .frames import FrameChart
 from .laurent import PLAIN, CoeffFn
 from .octonions import g2_form
 from .scalars import QScalar, SQRT2, SQRT10
-from .tensors import SYM, AltTensor
-from .tractor import Tractor3Form
+from .tensors import ALT, SYM, AltTensor, _tensor
+from .tractor import slots, tractor_3form
 from .geometry import GeometryPackage, build_package
 
 FLAT_PARAMETERS = (Fraction(-1), Fraction(1, 3), Fraction(2, 3), Fraction(2))
@@ -230,7 +230,7 @@ def displayed_orbit_complex_structure(m: Fraction, side: int, param):
 
 def build_qm(params: FamilyParams) -> GeometryPackage:
     chart = family_chart(params.m)
-    phi = Tractor3Form(family_2form(params.m, chart), family_3form_slot(params.m, chart))
+    phi = tractor_3form(family_2form(params.m, chart), family_3form_slot(params.m, chart))
     pkg = build_package(chart, phi, meta={
         "kind": "qm", "m": params.m, "samples": params.samples,
         "flat_expected": params.m in FLAT_PARAMETERS,
@@ -241,26 +241,19 @@ def build_qm(params: FamilyParams) -> GeometryPackage:
 def dw_checksum_defect(pkg: GeometryPackage) -> AltTensor:
     """(1/3) d(sigma) minus the stored 3-form slot; transcription guard."""
     third = pkg.chart.lift(Fraction(1, 3))
-    return pkg.chart.d_exterior(pkg.phi.sigma).scale(third) - pkg.phi.mu
+    sigma, mu = slots(pkg.phi)
+    return pkg.chart.d_exterior(sigma).scale(third) - mu
 
 
 # -- models ------------------------------------------------------------------
 
 
-def model_3form(xi: int, chart: FrameChart) -> Tractor3Form:
-    """Constant algebraic 3-form of the homogeneous model over a flat chart.
-
-    The octonions' g2_form, whose last leg is the distinguished unit/
-    pseudo-unit direction: sigma is its insertion slot, mu the rest.
-    """
-    sigma = AltTensor.form(6, 2, chart.zero())
-    mu = AltTensor.form(6, 3, chart.zero())
-    for (_, idx), v in g2_form(xi).comps.items():
-        if idx[-1] == 6:
-            sigma.set((), idx[:2], chart.lift(v))
-        else:
-            mu.set((), idx, chart.lift(v))
-    return Tractor3Form(sigma, mu)
+def model_3form(xi: int, chart: FrameChart) -> AltTensor:
+    """Constant algebraic 3-form of the homogeneous model over a flat chart:
+    the octonions' g2_form, whose last leg is the distinguished unit/
+    pseudo-unit direction X, lifted to the chart's coefficient ring."""
+    return _tensor(7, 0, 3, ALT, chart.zero(),
+                   {key: chart.lift(v) for key, v in g2_form(xi).comps.items()})
 
 
 def build_model(xi: int, params: Optional[FamilyParams] = None) -> GeometryPackage:

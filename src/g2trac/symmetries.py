@@ -112,13 +112,15 @@ def _residual_terms(pkg: GeometryPackage):
                 yield G[a][d][b], ([((e, b), G[a][d][e]) for e in E]
                                    + [((a, e), -G[e][d][b]) for e in E]
                                    + [((d, e), -G[a][e][b]) for e in E])
-    # weight-3 slots of the 3-form: the trace of lam enters with weight 3/7
-    for form, k in ((pkg.phi.sigma, 2), (pkg.phi.mu, 3)):
+    # weight-3 slots of the 3-form, sigma_{bc} = Phi_{bcX} and then mu_{bcd} =
+    # Phi_{bcd}: the trace of lam enters with weight 3/7
+    phi = pkg.phi
+    for k, x in ((2, (chart.dim,)), (3, ())):
         for idx in combinations(E, k):
-            f = form.get((), idx)
+            f = phi.get((), idx + x)
             pairs = [((e, e), f * QScalar(Fraction(3, 7))) for e in E]
             for s, b in enumerate(idx):
-                pairs += [((b, e), -form.get((), idx[:s] + (e,) + idx[s + 1:])) for e in E]
+                pairs += [((b, e), -phi.get((), idx[:s] + (e,) + idx[s + 1:] + x)) for e in E]
             yield f, pairs
 
 

@@ -1,11 +1,15 @@
 """Projective tractor calculus over a framed chart.
 
-Tractor indices run 0..n:S slots 0..n-1 are the tangent legs of the
+Tractor indices run 0..n: slots 0..n-1 are the tangent legs of the
 scale's splitting, slot n is the density leg (the canonical tractor X
-is the coordinate vector of slot n).  All component formulas are the
-scale forms of the invariant connections; scale changes are available
-and property-tested, so nothing depends on the chart's preferred scale
-beyond bookkeeping.
+is the coordinate vector of slot n).  A tractor 3-form Phi is one
+alternating AltTensor on these n + 1 legs; its weight-3 slots in the
+chart scale are sigma_{bc} = Phi_{bcn} and mu_{bcd} = Phi_{bcd}
+(tractor_3form assembles Phi from them, slots reads them back).  Every
+tractor tensor is differentiated by the one kernel FrameChart.cov_deriv
+under the connection matrix tractor_connection.  Scale changes are
+available and property-tested, so nothing depends on the chart's
+preferred scale beyond bookkeeping.
 """
 
 from __future__ import annotations
@@ -23,38 +27,25 @@ from .tensors import (ALT, NONE, SYM, AltTensor, _scatter, _tensor, perm_sign, p
                       sort_with_sign)
 
 
-class Tractor3Form:
-    """Pair (sigma_{bc}, mu_{bcd}) of chart forms; the weight-3 slots of a
-    tractor 3-form in the scale of the chart's distinguished connection."""
+def tractor_3form(sigma: AltTensor, mu: AltTensor) -> AltTensor:
+    """The tractor 3-form Phi on the legs 0..n (leg n is X) with the weight-3
+    slots sigma_{bc} = Phi_{bcn} and mu_{bcd} = Phi_{bcd} of the chart
+    scale."""
+    if (sigma.n_down != 2 or mu.n_down != 3 or sigma.n_up or mu.n_up
+            or sigma.sym != ALT or mu.sym != ALT):
+        raise ValueError("tractor 3-form slots must be a 2-form and a 3-form")
+    n = sigma.dim
+    comps = dict(mu.comps)
+    comps.update((((), idx + (n,)), v) for (_, idx), v in sigma.comps.items())
+    return _tensor(n + 1, 0, 3, ALT, sigma.zero, comps)
 
-    __slots__ = ("sigma", "mu")
 
-    def __init__(self, sigma: AltTensor, mu: AltTensor):
-        if (sigma.n_down != 2 or mu.n_down != 3 or sigma.n_up or mu.n_up
-                or sigma.sym != ALT or mu.sym != ALT):
-            raise ValueError("tractor 3-form slots must be a 2-form and a 3-form")
-        self.sigma = sigma
-        self.mu = mu
-
-    def __sub__(self, other: "Tractor3Form") -> "Tractor3Form":
-        return Tractor3Form(self.sigma - other.sigma, self.mu - other.mu)
-
-    def __add__(self, other: "Tractor3Form") -> "Tractor3Form":
-        return Tractor3Form(self.sigma + other.sigma, self.mu + other.mu)
-
-    def is_zero(self) -> bool:
-        return self.sigma.is_zero() and self.mu.is_zero()
-
-    def full(self, zero) -> AltTensor:
-        """All components on tractor indices 0..n: Phi_{nbc} = sigma_{bc},
-        Phi_{bcd} = mu_{bcd}."""
-        n = self.sigma.dim
-        out = AltTensor.form(n + 1, 3, zero)
-        for (_, idx), v in self.mu.comps.items():
-            out.set((), idx, v)
-        for (_, idx), v in self.sigma.comps.items():
-            out.set((), (n,) + idx, v)
-        return out
+def slots(phi: AltTensor):
+    """(sigma, mu) of a tractor 3-form: sigma_{bc} = Phi_{bcn}, mu_{bcd} = Phi_{bcd}."""
+    n = phi.dim - 1
+    sigma = {((), K[:2]): v for (_, K), v in phi.comps.items() if K[2] == n}
+    mu = {key: v for key, v in phi.comps.items() if key[1][2] != n}
+    return _tensor(n, 0, 2, ALT, phi.zero, sigma), _tensor(n, 0, 3, ALT, phi.zero, mu)
 
 
 # -- connections -----------------------------------------------------------
@@ -97,38 +88,17 @@ def d_cotractor(chart: FrameChart, U: List[CoeffFn], a: int) -> List[CoeffFn]:
     return _d_one_slot(chart, U, a, 0)
 
 
-def d_tractor_3form(chart: FrameChart, phi: Tractor3Form, a: int) -> Tractor3Form:
-    """Slot formula: (nabla_a sigma_{bc} - mu_{abc},
-                      nabla_a mu_{bcd} + P_{ab}sigma_{cd} + P_{ac}sigma_{db} + P_{ad}sigma_{bc}).
-
-    Each slot starts from the stored components of the covariant
-    derivative and scatters the stored components of mu (those holding
-    the index a) and the products of a nonzero P_{ax} with a stored
-    sigma_{cd}.  The three cyclic P terms are the one term P_{ax}sigma_{cd}
-    sent to the sorted (x, c, d) with the sign of the sort."""
-    n = chart.dim
-    top = dict(chart.cov_deriv(phi.sigma, a, weight=3).comps)
-    for (_, idx), v in phi.mu.comps.items():
-        if a in idx:
-            rest = tuple(x for x in idx if x != a)
-            _scatter(top, ((), rest), v, -sort_with_sign((a,) + rest)[1])
-    bot = dict(chart.cov_deriv(phi.mu, a, weight=3).comps)
-    for (_, (b, x)), p in chart.schouten().comps.items():
-        if b != a:
-            continue
-        for (_, (c, d)), s in phi.sigma.comps.items():
-            key, sign = sort_with_sign((x, c, d))
-            if sign:
-                _scatter(bot, ((), key), p * s, sign)
-    zero = chart.zero()
-    return Tractor3Form(_tensor(n, 0, 2, ALT, zero, top), _tensor(n, 0, 3, ALT, zero, bot))
-
-
 def d_cotractor_tensor(chart: FrameChart, T: AltTensor, a: int) -> AltTensor:
     """nabla_a of a covariant tractor tensor with components on indices 0..n,
-    of weight one per slot.  Used to cross-validate the closed slot
-    formulas and to differentiate the tractor volume."""
+    of weight one per slot: FrameChart.cov_deriv under tractor_connection."""
     return chart.cov_deriv(T, a, T.n_down, tractor_connection(chart, a))
+
+
+def d_tractor_3form(chart: FrameChart, phi: AltTensor, a: int) -> AltTensor:
+    """nabla_a of a tractor 3-form.  In slots it is
+    (nabla_a sigma_{bc} - mu_{abc},
+     nabla_a mu_{bcd} + P_{ab}sigma_{cd} + P_{ac}sigma_{db} + P_{ad}sigma_{bc})."""
+    return d_cotractor_tensor(chart, phi, a)
 
 
 def tractor_volume(chart: FrameChart) -> AltTensor:
@@ -143,7 +113,7 @@ def tractor_volume(chart: FrameChart) -> AltTensor:
     return eps
 
 
-def tractor_metric_from_phi(chart: FrameChart, phi: Tractor3Form):
+def tractor_metric_from_phi(chart: FrameChart, phi: AltTensor):
     """(H, H^-1): the tractor metric a generic parallel 3-form induces, and
     its inverse matrix.
 
@@ -157,8 +127,7 @@ def tractor_metric_from_phi(chart: FrameChart, phi: Tractor3Form):
     n = chart.dim
     if n != 6:
         raise ValueError("the tractor metric construction needs a 6-dimensional chart")
-    full = phi.full(chart.zero())
-    ht, htinv, s = _trace_normalised(full, inverse_laurent)
+    ht, htinv, s = _trace_normalised(phi, inverse_laurent)
     if s.is_zero():
         raise DegenerateError("tractor 3-form is degenerate")
     c = (s / 42).cbrt()
@@ -167,7 +136,7 @@ def tractor_metric_from_phi(chart: FrameChart, phi: Tractor3Form):
     return H, [[x * cinv for x in row] for row in htinv]
 
 
-def tractor_metric_hhdef(chart: FrameChart, phi: Tractor3Form, orientation: int = 1) -> AltTensor:
+def tractor_metric_hhdef(chart: FrameChart, phi: AltTensor, orientation: int = 1) -> AltTensor:
     """H_{AB} = (1/144) Phi_{A C1 C2} Phi_{B C3 C4} Phi_{C5 C6 C7} eps^{C1..C7},
     the epsilon-contraction route, with an explicit orientation for the
     tractor volume.  Used to cross-check the trace-normalized metric.
@@ -182,15 +151,14 @@ def tractor_metric_hhdef(chart: FrameChart, phi: Tractor3Form, orientation: int 
     n = chart.dim
     if n != 6:
         raise ValueError("the tractor metric construction needs a 6-dimensional chart")
-    full = phi.full(chart.zero())
     legs = tuple(range(7))
     pairs = {}
-    for (_, K), v in full.comps.items():
+    for (_, K), v in phi.comps.items():
         for A in K:
             p = tuple(x for x in K if x != A)
             pairs.setdefault(p, []).append((A, v if sort_with_sign((A,) + p)[1] > 0 else -v))
     acc = {}
-    for (_, t), phi3 in full.comps.items():
+    for (_, t), phi3 in phi.comps.items():
         rest = [x for x in legs if x not in t]
         for p in combinations(rest, 2):
             q = tuple(x for x in rest if x not in p)
@@ -208,13 +176,12 @@ def tractor_metric_hhdef(chart: FrameChart, phi: Tractor3Form, orientation: int 
     return _tensor(7, 0, 2, SYM, chart.zero(), {k: v * scale for k, v in acc.items()})
 
 
-def phi_volume_ratio(chart: FrameChart, phi: Tractor3Form, Hinv) -> CoeffFn:
+def phi_volume_ratio(chart: FrameChart, phi: AltTensor, Hinv) -> CoeffFn:
     """Coefficient of (1/42) Phi_{K[AB} Phi^K_{CD} Phi_{EFG]} against the
     frame tractor volume, indices raised with the inverse matrix Hinv of
     the tractor metric; its sign is the orientation of Phi relative to
     the chart frame."""
-    full = phi.full(chart.zero())
-    ratio = phi_volume_with(full, Hinv)
+    ratio = phi_volume_with(phi, Hinv)
     return ratio * tractor_volume(chart).get((), tuple(range(7)))
 
 
@@ -268,8 +235,8 @@ def ky_prolong(chart: FrameChart, omega: AltTensor):
     """Prolongation data for the Killing-Yano operator on a weight-3 2-form.
 
     Returns (pair, hat_derivs, residual):
-      pair       the candidate (omega, mu) with mu the alternation of
-                 nabla omega,
+      pair       the tractor 3-form with slots (omega, mu), mu the
+                 alternation of nabla omega,
       hat_derivs per-direction values of the prolongation connection on
                  the pair, including the Weyl correction term,
       residual   S_{abc} = nabla_{(a} omega_{b)c}, recovered from the
@@ -282,15 +249,15 @@ def ky_prolong(chart: FrameChart, omega: AltTensor):
         ((), (a,) + bc): v for a in range(n)
         for (_, bc), v in chart.cov_deriv(omega, a, weight=3).raw_items()})
     mu = raw.alternation()
-    pair = Tractor3Form(omega, mu)
+    pair = tractor_3form(omega, mu)
     W = chart.weyl()
     half = chart.lift(Fraction(1, 2))
+    no_sigma = AltTensor.form(n, 2, zero)
     hat = []
     for a in range(n):
-        base = d_tractor_3form(chart, pair, a)
-        # (3/2) omega_{k[b} W_{cd]}{}^k{}_a = (1/2) * cyclic sum
+        # (3/2) omega_{k[b} W_{cd]}{}^k{}_a = (1/2) * cyclic sum, in the mu slot
         corr = omega_weyl_cycle(omega, W, a).scale(half)
-        hat.append(Tractor3Form(base.sigma, base.mu - corr))
+        hat.append(d_tractor_3form(chart, pair, a) - tractor_3form(no_sigma, corr))
     # first-slot defect d_abc = raw_abc - mu_abc and the exact recovery
     # S_abc = d_abc - d_cba / 2 of the symmetrized derivative
     acc = dict(raw.comps)
@@ -319,14 +286,10 @@ def scale_cotractor(U: List[CoeffFn], upsilon: List[CoeffFn]) -> List[CoeffFn]:
     return [U[b] + upsilon[b] * U[n] for b in range(n)] + [U[n]]
 
 
-def scale_3form(phi: Tractor3Form, upsilon: List[CoeffFn]) -> Tractor3Form:
-    """mu_{bcd} + Upsilon_b sigma_{cd} + Upsilon_c sigma_{db} + Upsilon_d sigma_{bc}:
-    each stored sigma_{cd} sends Upsilon_b sigma_{cd} to the sorted (b, c, d)."""
-    acc = dict(phi.mu.comps)
-    for (_, cd), v in phi.sigma.comps.items():
-        for b, u in enumerate(upsilon):
-            key, sign = sort_with_sign((b,) + cd)
-            if sign and not u.is_zero():
-                _scatter(acc, ((), key), u * v, sign)
-    mu = _tensor(phi.mu.dim, 0, 3, ALT, phi.mu.zero, acc)
-    return Tractor3Form(phi.sigma.copy(), mu)
+def scale_3form(phi: AltTensor, upsilon: List[CoeffFn]) -> AltTensor:
+    """Phi in the rescaled splitting: the pullback by the identity with row n
+    = (Upsilon_0..Upsilon_{n-1}, 1), so sigma is unchanged and
+    mu_{bcd} + Upsilon_b sigma_{cd} + Upsilon_c sigma_{db} + Upsilon_d sigma_{bc}."""
+    n = phi.dim - 1
+    S = [[int(i == j) for j in range(n + 1)] for i in range(n)]
+    return phi.pullback(S + [list(upsilon) + [1]])

@@ -82,6 +82,10 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+_NO_FAMILY_PARAMETER = ("no family parameter m in the package: the coordinate generators "
+                        "are those of the family member z' = q^m")
+
+
 def verify(pkg: GeometryPackage, depth: str = "full",
            samples: Optional[List[QScalar]] = None) -> VerificationReport:
     t0 = time.time()
@@ -125,8 +129,7 @@ def verify(pkg: GeometryPackage, depth: str = "full",
             d = d_tractor_3form(chart, pkg.phi, a)
             if not d.is_zero():
                 ok = False
-                degs = [v.max_exp() for v in list(d.sigma.comps.values())
-                        + list(d.mu.comps.values()) if not v.is_zero()]
+                degs = [v.max_exp() for v in d.comps.values() if not v.is_zero()]
                 if degs:
                     worst_deg = max(degs) if worst_deg is None else max(worst_deg, max(degs))
         rep.add("tractor.parallel-3form", ok, "all frame directions, all 35 slots",
@@ -240,18 +243,24 @@ def verify(pkg: GeometryPackage, depth: str = "full",
     par = conformal_parallel_defect(boundary_3form(bd), bd.conformal)
     rep.add("zero_locus.bgg-output-parallel", all(v.is_zero() for v in par))
 
-    # symmetries
-    m = Fraction(meta["m"])
-    fields = symmetry_fields(m)
-    for name in ("xi1", "xi2", "xi3", "xi4", "xi5", "xi6"):
-        rep.add(f"symmetry.{name}-preserves-distribution",
-                is_distribution_symmetry(fields[name], m))
-    if fields["xi7"] is None:
-        rep.skip("symmetry.xi7", "antiderivative leaves the polynomial class at this m; "
-                                 "stored as None, not verified")
+    # symmetries: the coordinate generators are those of the family member m
+    names = ("xi1", "xi2", "xi3", "xi4", "xi5", "xi6")
+    if "m" not in meta:
+        for name in names:
+            rep.skip(f"symmetry.{name}-preserves-distribution", _NO_FAMILY_PARAMETER)
+        rep.skip("symmetry.xi7", _NO_FAMILY_PARAMETER)
     else:
-        rep.skip("symmetry.xi7", "stored with antiderivative constant 0; excluded "
-                                 "from assertions (undetermined constant)")
+        m = Fraction(meta["m"])
+        fields = symmetry_fields(m)
+        for name in names:
+            rep.add(f"symmetry.{name}-preserves-distribution",
+                    is_distribution_symmetry(fields[name], m))
+        if fields["xi7"] is None:
+            rep.skip("symmetry.xi7", "antiderivative leaves the polynomial class at this m; "
+                                     "stored as None, not verified")
+        else:
+            rep.skip("symmetry.xi7", "stored with antiderivative constant 0; excluded "
+                                     "from assertions (undetermined constant)")
     sym2, kernel_dim = frame_symmetry_system(pkg, Fraction(2))
     rep.add("symmetry.dilation-weight-2", sym2 is not None,
             "constant frame action with weight-2 dilation preserves "

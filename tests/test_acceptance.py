@@ -162,8 +162,7 @@ def test_criterion_5_family_exact_verification(family_package):
         t0 = time.monotonic()
         pkg = family_package(m)
         for a in range(6):
-            d = d_tractor_3form(pkg.chart, pkg.phi, a)
-            full = d.full(pkg.chart.zero())
+            full = d_tractor_3form(pkg.chart, pkg.phi, a)
             count = sum(1 for idx in combinations(range(7), 3)
                         if not full.get((), idx).is_zero())
             ok = ok and count == 0

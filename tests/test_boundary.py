@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -191,12 +192,22 @@ def test_conformal_tractor_curvature_is_the_family_weyl_polynomial(family_packag
         assert nonzero[(0, 4)][(0, 1)] == w and nonzero[(0, 4)][(4, 3)] == -w
 
 
+def slot(F, legs):
+    """The 5-dim form T_K = F_{legs K} of a boundary tractor 3-form F on the
+    slots Z_0..Z_4, Y = 5, X = 6: psi (), sigma (6,), rho (5,), nu (6, 5)."""
+    k = 3 - len(legs)
+    T = AltTensor.form(5, k, F.zero)
+    for K in combinations(range(5), k):
+        T.set((), K, F.get((), legs + K))
+    return T
+
+
 def test_bgg_round_trip_slotwise(pkg_half, bd):
     defect = bgg_round_trip_defect(bd)
-    assert defect.sigma.is_zero()
-    assert defect.psi.is_zero()
-    assert defect.nu.is_zero()
-    assert defect.rho.is_zero()
+    assert slot(defect, (6,)).is_zero()
+    assert slot(defect, ()).is_zero()
+    assert slot(defect, (6, 5)).is_zero()
+    assert slot(defect, (5,)).is_zero()
 
 
 def dense_bgg_split(conf, omega):
@@ -272,12 +283,12 @@ def test_bgg_split_matches_dense_formula_where_scalar_curvature_is_nonzero():
     psi, nu, bottom, trP = dense_bgg_split(conf, omega)
     assert trP == CoeffFn.monomial(Fraction(-3, 2), -2)
     got = bgg_split(conf, omega)
-    assert (got.sigma - omega).is_zero()
+    assert (slot(got, (6,)) - omega).is_zero()
     rng = range(5)
-    assert [[[got.psi.get((), (a, b, c)) for c in rng] for b in rng] for a in rng] == psi
-    assert [got.nu.get((), (c,)) for c in rng] == nu
-    assert [[got.rho.get((), (b, c)) for c in rng] for b in rng] == bottom
-    assert not got.rho.is_zero()
+    assert [[[got.get((), (a, b, c)) for c in rng] for b in rng] for a in rng] == psi
+    assert [got.get((), (6, 5, c)) for c in rng] == nu
+    assert [[got.get((), (5, b, c)) for c in rng] for b in rng] == bottom
+    assert not slot(got, (5,)).is_zero()
 
 
 def test_bgg_of_zero_is_zero(bd):
@@ -293,11 +304,11 @@ def test_bgg_output_parallel(pkg_half, bd):
 
 def test_boundary_2form_slots(pkg_half, bd):
     from g2trac.scalars import SQRT2
-    assert bd.sigma0.get((), (0, 1)) == SQRT2
-    assert bd.psi0.get((), (0, 2, 3)) == QScalar(-1)
-    assert bd.psi0.get((), (1, 2, 4)) == QScalar(-1)
-    assert bd.rho0.get((), (3, 4)) == SQRT2
-    assert bd.nu0.get((), (2,)) == QScalar(1)
+    assert bd.phi0.get((), (6, 0, 1)) == SQRT2
+    assert bd.phi0.get((), (0, 2, 3)) == QScalar(-1)
+    assert bd.phi0.get((), (1, 2, 4)) == QScalar(-1)
+    assert bd.phi0.get((), (5, 3, 4)) == SQRT2
+    assert bd.phi0.get((), (6, 5, 2)) == QScalar(1)
 
 
 # -- Monge normal form -----------------------------------------------------

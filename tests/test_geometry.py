@@ -203,11 +203,9 @@ def test_package_inverse_of_a_rescaled_3form(pkg_half):
     # Phi -> 8 s^3 Phi rescales H by (8 s^3)^(2/3) = 4 s^2, so the cube-root
     # factor c of H = c htilde is no longer +-1
     from g2trac.geometry import build_package
-    from g2trac.tractor import Tractor3Form
     chart = pkg_half.chart
     lam = CoeffFn.monomial(8, 3, chart.param)
-    pkg = build_package(chart, Tractor3Form(pkg_half.phi.sigma.scale(lam),
-                                            pkg_half.phi.mu.scale(lam)))
+    pkg = build_package(chart, pkg_half.phi.scale(lam))
     four_s2 = CoeffFn.monomial(4, 2, chart.param)
     assert (pkg.H - pkg_half.H.scale(four_s2)).is_zero()
     assert pkg.Hinv == linalg.inverse_laurent(pkg.H.as_matrix())

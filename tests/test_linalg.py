@@ -103,7 +103,7 @@ def _production_matrices(pkg):
     """H, htilde, the collar metrics g_+- and the npk metrics of both sides."""
     Hm = pkg.H.as_matrix()
     yield Hm
-    yield htilde_matrix(pkg.phi.full(pkg.chart.zero()))
+    yield htilde_matrix(pkg.phi)
     for side in (1, -1):
         yield collar_metric(Hm, side, pkg.chart.param).as_matrix()
         yield npk_extract(pkg, side).g.as_matrix()

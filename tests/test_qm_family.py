@@ -6,7 +6,7 @@ from g2trac.geometry import build_package, npk_extract, npk_verify
 from g2trac.qm_family import (FLAT_PARAMETERS, REGRESSION_PARAMETERS, FamilyParams,
                               dw_checksum_defect, family_brackets, family_chart)
 from g2trac.scalars import QScalar, SQRT2, SQRT10
-from g2trac.tractor import Tractor3Form, d_tractor_3form
+from g2trac.tractor import d_tractor_3form, slots, tractor_3form
 
 
 def test_family_params_validation():
@@ -76,9 +76,9 @@ def test_perturbed_3form_fails_parallelism_but_not_algebra(pkg_half):
     # exact noise in one slot: transverse parallelism must fail while the
     # purely algebraic checks still pass
     chart = pkg_half.chart
-    sigma = pkg_half.phi.sigma.copy()
+    sigma, mu = slots(pkg_half.phi)
     sigma.set((), (0, 2), sigma.get((), (0, 2)) + chart.one())
-    bad = build_package(chart, Tractor3Form(sigma, pkg_half.phi.mu.copy()))
+    bad = build_package(chart, tractor_3form(sigma, mu))
     assert any(not d_tractor_3form(chart, bad.phi, a).is_zero() for a in range(6))
     # algebra-only checks still fine
     from g2trac.geometry import jfield_identity_defects, recompute_H_defect

@@ -53,8 +53,28 @@ def test_scripts_take_negative_option_values(name, args, joined, shown):
     ("run_family_sweep.py", ["--depth", "quick", "--m", "x"]),
     # tau = 2 * 10^800 does not fit a float
     ("orbit_profile.py", ["--m", "1/2", "--points", "1,1e400"]),
-], ids=["orbit-m-1", "orbit-empty-point", "sweep-m-x", "orbit-point-1e400"])
-def test_scripts_reject_bad_input_exit_2(name, args):
-    proc = _run(name, *args)
+    # TAKEN stands for an existing file, which --json cannot create a directory at
+    ("run_family_sweep.py", ["--depth", "quick", "--json", "TAKEN"]),
+], ids=["orbit-m-1", "orbit-empty-point", "sweep-m-x", "orbit-point-1e400", "sweep-json-taken"])
+def test_scripts_reject_bad_input_exit_2(name, args, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    proc = _run(name, *[str(taken) if a == "TAKEN" else a for a in args])
     assert proc.returncode == 2 and not proc.stdout
     assert len(proc.stderr.strip().splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("name, args", [
+    ("orbit_profile.py", ["--m", "1/2"]),
+    ("run_family_sweep.py", ["--depth", "quick"]),
+], ids=["orbit-profile", "sweep"])
+def test_scripts_reader_closing_the_pipe_early_exit_0(name, args):
+    # as `| head -1` does once it has its line: the read end is closed
+    # before the first write, so every write finds it closed
+    proc = subprocess.Popen([sys.executable, os.path.join(SCRIPTS, name), *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=300) == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -165,7 +165,7 @@ def test_phi_norm_matches_slice_oracle_on_seed1_conjugates(xi):
 
 
 def test_phi_norm_matches_slice_oracle_on_laurent_form(pkg_half):
-    full = pkg_half.phi.full(pkg_half.chart.zero())
+    full = pkg_half.phi
     hinv = linalg.inverse_laurent(pkg_half.H.as_matrix())
     got = sf._phi_norm_with(full, hinv)
     assert got == phi_norm_by_slices(full, hinv) == pkg_half.chart.lift(42)
@@ -246,7 +246,7 @@ def test_phi_volume_trace_matches_alternation_on_sl7_conjugates():
 
 
 def test_phi_volume_trace_matches_alternation_on_laurent_form(pkg_half):
-    full = pkg_half.phi.full(pkg_half.chart.zero())
+    full = pkg_half.phi
     hinv = linalg.inverse_laurent(pkg_half.H.as_matrix())
     got = sf.phi_volume_with(full, hinv)
     assert not got.is_zero() and got == phi_volume_by_alternation(full, hinv)
@@ -259,7 +259,7 @@ def test_model_3form_is_the_octonions_g2_form(xi):
     lifted = AltTensor.form(7, 3, chart.zero())
     for (_, idx), v in phi_xi(xi).comps.items():
         lifted.set((), idx, chart.lift(v))
-    assert model_3form(xi, chart).full(chart.zero()) == lifted
+    assert model_3form(xi, chart) == lifted
 
 
 @pytest.mark.parametrize("xi", [1, -1])
@@ -365,7 +365,7 @@ def _sqrt2_hinv(rng, n=7):
 
 def _slice_inputs(case, pkg_half):
     if case == "laurent":
-        full = pkg_half.phi.full(pkg_half.chart.zero())
+        full = pkg_half.phi
         return full, linalg.inverse_laurent(pkg_half.H.as_matrix())
     rng = random.Random(41)
     phi = phi_xi(-1).pullback(random_sl(rng, 7))
@@ -451,7 +451,7 @@ def test_htilde_matches_wedge_definition_on_sl7_conjugates():
 
 
 def test_htilde_matches_wedge_definition_on_laurent_form(pkg_half):
-    _assert_htilde_matches_wedges(pkg_half.phi.full(pkg_half.chart.zero()))
+    _assert_htilde_matches_wedges(pkg_half.phi)
 
 
 def test_jtilde_matches_wedge_definition():

@@ -18,7 +18,7 @@ from g2trac.qm_family import REGRESSION_PARAMETERS, build_model
 from g2trac.scalars import SQRT2, QScalar
 from g2trac.symmetries import (FrameSymmetry, _group_block_action, frame_symmetry_system,
                                symmetry_residuals)
-from g2trac.tractor import Tractor3Form
+from g2trac.tractor import slots, tractor_3form
 
 
 def _direct_residuals(pkg, sym):
@@ -51,7 +51,7 @@ def _direct_residuals(pkg, sym):
     for i in range(6):
         tr = tr + lam[i][i]
     wt = QScalar(Fraction(3, 7)) * tr
-    sig, mu = pkg.phi.sigma, pkg.phi.mu
+    sig, mu = slots(pkg.phi)
     for (b, c) in combinations(range(n), 2):
         acc = xi(sig.get((), (b, c))) + sig.get((), (b, c)) * wt
         for e in range(n):
@@ -124,9 +124,9 @@ def test_substitution_rejects_a_full_rank_candidate(pkg_half, monkeypatch):
     # action: the one solve stops at 25 pivots with a candidate, and the
     # substitution into all residuals rejects it
     rho = CoeffFn.rho(pkg_half.chart.param)
-    sigma = pkg_half.phi.sigma.copy()
+    sigma, mu = slots(pkg_half.phi)
     sigma.set((), (0, 1), sigma.get((), (0, 1)) + rho * rho * rho)
-    pkg = replace(pkg_half, phi=Tractor3Form(sigma, pkg_half.phi.mu))
+    pkg = replace(pkg_half, phi=tractor_3form(sigma, mu))
     solve, solved = linalg.solve_sparse, []
 
     def spy(rows, n):

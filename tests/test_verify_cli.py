@@ -48,6 +48,21 @@ def test_full_report_structure(pkg_half):
             assert r["detail"]
 
 
+def test_full_report_of_a_package_without_family_parameter(pkg_half):
+    # a package built from (chart, phi) alone carries no meta["m"]: the
+    # coordinate generators belong to a family member, so their records are
+    # skipped with a reason, and the frame-symmetry records still run
+    from g2trac.geometry import build_package
+    rep = verify(build_package(pkg_half.chart, pkg_half.phi), depth="full")
+    assert rep.all_ok() and "m" not in rep.meta
+    records = {r.name: r for r in rep.records}
+    coordinate = [f"symmetry.xi{i}-preserves-distribution" for i in range(1, 7)]
+    for name in coordinate + ["symmetry.xi7"]:
+        assert records[name].status == "skipped" and records[name].detail
+    for name in ("dilation-weight-2", "action-unique", "bare-sixth-fails"):
+        assert records[f"symmetry.{name}"].status == "pass"
+
+
 # sha256 of each full report: every byte of a report (values, details, record
 # order) is fixed for identical inputs, so a refactor of a check must keep these.
 FULL_REPORT_SHA256 = {
@@ -103,7 +118,7 @@ def test_tensor_json_round_trip(tmp_path):
 
 
 def test_laurent_coefficients_round_trip(pkg_half, tmp_path):
-    full = pkg_half.phi.full(pkg_half.chart.zero())
+    full = pkg_half.phi
     path = tmp_path / "family_phi.json"
     dump_tensor(full, str(path))
     back = load_tensor(str(path))
@@ -466,6 +481,11 @@ def fuzzed_tensor_file(tmp_path_factory):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(
     _cli_numbers.map(lambda v: (["orbit", "--m", "1/2", f"--s={v}"], None)),
+    _cli_numbers.map(lambda v: (["orbit", f"--m={v}", "--s", "1"], None)),
+    _cli_numbers.map(lambda v: (["verify-family", "--depth", "quick", f"--m={v}"], None)),
+    _cli_numbers.map(lambda v: (["export", f"--m={v}"], None)),
+    st.lists(_cli_numbers, max_size=3).map(",".join).map(
+        lambda v: (["verify-family", "--depth", "quick", "--m", "1/2", f"--samples={v}"], None)),
     _cli_numbers.map(lambda v: (["classify-form", "--report", "json", f"--at={v}"], None)),
     _tensor_texts.map(lambda text: (["classify-form", "--report", "json"], text)),
     st.one_of(_polys, st.text(max_size=12)).map(lambda v: (["monge-check", f"--poly={v}"], None))))
