@@ -26,7 +26,7 @@ def eye(n, one, zero) -> Mat:
 
 
 def mat_mul(A: Mat, B: Mat) -> Mat:
-    """A B as a sum of rows of B, skipping the zero entries of A.
+    """A B as a sum of rows of B, skipping the zero entries of A and B.
 
     A zero row of A gives a row of B's zero, so the product keeps B's
     ring (and a CoeffFn's parameterization) even then."""
@@ -40,7 +40,7 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
             if row is None:
                 row = [a * b for b in brow]
             else:
-                row = [r + a * b for r, b in zip(row, brow)]
+                row = [r + a * b if b else r for r, b in zip(row, brow)]
         out.append(row if row is not None else [zero] * len(B[0]))
     return out
 
@@ -50,10 +50,13 @@ def mat_vec(A: Mat, v: Sequence) -> list:
 
 
 def sum_prod(row, v):
-    acc = row[0] * v[0]
-    for i in range(1, len(row)):
-        acc = acc + row[i] * v[i]
-    return acc
+    """Sum of row[i] v[i] over the pairs with both entries nonzero; with
+    none, row[0] v[0], a zero of the operands' ring and parameterization."""
+    acc = None
+    for a, b in zip(row, v):
+        if a and b:
+            acc = a * b if acc is None else acc + a * b
+    return row[0] * v[0] if acc is None else acc
 
 
 def transpose(A: Mat) -> Mat:
@@ -95,7 +98,7 @@ def rref(A: Mat):
         R[r], R[pr] = R[pr], R[r]
         if unit:
             inv = R[r][c].inverse()
-            R[r] = [x * inv for x in R[r]]
+            R[r] = [x * inv if x else x for x in R[r]]
         prow = R[r]
         p = prow[c]
         # the update leaves the columns where the pivot row is zero unchanged

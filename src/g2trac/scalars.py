@@ -75,6 +75,14 @@ def _reduced(a: int, b: int, c: int, d: int, n: int) -> "QScalar":
     return q
 
 
+def _rational(a: int, n: int) -> "QScalar":
+    """a / n for n > 0, in lowest terms: _reduced with b = c = d = 0."""
+    g = gcd(a, n)
+    q = object.__new__(QScalar)
+    q._v = (a // g, 0, 0, 0, n // g)
+    return q
+
+
 class QScalar:
     """a + b*sqrt2 + c*sqrt5 + d*sqrt10 with rational a, b, c, d.
 
@@ -123,6 +131,8 @@ class QScalar:
         return QScalar(0, 0, 0, 1)
 
     # -- ring structure ----------------------------------------------
+    # Both operands rational (b = c = d = 0): one cross sum or one product
+    # over one denominator, and a 2-way gcd.
 
     def __add__(self, other) -> "QScalar":
         o = _ints(other)
@@ -130,6 +140,8 @@ class QScalar:
             return NotImplemented
         a1, b1, c1, d1, n1 = self._v
         a2, b2, c2, d2, n2 = o
+        if not (b1 or c1 or d1 or b2 or c2 or d2):
+            return _rational(a1 * n2 + a2 * n1, n1 * n2)
         return _reduced(a1 * n2 + a2 * n1, b1 * n2 + b2 * n1,
                         c1 * n2 + c2 * n1, d1 * n2 + d2 * n1, n1 * n2)
 
@@ -145,6 +157,8 @@ class QScalar:
             return NotImplemented
         a1, b1, c1, d1, n1 = self._v
         a2, b2, c2, d2, n2 = o
+        if not (b1 or c1 or d1 or b2 or c2 or d2):
+            return _rational(a1 * n2 - a2 * n1, n1 * n2)
         return _reduced(a1 * n2 - a2 * n1, b1 * n2 - b2 * n1,
                         c1 * n2 - c2 * n1, d1 * n2 - d2 * n1, n1 * n2)
 
@@ -157,6 +171,8 @@ class QScalar:
             return NotImplemented
         a1, b1, c1, d1, n1 = self._v
         a2, b2, c2, d2, n2 = o
+        if not (b1 or c1 or d1 or b2 or c2 or d2):
+            return _rational(a1 * a2, n1 * n2)
         return _reduced(
             a1 * a2 + b1 * b2 * 2 + c1 * c2 * 5 + d1 * d2 * 10,
             a1 * b2 + b1 * a2 + (c1 * d2 + d1 * c2) * 5,

@@ -41,12 +41,12 @@ def jtilde_matrix(beta: AltTensor):
 
 
 def lam(beta: AltTensor) -> QScalar:
-    """lambda(beta) = (1/6) tr(Jtilde^2), as the (e^{1..6})^2 coefficient."""
+    """lambda(beta) = (1/6) tr(Jtilde^2), as the (e^{1..6})^2 coefficient.
+
+    tr(Jtilde^2) is the sum of Jtilde_ij Jtilde_ji over all i, j."""
     J = jtilde_matrix(beta)
-    J2 = linalg.mat_mul(J, J)
-    tr = J2[0][0]
-    for i in range(1, 6):
-        tr = tr + J2[i][i]
+    tr = linalg.sum_prod([x for row in J for x in row],
+                         [x for col in zip(*J) for x in col])
     return tr * QScalar(Fraction(1, 6))
 
 

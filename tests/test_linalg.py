@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from g2trac.laurent import CoeffFn, PLAIN, RHO_MINUS, RHO_PLUS
 from g2trac.geometry import collar_metric, npk_extract
-from g2trac.linalg import (det_perm, eye, inverse, inverse_laurent, mat_mul, rank, rref,
-                           same_subspace, signature, solve_sparse, sum_prod)
+from g2trac.linalg import (det_perm, eye, inverse, inverse_laurent, mat_mul, mat_vec, rank,
+                           rref, same_subspace, signature, solve_sparse, sum_prod)
 from g2trac.stable_forms import htilde_matrix
 from g2trac.qm_family import REGRESSION_PARAMETERS
 from g2trac.scalars import SQRT2, SQRT5, DegenerateError, QScalar
@@ -230,26 +230,49 @@ def test_inverse_laurent_non_monomial_pivots_keep_their_errors():
         inverse_laurent([[one + s, one], [one + s, one]])
 
 
+def _dense_sum_prod(row, v):
+    """Every product row[i] v[i], zero or not: the reference dot product."""
+    acc = row[0] * v[0]
+    for a, b in zip(row[1:], v[1:]):
+        acc = acc + a * b
+    return acc
+
+
 def _triple_loop(A, B):
     """Every product of rows of A with columns of B: the reference product."""
-    return [[sum((A[i][t] * B[t][j] for t in range(1, len(B))), A[i][0] * B[0][j])
-             for j in range(len(B[0]))] for i in range(len(A))]
+    return [[_dense_sum_prod(arow, bcol) for bcol in zip(*B)] for arow in A]
 
 
-@pytest.mark.parametrize("ring", ["qscalar", "laurent"])
+# ring id -> the Laurent parameterization (rho = s, +s^2, -s^2), or None
+# for QScalar; "laurent" is rho = +s^2
+RINGS = {"qscalar": None, "plain": PLAIN, "laurent": RHO_PLUS, "rho-": RHO_MINUS}
+
+
+def _entries(rng, ring):
+    """(entry, zero): a seeded sparse entry maker of the ring and its zero."""
+    param = RINGS[ring]
+    if param is None:
+        return (lambda: QScalar.zero() if rng.random() < 1 / 3 else _coeff(rng)), QScalar.zero()
+    return (lambda: _laurent(rng, param)), CoeffFn.zero(param)
+
+
+def _flat(M):
+    return [x for row in M for x in row]
+
+
+def _same_entries(got, want):
+    """Equal entry for entry, with the same type and parameterization."""
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert x == y and type(x) is type(y)
+        assert getattr(x, "param", None) == getattr(y, "param", None)
+
+
+@pytest.mark.parametrize("ring", list(RINGS))
 @pytest.mark.parametrize("n,k,m", [(5, 6, 4), (1, 5, 1), (5, 1, 4), (1, 6, 4), (6, 4, 1)])
 def test_mat_mul_matches_the_triple_loop(ring, n, k, m):
     rng = random.Random(f"mat-mul-{ring}-{n}x{k}x{m}")
-    if ring == "qscalar":
-        zero = QScalar.zero()
-
-        def entry():
-            return zero if rng.random() < 1 / 3 else _coeff(rng)
-    else:
-        zero = CoeffFn.zero(RHO_PLUS)
-
-        def entry():
-            return _laurent(rng, RHO_PLUS)
+    entry, zero = _entries(rng, ring)
     A = [[entry() for _ in range(k)] for _ in range(n)]
     B = [[entry() for _ in range(m)] for _ in range(k)]
     A[0] = [zero] * k                  # a zero row of A
@@ -258,35 +281,80 @@ def test_mat_mul_matches_the_triple_loop(ring, n, k, m):
     for row in B:
         row[0] = zero                  # a zero column of B
     C = mat_mul(A, B)
-    assert C == _triple_loop(A, B)
+    _same_entries(_flat(C), _flat(_triple_loop(A, B)))
     assert all(x.is_zero() for x in C[0]) and all(row[0].is_zero() for row in C)
-    assert all(type(x) is type(zero) for row in C for x in row)
-    if ring == "laurent":
-        assert all(x.param == RHO_PLUS for row in C for x in row)
+    assert all(type(x) is type(zero) and getattr(x, "param", None) == RINGS[ring]
+               for x in _flat(C))
+
+
+@pytest.mark.parametrize("ring", list(RINGS))
+def test_sparse_dot_products_match_the_dense_oracle(ring):
+    # sum_prod and mat_vec read only the pairs with both entries nonzero
+    rng = random.Random(f"sum-prod-{ring}")
+    entry, zero = _entries(rng, ring)
+    for n in (1, 2, 6, 7, 36):
+        for _ in range(12):
+            row = [entry() for _ in range(n)]
+            v = [entry() for _ in range(n)]
+            _same_entries([sum_prod(row, v)], [_dense_sum_prod(row, v)])
+        A = [[entry() for _ in range(n)] for _ in range(5)] + [[zero] * n]
+        _same_entries(mat_vec(A, v), [_dense_sum_prod(row, v) for row in A])
+
+
+@pytest.mark.parametrize("ring", list(RINGS))
+def test_an_all_zero_dot_product_is_a_zero_of_the_operands_ring(ring):
+    rng = random.Random(f"all-zero-{ring}")
+    entry, zero = _entries(rng, ring)
+    x = next(y for y in iter(entry, None) if not y.is_zero())
+    for row, v in (([zero, x, zero], [x, zero, zero]), ([zero], [zero]), ([x, zero], [zero, x])):
+        got = sum_prod(row, v)
+        assert got.is_zero() and type(got) is type(zero)
+        assert getattr(got, "param", None) == RINGS[ring]
 
 
 def _dense_rref(A):
-    """Gauss-Jordan elimination updating every column: the reference rref."""
+    """Gauss-Jordan elimination updating every column and scaling every
+    entry of the pivot row: the reference rref.  As in rref, a column takes
+    a unit of the ring as pivot if it has one, else it is cleared
+    fraction-free; over QScalar every nonzero entry is a unit."""
     R = [row[:] for row in A]
     rows, cols = len(R), len(R[0])
     pivots = []
     r = 0
     for c in range(cols):
-        pr = next((i for i in range(r, rows) if not R[i][c].is_zero()), None)
-        if pr is None:
-            continue
+        pr = next((i for i in range(r, rows) if R[i][c].is_unit()), None)
+        unit = pr is not None
+        if not unit:
+            pr = next((i for i in range(r, rows) if not R[i][c].is_zero()), None)
+            if pr is None:
+                continue
         R[r], R[pr] = R[pr], R[r]
-        inv = R[r][c].inverse()
-        R[r] = [x * inv for x in R[r]]
+        if unit:
+            inv = R[r][c].inverse()
+            R[r] = [x * inv for x in R[r]]
+        p = R[r][c]
         for i in range(rows):
             if i != r and not R[i][c].is_zero():
                 f = R[i][c]
-                R[i] = [R[i][j] - f * R[r][j] for j in range(cols)]
+                R[i] = [(R[i][j] if unit else p * R[i][j]) - f * R[r][j] for j in range(cols)]
         pivots.append(c)
         r += 1
         if r == rows:
             break
     return R, pivots
+
+
+@pytest.mark.parametrize("ring", ["plain", "laurent", "rho-"])
+def test_laurent_rref_matches_dense_elimination(ring):
+    # sparse Laurent matrices: the pivot row is scaled only where nonzero
+    rng = random.Random(f"rref-laurent-{ring}")
+    entry, _ = _entries(rng, ring)
+    for rows, cols in ((3, 5), (5, 4), (4, 7)):
+        A = [[entry() for _ in range(cols)] for _ in range(rows)]
+        R, pivots = rref(A)
+        R0, pivots0 = _dense_rref(A)
+        assert pivots == pivots0
+        _same_entries(_flat(R), _flat(R0))
 
 
 def _sparse_matrix(rng, rows, cols, density, four_coordinate):

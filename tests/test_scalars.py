@@ -1,11 +1,12 @@
 import operator
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2trac.scalars import QScalar, SQRT2, SQRT5, SQRT10, DegenerateError, _icbrt
+from g2trac.scalars import QScalar, SQRT2, SQRT5, SQRT10, DegenerateError, _icbrt, _rational
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -96,44 +97,85 @@ def test_field_axioms_zero_heavy(x, y, z):
     _check_field_axioms(x, y, z)
 
 
-def _general_formula(op, x, y):
-    """x op y by the four-coordinate Fraction formulas."""
-    x, y = QScalar.of(x), QScalar.of(y)
-    a1, b1, c1, d1 = x.a, x.b, x.c, x.d
-    a2, b2, c2, d2 = y.a, y.b, y.c, y.d
+# -- ring ops against an independent Fraction reference -------------------
+
+big_fractions = st.fractions(max_denominator=10 ** 30)
+any_fractions = st.one_of(rationals, big_fractions)
+
+
+@st.composite
+def operands(draw, plain=True):
+    """(x, coords): an int, a Fraction (denominators up to 10^30), zero or a
+    general element of Q(sqrt2, sqrt5), often with zero coordinates, and
+    its Fraction coordinates on (1, sqrt2, sqrt5, sqrt10).  A rational x
+    is a QScalar or, with plain, the int or Fraction itself."""
+    kind = draw(st.sampled_from(["int", "fraction", "zero", "general"]))
+    if kind == "general":
+        coords = tuple(draw(st.one_of(st.just(Fraction(0)), any_fractions)) for _ in range(4))
+        return QScalar(*coords), coords
+    x = draw({"int": st.integers(), "fraction": any_fractions, "zero": st.just(0)}[kind])
+    coords = (Fraction(x), Fraction(0), Fraction(0), Fraction(0))
+    return (x if plain and draw(st.booleans()) else QScalar(x)), coords
+
+
+def _reference(op, x, y):
+    """Coordinates of x op y from the Fraction 4-tuples x and y alone."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
     if op == "add":
-        return QScalar(a1 + a2, b1 + b2, c1 + c2, d1 + d2)
+        return a1 + a2, b1 + b2, c1 + c2, d1 + d2
     if op == "sub":
-        return QScalar(a1 - a2, b1 - b2, c1 - c2, d1 - d2)
-    return QScalar(
-        a1 * a2 + 2 * b1 * b2 + 5 * c1 * c2 + 10 * d1 * d2,
-        a1 * b2 + b1 * a2 + 5 * (c1 * d2 + d1 * c2),
-        a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
-        a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-    )
+        return a1 - a2, b1 - b2, c1 - c2, d1 - d2
+    return (a1 * a2 + 2 * b1 * b2 + 5 * c1 * c2 + 10 * d1 * d2,
+            a1 * b2 + b1 * a2 + 5 * (c1 * d2 + d1 * c2),
+            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
+
+
+def _canonical(coords):
+    """The reduced int tuple (A, B, C, D, n) of Fraction coordinates."""
+    n = lcm(*(c.denominator for c in coords))
+    return tuple(c.numerator * (n // c.denominator) for c in coords) + (n,)
 
 
 _OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
-@given(st.sampled_from(sorted(_OPS)), st.booleans(),
-       st.one_of(scalars, rational_scalars, zero_heavy_scalars),
-       st.one_of(scalars, rational_operands, zero_heavy_operands))
+@given(st.sampled_from(sorted(_OPS)), operands(), operands(plain=False))
 @settings(max_examples=200)
-def test_fast_paths_match_general_formula(op, reflected, x, y):
-    # the integer ring ops against the Fraction coordinate formulas, on
-    # general, rational and mostly-zero operands; reflected: the plain
-    # operand (if any) sits on the left
-    lhs, rhs = (y, x) if reflected else (x, y)
-    got = _OPS[op](lhs, rhs)
-    want = _general_formula(op, lhs, rhs)
-    coords = (got.a, got.b, got.c, got.d)
-    assert coords == (want.a, want.b, want.c, want.d)
-    assert all(isinstance(v, Fraction) for v in coords)
-    assert hash(got) == hash(want)
-    if not got.is_rational():
-        assert hash(got) == hash(coords)
-    assert got.as_strings() == want.as_strings()
+def test_fast_paths_match_general_formula(op, left, right):
+    # the integer ring ops, the rational fast path among them, against the
+    # Fraction coordinate formulas; right is a QScalar, so a plain left
+    # operand runs the reflected operator
+    (x, xc), (y, yc) = left, right
+    for lhs, rhs, lc, rc in ((x, y, xc, yc), (y, x, yc, xc)):
+        got = _OPS[op](lhs, rhs)
+        want = _reference(op, lc, rc)
+        coords = (got.a, got.b, got.c, got.d)
+        assert coords == want
+        assert all(isinstance(v, Fraction) for v in coords)
+        # the canonical tuple: gcd 1, n > 0, zero as (0, 0, 0, 0, 1)
+        assert got._v == _canonical(want)
+        assert gcd(*got._v) == 1 and got._v[4] > 0
+        assert hash(got) == (hash(want[0]) if got.is_rational() else hash(coords))
+        assert got.as_strings() == [str(v) for v in want]
+
+
+def test_only_rational_pairs_take_the_fast_path(monkeypatch):
+    # a pair with an irrational operand takes the general formula; a
+    # rational pair makes one _rational call
+    calls = []
+    monkeypatch.setattr("g2trac.scalars._rational",
+                        lambda a, n: calls.append((a, n)) or _rational(a, n))
+    coords = lambda v: (QScalar.of(v).a, QScalar.of(v).b, QScalar.of(v).c, QScalar.of(v).d)
+    r, u = QScalar(Fraction(-3, 7)), 1 + SQRT2
+    for lhs, rhs in ((r, u), (u, r), (Fraction(2, 9), u), (u, 5), (SQRT5, SQRT10)):
+        for name, op in _OPS.items():
+            got = op(lhs, rhs)
+            assert coords(got) == _reference(name, coords(lhs), coords(rhs))
+    assert calls == []
+    assert r * Fraction(14, 3) == QScalar(-2) and Fraction(3, 7) + r == 0
+    assert calls == [(-42, 21), (0, 49)]
 
 
 def test_no_float_enters_the_field():
