@@ -17,7 +17,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from g2trac.cli import _emit, _family_parameter, _join_signed_values
 from g2trac.coordfields import parse_rational
-from g2trac.geometry import npk_extract, npk_verify
+from g2trac.geometry import npk_extract, npk_verify, orbit_label
 from g2trac.qm_family import FamilyParams, build_qm
 from g2trac.scalars import QScalar
 
@@ -49,8 +49,7 @@ def main() -> int:
     _emit(f"family parameter m = {m}; tau = {pkg.tau}")
     for s, tau, tau_float in zip(points, taus, shown):
         sign = tau.sign()
-        label = "M+" if sign > 0 else ("M-" if sign < 0 else "M0")
-        line = f"  s = {str(s):>5}  tau = {tau_float:+9.4f}  {label}"
+        line = f"  s = {str(s):>5}  tau = {tau_float:+9.4f}  {orbit_label(sign)}"
         if sign != 0:
             if sign not in cache:
                 cache[sign] = npk_verify(npk_extract(pkg, sign))

@@ -114,10 +114,7 @@ def restrict_to_zero_locus(pkg: GeometryPackage) -> BoundaryData:
 
     phi0 = _tensor(7, 0, 3, ALT, None, {key: _eval0(v) for key, v in pkg.phi.comps.items()})
 
-    Jtr0 = [[_eval0(pkg.J[a][b]) if a < 6 and b < 6 else QScalar.zero()
-             for b in range(7)] for a in range(7)]
-    for b in range(6):
-        Jtr0[6][b] = _eval0(pkg.chi[b])
+    Jtr0 = [[_eval0(v) for v in row] for row in pkg.Jt]
     J0 = [[Jtr0[a][b] for b in range(5)] for a in range(5)]
     # the endomorphism must stabilize the boundary tangent space
     for b in range(5):
@@ -158,6 +155,7 @@ def distribution_from_omega(pkg: GeometryPackage) -> List[list]:
 
 
 def declared_distribution() -> List[list]:
+    """The span of the last two frame directions, in reduced row echelon form."""
     z, o = QScalar.zero(), QScalar.one()
     return [[z, z, z, o, z], [z, z, z, z, o]]
 
@@ -177,12 +175,14 @@ def extract_distribution(pkg: GeometryPackage, bd: BoundaryData) -> Distribution
     """The rank-2 distribution on the zero locus, computed three ways.
 
     im J0, ker omega|_{M0} and the declared span must agree exactly;
-    disagreement raises an internal-consistency error.
+    disagreement raises an internal-consistency error.  Each way gives
+    the span's reduced row echelon basis, which is unique, so equal
+    subspaces are equal lists.
     """
     d1 = distribution_from_J0(bd)
     d2 = distribution_from_omega(pkg)
     d3 = declared_distribution()
-    if not (linalg.same_subspace(d1, d2) and linalg.same_subspace(d2, d3)):
+    if not d1 == d2 == d3:
         raise RuntimeError("distribution characterizations disagree (im J0 / ker omega / declared)")
     lc = bd.conformal.chart
     step2 = bracket_closure(lc, d1)
@@ -195,20 +195,17 @@ def distribution_checks(bd: BoundaryData, dist: Distribution235) -> Dict[str, bo
     out = {}
     out["growth_235"] = dist.growth == (2, 3, 5)
     # [D,D] = ker J0
-    kerJ0 = linalg.nullspace(bd.J0)
-    out["bracket_equals_ker_J0"] = linalg.same_subspace(dist.bracket_basis, kerJ0)
+    out["bracket_equals_ker_J0"] = linalg.spans_kernel(dist.bracket_basis, bd.J0)
     # [D,D] = ker(iota* omega)
     rows = []
     for b in range(5):
         rows.append([bd.phi0.get((), (a, b, 6)) for a in range(5)])
-    out["bracket_equals_ker_pullback"] = linalg.same_subspace(
-        dist.bracket_basis, linalg.nullspace(rows))
+    out["bracket_equals_ker_pullback"] = linalg.spans_kernel(dist.bracket_basis, rows)
     # D-perp (w.r.t. g0) = [D,D]
     g0 = bd.conformal.g0.as_matrix()
     g0q = [[v.constant_value() for v in row] for row in g0]
     perp_rows = [linalg.mat_vec(g0q, v) for v in dist.d_basis]
-    out["perp_equals_bracket"] = linalg.same_subspace(
-        linalg.nullspace(perp_rows), dist.bracket_basis)
+    out["perp_equals_bracket"] = linalg.spans_kernel(dist.bracket_basis, perp_rows)
     # total nullity of D
     nullity = True
     for u in dist.d_basis:
@@ -247,14 +244,14 @@ def j0_checks(bd: BoundaryData) -> Dict[str, bool]:
     filt = NullFiltration(Jt, H0, X)
     out["tractor_kernel_dim_3"] = len(filt.kernel) == 3
     out["tractor_image_dim_4"] = len(filt.image) == 4
-    out["X_in_kernel"] = linalg.subspace_contains(filt.kernel, X)
-    out["image_is_kernel_perp"] = linalg.same_subspace(filt.image, filt.kernel_perp)
+    out["X_in_kernel"] = linalg.kills(Jt, [X])
+    out["image_is_kernel_perp"] = linalg.spans_kernel(filt.image, filt.equations["kernel_perp"])
     out["filtration_dims"] = filt.dims() == (1, 3, 4, 6)
     out["filtration_chain"] = filt.chain_ok()
     # varpi projections: varpi(ker Jtr) = im J0, varpi(im Jtr) = ker J0
     out["varpi_ker_is_im_J0"] = linalg.same_subspace([v[:5] for v in filt.kernel],
                                                      linalg.transpose(J0))
-    out["varpi_im_is_ker_J0"] = linalg.same_subspace([v[:5] for v in filt.image], kerJ0)
+    out["varpi_im_is_ker_J0"] = linalg.spans_kernel([v[:5] for v in filt.image], J0)
     return out
 
 

@@ -178,7 +178,7 @@ def cmd_verify_family(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    from .geometry import npk_extract, npk_verify
+    from .geometry import npk_extract, npk_verify, orbit_label
     m = _family_parameter(args.m)
     if m is None:
         return 2
@@ -202,8 +202,7 @@ def cmd_orbit(args) -> int:
         print("invalid --s: tau there is beyond the float range of the report", file=sys.stderr)
         return 2
     sign = tau_val.sign()
-    label = "M+" if sign > 0 else ("M-" if sign < 0 else "M0")
-    payload = {"m": str(m), "s": str(s), "tau": tau_float, "orbit": label}
+    payload = {"m": str(m), "s": str(s), "tau": tau_float, "orbit": orbit_label(sign)}
     if sign != 0:
         orb = npk_extract(pkg, 1 if sign > 0 else -1)
         rep = npk_verify(orb)
@@ -247,7 +246,7 @@ def cmd_export(args) -> int:
     if m is None:
         return 2
     pkg = _build_package(m, None)
-    Jt = AltTensor.from_matrix(pkg.J, 6, 1, zero=pkg.chart.zero())
+    Jt = AltTensor.from_matrix([row[:6] for row in pkg.Jt[:6]], 6, 1, zero=pkg.chart.zero())
     docs = {"phi": tensor_to_json(pkg.phi, PLAIN),
             "H": tensor_to_json(pkg.H, PLAIN),
             "J": tensor_to_json(Jt, PLAIN)}

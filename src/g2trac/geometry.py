@@ -2,8 +2,8 @@
 
 A GeometryPackage bundles a framed chart with the tractor 3-form it
 carries, the induced tractor metric H, the squared-length density tau,
-and the endomorphism data (chi, J).  The operations here implement the
-orbit stratification, the open-orbit metric/complex-structure
+and the tractor endomorphism Jt: V -> -X x V.  The operations here
+implement the orbit stratification, the open-orbit metric/complex-structure
 extraction in the exact square-root parameterization, the full nearly
 (para-)Kahler verification battery, projective compactness order
 checking, and the collar normal form test.
@@ -30,8 +30,7 @@ class GeometryPackage:
     phi: AltTensor  # the tractor 3-form on the legs 0..n (leg n = X)
     H: AltTensor
     tau: CoeffFn
-    chi: List[CoeffFn]
-    J: List[List[CoeffFn]]
+    Jt: List[List[CoeffFn]]  # the (n+1)x(n+1) tractor endomorphism of jfield_full
     meta: Dict[str, object] = field(default_factory=dict)
     # side -> Levi-Civita chart of g_side, built once by levi_civita_collar
     _collar: Dict[int, FrameChart] = field(default_factory=dict, init=False, compare=False,
@@ -55,11 +54,7 @@ def build_package(chart: FrameChart, phi: AltTensor, meta=None) -> GeometryPacka
     H, Hinv = tractor_metric_from_phi(chart, phi)
     Hm = H.as_matrix()
     tau = Hm[chart.dim][chart.dim]
-    Jfull = jfield_full(chart, phi, Hinv)
-    n = chart.dim
-    J = [[Jfull[a][b] for b in range(n)] for a in range(n)]
-    chi = [Jfull[n][b] for b in range(n)]
-    pkg = GeometryPackage(chart, phi, H, tau, chi, J, dict(meta or {}))
+    pkg = GeometryPackage(chart, phi, H, tau, jfield_full(chart, phi, Hinv), dict(meta or {}))
     pkg._Hinv = Hinv
     return pkg
 
@@ -74,14 +69,12 @@ def jfield_full(chart: FrameChart, phi: AltTensor, Hinv):
 def jfield_identity_defects(pkg: GeometryPackage):
     """Defects of J X = 0 and J^2 = -tau id + X (x) X_flat, in components."""
     n = pkg.dim
-    Jf = [[pkg.J[a][b] for b in range(n)] + [pkg.chart.zero()] for a in range(n)]
-    Jf.append([pkg.chi[b] for b in range(n)] + [pkg.chart.zero()])
     Hm = pkg.H.as_matrix()
     defects = []
-    # column n is J X; already structurally zero, but assert through data
+    # column n is J X
     for A in range(n + 1):
-        defects.append(Jf[A][n])
-    J2 = linalg.mat_mul(Jf, Jf)
+        defects.append(pkg.Jt[A][n])
+    J2 = linalg.mat_mul(pkg.Jt, pkg.Jt)
     for A in range(n + 1):
         for B in range(n + 1):
             want = pkg.chart.zero()
@@ -99,6 +92,11 @@ def recompute_H_defect(pkg: GeometryPackage) -> List[CoeffFn]:
 
 
 # -- stratification -------------------------------------------------------------
+
+
+def orbit_label(sign: int) -> str:
+    """The curved orbit of a point from the sign of tau there."""
+    return "M+" if sign > 0 else ("M-" if sign < 0 else "M0")
 
 
 @dataclass
@@ -121,9 +119,7 @@ def stratify(pkg: GeometryPackage, samples: Optional[List[QScalar]] = None) -> S
     dtau_ok = not dtau.eval(QScalar.zero()).is_zero() if zero_nonempty else True
     labels = {}
     for s in samples or [QScalar.one(), -QScalar.one()]:
-        v = tau.eval(s)
-        sign = v.sign()
-        labels[str(s)] = "M+" if sign > 0 else ("M-" if sign < 0 else "M0")
+        labels[str(s)] = orbit_label(tau.eval(s).sign())
     return Stratification(tau, zero_nonempty, dtau_ok, labels)
 
 

@@ -6,9 +6,12 @@ their ring and clears a column fraction-free where it has none, so the
 inverse built on it divides only through exact quotients and metric
 inverses stay inside the Laurent ring whenever the geometry permits.
 Rank, kernel and the Sylvester signature are field routines over
-QScalar.  solve_sparse solves an overdetermined affine system given as
-sparse QScalar rows, eliminating the sparsest rows first and stopping
-once every unknown holds a pivot.
+QScalar.  A subspace is tested through the equations that cut it out:
+kills(M, vectors) asks M v = 0 without elimination, spans_kernel(B, M)
+adds a rank count, and same_subspace compares two spans by their reduced
+row echelon forms.  solve_sparse solves an overdetermined affine system
+given as sparse QScalar rows, eliminating the sparsest rows first and
+stopping once every unknown holds a pivot.
 """
 
 from __future__ import annotations
@@ -183,8 +186,17 @@ def same_subspace(B1: List[list], B2: List[list]) -> bool:
     return row_space(B1) == row_space(B2)
 
 
-def subspace_contains(B: List[list], v: list) -> bool:
-    return rank(B + [v]) == rank(B) if B else all(x.is_zero() for x in v)
+def kills(M: Mat, vectors: List[list]) -> bool:
+    """Is M v = 0 for every v, so that the vectors lie in ker M?  No
+    equations (M = []) cut out the whole space and kill every vector."""
+    return all(sum_prod(row, v).is_zero() for row in M for v in vectors)
+
+
+def spans_kernel(B: List[list], M: Mat) -> bool:
+    """Do the rows of B span ker M?  They do when M kills them and their
+    rank is the kernel's dimension, the column count less rank M."""
+    cols = len(B[0]) if B else len(M[0]) if M else 0
+    return kills(M, B) and rank(B) + rank(M) == cols
 
 
 def signature(G: Mat):

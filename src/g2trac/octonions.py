@@ -8,7 +8,7 @@ mapped onto that basis once and for all by _CD_SIGNS below.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from . import linalg
 from .scalars import QScalar
@@ -129,10 +129,6 @@ class Octonion(_Vector):
         return " + ".join(bits) if bits else "0"
 
 
-def cd_multiply(x: Octonion, y: Octonion) -> Octonion:
-    return x * y
-
-
 class ImaginaryVector(_Vector):
     """Element of the 7-dimensional imaginary part, components on e1..e7."""
 
@@ -203,13 +199,13 @@ def dot_matrix(xi: int):
 
 
 def jmap(x: ImaginaryVector):
-    """Matrix of y -> -x X y on the basis e1..e7."""
-    table = _structure_table(x.xi)
-    out = [[QScalar.zero() for _ in range(7)] for _ in range(7)]
-    for (k, a, b), v in table.items():
+    """Matrix of y -> -x X y on the basis e1..e7.  Each entry (k, b) has
+    one term e_a X e_b = +-e_k of the table, so it is -+x_a."""
+    out = [[QScalar.zero()] * 7 for _ in range(7)]
+    for (k, a, b), s in _sign_table(x.xi).items():
         xa = x.comps[a]
         if not xa.is_zero():
-            out[k][b] = out[k][b] - xa * v
+            out[k][b] = -xa if s > 0 else xa
     return out
 
 
@@ -290,38 +286,46 @@ class NullFiltration:
     """Exact filtration <x> < ker J < (ker J)^perp < <x>^perp of a nilpotent
     endomorphism J with J x = 0, perps taken with the Gram matrix G: the
     split-octonion one of a null x, and the boundary's degenerate tractor
-    endomorphism with the canonical tractor X."""
+    endomorphism with the canonical tractor X.  Each step after the line
+    is the kernel of equations fixed here from the computed bases: J, G u
+    for u in ker J (a zero row, the whole space's, if ker J = 0) and G x."""
 
     def __init__(self, J, G, x):
-        self.J, self.G = J, G
+        self.J = J
         self.line = [list(x)]
         self.kernel = linalg.nullspace(J)
         self.image = linalg.row_space(linalg.transpose(J))  # column space of J as row vectors
-        self.kernel_perp = _perp(self.kernel, G)
-        self.line_perp = _perp(self.line, G)
+        lowered = [linalg.mat_vec(G, u) for u in self.kernel] or [[QScalar.zero()] * len(G)]
+        self.equations = {"kernel": J, "kernel_perp": lowered,
+                          "line_perp": [linalg.mat_vec(G, x)]}
+        self.kernel_perp = linalg.nullspace(lowered)
+        self.line_perp = linalg.nullspace(self.equations["line_perp"])
 
     def dims(self):
         return (len(self.line), len(self.kernel), len(self.kernel_perp), len(self.line_perp))
 
     def kernel_isotropic(self) -> bool:
-        lowered = [linalg.mat_vec(self.G, u) for u in self.kernel]
-        return all(linalg.sum_prod(gu, v).is_zero() for gu in lowered for v in self.kernel)
+        return linalg.kills(self.equations["kernel_perp"], self.kernel)
 
     def chain_ok(self) -> bool:
-        """Each step lies in the next: every step is a basis, so adding it to
-        the next step's basis leaves that basis's length as the rank."""
-        steps = [self.line, self.kernel, self.kernel_perp, self.line_perp]
-        return all(linalg.rank(big + small) == len(big)
-                   for small, big in zip(steps, steps[1:]))
+        """Each step lies in the next: the next step's equations kill it."""
+        eqs = self.equations
+        return (linalg.kills(eqs["kernel"], self.line)
+                and linalg.kills(eqs["kernel_perp"], self.kernel)
+                and linalg.kills(eqs["line_perp"], self.kernel_perp))
 
     def mapping_ok(self) -> bool:
-        """im J = (ker J)^perp, J(<x>^perp) = ker J, J((ker J)^perp) = <x>."""
-        J = self.J
-        return (linalg.same_subspace(self.image, self.kernel_perp)
-                and linalg.same_subspace([linalg.mat_vec(J, v) for v in self.line_perp],
-                                         self.kernel)
-                and linalg.same_subspace([linalg.mat_vec(J, v) for v in self.kernel_perp],
-                                         self.line))
+        """im J = (ker J)^perp, J(<x>^perp) = ker J, J((ker J)^perp) = <x>.
+        An image is a step when the step's equations kill it and its rank
+        is the step's dimension; the basis self.image has its length as rank."""
+        J, eqs = self.J, self.equations
+        to_kernel = [linalg.mat_vec(J, v) for v in self.line_perp]
+        to_line = [linalg.mat_vec(J, v) for v in self.kernel_perp]
+        return (linalg.kills(eqs["kernel_perp"], self.image)
+                and len(self.image) == len(self.kernel_perp)
+                and linalg.kills(eqs["kernel"], to_kernel)
+                and linalg.rank(to_kernel) == len(self.kernel)
+                and linalg.rank(self.line + to_line) == 1 == linalg.rank(to_line))
 
 
 def null_filtration(x: ImaginaryVector) -> NullFiltration:
@@ -333,13 +337,6 @@ def null_filtration(x: ImaginaryVector) -> NullFiltration:
     if not dot(x, x).is_zero():
         raise ValueError("filtration needs a null vector")
     return NullFiltration(jmap(x), dot_matrix(-1), x.comps)
-
-
-def _perp(basis: List[list], G) -> List[list]:
-    if not basis:
-        return linalg.eye(len(G), QScalar.one(), QScalar.zero())
-    rows = [linalg.mat_vec(G, v) for v in basis]
-    return linalg.nullspace(rows)
 
 
 def random_null_vector(rng) -> ImaginaryVector:

@@ -1,4 +1,4 @@
-"""JSON serialization for tensors, octonions and coefficient functions.
+"""JSON serialization for tensors and coefficient functions.
 
 Tensor documents look like
 
@@ -111,13 +111,3 @@ def dump_tensor(t: AltTensor, path: Optional[str] = None, param: Optional[str] =
         with open(path, "w") as fh:
             fh.write(text + "\n")
     return text
-
-
-def octonion_to_json(o) -> dict:
-    return {"octonion": [c.as_strings() for c in o.comps], "xi": o.xi}
-
-
-def octonion_from_json(doc: dict):
-    from .octonions import Octonion
-    comps = [QScalar.from_strings(q) for q in doc["octonion"]]
-    return Octonion(comps, _json_int(doc["xi"], "xi"))

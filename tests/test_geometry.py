@@ -50,9 +50,9 @@ def test_endomorphism_is_minus_the_display(pkg_half):
     chi_d, J_d = displayed_endomorphism(Fraction(1, 2), pkg_half.chart)
     for a in range(6):
         for b in range(6):
-            assert (pkg_half.J[a][b] + J_d[a][b]).is_zero()
+            assert (pkg_half.Jt[a][b] + J_d[a][b]).is_zero()
     for b in range(6):
-        assert (pkg_half.chi[b] + chi_d[b]).is_zero()
+        assert (pkg_half.Jt[6][b] + chi_d[b]).is_zero()
 
 
 def test_j_identities(pkg_half):
@@ -70,7 +70,7 @@ def test_j_base_component_scale_invariant(pkg_half):
     pkg_hat = build_package(hat, phi_hat)
     for a in range(6):
         for b in range(6):
-            assert (pkg_hat.J[a][b] - pkg_half.J[a][b]).is_zero()
+            assert (pkg_hat.Jt[a][b] - pkg_half.Jt[a][b]).is_zero()
     # tau is unchanged as a trivialized component here, and in particular
     # its zero locus is scale-independent
     assert (pkg_hat.tau - pkg_half.tau).is_zero()
@@ -91,7 +91,7 @@ def test_normal_form_detects_perturbation(pkg_half):
     H = pkg_half.H.copy()
     H.set((), (4, 5), pkg_half.chart.one())   # g_rho(d/drho, .) != 0
     bad = GeometryPackage(pkg_half.chart, pkg_half.phi, H, pkg_half.tau,
-                          pkg_half.chi, pkg_half.J, dict(pkg_half.meta))
+                          pkg_half.Jt, dict(pkg_half.meta))
     assert not normal_form_check(bad)["ok"]
 
 
@@ -216,7 +216,7 @@ def test_hand_built_package_inverts_H_on_first_use(pkg_half):
     from g2trac.geometry import GeometryPackage
     H = pkg_half.H.scale(2)
     pkg = GeometryPackage(pkg_half.chart, pkg_half.phi, H, pkg_half.tau,
-                          pkg_half.chi, pkg_half.J, dict(pkg_half.meta))
+                          pkg_half.Jt, dict(pkg_half.meta))
     half = QScalar(Fraction(1, 2))
     assert pkg.Hinv == [[x * half for x in row] for row in pkg_half.Hinv]
     assert pkg.Hinv is pkg.Hinv

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from g2trac.laurent import CoeffFn, PLAIN, RHO_MINUS, RHO_PLUS
 from g2trac.geometry import collar_metric, npk_extract
-from g2trac.linalg import (det_perm, eye, inverse, inverse_laurent, mat_mul, mat_vec, rank,
-                           rref, same_subspace, signature, solve_sparse, sum_prod)
+from g2trac.linalg import (det_perm, eye, inverse, inverse_laurent, kills, mat_mul, mat_vec,
+                           nullspace, rank, rref, same_subspace, signature, solve_sparse,
+                           spans_kernel, sum_prod)
 from g2trac.stable_forms import htilde_matrix
 from g2trac.qm_family import REGRESSION_PARAMETERS
 from g2trac.scalars import SQRT2, SQRT5, DegenerateError, QScalar
@@ -595,3 +596,39 @@ def test_zero_rows_span_the_zero_subspace():
     assert same_subspace([[z, z]], [])
     assert same_subspace([], [[z, z], [z, z]])
     assert not same_subspace([[z, QScalar.one()]], [])
+
+
+# -- kills and spans_kernel against same_subspace ------------------------------
+
+
+@st.composite
+def kernel_pairs(draw):
+    """Equations M and rows B of one length; half the time B is drawn from
+    a kernel basis of M, its sums and zeros, so that M often kills it."""
+    cols = draw(st.integers(1, 3))
+    row = st.lists(entries, min_size=cols, max_size=cols)
+    M = draw(st.lists(row, min_size=1, max_size=3))
+    ker = nullspace(M)
+    if ker and draw(st.booleans()):
+        sums = [[x + y for x, y in zip(u, v)] for u in ker for v in ker]
+        zero = [[QScalar.zero()] * cols]
+        B = draw(st.lists(st.sampled_from(ker + sums + zero), max_size=4))
+    else:
+        B = draw(st.lists(row, max_size=3))
+    return B, M
+
+
+@given(kernel_pairs())
+def test_subspace_predicates_match_same_subspace(pair):
+    B, M = pair
+    ker = nullspace(M)
+    assert kills(M, B) == same_subspace(ker, ker + B)
+    assert spans_kernel(B, M) == same_subspace(B, ker)
+
+
+def test_no_equations_cut_out_the_whole_space():
+    z, o = QScalar.zero(), QScalar.one()
+    assert kills([], [[o, o]])
+    assert spans_kernel([[o, z], [o, o]], [])
+    assert not spans_kernel([[o, o]], [])
+    assert spans_kernel([], [[o, z], [z, o]])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 from g2trac import linalg
-from g2trac.octonions import (ImaginaryVector, Octonion, cd_multiply, cross,
+from g2trac.octonions import (ImaginaryVector, NullFiltration, Octonion, cross,
                               cross_structure_constants, cross_to_volume, dot,
                               dot_from_cross, dot_matrix, jmap, null_filtration,
                               random_null_vector)
@@ -48,7 +48,7 @@ def test_doubling_product_decomposition(xi):
     for _ in range(25):
         x = ImaginaryVector([rng.randint(-4, 4) for _ in range(7)], xi)
         y = ImaginaryVector([rng.randint(-4, 4) for _ in range(7)], xi)
-        prod = cd_multiply(x.to_octonion(), y.to_octonion())
+        prod = x.to_octonion() * y.to_octonion()
         assert prod.re() == -dot(x, y)
         assert ImaginaryVector.from_octonion(prod.im()) == cross(x, y)
 
@@ -57,8 +57,8 @@ def test_unit_law():
     rng = random.Random(1)
     for xi in (1, -1):
         x = Octonion([rng.randint(-5, 5) for _ in range(8)], xi)
-        assert cd_multiply(Octonion.unit(xi), x) == x
-        assert cd_multiply(x, Octonion.unit(xi)) == x
+        assert Octonion.unit(xi) * x == x
+        assert x * Octonion.unit(xi) == x
 
 
 @pytest.mark.parametrize("xi", [1, -1])
@@ -80,7 +80,7 @@ def test_all_64_basis_products(xi):
 
 def test_xi_mismatch_rejected():
     with pytest.raises(ValueError):
-        cd_multiply(Octonion.unit(1), Octonion.unit(-1))
+        Octonion.unit(1) * Octonion.unit(-1)
 
 
 def test_imaginary_vector_rejects_xi_other_than_pm1():
@@ -94,7 +94,7 @@ def test_conjugation_antiautomorphism():
         for _ in range(30):
             x = Octonion([rng.randint(-4, 4) for _ in range(8)], xi)
             y = Octonion([rng.randint(-4, 4) for _ in range(8)], xi)
-            assert (cd_multiply(x, y).conj() - cd_multiply(y.conj(), x.conj())).is_zero()
+            assert ((x * y).conj() - y.conj() * x.conj()).is_zero()
 
 
 def test_alternativity_200_pairs():
@@ -103,8 +103,7 @@ def test_alternativity_200_pairs():
         for _ in range(100):
             x = Octonion([rng.randint(-6, 6) for _ in range(8)], xi)
             y = Octonion([rng.randint(-6, 6) for _ in range(8)], xi)
-            assert (cd_multiply(cd_multiply(x, x), y)
-                    - cd_multiply(x, cd_multiply(x, y))).is_zero()
+            assert ((x * x) * y - x * (x * y)).is_zero()
 
 
 def test_cross_examples():
@@ -162,6 +161,15 @@ def test_jmap_examples():
     assert all(v.is_zero() for v in linalg.mat_vec(Jx, x.comps))
 
 
+def test_jmap_is_minus_the_cross_product():
+    rng = random.Random(10)
+    for xi in (1, -1):
+        for _ in range(20):
+            x = ImaginaryVector([rng.randint(-4, 4) for _ in range(7)], xi)
+            y = ImaginaryVector([rng.randint(-4, 4) for _ in range(7)], xi)
+            assert ImaginaryVector(linalg.mat_vec(jmap(x), y.comps), xi) == -cross(x, y)
+
+
 def test_jmap_squared_identity():
     rng = random.Random(8)
     for xi in (1, -1):
@@ -197,15 +205,68 @@ def test_null_filtration_100_random():
         assert f.mapping_ok()
 
 
+def _outside(f, step):
+    """A basis vector outside the span of the filtration step."""
+    big = getattr(f, step)
+    return next(e for e in linalg.eye(7, QScalar.one(), QScalar.zero())
+                if linalg.rank(big + [e]) > len(big))
+
+
 @pytest.mark.parametrize("step, following", [("line", "kernel"), ("kernel", "kernel_perp"),
                                              ("kernel_perp", "line_perp")])
 def test_chain_ok_rejects_a_step_leaving_the_next(step, following):
     f = null_filtration(random_null_vector(random.Random(9)))
     assert f.chain_ok()
-    basis = [[QScalar.one() if i == j else QScalar.zero() for j in range(7)] for i in range(7)]
-    outside = next(e for e in basis if not linalg.subspace_contains(getattr(f, following), e))
-    setattr(f, step, getattr(f, step)[:-1] + [outside])
+    setattr(f, step, getattr(f, step)[:-1] + [_outside(f, following)])
     assert not f.chain_ok()
+
+
+@pytest.mark.parametrize("step", ["image", "kernel_perp"])
+def test_mapping_ok_rejects_a_mutated_step(step):
+    f = null_filtration(random_null_vector(random.Random(9)))
+    assert f.mapping_ok()
+    setattr(f, step, getattr(f, step)[:-1] + [_outside(f, step)])
+    assert not f.mapping_ok()
+
+
+def test_mapping_ok_rejects_a_hyperplane_other_than_x_perp():
+    # J maps y^perp onto a 3-dim space for every y in (ker J)^perp; only for
+    # y on the line <x> is that space ker J
+    f = null_filtration(random_null_vector(random.Random(9)))
+    y = next(v for v in f.kernel_perp if linalg.rank(f.line + [v]) == 2)
+    f.line_perp = linalg.nullspace([linalg.mat_vec(dot_matrix(-1), y)])
+    assert linalg.rank([linalg.mat_vec(f.J, v) for v in f.line_perp]) == 3
+    assert not f.mapping_ok()
+
+
+def test_mapping_ok_rejects_a_mutated_endomorphism():
+    rng = random.Random(9)
+    f = null_filtration(random_null_vector(rng))
+    f.J = jmap(random_null_vector(rng))
+    assert not f.mapping_ok()
+
+
+def test_kernel_isotropic_rejects_a_mutated_kernel_or_endomorphism():
+    f = null_filtration(random_null_vector(random.Random(9)))
+    assert f.kernel_isotropic()
+    f.kernel = f.kernel[:-1] + [_outside(f, "kernel_perp")]
+    assert not f.kernel_isotropic()
+    # the kernel of J_x for a non-null x is the line <x>, which is not isotropic
+    x = ImaginaryVector([1, 2, 0, -1, 3, 0, 2], -1)
+    assert not dot(x, x).is_zero()
+    f = NullFiltration(jmap(x), dot_matrix(-1), x.comps)
+    assert f.dims()[1] == 1 and not f.kernel_isotropic()
+
+
+def test_null_filtration_of_a_j_with_trivial_kernel():
+    # no kernel equations: (ker J)^perp is the whole space; J x != 0, so the
+    # chain and the mapping fail, and the empty kernel is isotropic
+    one, zero = QScalar.one(), QScalar.zero()
+    f = NullFiltration(linalg.eye(7, one, zero), dot_matrix(-1), ImaginaryVector.basis(1, -1).comps)
+    assert f.dims() == (1, 0, 7, 6)
+    assert not f.chain_ok()
+    assert not f.mapping_ok()
+    assert f.kernel_isotropic()
 
 
 def test_null_filtration_preconditions():

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from g2trac import cli
 from g2trac.qm_family import REGRESSION_PARAMETERS, build_model
 from g2trac.scalars import QScalar
-from g2trac.tensor_io import (dump_tensor, load_tensor, octonion_from_json,
-                              octonion_to_json, tensor_from_json)
+from g2trac.tensor_io import dump_tensor, load_tensor, tensor_from_json
 from g2trac.tensors import AltTensor
 from g2trac.verify import verify
 
@@ -123,14 +122,6 @@ def test_laurent_coefficients_round_trip(pkg_half, tmp_path):
     dump_tensor(full, str(path))
     back = load_tensor(str(path))
     assert (back - full).is_zero()
-
-
-def test_octonion_round_trip():
-    from g2trac.octonions import Octonion
-    o = Octonion([1, 2, 0, 0, -1, 0, Fraction(1, 3), 0], -1)
-    assert octonion_from_json(octonion_to_json(o)) == o
-    with pytest.raises(ValueError):
-        octonion_from_json(dict(octonion_to_json(o), xi=-1.5))
 
 
 # -- CLI ------------------------------------------------------------------------
