@@ -6,18 +6,22 @@ The boundary tractors have 7 slots: tangent Z_0..Z_4, then Y = 5 and
 X = 6, the slots the collar leg 5 and the density leg 6 of the ambient
 tractor bundle restrict to.  The boundary tractor 3-form is the ambient
 Phi at s = 0 on these legs (BoundaryData.phi0), and bgg_split returns its
-rebuild on the same legs.  The normal conformal tractor connection of the
-boundary is built from g0 alone (conformal_tractor_connection).  The
+rebuild on the same legs.  The normal conformal tractor connection of
+the boundary is built from g0 alone (conformal_tractor_connection).  The
 ambient tractor connection at s = 0 is checked against it, entry for entry
 (boundary_connection_checks), and the boundary tractor 3-form is
 differentiated with it on the 5-dim chart (conformal_parallel_defect).
+
+Each derived matrix is made once: the boundary data carry ker J0, which
+the rank, kernel and kernel-span checks read; the boundary 2-form
+omega0 = Phi_abX is read from phi0; and g0^-1 is the metric_inverse of
+the Levi-Civita chart of g0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Dict, List, Tuple
 
 from . import linalg
@@ -32,7 +36,7 @@ from .tractor import tractor_connection
 
 @dataclass
 class ConformalChart:
-    chart: FrameChart          # 5-dim chart carrying the Levi-Civita connection
+    chart: FrameChart          # 5-dim Levi-Civita chart of g0 (chart.metric_inverse = g0^-1)
     g0: AltTensor              # representative metric (constant frame components)
     schouten: AltTensor        # conformal Schouten of g0
 
@@ -40,17 +44,13 @@ class ConformalChart:
     def dim(self):
         return 5
 
-    @cached_property
-    def ginv(self) -> List[List[CoeffFn]]:
-        """g0^{-1}, taken once for bgg_split and conformal_tractor_connection."""
-        return linalg.inverse_laurent(self.g0.as_matrix())
-
 
 @dataclass
 class BoundaryData:
     conformal: ConformalChart
     phi0: AltTensor            # Phi at s = 0 on the slots Z_0..Z_4, Y = 5, X = 6
     J0: List[List[QScalar]]    # degenerate endomorphism of TM0
+    kerJ0: List[List[QScalar]]  # nullspace basis of J0
     Jtr0: List[List[QScalar]]  # full 7x7 tractor endomorphism at s = 0
     H0: List[List[QScalar]]    # tractor metric at s = 0
 
@@ -74,7 +74,7 @@ def conformal_schouten(chart: FrameChart, g: AltTensor) -> AltTensor:
     """(1/(d-2)) (Ric - Sc/(2(d-1)) g) for the Levi-Civita chart of g."""
     d = chart.dim
     ric = chart.ricci()
-    sc = _metric_trace(linalg.inverse_laurent(g.as_matrix()), ric, 0, 1).get((), chart.zero())
+    sc = _metric_trace(chart.metric_inverse, ric, 0, 1).get((), chart.zero())
     pref = chart.lift(Fraction(1, d - 2))
     trace_pref = chart.lift(Fraction(1, 2 * (d - 1)))
     acc = dict(ric.comps)
@@ -120,7 +120,7 @@ def restrict_to_zero_locus(pkg: GeometryPackage) -> BoundaryData:
     for b in range(5):
         if not Jtr0[5][b].is_zero():
             raise ValueError("J does not restrict tangentially to the zero locus")
-    return BoundaryData(conf, phi0, J0, Jtr0, Hm)
+    return BoundaryData(conf, phi0, J0, linalg.nullspace(J0), Jtr0, Hm)
 
 
 # -- distribution extraction -------------------------------------------------
@@ -139,13 +139,10 @@ def distribution_from_J0(bd: BoundaryData) -> List[list]:
     return linalg.row_space(cols)
 
 
-def distribution_from_omega(pkg: GeometryPackage) -> List[list]:
+def distribution_from_omega(bd: BoundaryData) -> List[list]:
     """D = ker(omega restricted over M0) inside the full 6-dim tangent space;
     the kernel is tangent to the zero locus and returned in the 5-dim frame."""
-    rows = []
-    for b in range(6):
-        rows.append([_eval0(pkg.phi.get((), (a, b, 6))) for a in range(6)])
-    ker = linalg.nullspace(rows)
+    ker = linalg.nullspace([[bd.phi0.get((), (a, b, 6)) for a in range(6)] for b in range(6)])
     out = []
     for v in ker:
         if not v[5].is_zero():
@@ -171,7 +168,7 @@ def bracket_closure(chart: FrameChart, basis: List[list]) -> List[list]:
     return linalg.row_space(rows)
 
 
-def extract_distribution(pkg: GeometryPackage, bd: BoundaryData) -> Distribution235:
+def extract_distribution(bd: BoundaryData) -> Distribution235:
     """The rank-2 distribution on the zero locus, computed three ways.
 
     im J0, ker omega|_{M0} and the declared span must agree exactly;
@@ -180,7 +177,7 @@ def extract_distribution(pkg: GeometryPackage, bd: BoundaryData) -> Distribution
     subspaces are equal lists.
     """
     d1 = distribution_from_J0(bd)
-    d2 = distribution_from_omega(pkg)
+    d2 = distribution_from_omega(bd)
     d3 = declared_distribution()
     if not d1 == d2 == d3:
         raise RuntimeError("distribution characterizations disagree (im J0 / ker omega / declared)")
@@ -191,31 +188,27 @@ def extract_distribution(pkg: GeometryPackage, bd: BoundaryData) -> Distribution
     return Distribution235(d1, step2, growth)
 
 
+def _spans_ker_J0(bd: BoundaryData, B: List[list]) -> bool:
+    """Do the rows of B span ker J0?  J0 kills them and their rank is its nullity."""
+    return linalg.kills(bd.J0, B) and linalg.rank(B) == len(bd.kerJ0)
+
+
 def distribution_checks(bd: BoundaryData, dist: Distribution235) -> Dict[str, bool]:
     out = {}
     out["growth_235"] = dist.growth == (2, 3, 5)
     # [D,D] = ker J0
-    out["bracket_equals_ker_J0"] = linalg.spans_kernel(dist.bracket_basis, bd.J0)
+    out["bracket_equals_ker_J0"] = _spans_ker_J0(bd, dist.bracket_basis)
     # [D,D] = ker(iota* omega)
-    rows = []
-    for b in range(5):
-        rows.append([bd.phi0.get((), (a, b, 6)) for a in range(5)])
-    out["bracket_equals_ker_pullback"] = linalg.spans_kernel(dist.bracket_basis, rows)
+    omega0 = [[bd.phi0.get((), (a, b, 6)) for a in range(5)] for b in range(5)]
+    out["bracket_equals_ker_pullback"] = linalg.spans_kernel(dist.bracket_basis, omega0)
     # D-perp (w.r.t. g0) = [D,D]
-    g0 = bd.conformal.g0.as_matrix()
-    g0q = [[v.constant_value() for v in row] for row in g0]
+    g0q = [[v.constant_value() for v in row] for row in bd.conformal.g0.as_matrix()]
     perp_rows = [linalg.mat_vec(g0q, v) for v in dist.d_basis]
     out["perp_equals_bracket"] = linalg.spans_kernel(dist.bracket_basis, perp_rows)
     # total nullity of D
-    nullity = True
-    for u in dist.d_basis:
-        for v in dist.bracket_basis:
-            if not linalg.sum_prod(linalg.mat_vec(g0q, u), v).is_zero():
-                nullity = False
-    out["g0_kills_D_bracket_pairs"] = nullity
+    out["g0_kills_D_bracket_pairs"] = linalg.kills(perp_rows, dist.bracket_basis)
     # omega0 decomposable with bivector spanning D: rank of omega0 is 2
-    rows2 = [[bd.phi0.get((), (a, b, 6)) for a in range(5)] for b in range(5)]
-    out["omega0_rank_2"] = linalg.rank(rows2) == 2
+    out["omega0_rank_2"] = linalg.rank(omega0) == 2
     return out
 
 
@@ -225,9 +218,9 @@ def j0_checks(bd: BoundaryData) -> Dict[str, bool]:
     J0 = bd.J0
     J0sq = linalg.mat_mul(J0, J0)
     out["J0_squared_zero"] = all(v.is_zero() for row in J0sq for v in row)
-    out["J0_rank_2"] = linalg.rank(J0) == 2
-    kerJ0 = linalg.nullspace(J0)
-    out["J0_kernel_dim_3"] = len(kerJ0) == 3
+    # rank-nullity on the 5x5 J0
+    out["J0_rank_2"] = 5 - len(bd.kerJ0) == 2
+    out["J0_kernel_dim_3"] = len(bd.kerJ0) == 3
     Jt = bd.Jtr0
     H0 = bd.H0
     # Jtr^2 = X (x) X_flat (tau = 0 on the boundary)
@@ -251,7 +244,7 @@ def j0_checks(bd: BoundaryData) -> Dict[str, bool]:
     # varpi projections: varpi(ker Jtr) = im J0, varpi(im Jtr) = ker J0
     out["varpi_ker_is_im_J0"] = linalg.same_subspace([v[:5] for v in filt.kernel],
                                                      linalg.transpose(J0))
-    out["varpi_im_is_ker_J0"] = linalg.spans_kernel([v[:5] for v in filt.image], J0)
+    out["varpi_im_is_ker_J0"] = _spans_ker_J0(bd, [v[:5] for v in filt.image])
     return out
 
 
@@ -264,7 +257,7 @@ def conformal_tractor_connection(conf: ConformalChart) -> List[List[List[CoeffFn
     lc = conf.chart
     z = lc.zero()
     g0, P = conf.g0.as_matrix(), conf.schouten.as_matrix()
-    Pup = linalg.mat_mul(P, conf.ginv)
+    Pup = linalg.mat_mul(P, lc.metric_inverse)
     out = []
     for a in range(5):
         C = [list(lc.G[a][b]) + [-g0[a][b], -P[a][b]] for b in range(5)]
@@ -301,7 +294,7 @@ def bgg_split(conf: ConformalChart, omega0: AltTensor) -> AltTensor:
     lc = conf.chart
     n = 5
     z = lc.zero()
-    ginv = conf.ginv
+    ginv = lc.metric_inverse
     P = conf.schouten
     # t_{a bc} = nabla_a omega_{bc} and s_{a b cd} = nabla_a t_{b cd}
     t = _tensor(n, 0, 3, NONE, z, {((), (a,) + bc): v for a in range(n)

@@ -95,6 +95,13 @@ def _default_samples():
     return None
 
 
+# Size bound of an entry classify-form evaluates: an integer of at most
+# MAX_BITS bits has at most 4,300 digits, CPython's default limit on
+# int-string conversion, which the rational strings of a tensor file
+# already meet.
+MAX_BITS = (10 ** 4300).bit_length() - 1
+
+
 def cmd_classify_form(args) -> int:
     from .laurent import CoeffFn
     from .tensor_io import load_tensor
@@ -113,10 +120,14 @@ def cmd_classify_form(args) -> int:
             # pointwise classification of a coefficient-function tensor
             pt = AltTensor(t.dim, t.n_up, t.n_down, t.sym)
             for (up, down), v in t.comps.items():
+                idx = [i + 1 for i in tuple(up) + tuple(down)]
                 if at.is_zero() and v.min_exp() < 0:
-                    idx = [i + 1 for i in tuple(up) + tuple(down)]
                     raise ValueError(f"component {idx} has a pole at s = 0")
-                pt.set(up, down, v.eval(at))
+                # neither a power of at nor the value may pass MAX_BITS bits
+                if max(map(abs, v.terms), default=0) * (at.bit_length() - 1) >= MAX_BITS \
+                        or (x := v.eval(at)).bit_length() > MAX_BITS:
+                    raise ValueError(f"component {idx} passes {MAX_BITS} bits at s = {args.at}")
+                pt.set(up, down, x)
             t = pt
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         print(f"invalid tensor file: {exc}", file=sys.stderr)
@@ -127,9 +138,13 @@ def cmd_classify_form(args) -> int:
         return 2
     if dim == 6:
         info = sf.classify6(t)
-        payload = {"dim": 6, "class": info["class"],
-                   "lambda": str(info["lambda"]), "kernel_dim": info["kernel_dim"],
-                   "stable": info["class"] in (sf.B1, sf.B2)}
+        try:
+            lam = str(info["lambda"])
+        except ValueError:      # more digits than int-to-string conversion allows
+            print("lambda is too long to print", file=sys.stderr)
+            return 2
+        payload = {"dim": 6, "class": info["class"], "lambda": lam,
+                   "kernel_dim": info["kernel_dim"], "stable": info["class"] in (sf.B1, sf.B2)}
         degenerate = not payload["stable"]
     elif dim == 7:
         H, vol, cls = sf.metric_from_3form7(t)

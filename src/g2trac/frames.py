@@ -22,14 +22,16 @@ components, the curvature is one function of the connection matrices
 over their nonzero entries, the Weyl and Cotton tensors are built from
 the stored components of R and P (and of nabla P), the Jacobi defect
 walks the nonzero bracket rows, and the Levi-Civita connection is
-scattered from the nonzero metric and bracket entries.
+scattered from the nonzero metric and bracket entries.  The inverse
+metric that connection takes is kept on its chart (metric_inverse), so
+the readers that raise indices with it do not invert g again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .laurent import PLAIN, CoeffFn
 from .linalg import inverse_laurent, mat_mul
@@ -85,6 +87,9 @@ class FrameChart:
         # relative to the frame trivialization (zero when the frame volume
         # is parallel, accumulated under projective changes of scale)
         self.weight_form: List[CoeffFn] = [z for _ in range(dim)]
+        # g^-1 of the metric whose Levi-Civita connection this chart carries
+        # (set by levi_civita; None on every other chart)
+        self.metric_inverse: Optional[List[List[CoeffFn]]] = None
         self._cache: Dict[str, object] = {}
 
     # -- ring helpers ------------------------------------------------------
@@ -312,12 +317,9 @@ class FrameChart:
 
     # -- constructions ----------------------------------------------------------
 
-    @staticmethod
-    def flat(dim: int, param: str = PLAIN, rho_directions=()) -> "FrameChart":
-        return FrameChart(dim, param, rho_directions)
-
     def levi_civita(self, g: AltTensor) -> "FrameChart":
-        """Chart with the same brackets and the Levi-Civita connection of g.
+        """Chart with the same brackets and the Levi-Civita connection of g;
+        it keeps g^-1 as metric_inverse.
 
         K[a][c][d] = 2 g(nabla_a E_c, E_d) is scattered from the nonzero
         entries alone: each E_x-derivative of a nonzero g_cd (x a rho
@@ -355,6 +357,7 @@ class FrameChart:
         out = FrameChart(self.dim, self.param, self.rho_directions)
         out.C = [[list(col) for col in row] for row in self.C]
         out.G = G
+        out.metric_inverse = ginv
         return out
 
     def change_scale(self, upsilon: List[CoeffFn]) -> "FrameChart":

@@ -19,7 +19,7 @@ from . import linalg
 from .frames import FrameChart
 from .laurent import PLAIN, RHO_MINUS, RHO_PLUS, CoeffFn
 from .scalars import DegenerateError, QScalar
-from .stable_forms import slices
+from .stable_forms import cross_matrix
 from .tensors import SYM, AltTensor
 from .tractor import ky_symmetrized_derivative, omega_weyl_cycle, slots, tractor_metric_from_phi
 
@@ -31,39 +31,29 @@ class GeometryPackage:
     H: AltTensor
     tau: CoeffFn
     Jt: List[List[CoeffFn]]  # the (n+1)x(n+1) tractor endomorphism of jfield_full
+    Hinv: List[List[CoeffFn]]  # the inverse matrix of H
     meta: Dict[str, object] = field(default_factory=dict)
     # side -> Levi-Civita chart of g_side, built once by levi_civita_collar
     _collar: Dict[int, FrameChart] = field(default_factory=dict, init=False, compare=False,
                                            repr=False)
-    # the inverse matrix of H: set by build_package, else inverted on first use
-    _Hinv: Optional[List[List[CoeffFn]]] = field(default=None, init=False, compare=False,
-                                                 repr=False)
 
     @property
     def dim(self) -> int:
         return self.chart.dim
 
-    @property
-    def Hinv(self) -> List[List[CoeffFn]]:
-        if self._Hinv is None:
-            self._Hinv = linalg.inverse_laurent(self.H.as_matrix())
-        return self._Hinv
-
 
 def build_package(chart: FrameChart, phi: AltTensor, meta=None) -> GeometryPackage:
     H, Hinv = tractor_metric_from_phi(chart, phi)
-    Hm = H.as_matrix()
-    tau = Hm[chart.dim][chart.dim]
-    pkg = GeometryPackage(chart, phi, H, tau, jfield_full(chart, phi, Hinv), dict(meta or {}))
-    pkg._Hinv = Hinv
-    return pkg
+    tau = H.as_matrix()[chart.dim][chart.dim]
+    return GeometryPackage(chart, phi, H, tau, jfield_full(chart, phi, Hinv), Hinv,
+                           dict(meta or {}))
 
 
 def jfield_full(chart: FrameChart, phi: AltTensor, Hinv):
     """The weighted endomorphism V -> -X x V in tractor components: with
-    X = e_n, it is H^-1 S_n for the slice S_n = e_n . Phi, given the
-    inverse matrix Hinv of the tractor metric."""
-    return linalg.mat_mul(Hinv, slices(phi)[chart.dim])
+    X = e_n, minus the cross-product matrix of e_n, given the inverse
+    matrix Hinv of the tractor metric."""
+    return [[-v for v in row] for row in cross_matrix(phi, Hinv, chart.dim)]
 
 
 def jfield_identity_defects(pkg: GeometryPackage):
@@ -310,7 +300,7 @@ def npk_verify(orbit: OrbitStructure) -> NPKReport:
         failures.append("canonical-torsion")
 
     # <nabla J, nabla J> = sum g^{aa'} <dJ[a], g dJ[a'] g^-1> constant
-    ginv = linalg.inverse_laurent(gm)
+    ginv = lc.metric_inverse
     lowered = [linalg.mat_mul(linalg.mat_mul(gm, d), ginv) for d in dJ]
     norm = chart.zero()
     for a in range(n):

@@ -267,6 +267,6 @@ def build_model(xi: int, params: Optional[FamilyParams] = None) -> GeometryPacka
     """
     if xi == -1:
         return build_qm(params or FamilyParams(Fraction(2, 3)))
-    chart = FrameChart.flat(6, PLAIN, rho_directions=(5,))
+    chart = FrameChart(6, PLAIN, rho_directions=(5,))
     phi = model_3form(1, chart)
     return build_package(chart, phi, meta={"kind": "model", "xi": 1, "algebraic_only": True})

@@ -229,6 +229,10 @@ class QScalar:
         _, b, c, d, _ = self._v
         return not (b or c or d)
 
+    def bit_length(self) -> int:
+        """Bits of the largest integer of the reduced form: a size bound."""
+        return max(abs(i).bit_length() for i in self._v)
+
     def __eq__(self, other) -> bool:
         o = _ints(other)
         if o is None:

@@ -9,7 +9,8 @@ dim, valence, idx and offset are JSON integers.  idx tuples are 1-based
 and strictly increasing for alternating storage.  A coeff is a list of
 quadruples of rational strings (components on 1, sqrt2, sqrt5, sqrt10);
 list position i encodes the s-exponent offset + i, with "offset"
-defaulting to 0 and recorded per entry when nonzero.
+defaulting to 0 and recorded per entry when nonzero; the exponent of a
+nonzero coefficient is at most MAX_EXPONENT in absolute value.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 from typing import Optional
 
 from .laurent import PLAIN, CoeffFn
-from .scalars import QScalar
+from .scalars import MAX_EXPONENT, QScalar
 from .tensors import ALT, NONE, SYM, AltTensor
 
 
@@ -47,6 +48,8 @@ def coeff_from_json(entry, param: str) -> CoeffFn:
     for i, quad in enumerate(rows):
         q = QScalar.from_strings(quad)
         if not q.is_zero():
+            if abs(offset + i) > MAX_EXPONENT:
+                raise ValueError(f"s-exponent {offset + i} is beyond {MAX_EXPONENT}")
             terms[offset + i] = q
     return CoeffFn(terms, param)
 

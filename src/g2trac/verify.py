@@ -227,7 +227,7 @@ def verify(pkg: GeometryPackage, depth: str = "full",
     rep.add("zero_locus.j0-identities", all(jc.values()),
             ", ".join(k for k, v in jc.items() if not v) or "rank 2, kernel 3, filtration (1,3,4,6)")
     try:
-        dist = extract_distribution(pkg, bd)
+        dist = extract_distribution(bd)
         dc = distribution_checks(bd, dist)
         rep.add("zero_locus.distribution-three-ways", True,
                 "im J0 = ker omega = declared span")

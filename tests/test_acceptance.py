@@ -194,7 +194,7 @@ def test_criterion_7_boundary_geometry(family_package):
         pkg = family_package(m)
         bd = restrict_to_zero_locus(pkg)
         ok = ok and bd.conformal.g0.signature_at(QScalar.zero()) == (2, 3)
-        dist = extract_distribution(pkg, bd)   # raises if the three ways disagree
+        dist = extract_distribution(bd)   # raises if the three ways disagree
         checks = distribution_checks(bd, dist)
         ok = ok and checks["perp_equals_bracket"]
         ok = ok and dist.growth == (2, 3, 5)
@@ -222,7 +222,7 @@ def test_criterion_9_flatness_discrimination(family_package):
 
 
 def test_criterion_10_prolongation_oracle():
-    chart = FrameChart.flat(6, PLAIN, rho_directions=(5,))
+    chart = FrameChart(6, PLAIN, rho_directions=(5,))
     rng = random.Random(10)
     rho = chart.rho()
     ok = True

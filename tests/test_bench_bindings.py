@@ -47,3 +47,19 @@ def test_every_traced_target_resolves():
     ("octonions", "_SIGN_CACHE")])
 def test_cache_the_warmup_check_clears_exists(module, name):
     assert isinstance(getattr(importlib.import_module(f"g2trac.{module}"), name), dict)
+
+
+@pytest.mark.parametrize("module, name, home, home_name", [
+    ("frames", "inverse_laurent", "linalg", "inverse_laurent"),
+    ("tensors", "matrix_signature", "linalg", "signature"),
+    ("verify", "npk_extract", "geometry", "npk_extract"),
+    ("verify", "npk_verify", "geometry", "npk_verify"),
+    ("verify", "compactness_check", "geometry", "compactness_check"),
+    ("verify", "stratify", "geometry", "stratify"),
+    ("verify", "d_tractor_3form", "tractor", "d_tractor_3form"),
+    ("verify", "tractor_metric_hhdef", "tractor", "tractor_metric_hhdef")])
+def test_rebound_name_the_benchmark_wraps_is_the_defining_object(module, name, home, home_name):
+    # perfbench/tests checks that the tracer wraps these module-level
+    # bindings, so a dropped import must fail here too
+    bound = vars(importlib.import_module(f"g2trac.{module}")).get(name)
+    assert bound is getattr(importlib.import_module(f"g2trac.{home}"), home_name)

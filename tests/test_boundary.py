@@ -72,8 +72,22 @@ def test_boundary_null_filtration(family_package, m):
     assert f.chain_ok() and f.mapping_ok() and f.kernel_isotropic()
 
 
+def test_full_battery_eliminates_J0_once(pkg_half, monkeypatch):
+    # restrict_to_zero_locus takes ker J0 once, and the rank, kernel and
+    # kernel-span checks of j0_checks and distribution_checks read it
+    from g2trac import verify as battery
+    eliminated, made = [], []
+    rref, restrict = linalg.rref, battery.restrict_to_zero_locus
+    monkeypatch.setattr(linalg, "rref", lambda A: eliminated.append(A) or rref(A))
+    monkeypatch.setattr(battery, "restrict_to_zero_locus",
+                        lambda pkg: made.append(restrict(pkg)) or made[-1])
+    assert battery.verify(pkg_half, depth="full").all_ok()
+    assert len(made) == 1
+    assert sum(A == made[0].J0 for A in eliminated) == 1
+
+
 def test_distribution_three_ways_and_facts(pkg_half, bd):
-    dist = extract_distribution(pkg_half, bd)
+    dist = extract_distribution(bd)
     assert dist.growth == (2, 3, 5)
     checks = distribution_checks(bd, dist)
     assert all(checks.values()), [k for k, v in checks.items() if not v]
@@ -84,13 +98,25 @@ def test_distribution_three_ways_and_facts(pkg_half, bd):
                                 [[z, z, o, z, z], [z, z, z, o, z], [z, z, z, z, o]])
 
 
+@pytest.mark.parametrize("case", ["outside", "short"])
+def test_bracket_equals_ker_J0_needs_the_whole_kernel(bd, case):
+    # a basis with a vector outside ker J0, or spanning only part of it
+    from dataclasses import replace
+    z, o = QScalar.zero(), QScalar.one()
+    B = bd.kerJ0[:2] + ([[o, z, z, z, z]] if case == "outside" else [])
+    checks = distribution_checks(bd, replace(extract_distribution(bd), bracket_basis=B))
+    assert not checks["bracket_equals_ker_J0"]
+    # E1 pairs with E4 in D under g0 = 2 e1e4 + 2 e2e5 - e3^2
+    assert checks["g0_kills_D_bracket_pairs"] == (case == "short")
+
+
 def test_disagreement_raises_internal_error(pkg_half, bd):
     import g2trac.boundary as bmod
     original = bmod.declared_distribution
     bmod.declared_distribution = lambda: [[QScalar.one()] + [QScalar.zero()] * 4]
     try:
         with pytest.raises(RuntimeError):
-            extract_distribution(pkg_half, bd)
+            extract_distribution(bd)
     finally:
         bmod.declared_distribution = original
 

@@ -5,8 +5,8 @@ from itertools import combinations, combinations_with_replacement, product
 import pytest
 
 from g2trac.frames import FrameChart
-from g2trac.linalg import inverse_laurent, mat_mul
-from g2trac.laurent import CoeffFn, PLAIN
+from g2trac.linalg import eye, inverse_laurent, mat_mul
+from g2trac.laurent import CoeffFn, PLAIN, RHO_PLUS
 from g2trac.scalars import QScalar
 from g2trac.boundary import restrict_to_zero_locus
 from g2trac.geometry import collar_metric, levi_civita_collar, npk_extract
@@ -16,7 +16,7 @@ from g2trac.qm_family import REGRESSION_PARAMETERS, family_chart
 
 
 def test_flat_chart_curvature_vanishes():
-    chart = FrameChart.flat(6, PLAIN, rho_directions=(5,))
+    chart = FrameChart(6, PLAIN, rho_directions=(5,))
     assert chart.curvature().is_zero()
     assert chart.ricci().is_zero()
     assert chart.weyl().is_zero()
@@ -351,24 +351,41 @@ _METRIC_CHARTS = [f"{kind}{side:+d}:{m}" for kind in ("collar", "npk")
                   for m in ("1/2", "3/7", "3") for side in (1, -1)] + ["boundary:1/2"]
 
 
-@pytest.mark.parametrize("case", _METRIC_CHARTS)
-def test_levi_civita_matches_dense_loop(case, family_package):
+def _metric_chart(case, family_package):
+    """(chart, g) of a collar, open-orbit or boundary metric."""
     kind, _, m = case.partition(":")
     pkg = family_package(Fraction(m))
     if kind.startswith("collar"):
         chart = pkg.chart
-        g = collar_metric(pkg.H.as_matrix(), int(kind[len("collar"):]), chart.param)
-    elif kind.startswith("npk"):
+        return chart, collar_metric(pkg.H.as_matrix(), int(kind[len("collar"):]), chart.param)
+    if kind.startswith("npk"):
         orbit = npk_extract(pkg, int(kind[len("npk"):]))
-        chart, g = orbit.chart, orbit.g
-    else:
-        conf = restrict_to_zero_locus(pkg).conformal
-        chart, g = conf.chart, conf.g0
-        assert chart.dim == 5
+        return orbit.chart, orbit.g
+    conf = restrict_to_zero_locus(pkg).conformal
+    assert conf.chart.dim == 5
+    return conf.chart, conf.g0
+
+
+@pytest.mark.parametrize("case", _METRIC_CHARTS)
+def test_levi_civita_matches_dense_loop(case, family_package):
+    chart, g = _metric_chart(case, family_package)
     got, want = chart.levi_civita(g), dense_levi_civita(chart, g)
     assert got.G == want.G
     assert got.C == want.C and got.rho_directions == want.rho_directions
     assert any(v for Ga in got.G for row in Ga for v in row)
+
+
+@pytest.mark.parametrize("case", [f"{kind}:{m}" for m in ("1/2", "3/7") for kind in (
+    "collar+1", "collar-1", "npk+1", "npk-1", "boundary")])
+def test_levi_civita_chart_carries_the_inverse_metric(case, family_package):
+    chart, g = _metric_chart(case, family_package)
+    lc = chart.levi_civita(g)
+    n = lc.dim
+    assert mat_mul(g.as_matrix(), lc.metric_inverse) == eye(n, lc.one(), lc.zero())
+    assert lc.change_scale([lc.rho()] * n).metric_inverse is None
+    if lc.param == PLAIN:
+        assert lc.substitute_param(RHO_PLUS).metric_inverse is None
+    assert FrameChart(n, lc.param, lc.rho_directions).metric_inverse is None
 
 
 def test_random_chart_exercises_every_curvature_term():

@@ -91,7 +91,7 @@ def test_normal_form_detects_perturbation(pkg_half):
     H = pkg_half.H.copy()
     H.set((), (4, 5), pkg_half.chart.one())   # g_rho(d/drho, .) != 0
     bad = GeometryPackage(pkg_half.chart, pkg_half.phi, H, pkg_half.tau,
-                          pkg_half.Jt, dict(pkg_half.meta))
+                          pkg_half.Jt, pkg_half.Hinv, dict(pkg_half.meta))
     assert not normal_form_check(bad)["ok"]
 
 
@@ -179,15 +179,17 @@ def test_build_qm_inverts_the_tractor_metric_once(monkeypatch):
 
 def test_full_battery_builds_each_collar_chart_once(monkeypatch):
     # both compactness orders of a side share one Levi-Civita chart, whose
-    # construction inverts the collar metric, and the package carries H^-1:
-    # 11 Laurent inverses, not 14
+    # construction inverts the collar metric, the package carries H^-1 and
+    # each Levi-Civita chart its g^-1: 7 Laurent inverses (npk_extract's
+    # two orbit metrics, the npk_verify and collar charts of both sides,
+    # the boundary chart of g0)
     calls = _count_inverse_laurent(monkeypatch)
     pkg = build_qm(FamilyParams(Fraction(1, 2)))
     del calls[:]
     assert battery.verify(pkg, depth="full").all_ok()
-    assert len(calls) == 11
+    assert len(calls) == 7
     compactness_check(pkg, 1, Fraction(3))
-    assert len(calls) == 11
+    assert len(calls) == 7
 
 
 @pytest.mark.parametrize("m", REGRESSION_PARAMETERS)
@@ -210,16 +212,6 @@ def test_package_inverse_of_a_rescaled_3form(pkg_half):
     assert (pkg.H - pkg_half.H.scale(four_s2)).is_zero()
     assert pkg.Hinv == linalg.inverse_laurent(pkg.H.as_matrix())
     assert pkg.Hinv == [[x * four_s2.inverse() for x in row] for row in pkg_half.Hinv]
-
-
-def test_hand_built_package_inverts_H_on_first_use(pkg_half):
-    from g2trac.geometry import GeometryPackage
-    H = pkg_half.H.scale(2)
-    pkg = GeometryPackage(pkg_half.chart, pkg_half.phi, H, pkg_half.tau,
-                          pkg_half.Jt, dict(pkg_half.meta))
-    half = QScalar(Fraction(1, 2))
-    assert pkg.Hinv == [[x * half for x in row] for row in pkg_half.Hinv]
-    assert pkg.Hinv is pkg.Hinv
 
 
 def test_compactness_returns_modified_connection(pkg_half):

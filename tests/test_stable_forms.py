@@ -255,7 +255,7 @@ def test_phi_volume_trace_matches_alternation_on_laurent_form(pkg_half):
 @pytest.mark.parametrize("xi", [1, -1])
 def test_model_3form_is_the_octonions_g2_form(xi):
     assert g2_form(xi) == phi_xi(xi)
-    chart = FrameChart.flat(6, PLAIN, rho_directions=(5,))
+    chart = FrameChart(6, PLAIN, rho_directions=(5,))
     lifted = AltTensor.form(7, 3, chart.zero())
     for (_, idx), v in phi_xi(xi).comps.items():
         lifted.set((), idx, chart.lift(v))

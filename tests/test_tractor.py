@@ -43,7 +43,7 @@ def test_parallel_canonical_tractor_X():
 
 
 def test_tractor_volume_parallel_flat_and_family():
-    for chart in (FrameChart.flat(6, PLAIN, rho_directions=(5,)),
+    for chart in (FrameChart(6, PLAIN, rho_directions=(5,)),
                   family_chart(Fraction(5, 6))):
         vol = tractor_volume(chart)
         for a in range(6):
@@ -95,7 +95,7 @@ def test_scale_change_covariance_of_3form_derivative(pkg_half):
 
 
 def test_ky_constant_form_parallel_on_flat_chart():
-    chart = FrameChart.flat(6, PLAIN, rho_directions=(5,))
+    chart = FrameChart(6, PLAIN, rho_directions=(5,))
     omega = AltTensor.form(6, 2, chart.zero())
     omega.set((), (0, 1), chart.one())
     omega.set((), (2, 4), chart.lift(-3))
@@ -106,7 +106,7 @@ def test_ky_constant_form_parallel_on_flat_chart():
 
 
 def test_ky_residual_equals_brute_force_on_50_random_forms():
-    chart = FrameChart.flat(6, PLAIN, rho_directions=(5,))
+    chart = FrameChart(6, PLAIN, rho_directions=(5,))
     rng = random.Random(37)
     for _ in range(50):
         omega = random_2form(chart, rng)

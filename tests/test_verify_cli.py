@@ -395,15 +395,28 @@ def test_cli_option_takes_a_negative_value(argv, option, value, tmp_path, capsys
     (VERIFY_QUICK, None, "1e10000000"),
     (["monge-check", "--poly", "q^2+1e10000000*p"], None, None),
     (["monge-check", "--poly", "q^1e10000000"], None, None),
+    (["classify-form"], tensor_doc(6, 3, [([1, 2, 3], ["1" + "0" * 2200]), ([4, 5, 6], [1])]),
+     None),
+    (["classify-form", "--at", "3"], with_first_entry(scaled_phi(1, 1), offset=1000000), None),
+    (["classify-form", "--at", "1"], with_first_entry(scaled_phi(1, 1), offset=-1001), None),
+    (["classify-form", "--at=1e1000"], with_first_entry(scaled_phi(1, 1), offset=1000), None),
+    (["classify-form", "--at", "2"],
+     with_first_entry(scaled_phi(1, 1), coeff=[["1" + "0" * 4000, "0", "0", "0"]], offset=1000),
+     None),
 ], ids=["orbit-s", "classify-metric", "monge-exponent", "m-decimal-exponent",
         "s-decimal-exponent", "s-negative-decimal-exponent", "samples-decimal-exponent",
         "at-decimal-exponent", "coeff-decimal-exponent", "env-samples-decimal-exponent", "poly-coefficient-exponent",
-        "poly-power-decimal-exponent"])
+        "poly-power-decimal-exponent", "lambda-digits", "s-exponent", "s-exponent-at-1",
+        "evaluated-power-digits", "evaluated-value-digits"])
 def test_cli_values_too_large_exit_2(argv, doc, env, tmp_path, capsys, monkeypatch):
     # tau ~ 10^800 and H ~ 10^400 are beyond the float range of the report,
     # y^e at the sample y = 2 would not fit in memory, and Fraction would
     # expand a decimal exponent of 10^7 into ten million digits, also in a
-    # tensor file's coefficient
+    # tensor file's coefficient; lambda ~ 10^4400 has too many digits to
+    # print, s^1000000 and s^-1001 are beyond the exponent bound (at s = 1
+    # too, where the value stays small), and (10^1000)^1000 at
+    # --at=1e1000 and 10^4000 2^1000 at --at 2 beyond the size bound of an
+    # evaluated entry
     if env is not None:
         monkeypatch.setenv("G2TRAC_SAMPLES", env)
     if doc is not None:
