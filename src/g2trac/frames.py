@@ -23,8 +23,9 @@ over their nonzero entries, the Weyl and Cotton tensors are built from
 the stored components of R and P (and of nabla P), the Jacobi defect
 walks the nonzero bracket rows, and the Levi-Civita connection is
 scattered from the nonzero metric and bracket entries.  The inverse
-metric that connection takes is kept on its chart (metric_inverse), so
-the readers that raise indices with it do not invert g again.
+metric that connection takes is kept on its chart (metric_inverse), and
+substitute_param carries it into the s-parameterisation, so the readers
+that raise indices with it do not invert g again.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class FrameChart:
         # is parallel, accumulated under projective changes of scale)
         self.weight_form: List[CoeffFn] = [z for _ in range(dim)]
         # g^-1 of the metric whose Levi-Civita connection this chart carries
-        # (set by levi_civita; None on every other chart)
+        # (set by levi_civita and kept by substitute_param; None otherwise)
         self.metric_inverse: Optional[List[List[CoeffFn]]] = None
         self._cache: Dict[str, object] = {}
 
@@ -388,12 +389,16 @@ class FrameChart:
         return [self.dir_deriv(a, f) for a in range(self.dim)]
 
     def substitute_param(self, param: str) -> "FrameChart":
-        """Reinterpret a PLAIN chart in an s^2 parameterization of rho."""
+        """Reinterpret a PLAIN chart in an s^2 parameterization of rho; a
+        Levi-Civita chart stays one, its metric_inverse substituted too."""
         if self.param != PLAIN:
             raise ValueError("substitute_param expects a PLAIN chart")
         out = FrameChart(self.dim, param, self.rho_directions)
         out.C = [[[v.substitute_rho(param) for v in col] for col in row] for row in self.C]
         out.G = [[[v.substitute_rho(param) for v in col] for col in row] for row in self.G]
+        if self.metric_inverse is not None:
+            out.metric_inverse = [[v.substitute_rho(param) for v in row]
+                                  for row in self.metric_inverse]
         return out
 
     def d_exterior(self, form: AltTensor) -> AltTensor:

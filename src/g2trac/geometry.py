@@ -6,7 +6,9 @@ and the tractor endomorphism Jt: V -> -X x V.  The operations here
 implement the orbit stratification, the open-orbit metric/complex-structure
 extraction in the exact square-root parameterization, the full nearly
 (para-)Kahler verification battery, projective compactness order
-checking, and the collar normal form test.
+checking, and the collar normal form test.  Each open orbit has one
+Levi-Civita chart of g_side with its g^-1, levi_civita_collar: read in rho
+by compactness_check and in s by npk_extract (J = g^-1 omega) and npk_verify.
 """
 
 from __future__ import annotations
@@ -135,7 +137,8 @@ def normal_form_check(pkg: GeometryPackage) -> Dict[str, bool]:
 class OrbitStructure:
     side: int                      # +1 (tau > 0) or -1 (tau < 0)
     eps: int                       # +1 para, -1 complex
-    chart: FrameChart              # chart in the s-parameterization
+    chart: FrameChart              # Levi-Civita chart of g in the s-parameterization,
+                                   # metric_inverse = g^-1
     g: AltTensor
     J: List[List[CoeffFn]]
     omega: AltTensor
@@ -151,7 +154,7 @@ def npk_extract(pkg: GeometryPackage, side: int) -> OrbitStructure:
         raise ValueError("package tractor metric is not in collar normal form")
     n = pkg.dim
     param = RHO_PLUS if side > 0 else RHO_MINUS
-    chart_s = pkg.chart.substitute_param(param)
+    chart_s = levi_civita_collar(pkg, side).substitute_param(param)
     g = collar_metric(pkg.H.as_matrix(), side, param)
     sigma_s = AltTensor.form(n, 2, chart_s.zero())
     for (_, idx), v in slots(pkg.phi)[0].comps.items():
@@ -159,7 +162,7 @@ def npk_extract(pkg: GeometryPackage, side: int) -> OrbitStructure:
     # (+-tau)^(-3/2) = (2 s^2)^(-3/2) = (sqrt2/4) s^-3
     scale = CoeffFn.monomial(QScalar.sqrt2() * Fraction(1, 4), -3, param)
     omega = sigma_s.scale(scale)
-    J = linalg.mat_mul(linalg.inverse_laurent(g.as_matrix()), omega.as_matrix())
+    J = linalg.mat_mul(chart_s.metric_inverse, omega.as_matrix())
     eps = -side
     # J^2 = -side id exactly
     J2 = linalg.mat_mul(J, J)
@@ -211,7 +214,10 @@ def npk_verify(orbit: OrbitStructure) -> NPKReport:
     if not herm:
         failures.append("hermitian")
 
-    lc = chart.levi_civita(g)
+    # the orbit's chart is g's Levi-Civita chart if its g^-1 inverts g
+    carried = chart.metric_inverse is not None and linalg.mat_mul(
+        gm, chart.metric_inverse) == linalg.eye(n, chart.one(), chart.zero())
+    lc = chart if carried else chart.levi_civita(g)
     Jt = AltTensor.from_matrix(J, n, 1, zero=chart.zero())
     dJ = [lc.cov_deriv(Jt, a).as_matrix() for a in range(n)]   # dJ[a][k][b] = (nabla_a J)^k_b
     JdJ = [linalg.mat_mul(J, d) for d in dJ]                   # J (nabla_a J)
@@ -348,9 +354,10 @@ def collar_metric(Hm, side: int, param: str) -> AltTensor:
 
 
 def levi_civita_collar(pkg: GeometryPackage, side: int) -> FrameChart:
-    """Levi-Civita chart of g_side in the polynomial-in-rho parameterization,
-    built once per package and side (change_scale returns a new chart, so
-    the cached one is never changed)."""
+    """Levi-Civita chart of g_side, with its g^-1, in the polynomial-in-rho
+    parameterization, built once per package and side for compactness_check
+    and (through substitute_param) npk_extract and npk_verify; change_scale
+    and substitute_param return new charts, so the cached one never changes."""
     lc = pkg._collar.get(side)
     if lc is None:
         chart = pkg.chart

@@ -209,12 +209,13 @@ class QScalar:
             return self.inverse() ** (-n)
         out = _ONE
         base = self
-        while n:
+        while True:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base   # only while a higher bit is left to use it
 
     # -- predicates and order ----------------------------------------
 

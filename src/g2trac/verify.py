@@ -82,6 +82,11 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+# the per-side records of an open orbit, in report order
+_ORBIT_RECORDS = ("hermitian", "killing-yano", "einstein", "scalar-curvature-sign",
+                  "constant-type", "weyl-identity", "nijenhuis", "canonical-torsion-skew",
+                  "nabla-j-norm-constant", "projectively-compact-order-2", "order-1-fails")
+
 _NO_FAMILY_PARAMETER = ("no family parameter m in the package: the coordinate generators "
                         "are those of the family member z' = q^m")
 
@@ -190,9 +195,13 @@ def verify(pkg: GeometryPackage, depth: str = "full",
 
     # open-orbit nearly (para-)Kahler structure, both sides
     for side, tag in ((1, "M+"), (-1, "M-")):
-        orb = npk_extract(pkg, side)
-        nrep = npk_verify(orb)
         pre = f"orbits.{tag}"
+        if not nf["ok"]:
+            for name in _ORBIT_RECORDS:
+                rep.skip(f"{pre}.{name}", "H is not in collar normal form: "
+                                          "no collar metric g_side to extract")
+            continue
+        nrep = npk_verify(npk_extract(pkg, side))
         rep.add(f"{pre}.hermitian", nrep.hermitian_ok, f"eps = {nrep.eps:+d}")
         rep.add(f"{pre}.killing-yano", nrep.ky_residual_zero)
         rep.add(f"{pre}.einstein", nrep.einstein_zero, f"alpha = {nrep.alpha}")

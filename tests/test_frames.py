@@ -6,7 +6,7 @@ import pytest
 
 from g2trac.frames import FrameChart
 from g2trac.linalg import eye, inverse_laurent, mat_mul
-from g2trac.laurent import CoeffFn, PLAIN, RHO_PLUS
+from g2trac.laurent import CoeffFn, PLAIN, RHO_MINUS, RHO_PLUS
 from g2trac.scalars import QScalar
 from g2trac.boundary import restrict_to_zero_locus
 from g2trac.geometry import collar_metric, levi_civita_collar, npk_extract
@@ -384,7 +384,11 @@ def test_levi_civita_chart_carries_the_inverse_metric(case, family_package):
     assert mat_mul(g.as_matrix(), lc.metric_inverse) == eye(n, lc.one(), lc.zero())
     assert lc.change_scale([lc.rho()] * n).metric_inverse is None
     if lc.param == PLAIN:
-        assert lc.substitute_param(RHO_PLUS).metric_inverse is None
+        for param in (RHO_PLUS, RHO_MINUS):
+            sub = lc.substitute_param(param)
+            assert mat_mul([[v.substitute_rho(param) for v in row] for row in g.as_matrix()],
+                           sub.metric_inverse) == eye(n, sub.one(), sub.zero())
+        assert FrameChart(n, PLAIN).substitute_param(RHO_PLUS).metric_inverse is None
     assert FrameChart(n, lc.param, lc.rho_directions).metric_inverse is None
 
 

@@ -86,13 +86,15 @@ def test_normal_form(pkg_half):
     assert normal_form_check(pkg_half)["ok"]
 
 
-def test_normal_form_detects_perturbation(pkg_half):
+def _off_normal_form(pkg):
     from g2trac.geometry import GeometryPackage
-    H = pkg_half.H.copy()
-    H.set((), (4, 5), pkg_half.chart.one())   # g_rho(d/drho, .) != 0
-    bad = GeometryPackage(pkg_half.chart, pkg_half.phi, H, pkg_half.tau,
-                          pkg_half.Jt, pkg_half.Hinv, dict(pkg_half.meta))
-    assert not normal_form_check(bad)["ok"]
+    H = pkg.H.copy()
+    H.set((), (4, 5), pkg.chart.one())   # g_rho(d/drho, .) != 0
+    return GeometryPackage(pkg.chart, pkg.phi, H, pkg.tau, pkg.Jt, pkg.Hinv, dict(pkg.meta))
+
+
+def test_normal_form_detects_perturbation(pkg_half):
+    assert not normal_form_check(_off_normal_form(pkg_half))["ok"]
 
 
 @pytest.mark.parametrize("side", [1, -1])
@@ -177,19 +179,67 @@ def test_build_qm_inverts_the_tractor_metric_once(monkeypatch):
     assert calls == [7]
 
 
+def _count_levi_civita(monkeypatch):
+    calls = []
+    original = frames.FrameChart.levi_civita
+
+    def counted(chart, g):
+        calls.append(chart.dim)
+        return original(chart, g)
+
+    monkeypatch.setattr(frames.FrameChart, "levi_civita", counted)
+    return calls
+
+
 def test_full_battery_builds_each_collar_chart_once(monkeypatch):
-    # both compactness orders of a side share one Levi-Civita chart, whose
-    # construction inverts the collar metric, the package carries H^-1 and
-    # each Levi-Civita chart its g^-1: 7 Laurent inverses (npk_extract's
-    # two orbit metrics, the npk_verify and collar charts of both sides,
-    # the boundary chart of g0)
+    # each side has one Levi-Civita chart of g_side, with its g^-1: both
+    # compactness orders read it in rho, npk_extract's J and npk_verify in
+    # s; the package carries H^-1.  3 Laurent inverses and 3 Levi-Civita
+    # charts: the collar charts of both sides and the boundary chart of g0
     calls = _count_inverse_laurent(monkeypatch)
+    charts = _count_levi_civita(monkeypatch)
     pkg = build_qm(FamilyParams(Fraction(1, 2)))
     del calls[:]
     assert battery.verify(pkg, depth="full").all_ok()
-    assert len(calls) == 7
+    assert calls == [6, 6, 5] and charts == [6, 6, 5]
     compactness_check(pkg, 1, Fraction(3))
-    assert len(calls) == 7
+    assert calls == [6, 6, 5] and charts == [6, 6, 5]
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_one_open_orbit_inverts_its_metric_once(monkeypatch, side):
+    calls = _count_inverse_laurent(monkeypatch)
+    pkg = build_qm(FamilyParams(Fraction(1, 2)))
+    del calls[:]
+    assert npk_verify(npk_extract(pkg, side)).all_ok()
+    assert calls == [6]
+
+
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize("m", REGRESSION_PARAMETERS, ids=str)
+def test_orbit_chart_is_the_levi_civita_chart_of_its_metric(family_package, m, side):
+    # the old route, a chart built from the orbit's g and J = inverse(g) omega,
+    # is the oracle of the carried chart
+    orb = npk_extract(family_package(m), side)
+    lc = orb.chart.levi_civita(orb.g)
+    assert orb.chart.C == lc.C and orb.chart.G == lc.G
+    assert orb.chart.metric_inverse == lc.metric_inverse
+    assert orb.J == linalg.mat_mul(linalg.inverse_laurent(orb.g.as_matrix()),
+                                   orb.omega.as_matrix())
+
+
+def test_off_normal_form_package_skips_the_open_orbits(pkg_half):
+    # no traceback: the orbit records are skipped with a reason and the
+    # rest of the battery runs
+    rep = battery.verify(_off_normal_form(pkg_half), depth="full")
+    good = battery.verify(pkg_half, depth="full")
+    assert [r.name for r in rep.records] == [r.name for r in good.records]
+    assert [r.name for r in rep.records if r.status == "fail"] == [
+        "tractor.metric-consistency", "orbits.collar-normal-form"]
+    skipped = {r.name: r.detail for r in rep.records if r.status == "skipped"}
+    orbit = [r.name for r in good.records if r.name.startswith(("orbits.M+.", "orbits.M-."))]
+    assert len(orbit) == 22 and all(skipped[name] for name in orbit)
+    assert set(skipped) == set(orbit) | {"symmetry.xi7"}
 
 
 @pytest.mark.parametrize("m", REGRESSION_PARAMETERS)

@@ -178,6 +178,29 @@ def test_only_rational_pairs_take_the_fast_path(monkeypatch):
     assert calls == [(-42, 21), (0, 49)]
 
 
+@pytest.mark.parametrize("x", [QScalar(Fraction(-3, 7)), 1 + SQRT2 - SQRT10 / 3], ids=str)
+def test_pow_is_the_repeated_product(x):
+    for n in (0, 1, 2, 3, 7, 8, 40, -3):
+        want = QScalar.one()
+        for _ in range(abs(n)):
+            want = want * x
+        assert x ** n == (want if n >= 0 else want.inverse())
+
+
+def test_pow_squares_only_while_a_bit_is_left(monkeypatch):
+    # x^8: three squarings and one product with the accumulator; a square
+    # after the top bit would be a fifth, unused product
+    calls = []
+    mul = QScalar.__mul__
+    monkeypatch.setattr(QScalar, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    x = 1 + SQRT2
+    y = x ** 8
+    monkeypatch.undo()   # the dunders are class attributes again
+    assert len(calls) == 4
+    assert y == ((x * x) * (x * x)) * ((x * x) * (x * x))
+    assert QScalar.__mul__ is mul
+
+
 def test_no_float_enters_the_field():
     from g2trac.laurent import CoeffFn
     for make in (lambda: QScalar(0.5), lambda: QScalar(0, 0.5), lambda: QScalar.of(0.5),

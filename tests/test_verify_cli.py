@@ -82,6 +82,33 @@ def test_full_report_bytes_are_pinned(family_package, m):
     assert hashlib.sha256(report.encode()).hexdigest() == FULL_REPORT_SHA256[m]
 
 
+ORBIT_REPORT_SHA256 = {
+    (Fraction(-1), 1): "80fc1d57f706523f2f074231146fb0f63b13791aa00e0cd42074c9c3da49b2cb",
+    (Fraction(-1), -1): "1dc695df458e7fd6ee21a0c80fd194042f143d439c491231c1d43404c870f4eb",
+    (Fraction(1, 3), 1): "b79a1066333295ea6b1ad8c5d762aa665c143151ab078b09783913eaef87bb8b",
+    (Fraction(1, 3), -1): "e8718f71873dab4fc8b1e8464b5faa62f68da3bbb4905213425a76d8724fb99b",
+    (Fraction(1, 2), 1): "3311bb63e453f05c66423898e108be8b34e8a57734d8f9645b3836d948799b09",
+    (Fraction(1, 2), -1): "8e728534b42e0167e8a1144f54ed9e7e623cdfc7d430e5356cdb44bb19602508",
+    (Fraction(7, 12), 1): "949d8fe447d8492c71a04b4b38d4b36bbd49dfaf13596e215a6663e412268993",
+    (Fraction(7, 12), -1): "28cf53abc4f2e95d469d1e763532415bd6478579e92f2c8b3cd48e157ba08afa",
+    (Fraction(2, 3), 1): "9ce9d1db400f2a8b511b2d1d97d89d6e0de3c7085f500eb93c9289ecc9bf0b28",
+    (Fraction(2, 3), -1): "6f32be22df223a6479382c43b88a6a468e432348e538785fe53e2354b99bd788",
+    (Fraction(5, 6), 1): "42e43329295f615e301952419e90457e9c53b14f67e2a7d47cfedab1e0798375",
+    (Fraction(5, 6), -1): "070cac8cc9fcb5ca5484d269910e01e02c090c3a5687230ba1666fd9d21cd469",
+    (Fraction(2), 1): "b27614d01ee0041cb7467503fd0acad5e7db9e6f29609680b3e6cd8a70b053ea",
+    (Fraction(2), -1): "bf0d3e12e127ae33d1a2c546b113cd7cf246fad560f9fd509deb3488ff5f8484",
+    (Fraction(3), 1): "a83268878863f8c17482433a31e9cb90c7838f77f649299df76ae750d4fbceb5",
+    (Fraction(3), -1): "f9981cfb1cdd3eced0038e99b1e0203886c579327660eca812e468797ed38daa",
+}
+
+
+@pytest.mark.parametrize("m, s", ORBIT_REPORT_SHA256, ids=str)
+def test_orbit_report_bytes_are_pinned(capsys, m, s):
+    assert cli.main(["orbit", "--m", str(m), "--s", str(s), "--report", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ORBIT_REPORT_SHA256[m, s]
+
+
 def test_definite_model_report():
     pkg = build_model(1)
     rep = verify(pkg, depth="full")
