@@ -38,6 +38,10 @@ class GeometryPackage:
     # side -> Levi-Civita chart of g_side, built once by levi_civita_collar
     _collar: Dict[int, FrameChart] = field(default_factory=dict, init=False, compare=False,
                                            repr=False)
+    # the frame-symmetry residuals as sparse rows, built once by
+    # symmetries.residual_rows
+    _residual_rows: Optional[List[Dict[int, QScalar]]] = field(default=None, init=False,
+                                                               compare=False, repr=False)
 
     @property
     def dim(self) -> int:

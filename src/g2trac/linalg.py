@@ -32,7 +32,10 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
     """A B as a sum of rows of B, skipping the zero entries of A and B.
 
     A zero row of A gives a row of B's zero, so the product keeps B's
-    ring (and a CoeffFn's parameterization) even then."""
+    ring (and a CoeffFn's parameterization) even then.  A zero entry
+    enters no QScalar op: a field element a times a zero b of B is b itself
+    (a Laurent a b stays, a zero shortcut that keeps a's parameterization),
+    and a zero entry of the running sum takes the next product as it is."""
     zero = B[0][0] * 0
     out = []
     for arow in A:
@@ -41,9 +44,12 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
             if not a:
                 continue
             if row is None:
-                row = [a * b for b in brow]
+                if isinstance(a, QScalar):
+                    row = [a * b if b else b for b in brow]
+                else:
+                    row = [a * b for b in brow]
             else:
-                row = [r + a * b if b else r for r, b in zip(row, brow)]
+                row = [(r + a * b if r else a * b) if b else r for r, b in zip(row, brow)]
         out.append(row if row is not None else [zero] * len(B[0]))
     return out
 
@@ -110,8 +116,14 @@ def rref(A: Mat):
             f = R[i][c]
             if i != r and not f.is_zero():
                 row = R[i][:] if unit else [p * x for x in R[i]]
+                nf = None   # -f, made once: a zero entry becomes -f p, not 0 - f p
                 for j in support:
-                    row[j] = row[j] - f * prow[j]
+                    x = row[j]
+                    if x:
+                        row[j] = x - f * prow[j]
+                    else:
+                        nf = -f if nf is None else nf
+                        row[j] = nf * prow[j]
                 R[i] = row
         pivots.append(c)
         r += 1

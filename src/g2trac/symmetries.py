@@ -12,6 +12,12 @@ Two layers, matching what is exactly checkable:
   sixth generator admits a unique such action at weight 2; at weight 0
   only the zero action remains, and the weight-2 group block without its
   dilation fails to preserve the package (`dilation_negative_control`).
+
+The residuals are linear in (lambda, w).  `_residual_terms` states them
+once; `residual_rows` turns them into sparse QScalar rows, one per
+residual and power of s, once per package.  The solve, its feasibility
+check and the negative control all read those rows; `symmetry_residuals`
+evaluates the same formula as Laurent functions.
 """
 
 from __future__ import annotations
@@ -85,8 +91,9 @@ class FrameSymmetry:
     weight: Fraction           # action on rho: xi . f = weight * rho * df/drho
 
 
-def _xi_deriv(f: CoeffFn, w: Fraction) -> CoeffFn:
-    return f.d_drho() * CoeffFn.rho(f.param) * QScalar(w)
+def _euler(f: CoeffFn) -> CoeffFn:
+    """rho df/drho: the dilation xi acts on f as weight times this."""
+    return f.d_drho() * CoeffFn.rho(f.param)
 
 
 def _residual_terms(pkg: GeometryPackage):
@@ -94,52 +101,95 @@ def _residual_terms(pkg: GeometryPackage):
     weight-3 slots of the parallel 3-form, each as (f, pairs): the residual
     is w rho df/drho + the sum of lam[a][b] K over the pairs ((a, b), K).
 
-    The formula is affine in lam; the evaluator and the assembler of the
-    linear system both read it from here."""
+    The formula is affine in lam; the Laurent evaluator and the sparse rows
+    of `residual_rows` both read it from here."""
     chart = pkg.chart
     C, G = chart.C, chart.G
     E = range(chart.dim)
+    # each negated coefficient is made once
+    nC, nG = ([[[-x for x in r] for r in M] for M in T] for T in (C, G))
     # bracket derivation property
     for a, b in combinations(E, 2):
         for c in E:
             yield C[a][b][c], ([((a, e), C[e][b][c]) for e in E]
                                + [((b, e), C[a][e][c]) for e in E]
-                               + [((e, c), -C[a][b][e]) for e in E])
+                               + [((e, c), nC[a][b][e]) for e in E])
     # connection preservation
     for a in E:
         for d in E:
             for b in E:
                 yield G[a][d][b], ([((e, b), G[a][d][e]) for e in E]
-                                   + [((a, e), -G[e][d][b]) for e in E]
-                                   + [((d, e), -G[a][e][b]) for e in E])
+                                   + [((a, e), nG[e][d][b]) for e in E]
+                                   + [((d, e), nG[a][e][b]) for e in E])
     # weight-3 slots of the 3-form, sigma_{bc} = Phi_{bcX} and then mu_{bcd} =
     # Phi_{bcd}: the trace of lam enters with weight 3/7
-    phi = pkg.phi
+    phi, nphi = pkg.phi, -pkg.phi
     for k, x in ((2, (chart.dim,)), (3, ())):
         for idx in combinations(E, k):
             f = phi.get((), idx + x)
-            pairs = [((e, e), f * QScalar(Fraction(3, 7))) for e in E]
+            t = f * QScalar(Fraction(3, 7))
+            pairs = [((e, e), t) for e in E]
             for s, b in enumerate(idx):
-                pairs += [((b, e), -phi.get((), idx[:s] + (e,) + idx[s + 1:] + x)) for e in E]
+                pairs += [((b, e), nphi.get((), idx[:s] + (e,) + idx[s + 1:] + x)) for e in E]
             yield f, pairs
 
 
 def symmetry_residuals(pkg: GeometryPackage, sym: FrameSymmetry) -> List[CoeffFn]:
     """All residual components of L_xi applied to brackets, connection and
-    the (weight-3) slots of the parallel 3-form."""
-    return _evaluate(_residual_terms(pkg), sym)
-
-
-def _evaluate(terms, sym: FrameSymmetry) -> List[CoeffFn]:
-    """The residuals (f, pairs) of `_residual_terms` at the action sym."""
+    the (weight-3) slots of the parallel 3-form, as Laurent functions."""
+    w = QScalar(sym.weight)
     out: List[CoeffFn] = []
-    for f, pairs in terms:
-        acc = _xi_deriv(f, sym.weight)
+    for f, pairs in _residual_terms(pkg):
+        acc = _euler(f) * w
         for (a, b), k in pairs:
             if k.terms:
                 acc = acc + k * sym.lam[a][b]
         out.append(acc)
     return out
+
+
+def residual_rows(pkg: GeometryPackage) -> List[Dict[int, QScalar]]:
+    """The residuals as sparse rows, one per (term, s-exponent), built once
+    per package.
+
+    A row maps the column n a + b of lam[a][b] (n = pkg.dim), and the
+    column n^2 of the weight w, to its nonzero coefficient at that power
+    of s; the coefficient of w is the term's rho df/drho.  A residual
+    vanishes iff each of its rows, read at (lam, w), does: the rows of a
+    term list every exponent in the support of its coefficients."""
+    rows = pkg._residual_rows
+    if rows is None:
+        n = pkg.dim
+        rows = pkg._residual_rows = []
+        for f, pairs in _residual_terms(pkg):
+            by_exp: Dict[int, Dict[int, QScalar]] = {e: {n * n: c}
+                                                     for e, c in _euler(f).terms.items()}
+            for (a, b), k in pairs:
+                if k.terms:
+                    col = n * a + b
+                    for e, c in k.terms.items():
+                        row = by_exp.setdefault(e, {})
+                        row[col] = row[col] + c if col in row else c
+            for e in sorted(by_exp):
+                row = {col: c for col, c in by_exp[e].items() if c}
+                if row:
+                    rows.append(row)
+    return rows
+
+
+def _annihilates(pkg: GeometryPackage, sym: FrameSymmetry) -> bool:
+    """Does sym preserve the package?  Every row of `residual_rows` is zero
+    at (lam, w), exactly as every Laurent residual of
+    `symmetry_residuals(pkg, sym)` is zero."""
+    x = [v for row in sym.lam for v in row] + [QScalar(sym.weight)]
+    for row in residual_rows(pkg):
+        acc = None
+        for col, c in row.items():
+            if x[col]:
+                acc = c * x[col] if acc is None else acc + c * x[col]
+        if acc:
+            return False
+    return True
 
 
 def _group_block_action(entries: List[QScalar], weight: Fraction) -> FrameSymmetry:
@@ -158,35 +208,32 @@ def frame_symmetry_system(pkg: GeometryPackage,
     if infeasible) and the dimension of the space of group-block actions
     annihilating everything (0: the action is unique in its class).
 
-    The residuals are affine in the 25 block entries, L x + b, and the
-    weight enters only b; one pass over `_residual_terms` gives L and b
-    exponent by exponent, as sparse rows of [L | -b].  One sparse solve
-    gives rank L and a candidate (the only one when rank L = 25, kernel
-    dimension 0 at every weight); one evaluation of the same terms decides
-    feasibility.
+    The residuals are affine in the 25 block entries, L x + b: the forced
+    collar entries (lam[5][5] = -weight, the rest 0) and the weight enter
+    only b.  Each row of `residual_rows` gives one sparse row of [L | -b].
+    One sparse solve gives rank L and a candidate (the only one when
+    rank L = 25, kernel dimension 0 at every weight); the candidate is
+    feasible when every row vanishes at it.
     """
     weight = Fraction(weight)
-    z = QScalar.zero()
-    lam0 = _group_block_action([z] * 25, weight).lam
-    terms = list(_residual_terms(pkg))
+    n = pkg.dim
+    block = {n * i + j: 5 * i + j for i in range(5) for j in range(5)}
+    forced = {n * n - 1: QScalar(-weight), n * n: QScalar(weight)} if weight else {}
     rows = []
-    for f, pairs in terms:
-        b = _xi_deriv(f, weight)
-        cols = {}
-        for (i, j), k in pairs:
-            if i == 5 or j == 5:
-                b = b + k * lam0[i][j]
-            elif k.terms:
-                c = 5 * i + j
-                cols[c] = cols[c] + k if c in cols else k
-        for e in sorted(set(b.terms).union(*(k.terms for k in cols.values()))):
-            row = {c: k.terms[e] for c, k in cols.items() if e in k.terms}
-            if e in b.terms:
-                row[25] = -b.terms[e]
-            rows.append(row)
+    for row in residual_rows(pkg):
+        out, b = {}, None
+        for col, c in row.items():
+            if col in block:
+                out[block[col]] = c
+            elif col in forced:
+                b = c * forced[col] if b is None else b + c * forced[col]
+        if b:
+            out[25] = -b
+        if out:
+            rows.append(out)
     sol, rank = linalg.solve_sparse(rows, 25)
     sym = None if sol is None else _group_block_action(sol, weight)
-    if sym is not None and any(not r.is_zero() for r in _evaluate(terms, sym)):
+    if sym is not None and not _annihilates(pkg, sym):
         sym = None
     return sym, 25 - rank
 
@@ -203,12 +250,12 @@ def frame_symmetry_kernel_dim(pkg: GeometryPackage, weight: Fraction = Fraction(
 
 def dilation_negative_control(pkg: GeometryPackage, sym2: Optional[FrameSymmetry]) -> bool:
     """True when the weight-2 symmetry's group action, stripped of its
-    rho-dilation, fails to preserve the package (the uncorrected sixth
-    generator is not a symmetry); False when there is no weight-2
+    rho-dilation (lam[5][5] = 0, w = 0), fails to preserve the package: some
+    row of `residual_rows` is nonzero there, so the uncorrected sixth
+    generator is not a symmetry.  False when there is no weight-2
     symmetry (sym2 is None)."""
     if sym2 is None:
         return False
     lam0 = [row[:] for row in sym2.lam]
     lam0[5][5] = QScalar.zero()
-    bare = FrameSymmetry(lam0, Fraction(0))
-    return any(not r.is_zero() for r in symmetry_residuals(pkg, bare))
+    return not _annihilates(pkg, FrameSymmetry(lam0, Fraction(0)))

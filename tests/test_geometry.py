@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from g2trac import frames, linalg, tractor
+from g2trac import frames, linalg, symmetries, tractor
 from g2trac import verify as battery
 from g2trac.geometry import (NPKReport, compactness_check, jfield_identity_defects,
                              normal_form_check, npk_extract, npk_verify,
@@ -204,6 +204,27 @@ def test_full_battery_builds_each_collar_chart_once(monkeypatch):
     assert calls == [6, 6, 5] and charts == [6, 6, 5]
     compactness_check(pkg, 1, Fraction(3))
     assert calls == [6, 6, 5] and charts == [6, 6, 5]
+
+
+def test_full_battery_walks_the_symmetry_residuals_once(monkeypatch):
+    # the solve, its feasibility check and the bare-sixth control read one
+    # set of sparse rows: no Laurent residual is evaluated
+    walks, evaluations = [], []
+    terms, residuals = symmetries._residual_terms, symmetries.symmetry_residuals
+
+    def walked(pkg):
+        walks.append(pkg)
+        return terms(pkg)
+
+    def evaluated(pkg, sym):
+        evaluations.append(sym)
+        return residuals(pkg, sym)
+
+    monkeypatch.setattr(symmetries, "_residual_terms", walked)
+    monkeypatch.setattr(symmetries, "symmetry_residuals", evaluated)
+    pkg = build_qm(FamilyParams(Fraction(1, 2)))
+    assert battery.verify(pkg, depth="full").all_ok()
+    assert len(walks) == 1 and walks[0] is pkg and evaluations == []
 
 
 @pytest.mark.parametrize("side", [1, -1])

@@ -389,6 +389,29 @@ def test_sparse_rref_matches_dense_elimination(shape, density, four):
         [[x.as_strings() for x in row] for row in R0]
 
 
+def test_mat_mul_and_rref_make_no_zero_operand_field_op(monkeypatch):
+    # a zero entry of B is copied, not multiplied; a zero entry of the
+    # product or of an rref row takes its first term, not a sum with zero
+    rng = random.Random("zero-operands")
+    A = _sparse_matrix(rng, 9, 14, 0.2, True)
+    B = _sparse_matrix(rng, 14, 6, 0.3, True)
+    want = (_triple_loop(A, B), _dense_rref(A))
+    zero_operand = []
+    for name in ("__add__", "__sub__", "__mul__"):
+        def counted(x, y, op=getattr(QScalar, name), name=name):
+            if isinstance(y, QScalar) and (x.is_zero() or y.is_zero()):
+                zero_operand.append(name)
+            return op(x, y)
+
+        monkeypatch.setattr(QScalar, name, counted)
+    got = (mat_mul(A, B), rref(A))
+    monkeypatch.undo()
+    assert zero_operand == []
+    _same_entries(_flat(got[0]), _flat(want[0]))
+    assert got[1][1] == want[1][1]
+    _same_entries(_flat(got[1][0]), _flat(want[1][0]))
+
+
 # -- signature against a dense reduction ------------------------------------
 
 

@@ -3,6 +3,8 @@
 The oracle keeps the residual formula written out directly, reads the
 affine system off 26 evaluations of it (a base and 25 unit
 perturbations of the group block) and solves it by one rref of all rows.
+The sparse residual rows are read off 38 evaluations of the same formula
+(a base and unit perturbations of the 36 entries of lam and of w).
 """
 
 import random
@@ -16,7 +18,8 @@ from g2trac import linalg
 from g2trac.laurent import CoeffFn
 from g2trac.qm_family import REGRESSION_PARAMETERS, build_model
 from g2trac.scalars import SQRT2, QScalar
-from g2trac.symmetries import (FrameSymmetry, _group_block_action, frame_symmetry_system,
+from g2trac.symmetries import (FrameSymmetry, _annihilates, _group_block_action,
+                               dilation_negative_control, frame_symmetry_system, residual_rows,
                                symmetry_residuals)
 from g2trac.tractor import slots, tractor_3form
 
@@ -154,3 +157,65 @@ def test_residual_terms_match_the_direct_formula(family_package, m):
                 * (SQRT2 if rng.random() < 0.3 else 1) for _ in range(6)] for _ in range(6)]
         sym = FrameSymmetry(lam, w)
         assert symmetry_residuals(pkg, sym) == _direct_residuals(pkg, sym)
+
+
+def _oracle_rows(pkg):
+    """The sparse rows, term by term and exponent by exponent, from 38
+    evaluations of the direct formula: column 6a + b is lam[a][b], 36 is w."""
+    z = QScalar.zero()
+    base = _direct_residuals(pkg, FrameSymmetry([[z] * 6 for _ in range(6)], Fraction(0)))
+    assert all(r.is_zero() for r in base)
+    cols = []
+    for k in range(37):
+        lam = [[QScalar.one() if 6 * a + b == k else z for b in range(6)] for a in range(6)]
+        cols.append(_direct_residuals(pkg, FrameSymmetry(lam, Fraction(int(k == 36)))))
+    rows = []
+    for i in range(len(base)):
+        for e in sorted({e for col in cols for e in col[i].terms}):
+            row = {k: col[i].coeff(e) for k, col in enumerate(cols)}
+            rows.append({k: c for k, c in row.items() if not c.is_zero()})
+    return rows
+
+
+def _read(row, sym):
+    x = [v for r in sym.lam for v in r] + [QScalar(sym.weight)]
+    acc = QScalar.zero()
+    for col, c in row.items():
+        acc = acc + c * x[col]
+    return acc
+
+
+@pytest.mark.parametrize("m", [Fraction(1, 2), Fraction(2)], ids=str)
+def test_residual_rows_match_the_laurent_formula(family_package, m):
+    pkg = family_package(m)
+    rows = residual_rows(pkg)
+    assert rows == _oracle_rows(pkg)
+    # read at an action, the rows are the coefficients of the Laurent
+    # residuals exponent by exponent: a row whose value is 0 is an exponent
+    # that cancels
+    rng = random.Random(f"residuals-{m}")
+    syms = []
+    for w in (Fraction(0), Fraction(2), Fraction(-1, 3)):
+        lam = [[QScalar(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+                * (SQRT2 if rng.random() < 0.3 else 1) for _ in range(6)] for _ in range(6)]
+        syms.append(FrameSymmetry(lam, w))
+    sym2 = frame_symmetry_system(pkg, Fraction(2))[0]
+    bare = FrameSymmetry([r[:5] + [QScalar.zero()] for r in sym2.lam], Fraction(0))
+    syms += [sym2, frame_symmetry_system(pkg, Fraction(0))[0], bare]
+    for sym in syms:
+        residuals = symmetry_residuals(pkg, sym)
+        values = [v for v in (_read(row, sym) for row in rows) if not v.is_zero()]
+        assert values == [r.terms[e] for r in residuals for e in sorted(r.terms)]
+        assert _annihilates(pkg, sym) == all(r.is_zero() for r in residuals)
+    assert [_annihilates(pkg, sym) for sym in syms] == [False] * 3 + [True, True, False]
+    assert residual_rows(pkg) is rows
+
+
+def test_bare_sixth_control_fails_on_the_zero_action(pkg_half):
+    # the weight-0 action is zero, and zero stripped of its dilation still
+    # preserves everything; the weight-2 action stripped of it does not
+    sym0 = frame_symmetry_system(pkg_half, Fraction(0))[0]
+    sym2 = frame_symmetry_system(pkg_half, Fraction(2))[0]
+    assert all(x.is_zero() for row in sym0.lam for x in row)
+    assert dilation_negative_control(pkg_half, sym0) is False
+    assert dilation_negative_control(pkg_half, sym2) is True
