@@ -255,29 +255,26 @@ def cmd_monge_check(args) -> int:
 
 
 def cmd_export(args) -> int:
-    from .tensor_io import tensor_to_json
+    from .tensor_io import dump_tensor, tensor_to_json
     from .tensors import AltTensor
     m = _family_parameter(args.m)
     if m is None:
         return 2
     pkg = _build_package(m, None)
     Jt = AltTensor.from_matrix([row[:6] for row in pkg.Jt[:6]], 6, 1, zero=pkg.chart.zero())
-    docs = {"phi": tensor_to_json(pkg.phi, PLAIN),
-            "H": tensor_to_json(pkg.H, PLAIN),
-            "J": tensor_to_json(Jt, PLAIN)}
+    tensors = {"phi": pkg.phi, "H": pkg.H, "J": Jt}
     if args.out:
         try:
             os.makedirs(args.out, exist_ok=True)
-            for name, doc in docs.items():
+            for name, t in tensors.items():
                 path = os.path.join(args.out, f"{name}_m_{m.numerator}_{m.denominator}.json")
-                with open(path, "w") as fh:
-                    json.dump(doc, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
+                dump_tensor(t, path, PLAIN)
                 _emit(path)
         except OSError as exc:
             print(f"cannot write to --out: {exc}", file=sys.stderr)
             return 2
     else:
+        docs = {name: tensor_to_json(t, PLAIN) for name, t in tensors.items()}
         _emit(json.dumps(docs, indent=2, sort_keys=True))
     return 0
 

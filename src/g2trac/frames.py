@@ -384,10 +384,6 @@ class FrameChart:
         out.weight_form = [self.weight_form[a] + upsilon[a] for a in range(n)]
         return out
 
-    def exact_upsilon(self, f: CoeffFn) -> List[CoeffFn]:
-        """Upsilon = df for a coefficient function f (components per direction)."""
-        return [self.dir_deriv(a, f) for a in range(self.dim)]
-
     def substitute_param(self, param: str) -> "FrameChart":
         """Reinterpret a PLAIN chart in an s^2 parameterization of rho; a
         Levi-Civita chart stays one, its metric_inverse substituted too."""

@@ -82,11 +82,6 @@ def jfield_identity_defects(pkg: GeometryPackage):
     return defects
 
 
-def recompute_H_defect(pkg: GeometryPackage) -> List[CoeffFn]:
-    H2, _ = tractor_metric_from_phi(pkg.chart, pkg.phi)
-    return [v for row in (H2 - pkg.H).as_matrix() for v in row]
-
-
 # -- stratification -------------------------------------------------------------
 
 

@@ -12,7 +12,6 @@ from typing import Sequence
 
 from . import linalg
 from .scalars import QScalar
-from .stable_forms import phi_volume_with
 from .tensors import AltTensor
 
 # Basis element i sits at position i of the quaternion pair (a, b), read
@@ -143,12 +142,6 @@ class ImaginaryVector(_Vector):
         return ImaginaryVector(o.comps[1:], o.xi)
 
 
-def dot_cd(x: ImaginaryVector, y: ImaginaryVector) -> QScalar:
-    """x . y = Re(x ybar), evaluated through the doubling product."""
-    x._check(y)
-    return (x.to_octonion() * y.to_octonion().conj()).re()
-
-
 def cross_cd(x: ImaginaryVector, y: ImaginaryVector) -> ImaginaryVector:
     """x X y = -Im(x ybar) = (xy - yx)/2, through the doubling product."""
     x._check(y)
@@ -159,8 +152,8 @@ def cross_cd(x: ImaginaryVector, y: ImaginaryVector) -> ImaginaryVector:
 def dot(x: ImaginaryVector, y: ImaginaryVector) -> QScalar:
     """x . y through the diagonal form the doubling product induces.
 
-    Agrees with dot_cd everywhere (tested); kept separate so bulk sweeps
-    do not pay the full doubling product per evaluation."""
+    Agrees with Re(x ybar) through the doubling product everywhere
+    (tested), without paying that product per evaluation."""
     x._check(y)
     acc = QScalar.zero()
     for i in range(7):
@@ -170,14 +163,6 @@ def dot(x: ImaginaryVector, y: ImaginaryVector) -> QScalar:
         t = xi_c * yi_c
         acc = acc + (t if (i < 3 or x.xi == 1) else -t)
     return acc
-
-
-def cross(x: ImaginaryVector, y: ImaginaryVector) -> ImaginaryVector:
-    """x X y = -jmap(x) y: jmap walks the cached structure table built
-    from the doubling product (bilinearity makes the two routes
-    identical; tested)."""
-    x._check(y)
-    return ImaginaryVector([-v for v in linalg.mat_vec(jmap(x), y.comps)], x.xi)
 
 
 def dot_matrix(xi: int):
@@ -197,17 +182,6 @@ def jmap(x: ImaginaryVector):
         if not xa.is_zero():
             out[k][b] = -xa if s > 0 else xa
     return out
-
-
-def dot_from_cross(x: ImaginaryVector, y: ImaginaryVector) -> QScalar:
-    """Recover the bilinear form: x . y = -(1/6) tr(x X (y X .))."""
-    x._check(y)
-    acc = QScalar.zero()
-    for j in range(1, 8):
-        e = ImaginaryVector.basis(j, x.xi)
-        v = cross(x, cross(y, e))
-        acc = acc + v.comps[j - 1]
-    return acc * QScalar.of(-1) / 6
 
 
 def cross_structure_constants(xi: int):
@@ -260,16 +234,6 @@ def g2_form(xi: int) -> AltTensor:
         if k < a < b:
             phi.set((), (k, a, b), v * G[k][k])
     return phi
-
-
-def cross_to_volume(xi: int) -> QScalar:
-    """Coefficient on e^{1..7} of (1/42) X_{K[AB} X^K_{CD} X_{EFG]}.
-
-    The sign is reported as computed; the caller decides whether it
-    matches the declared positive orientation.
-    """
-    # the Gram matrix is diagonal with entries +-1: its own inverse
-    return phi_volume_with(g2_form(xi), dot_matrix(xi))
 
 
 class NullFiltration:

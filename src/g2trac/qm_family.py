@@ -27,6 +27,8 @@ from .geometry import GeometryPackage, build_package
 FLAT_PARAMETERS = (Fraction(-1), Fraction(1, 3), Fraction(2, 3), Fraction(2))
 REGRESSION_PARAMETERS = (Fraction(-1), Fraction(1, 3), Fraction(1, 2), Fraction(7, 12),
                          Fraction(2, 3), Fraction(5, 6), Fraction(2), Fraction(3))
+# open-orbit sample points s of a family package and of a report that names none
+DEFAULT_SAMPLES = (QScalar.one(), QScalar(Fraction(1, 2)), QScalar(2))
 
 
 @dataclass
@@ -39,7 +41,7 @@ class FamilyParams:
         if self.m in (Fraction(0), Fraction(1)):
             raise ValueError("the family parameter m must avoid 0 and 1")
         if not self.samples:
-            self.samples = (QScalar.one(), QScalar(Fraction(1, 2)), QScalar(2))
+            self.samples = DEFAULT_SAMPLES
         for s in self.samples:
             if QScalar.of(s).is_zero():
                 raise ValueError("open-orbit sample points must avoid s = 0")

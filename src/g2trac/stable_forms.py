@@ -1,10 +1,10 @@
 """Stability of 3-forms in dimensions 6 and 7, and the attached structures.
 
 Dimension 6: orbit classification of 3-forms into the six normal-form
-classes, and the induced (para-)complex structure for the two stable
-classes.  Dimension 7: the induced symmetric bilinear form, signature
-typing, and the dictionary between stable 3-forms and cross products.
-Compatible pairs glue the two pictures together.
+classes, read from Jtilde and lambda(beta) = (1/6) tr(Jtilde^2).
+Dimension 7: the induced symmetric bilinear form, signature
+typing, and the cross-product matrix a stable 3-form and its metric
+define.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import List
 
 from . import linalg
 from .scalars import DegenerateError, QScalar
-from .tensors import ALT, SYM, AltTensor, perm_sign
+from .tensors import SYM, AltTensor, perm_sign
 
 B1, B2, B3, B4, B5, B6 = "beta1", "beta2", "beta3", "beta4", "beta5", "beta6"
 DEFINITE, SPLIT, DEGENERATE = "definite", "split", "degenerate"
@@ -80,43 +79,6 @@ def classify6(beta: AltTensor) -> dict:
         raise ClassificationError(
             f"lambda = 0 with kernel dimension {k}; no such orbit exists")
     return {"class": cls, "lambda": l, "kernel_dim": k}
-
-
-def eps_complex_from_3form(beta: AltTensor, orientation: int = 1):
-    """(J, eps, vol) for a stable 3-form; J^2 = eps id exactly.
-
-    orientation fixes the positive square root used for the volume
-    normalization.  Unstable input raises ValueError.
-    """
-    if orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
-    l = lam(beta)
-    s = l.sign()
-    if s == 0:
-        raise ValueError("3-form is not stable (lambda vanishes)")
-    eps = 1 if s > 0 else -1
-    vol_coeff = (l * QScalar.of(eps)).sqrt()
-    if orientation < 0:
-        vol_coeff = -vol_coeff
-    Jt = jtilde_matrix(beta)
-    inv = vol_coeff.inverse()
-    J = [[x * inv for x in row] for row in Jt]
-    # defining identity
-    J2 = linalg.mat_mul(J, J)
-    for i in range(6):
-        for j in range(6):
-            want = QScalar.of(eps) if i == j else QScalar.zero()
-            if not (J2[i][j] - want).is_zero():
-                raise ClassificationError("induced endomorphism fails J^2 = eps id")
-    if eps == 1:
-        for target in (1, -1):
-            M = [[J[i][j] - (QScalar.of(target) if i == j else QScalar.zero())
-                  for j in range(6)] for i in range(6)]
-            if len(linalg.nullspace(M)) != 3:
-                raise ClassificationError("paracomplex eigenspaces are not (3,3)")
-    vol = AltTensor.form(6, 6)
-    vol.set((), tuple(range(6)), vol_coeff)
-    return J, eps, vol
 
 
 # -- dimension 7 -------------------------------------------------------------
@@ -262,118 +224,3 @@ def metric_from_3form7(phi: AltTensor):
     vol = AltTensor.form(7, 7)
     vol.set((), tuple(range(7)), c.inverse())
     return AltTensor.from_matrix(H, 7, 0, SYM), vol, cls
-
-
-def _normalized_metric(phi: AltTensor, purpose: str):
-    """(H, class) of a stable 7-dim 3-form; raises when the form is
-    degenerate or its normalizer lies outside the coefficient field."""
-    H, _, cls = metric_from_3form7(phi)
-    if cls == DEGENERATE:
-        raise DegenerateError(f"{purpose} needs a stable 3-form")
-    if H is None:
-        raise ValueError(f"{purpose} needs the normalizer (s/42)^(1/3) of the "
-                         "3-form, which is not in Q(sqrt2,sqrt5)")
-    return H, cls
-
-
-def cross_from_3form7(phi: AltTensor):
-    """Structure constants x^c_{ab} = H^{ck} phi_{kab}; the form-to-product
-    side of the dictionary."""
-    H, cls = _normalized_metric(phi, "a cross product")
-    hinv = linalg.inverse(H.as_matrix())
-    table = {}
-    for a in range(7):
-        X = cross_matrix(phi, hinv, a)
-        for c in range(7):
-            for b in range(7):
-                if not X[c][b].is_zero():
-                    table[(c, a, b)] = X[c][b]
-    return table, cls
-
-
-# -- compatible pairs ---------------------------------------------------------
-
-
-def is_compatible(omega: AltTensor, beta: AltTensor) -> bool:
-    return omega.wedge(beta).is_zero()
-
-
-def is_normalized(omega: AltTensor, beta: AltTensor, orientation: int = 1) -> bool:
-    J, eps, _ = eps_complex_from_3form(beta, orientation)
-    lhs = beta.pullback(J).wedge(beta)
-    rhs = omega.wedge(omega).wedge(omega).scale(QScalar(Fraction(2, 3)))
-    return (lhs - rhs).is_zero()
-
-
-def normalized_orientation(omega: AltTensor, beta: AltTensor):
-    """The orientation for which the pair is normalized, or None."""
-    for orientation in (1, -1):
-        if is_normalized(omega, beta, orientation):
-            return orientation
-    return None
-
-
-def hermitian_metric_from_pair(omega: AltTensor, beta: AltTensor, orientation: int = 1):
-    """g = eps omega(., J.) for the eps-complex structure J of beta."""
-    J, eps, _ = eps_complex_from_3form(beta, orientation)
-    oj = linalg.mat_mul(omega.as_matrix(), J)
-    # symmetry of g is equivalent to compatibility; verify
-    if any(not (oj[i][j] - oj[j][i]).is_zero() for i in range(6) for j in range(i + 1, 6)):
-        raise ValueError("omega(., J.) is not symmetric; pair is incompatible")
-    g = AltTensor.from_matrix([[v * QScalar.of(eps) for v in row] for row in oj], 6, 0, SYM)
-    return g, J, eps
-
-
-def assemble_g2_form(alpha: AltTensor, omega: AltTensor, beta: AltTensor) -> AltTensor:
-    """Phi = alpha ^ omega + beta on the 7-dim extension.
-
-    alpha is a 7-dim 1-form annihilating the 6-dim block; omega, beta are
-    6-dim forms (compatible and normalized for one of the two
-    orientations, verified).  Violations raise ValueError naming the
-    failed identity.
-    """
-    if not is_compatible(omega, beta):
-        raise ValueError("pair violates compatibility: omega ^ beta != 0")
-    if normalized_orientation(omega, beta) is None:
-        raise ValueError("pair violates normalization: J*beta ^ beta != (2/3) omega^3")
-    omega7 = _extend_form(omega)
-    beta7 = _extend_form(beta)
-    return alpha.wedge(omega7) + beta7
-
-
-def _extend_form(form: AltTensor) -> AltTensor:
-    out = AltTensor.form(7, form.n_down)
-    for (_, idx), v in form.comps.items():
-        out.set((), idx, v)
-    return out
-
-
-def _restrict_form(form: AltTensor) -> AltTensor:
-    out = AltTensor.form(6, form.n_down)
-    for (_, idx), v in form.comps.items():
-        if all(i < 6 for i in idx):
-            out.set((), idx, v)
-    return out
-
-
-def split_by_unit_vector(phi: AltTensor, n: List[QScalar]):
-    """(omega, beta) = (iota^*(n . Phi), iota^* Phi) for a unit/pseudo-unit n.
-
-    n must satisfy H(n,n) = +-1 exactly; the complement is realized by an
-    exact H-orthogonal change of basis sending n to the last basis leg.
-    """
-    Hm = _normalized_metric(phi, "split_by_unit_vector")[0].as_matrix()
-    nn = linalg.sum_prod(linalg.mat_vec(Hm, n), n)
-    if not (nn - QScalar.one()).is_zero() and not (nn + QScalar.one()).is_zero():
-        raise ValueError("H(n, n) must be exactly +1 or -1")
-    # basis of <n>^perp
-    rows = [linalg.mat_vec(Hm, n)]
-    comp = linalg.nullspace(rows)
-    if len(comp) != 6:
-        raise DegenerateError("orthocomplement of n is not 6-dimensional")
-    # change of basis: columns = complement basis then n
-    A = [[comp[j][i] for j in range(6)] + [n[i]] for i in range(7)]
-    phi_ad = phi.pullback(A)
-    omega = AltTensor.from_matrix([row[:6] for row in slices(phi_ad)[6][:6]], 6, 0, ALT)
-    beta = _restrict_form(phi_ad)
-    return omega, beta, A

@@ -108,9 +108,6 @@ def load_tensor(path: str) -> AltTensor:
         return tensor_from_json(json.load(fh))
 
 
-def dump_tensor(t: AltTensor, path: Optional[str] = None, param: Optional[str] = None) -> str:
-    text = json.dumps(tensor_to_json(t, param), indent=2, sort_keys=True)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text
+def dump_tensor(t: AltTensor, path: str, param: Optional[str] = None) -> None:
+    with open(path, "w") as fh:
+        fh.write(json.dumps(tensor_to_json(t, param), indent=2, sort_keys=True) + "\n")

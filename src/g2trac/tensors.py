@@ -91,11 +91,6 @@ class AltTensor:
     def form(dim: int, degree: int, zero=None) -> "AltTensor":
         return AltTensor(dim, 0, degree, ALT, zero)
 
-    def copy(self) -> "AltTensor":
-        out = AltTensor(self.dim, self.n_up, self.n_down, self.sym, self.zero)
-        out.comps = dict(self.comps)
-        return out
-
     def _canon(self, up, down):
         if type(up) is not tuple:
             up = tuple(up)
@@ -211,19 +206,6 @@ class AltTensor:
                     if sign:
                         _scatter(acc, ((), canon), av * bv, sign)
         return _tensor(self.dim, 0, self.n_down + other.n_down, ALT, self.zero, acc)
-
-    def interior(self, vec) -> "AltTensor":
-        """Insertion of a vector (component list) into the first slot: each
-        stored T_K sends (-1)^s vec[K_s] T_K to K minus K_s."""
-        if self.n_up or self.sym != ALT or self.n_down == 0:
-            raise ValueError("interior product expects a covariant form of positive degree")
-        acc = {}
-        for (_, idx), v in self.comps.items():
-            for s, a in enumerate(idx):
-                va = vec[a]
-                if not (hasattr(va, "is_zero") and va.is_zero()):
-                    _scatter(acc, ((), idx[:s] + idx[s + 1:]), va * v, -1 if s % 2 else 1)
-        return _tensor(self.dim, 0, self.n_down - 1, ALT, self.zero, acc)
 
     def pullback(self, A) -> "AltTensor":
         """(A^* T)(v_1..v_k) = T(A v_1, .., A v_k) for a covariant alternating

@@ -7,9 +7,9 @@ alternating AltTensor on these n + 1 legs; its weight-3 slots in the
 chart scale are sigma_{bc} = Phi_{bcn} and mu_{bcd} = Phi_{bcd}
 (tractor_3form assembles Phi from them, slots reads them back).  Every
 tractor tensor is differentiated by the one kernel FrameChart.cov_deriv
-under the connection matrix tractor_connection.  Scale changes are
-available and property-tested, so nothing depends on the chart's
-preferred scale beyond bookkeeping.
+under the connection matrix tractor_connection.  A change of scale acts
+on Phi through scale_3form, so nothing depends on the chart's preferred
+scale beyond bookkeeping.
 """
 
 from __future__ import annotations
@@ -64,28 +64,6 @@ def tractor_connection(chart: FrameChart, a: int) -> List[List[CoeffFn]]:
     A = [list(chart.G[a][b]) + [-P.get((), (a, b))] for b in range(n)]
     A.append([chart.one() if e == a else z for e in range(n)] + [z])
     return A
-
-
-def _d_one_slot(chart: FrameChart, comps: List[CoeffFn], a: int, n_up: int) -> List[CoeffFn]:
-    """nabla_a of a tractor (n_up = 1, weight -1) or a cotractor
-    (n_up = 0, weight +1) in the frame trivialization."""
-    def key(i):
-        return ((i,), ()) if n_up else ((), (i,))
-    T = AltTensor(len(comps), n_up, 1 - n_up, NONE, chart.zero())
-    for i, v in enumerate(comps):
-        T.set(*key(i), v)
-    d = chart.cov_deriv(T, a, -1 if n_up else 1, tractor_connection(chart, a))
-    return [d.get(*key(i)) for i in range(len(comps))]
-
-
-def d_tractor(chart: FrameChart, V: List[CoeffFn], a: int) -> List[CoeffFn]:
-    """nabla_a of an (unweighted) tractor V = (nu^0..nu^{n-1}, rho)."""
-    return _d_one_slot(chart, V, a, 1)
-
-
-def d_cotractor(chart: FrameChart, U: List[CoeffFn], a: int) -> List[CoeffFn]:
-    """nabla_a of a cotractor U = (mu_0..mu_{n-1}, sigma)."""
-    return _d_one_slot(chart, U, a, 0)
 
 
 def d_cotractor_tensor(chart: FrameChart, T: AltTensor, a: int) -> AltTensor:
@@ -231,59 +209,7 @@ def omega_weyl_cycle(omega: AltTensor, W: AltTensor, a: int) -> AltTensor:
     return _tensor(omega.dim, 0, 3, ALT, omega.zero, acc)
 
 
-def ky_prolong(chart: FrameChart, omega: AltTensor):
-    """Prolongation data for the Killing-Yano operator on a weight-3 2-form.
-
-    Returns (pair, hat_derivs, residual):
-      pair       the tractor 3-form with slots (omega, mu), mu the
-                 alternation of nabla omega,
-      hat_derivs per-direction values of the prolongation connection on
-                 the pair, including the Weyl correction term,
-      residual   S_{abc} = nabla_{(a} omega_{b)c}, recovered from the
-                 first-slot defect d via S_abc = d_abc - d_cba / 2.
-    """
-    n = chart.dim
-    zero = chart.zero()
-    # raw_{abc} = nabla_a omega_{bc}
-    raw = _tensor(n, 0, 3, NONE, zero, {
-        ((), (a,) + bc): v for a in range(n)
-        for (_, bc), v in chart.cov_deriv(omega, a, weight=3).raw_items()})
-    mu = raw.alternation()
-    pair = tractor_3form(omega, mu)
-    W = chart.weyl()
-    half = chart.lift(Fraction(1, 2))
-    no_sigma = AltTensor.form(n, 2, zero)
-    hat = []
-    for a in range(n):
-        # (3/2) omega_{k[b} W_{cd]}{}^k{}_a = (1/2) * cyclic sum, in the mu slot
-        corr = omega_weyl_cycle(omega, W, a).scale(half)
-        hat.append(d_tractor_3form(chart, pair, a) - tractor_3form(no_sigma, corr))
-    # first-slot defect d_abc = raw_abc - mu_abc and the exact recovery
-    # S_abc = d_abc - d_cba / 2 of the symmetrized derivative
-    acc = dict(raw.comps)
-    for key, v in mu.raw_items():
-        _scatter(acc, key, v, -1)
-    defect = _tensor(n, 0, 3, NONE, zero, acc)
-    acc = dict(defect.comps)
-    for (_, (a, b, c)), v in defect.comps.items():
-        _scatter(acc, ((), (c, b, a)), v * half, -1)
-    return pair, hat, _tensor(n, 0, 3, NONE, zero, acc)
-
-
 # -- scale changes --------------------------------------------------------------
-
-
-def scale_tractor(V: List[CoeffFn], upsilon: List[CoeffFn]) -> List[CoeffFn]:
-    n = len(V) - 1
-    rho = V[n]
-    for a in range(n):
-        rho = rho - upsilon[a] * V[a]
-    return V[:n] + [rho]
-
-
-def scale_cotractor(U: List[CoeffFn], upsilon: List[CoeffFn]) -> List[CoeffFn]:
-    n = len(U) - 1
-    return [U[b] + upsilon[b] * U[n] for b in range(n)] + [U[n]]
 
 
 def scale_3form(phi: AltTensor, upsilon: List[CoeffFn]) -> AltTensor:

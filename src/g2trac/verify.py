@@ -20,8 +20,9 @@ from .boundary import (bgg_round_trip_defect, boundary_3form, boundary_connectio
 from .geometry import (GeometryPackage, compactness_check, jfield_identity_defects,
                        normal_form_check, npk_extract, npk_verify, stratify)
 from .linalg import signature as sig_of
-from .qm_family import dw_checksum_defect
+from .qm_family import DEFAULT_SAMPLES, dw_checksum_defect
 from .scalars import QScalar
+from .stable_forms import DEFINITE, DEGENERATE, SIGNATURES
 from .symmetries import (dilation_negative_control, frame_symmetry_system,
                          is_distribution_symmetry, symmetry_fields)
 from .tractor import (d_cotractor_tensor, d_tractor_3form, phi_volume_ratio,
@@ -96,8 +97,7 @@ def verify(pkg: GeometryPackage, depth: str = "full",
     t0 = time.time()
     rep = VerificationReport()
     meta = dict(pkg.meta)
-    samples = list(samples or meta.get("samples") or
-                   [QScalar.one(), QScalar(Fraction(1, 2)), QScalar(2)])
+    samples = list(samples or meta.get("samples") or DEFAULT_SAMPLES)
     rep.meta["kind"] = meta.get("kind", "custom")
     if "m" in meta:
         rep.meta["m"] = meta["m"]
@@ -150,12 +150,12 @@ def verify(pkg: GeometryPackage, depth: str = "full",
     sigs = {pkg.H.signature_at(s) for s in samples}
     if len(sigs) == 1:
         sig = sigs.pop()
-        cls = {(7, 0): "definite", (3, 4): "split"}.get(sig)
+        cls = next((k for k, v in SIGNATURES.items() if v == sig), None)
         rep.add("tractor.generic-type", cls is not None, f"signature {sig} -> {cls}")
     else:
         cls = None
         rep.add("tractor.generic-type", False, f"signature varies across samples: {sigs}")
-    rep.meta["generic_type"] = cls or "degenerate"
+    rep.meta["generic_type"] = cls or DEGENERATE
 
     rep.add("tractor.j-identities",
             all(v.is_zero() for v in jfield_identity_defects(pkg)),
@@ -166,7 +166,7 @@ def verify(pkg: GeometryPackage, depth: str = "full",
 
     st = stratify(pkg, samples=[s for s in samples] + [-s for s in samples])
     rep.meta["tau"] = repr(st.tau)
-    if cls == "definite":
+    if cls == DEFINITE:
         rep.add("orbits.single-orbit", not st.zero_locus_nonempty
                 and all(v == "M+" for v in st.labels.values()),
                 "tau positive everywhere; zero locus empty")
@@ -187,8 +187,8 @@ def verify(pkg: GeometryPackage, depth: str = "full",
         nf = normal_form_check(pkg)
         rep.add("orbits.collar-normal-form", nf["ok"], str(nf))
 
-    if depth == "quick" or cls == "definite" or algebraic_only:
-        if depth != "quick" and (cls == "definite" or algebraic_only):
+    if depth == "quick" or cls == DEFINITE or algebraic_only:
+        if depth != "quick" and (cls == DEFINITE or algebraic_only):
             rep.skip("orbits.npk", "no collar stratification on the definite model")
         rep.runtime = time.time() - t0
         return rep

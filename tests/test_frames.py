@@ -11,8 +11,9 @@ from g2trac.scalars import QScalar
 from g2trac.boundary import restrict_to_zero_locus
 from g2trac.geometry import collar_metric, levi_civita_collar, npk_extract
 from g2trac.tensors import ALT, NONE, SYM, AltTensor
-from g2trac.tractor import d_cotractor, d_tractor, tractor_connection
+from g2trac.tractor import tractor_connection
 from g2trac.qm_family import REGRESSION_PARAMETERS, family_chart
+from support import d_cotractor, d_tractor, exact_upsilon
 
 
 def test_flat_chart_curvature_vanishes():
@@ -66,7 +67,7 @@ def test_curvature_reconstruction(chart):
 def test_schouten_transformation_under_scale_change(chart):
     # P-hat = P - nabla Upsilon + Upsilon (x) Upsilon for exact Upsilon = df
     f = CoeffFn({2: QScalar(Fraction(1, 3)), 1: QScalar(-2)}, chart.param)
-    ups = chart.exact_upsilon(f)
+    ups = exact_upsilon(chart, f)
     hat = chart.change_scale(ups)
     assert hat.is_torsion_free()
     P = chart.schouten()
@@ -80,7 +81,7 @@ def test_schouten_transformation_under_scale_change(chart):
 
 def test_weyl_is_scale_invariant(chart):
     f = CoeffFn({1: QScalar(Fraction(2, 5))}, chart.param)
-    hat = chart.change_scale(chart.exact_upsilon(f))
+    hat = chart.change_scale(exact_upsilon(chart, f))
     W = chart.weyl()
     What = hat.weyl()
     for a in range(6):
@@ -230,7 +231,7 @@ def assert_same_components(got, want):
 def _rescaled(chart):
     """A projective change of scale of chart: its weight form is nonzero."""
     f = CoeffFn({2: QScalar(Fraction(1, 3)), 1: QScalar(-2)}, chart.param)
-    hat = chart.change_scale(chart.exact_upsilon(f))
+    hat = chart.change_scale(exact_upsilon(chart, f))
     assert any(not w.is_zero() for w in hat.weight_form)
     return hat
 

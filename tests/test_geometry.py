@@ -6,15 +6,22 @@ import pytest
 from g2trac import frames, linalg, symmetries, tractor
 from g2trac import verify as battery
 from g2trac.geometry import (NPKReport, compactness_check, jfield_identity_defects,
-                             normal_form_check, npk_extract, npk_verify,
-                             recompute_H_defect, stratify)
+                             normal_form_check, npk_extract, npk_verify, stratify)
 from g2trac.laurent import RHO_MINUS, RHO_PLUS, CoeffFn
 from g2trac.qm_family import (REGRESSION_PARAMETERS, FamilyParams, build_model, build_qm,
                               displayed_endomorphism, displayed_orbit_complex_structure,
                               displayed_orbit_kahler_form, displayed_orbit_metric,
                               expected_tractor_metric)
 from g2trac.scalars import QScalar
+from g2trac.tensors import AltTensor
 from g2trac.tractor import phi_volume_ratio, scale_3form, tractor_metric_hhdef
+from support import exact_upsilon, recompute_H_defect
+
+
+def copy_tensor(t: AltTensor) -> AltTensor:
+    out = AltTensor(t.dim, t.n_up, t.n_down, t.sym, t.zero)
+    out.comps = dict(t.comps)
+    return out
 
 
 def test_tractor_metric_matches_display(pkg_half):
@@ -64,7 +71,7 @@ def test_j_base_component_scale_invariant(pkg_half):
     from g2trac.geometry import build_package
     chart = pkg_half.chart
     f = CoeffFn({1: QScalar(3)}, chart.param)
-    ups = chart.exact_upsilon(f)
+    ups = exact_upsilon(chart, f)
     hat = chart.change_scale(ups)
     phi_hat = scale_3form(pkg_half.phi, ups)
     pkg_hat = build_package(hat, phi_hat)
@@ -88,7 +95,7 @@ def test_normal_form(pkg_half):
 
 def _off_normal_form(pkg):
     from g2trac.geometry import GeometryPackage
-    H = pkg.H.copy()
+    H = copy_tensor(pkg.H)
     H.set((), (4, 5), pkg.chart.one())   # g_rho(d/drho, .) != 0
     return GeometryPackage(pkg.chart, pkg.phi, H, pkg.tau, pkg.Jt, pkg.Hinv, dict(pkg.meta))
 

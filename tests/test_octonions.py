@@ -3,11 +3,42 @@ from fractions import Fraction
 
 import pytest
 from g2trac import linalg
-from g2trac.octonions import (ImaginaryVector, NullFiltration, Octonion, cross,
-                              cross_structure_constants, cross_to_volume, dot,
-                              dot_from_cross, dot_matrix, jmap, null_filtration,
-                              random_null_vector)
+from g2trac.octonions import (ImaginaryVector, NullFiltration, Octonion,
+                              cross_structure_constants, dot, dot_matrix, g2_form, jmap,
+                              null_filtration, random_null_vector)
 from g2trac.scalars import QScalar
+from g2trac.stable_forms import phi_volume_with
+from support import cross
+
+
+# -- routes that only the tests compare ---------------------------------------
+
+
+def dot_cd(x: ImaginaryVector, y: ImaginaryVector) -> QScalar:
+    """x . y = Re(x ybar), evaluated through the doubling product."""
+    x._check(y)
+    return (x.to_octonion() * y.to_octonion().conj()).re()
+
+
+def dot_from_cross(x: ImaginaryVector, y: ImaginaryVector) -> QScalar:
+    """Recover the bilinear form: x . y = -(1/6) tr(x X (y X .))."""
+    x._check(y)
+    acc = QScalar.zero()
+    for j in range(1, 8):
+        e = ImaginaryVector.basis(j, x.xi)
+        v = cross(x, cross(y, e))
+        acc = acc + v.comps[j - 1]
+    return acc * QScalar.of(-1) / 6
+
+
+def cross_to_volume(xi: int) -> QScalar:
+    """Coefficient on e^{1..7} of (1/42) X_{K[AB} X^K_{CD} X_{EFG]}.
+
+    The sign is reported as computed; the caller decides whether it
+    matches the declared positive orientation.
+    """
+    # the Gram matrix is diagonal with entries +-1: its own inverse
+    return phi_volume_with(g2_form(xi), dot_matrix(xi))
 
 
 def reference_mult_table(xi):
@@ -132,7 +163,7 @@ def test_cross_compatibility_and_lagrange():
 
 def test_table_routes_agree_with_doubling_product():
     # dual route: the cached-table cross/dot against -Im(x ybar)/Re(x ybar)
-    from g2trac.octonions import cross_cd, dot_cd
+    from g2trac.octonions import cross_cd
     rng = random.Random(77)
     for xi in (1, -1):
         for _ in range(40):

@@ -1,0 +1,96 @@
+"""src/g2trac ships only what the program runs.
+
+Every top-level function and every method defined in src/g2trac must be
+referenced by name from program code: from src/ outside its own body, from
+scripts/, or from the benchmark's non-test perfbench/*.py, where the
+tracer's SPAN_TARGETS and OP_TARGETS name their targets as strings.  Dunder
+methods are called by the language and are exempt.  A helper that only the
+tests call lives beside them: in the one test module that uses it, or in
+tests/support.py when two or more do.
+
+The scan is by name, so a method that shares its name with a called
+function or attribute counts as called.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "g2trac"
+
+# Definitions the program does not call yet, each with why it stays.
+ALLOWED = {
+    "qm_family.expected_tractor_metric":
+        "the paper's displayed tractor metric, to be checked against the extracted H "
+        "as a report record",
+    "qm_family.displayed_endomorphism":
+        "the paper's displayed tractor endomorphism, to become a report record",
+    "qm_family.displayed_orbit_metric":
+        "the paper's displayed orbit metric g, to become a report record",
+    "qm_family.displayed_orbit_kahler_form":
+        "the paper's displayed orbit Kahler form omega, to become a report record",
+    "qm_family.displayed_orbit_complex_structure":
+        "the paper's displayed orbit complex structure J, to become a report record",
+    "tractor.scale_3form":
+        "the scale change of the rebuilt 3-form in the forward theorem's records",
+    "qm_family.build_model":
+        "the definite model package, to be replaced by a nearly Kahler S^3 x S^3 package",
+    "scalars.QScalar.sqrt":
+        "the exact square root; tests/test_scalars.py asserts through the method",
+}
+
+
+def _definitions():
+    """(qualified name, def node) of every top-level function and method in
+    src/g2trac, dunders excluded."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.append((f"{path.stem}.{node.name}", node))
+            elif isinstance(node, ast.ClassDef):
+                out.extend((f"{path.stem}.{node.name}.{sub.name}", sub)
+                           for sub in node.body
+                           if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                           and not (sub.name.startswith("__") and sub.name.endswith("__")))
+    return out
+
+
+def _names(tree):
+    """How often each name is read as a variable or an attribute in tree."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def _tracer_targets(tree):
+    """'module.path' of each (module, path, key) in SPAN_TARGETS and OP_TARGETS."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in ("SPAN_TARGETS", "OP_TARGETS")
+                for t in node.targets):
+            out.update(f"{module}.{path}" for module, path, _ in ast.literal_eval(node.value))
+    return out
+
+
+def _uncalled():
+    """Qualified names of the src definitions no program code names."""
+    program = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    named, targets = Counter(), set()
+    for path in program:
+        tree = ast.parse(path.read_text())
+        named += _names(tree)
+        targets |= _tracer_targets(tree)
+    for path in SRC.glob("*.py"):
+        named += _names(ast.parse(path.read_text()))
+    # a name a definition reads in its own body (recursion) does not call it
+    return {qualname for qualname, node in _definitions()
+            if qualname not in targets and named[node.name] <= _names(node)[node.name]}
+
+
+def test_every_src_function_has_a_caller_outside_the_tests():
+    uncalled = _uncalled()
+    assert sorted(uncalled - set(ALLOWED)) == []
+    # an entry whose definition gained a caller, or went, leaves the list
+    assert sorted(set(ALLOWED) - uncalled) == []

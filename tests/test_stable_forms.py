@@ -4,16 +4,188 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations
+from typing import List
 
 import pytest
 
 from g2trac import linalg, stable_forms as sf
 from g2trac.frames import FrameChart
 from g2trac.laurent import PLAIN
-from g2trac.octonions import ImaginaryVector, cross, g2_form
+from g2trac.octonions import ImaginaryVector, g2_form
 from g2trac.qm_family import model_3form
-from g2trac.scalars import QScalar, SQRT2
-from g2trac.tensors import NONE, AltTensor
+from g2trac.scalars import DegenerateError, QScalar, SQRT2
+from g2trac.stable_forms import (DEGENERATE, ClassificationError, cross_matrix, jtilde_matrix,
+                                 lam, metric_from_3form7, slices)
+from g2trac.tensors import ALT, NONE, SYM, AltTensor, _scatter, _tensor
+from support import cross
+
+
+# -- insertion and the SU(3)-pair chain ------------------------------------------
+# Oracles of these tests alone: the verifier never splits a 7-dim form
+# into a compatible pair or inserts a vector into a form.
+
+
+def interior(t: AltTensor, vec) -> AltTensor:
+    """Insertion of a vector (component list) into the first slot: each
+    stored T_K sends (-1)^s vec[K_s] T_K to K minus K_s."""
+    if t.n_up or t.sym != ALT or t.n_down == 0:
+        raise ValueError("interior product expects a covariant form of positive degree")
+    acc = {}
+    for (_, idx), v in t.comps.items():
+        for s, a in enumerate(idx):
+            va = vec[a]
+            if not (hasattr(va, "is_zero") and va.is_zero()):
+                _scatter(acc, ((), idx[:s] + idx[s + 1:]), va * v, -1 if s % 2 else 1)
+    return _tensor(t.dim, 0, t.n_down - 1, ALT, t.zero, acc)
+
+
+def eps_complex_from_3form(beta: AltTensor, orientation: int = 1):
+    """(J, eps, vol) for a stable 3-form; J^2 = eps id exactly.
+
+    orientation fixes the positive square root used for the volume
+    normalization.  Unstable input raises ValueError.
+    """
+    if orientation not in (1, -1):
+        raise ValueError("orientation must be +1 or -1")
+    l = lam(beta)
+    s = l.sign()
+    if s == 0:
+        raise ValueError("3-form is not stable (lambda vanishes)")
+    eps = 1 if s > 0 else -1
+    vol_coeff = (l * QScalar.of(eps)).sqrt()
+    if orientation < 0:
+        vol_coeff = -vol_coeff
+    Jt = jtilde_matrix(beta)
+    inv = vol_coeff.inverse()
+    J = [[x * inv for x in row] for row in Jt]
+    # defining identity
+    J2 = linalg.mat_mul(J, J)
+    for i in range(6):
+        for j in range(6):
+            want = QScalar.of(eps) if i == j else QScalar.zero()
+            if not (J2[i][j] - want).is_zero():
+                raise ClassificationError("induced endomorphism fails J^2 = eps id")
+    if eps == 1:
+        for target in (1, -1):
+            M = [[J[i][j] - (QScalar.of(target) if i == j else QScalar.zero())
+                  for j in range(6)] for i in range(6)]
+            if len(linalg.nullspace(M)) != 3:
+                raise ClassificationError("paracomplex eigenspaces are not (3,3)")
+    vol = AltTensor.form(6, 6)
+    vol.set((), tuple(range(6)), vol_coeff)
+    return J, eps, vol
+
+
+def _normalized_metric(phi: AltTensor, purpose: str):
+    """(H, class) of a stable 7-dim 3-form; raises when the form is
+    degenerate or its normalizer lies outside the coefficient field."""
+    H, _, cls = metric_from_3form7(phi)
+    if cls == DEGENERATE:
+        raise DegenerateError(f"{purpose} needs a stable 3-form")
+    if H is None:
+        raise ValueError(f"{purpose} needs the normalizer (s/42)^(1/3) of the "
+                         "3-form, which is not in Q(sqrt2,sqrt5)")
+    return H, cls
+
+
+def cross_from_3form7(phi: AltTensor):
+    """Structure constants x^c_{ab} = H^{ck} phi_{kab}; the form-to-product
+    side of the dictionary."""
+    H, cls = _normalized_metric(phi, "a cross product")
+    hinv = linalg.inverse(H.as_matrix())
+    table = {}
+    for a in range(7):
+        X = cross_matrix(phi, hinv, a)
+        for c in range(7):
+            for b in range(7):
+                if not X[c][b].is_zero():
+                    table[(c, a, b)] = X[c][b]
+    return table, cls
+
+
+def is_compatible(omega: AltTensor, beta: AltTensor) -> bool:
+    return omega.wedge(beta).is_zero()
+
+
+def is_normalized(omega: AltTensor, beta: AltTensor, orientation: int = 1) -> bool:
+    J, eps, _ = eps_complex_from_3form(beta, orientation)
+    lhs = beta.pullback(J).wedge(beta)
+    rhs = omega.wedge(omega).wedge(omega).scale(QScalar(Fraction(2, 3)))
+    return (lhs - rhs).is_zero()
+
+
+def normalized_orientation(omega: AltTensor, beta: AltTensor):
+    """The orientation for which the pair is normalized, or None."""
+    for orientation in (1, -1):
+        if is_normalized(omega, beta, orientation):
+            return orientation
+    return None
+
+
+def hermitian_metric_from_pair(omega: AltTensor, beta: AltTensor, orientation: int = 1):
+    """g = eps omega(., J.) for the eps-complex structure J of beta."""
+    J, eps, _ = eps_complex_from_3form(beta, orientation)
+    oj = linalg.mat_mul(omega.as_matrix(), J)
+    # symmetry of g is equivalent to compatibility; verify
+    if any(not (oj[i][j] - oj[j][i]).is_zero() for i in range(6) for j in range(i + 1, 6)):
+        raise ValueError("omega(., J.) is not symmetric; pair is incompatible")
+    g = AltTensor.from_matrix([[v * QScalar.of(eps) for v in row] for row in oj], 6, 0, SYM)
+    return g, J, eps
+
+
+def assemble_g2_form(alpha: AltTensor, omega: AltTensor, beta: AltTensor) -> AltTensor:
+    """Phi = alpha ^ omega + beta on the 7-dim extension.
+
+    alpha is a 7-dim 1-form annihilating the 6-dim block; omega, beta are
+    6-dim forms (compatible and normalized for one of the two
+    orientations, verified).  Violations raise ValueError naming the
+    failed identity.
+    """
+    if not is_compatible(omega, beta):
+        raise ValueError("pair violates compatibility: omega ^ beta != 0")
+    if normalized_orientation(omega, beta) is None:
+        raise ValueError("pair violates normalization: J*beta ^ beta != (2/3) omega^3")
+    omega7 = _extend_form(omega)
+    beta7 = _extend_form(beta)
+    return alpha.wedge(omega7) + beta7
+
+
+def _extend_form(form: AltTensor) -> AltTensor:
+    out = AltTensor.form(7, form.n_down)
+    for (_, idx), v in form.comps.items():
+        out.set((), idx, v)
+    return out
+
+
+def _restrict_form(form: AltTensor) -> AltTensor:
+    out = AltTensor.form(6, form.n_down)
+    for (_, idx), v in form.comps.items():
+        if all(i < 6 for i in idx):
+            out.set((), idx, v)
+    return out
+
+
+def split_by_unit_vector(phi: AltTensor, n: List[QScalar]):
+    """(omega, beta) = (iota^*(n . Phi), iota^* Phi) for a unit/pseudo-unit n.
+
+    n must satisfy H(n,n) = +-1 exactly; the complement is realized by an
+    exact H-orthogonal change of basis sending n to the last basis leg.
+    """
+    Hm = _normalized_metric(phi, "split_by_unit_vector")[0].as_matrix()
+    nn = linalg.sum_prod(linalg.mat_vec(Hm, n), n)
+    if not (nn - QScalar.one()).is_zero() and not (nn + QScalar.one()).is_zero():
+        raise ValueError("H(n, n) must be exactly +1 or -1")
+    # basis of <n>^perp
+    rows = [linalg.mat_vec(Hm, n)]
+    comp = linalg.nullspace(rows)
+    if len(comp) != 6:
+        raise DegenerateError("orthocomplement of n is not 6-dimensional")
+    # change of basis: columns = complement basis then n
+    A = [[comp[j][i] for j in range(6)] + [n[i]] for i in range(7)]
+    phi_ad = phi.pullback(A)
+    omega = AltTensor.from_matrix([row[:6] for row in slices(phi_ad)[6][:6]], 6, 0, ALT)
+    beta = _restrict_form(phi_ad)
+    return omega, beta, A
 
 
 def form(dim, degree, entries):
@@ -58,7 +230,7 @@ def test_beta4_kernel_by_brute_force():
     count = 0
     for a in range(6):
         vec = [QScalar(1 if i == a else 0) for i in range(6)]
-        if beta.interior(vec).is_zero():
+        if interior(beta, vec).is_zero():
             count += 1
     assert count == 1 and sf.classify6(beta)["kernel_dim"] == 1
 
@@ -85,7 +257,7 @@ def test_classify6_constant_on_gl_orbits():
 
 @pytest.mark.parametrize("eps", [1, -1])
 def test_eps_complex_structure_action(eps):
-    J, e, vol = sf.eps_complex_from_3form(beta_eps(eps))
+    J, e, vol = eps_complex_from_3form(beta_eps(eps))
     assert e == eps
     for i in (0, 2, 4):
         assert J[i + 1][i] == QScalar(eps)
@@ -99,7 +271,7 @@ def test_eps_complex_structure_action(eps):
 
 
 def test_paracomplex_eigenspaces_have_dims_3_3():
-    J, eps, _ = sf.eps_complex_from_3form(beta_eps(1))
+    J, eps, _ = eps_complex_from_3form(beta_eps(1))
     assert eps == 1
     for target in (1, -1):
         M = [[J[i][j] - (QScalar(target) if i == j else QScalar.zero())
@@ -109,7 +281,7 @@ def test_paracomplex_eigenspaces_have_dims_3_3():
 
 def test_unstable_input_rejected():
     with pytest.raises(ValueError):
-        sf.eps_complex_from_3form(NORMAL_FORMS[sf.B4])
+        eps_complex_from_3form(NORMAL_FORMS[sf.B4])
 
 
 @pytest.mark.parametrize("xi", [1, -1])
@@ -274,14 +446,14 @@ def test_class_needs_no_cube_root(xi):
     two_phi = phi.scale(QScalar(2))
     assert sf.metric_from_3form7(two_phi) == (None, None, cls0)
     with pytest.raises(ValueError, match="normalizer"):
-        sf.cross_from_3form7(two_phi)
+        cross_from_3form7(two_phi)
     with pytest.raises(ValueError, match="normalizer"):
-        sf.split_by_unit_vector(two_phi, [QScalar.zero()] * 6 + [QScalar.one()])
+        split_by_unit_vector(two_phi, [QScalar.zero()] * 6 + [QScalar.one()])
 
 
 @pytest.mark.parametrize("xi", [1, -1])
 def test_dictionary_cross_product_from_form(xi):
-    table, cls = sf.cross_from_3form7(phi_xi(xi))
+    table, cls = cross_from_3form7(phi_xi(xi))
     for a in range(1, 8):
         for b in range(1, 8):
             want = cross(ImaginaryVector.basis(a, xi), ImaginaryVector.basis(b, xi)).comps
@@ -294,16 +466,16 @@ def test_dictionary_cross_product_from_form(xi):
 def test_split_and_reassemble_round_trip(xi):
     phi = phi_xi(xi)
     n = [QScalar.zero()] * 6 + [QScalar.one()]
-    omega, beta, A = sf.split_by_unit_vector(phi, n)
-    assert sf.is_compatible(omega, beta)
-    orient = sf.normalized_orientation(omega, beta)
+    omega, beta, A = split_by_unit_vector(phi, n)
+    assert is_compatible(omega, beta)
+    orient = normalized_orientation(omega, beta)
     assert orient is not None
-    g, J, eps = sf.hermitian_metric_from_pair(omega, beta, orient)
+    g, J, eps = hermitian_metric_from_pair(omega, beta, orient)
     assert eps == -xi
     assert g.signature_at(QScalar(1)) == ((6, 0) if xi == 1 else (3, 3))
     alpha = AltTensor.form(7, 1)
     alpha.set((), (6,), QScalar.one())
-    rebuilt = sf.assemble_g2_form(alpha, omega, beta)
+    rebuilt = assemble_g2_form(alpha, omega, beta)
     assert (rebuilt - phi.pullback(A)).is_zero()
 
 
@@ -313,7 +485,7 @@ def test_assemble_rejects_incompatible_pair():
     alpha = AltTensor.form(7, 1)
     alpha.set((), (6,), QScalar.one())
     with pytest.raises(ValueError):
-        sf.assemble_g2_form(alpha, omega, bad)
+        assemble_g2_form(alpha, omega, bad)
 
 
 def test_split_rejects_null_vector():
@@ -321,7 +493,7 @@ def test_split_rejects_null_vector():
     null = [QScalar.one(), QScalar.zero(), QScalar.zero(),
             QScalar.one(), QScalar.zero(), QScalar.zero(), QScalar.zero()]
     with pytest.raises(ValueError):
-        sf.split_by_unit_vector(phi, null)
+        split_by_unit_vector(phi, null)
 
 
 def test_adapted_frame_pair_assembles_to_stable_form():
@@ -329,16 +501,16 @@ def test_adapted_frame_pair_assembles_to_stable_form():
     for eps in (1, -1):
         omega = form(6, 2, [((1, 2), 1), ((3, 4), 1), ((5, 6), 1)])
         beta = beta_eps(eps)
-        assert sf.is_compatible(omega, beta)
-        orient = sf.normalized_orientation(omega, beta)
+        assert is_compatible(omega, beta)
+        orient = normalized_orientation(omega, beta)
         assert orient is not None
         alpha = AltTensor.form(7, 1)
         alpha.set((), (6,), QScalar.one())
-        phi = sf.assemble_g2_form(alpha, omega, beta)
+        phi = assemble_g2_form(alpha, omega, beta)
         H, vol, cls = sf.metric_from_3form7(phi)
         assert cls == (sf.SPLIT if eps == 1 else sf.DEFINITE)
         # H = g - eps alpha (x) alpha
-        g, J, e2 = sf.hermitian_metric_from_pair(omega, beta, orient)
+        g, J, e2 = hermitian_metric_from_pair(omega, beta, orient)
         M = H.as_matrix()
         for i in range(6):
             for j in range(6):
@@ -416,7 +588,7 @@ def _unit(n, a):
 
 def htilde_by_wedges(phi):
     """(1/6)(e_i . phi) ^ (e_j . phi) ^ phi on e^{1..7}, by interior and wedge."""
-    ins = [phi.interior(_unit(7, a)) for a in range(7)]
+    ins = [interior(phi, _unit(7, a)) for a in range(7)]
     top = tuple(range(7))
     return [[ins[i].wedge(ins[j]).wedge(phi).get((), top) * QScalar(Fraction(1, 6))
              for j in range(7)] for i in range(7)]
@@ -427,7 +599,7 @@ def jtilde_by_wedges(beta):
     legs other than r, times (-1)^r, in row r."""
     cols = []
     for a in range(6):
-        gamma = beta.interior(_unit(6, a)).wedge(beta)
+        gamma = interior(beta, _unit(6, a)).wedge(beta)
         cols.append([gamma.get((), tuple(i for i in range(6) if i != r)) * QScalar((-1) ** r)
                      for r in range(6)])
     return [[cols[a][r] for a in range(6)] for r in range(6)]

@@ -109,6 +109,22 @@ def test_orbit_report_bytes_are_pinned(capsys, m, s):
     assert hashlib.sha256(out.encode()).hexdigest() == ORBIT_REPORT_SHA256[m, s]
 
 
+# sha256 of each file `g2trac export --m 1/2 --out DIR` writes
+EXPORT_FILE_SHA256 = {
+    "H_m_1_2.json": "147e714114980ea85f25d26971d56527a5c375a3a0ff6c666689b70f01058e87",
+    "J_m_1_2.json": "ac5e5a4f711700ca7cf34ba494480536e9a62c8fd54dc36879641d02359d05a1",
+    "phi_m_1_2.json": "c59feb519de52823e69c5b44316fd04778c4d5b36d643b86f1ab64cb483c3004",
+}
+
+
+def test_export_file_bytes_are_pinned(tmp_path, capsys):
+    assert cli.main(["export", "--m", "1/2", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in os.listdir(tmp_path)}
+    assert got == EXPORT_FILE_SHA256
+
+
 def test_definite_model_report():
     pkg = build_model(1)
     rep = verify(pkg, depth="full")
