@@ -6,10 +6,12 @@ their ring and clears a column fraction-free where it has none, so the
 inverse built on it divides only through exact quotients and metric
 inverses stay inside the Laurent ring whenever the geometry permits.
 Rank, kernel and the Sylvester signature are field routines over
-QScalar.  A subspace is tested through the equations that cut it out:
+QScalar; rref_kernel reads a kernel basis off an elimination already
+made.  A subspace is tested through the equations that cut it out:
 kills(M, vectors) asks M v = 0 without elimination, spans_kernel(B, M)
 adds a rank count, and same_subspace compares two spans by their reduced
-row echelon forms.  solve_sparse solves an overdetermined affine system
+row echelon forms.  mat_vec and kills multiply each row only on the
+nonzero entries of the vector.  solve_sparse solves an overdetermined affine system
 given as sparse QScalar rows, eliminating the sparsest rows first and
 stopping once every unknown holds a pivot.
 """
@@ -55,17 +57,37 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
 
 
 def mat_vec(A: Mat, v: Sequence) -> list:
-    return [sum_prod(row, v) for row in A]
+    """A v, each row multiplied only on the nonzero entries of v; a zero
+    result is sum_prod's, a zero of the operands' ring and parameterization."""
+    support = _support(v)
+    out = []
+    for row in A:
+        acc = _dot_on(row, support)
+        out.append(row[0] * v[0] if acc is None else acc)
+    return out
 
 
 def sum_prod(row, v):
     """Sum of row[i] v[i] over the pairs with both entries nonzero; with
     none, row[0] v[0], a zero of the operands' ring and parameterization."""
-    acc = None
-    for a, b in zip(row, v):
-        if a and b:
-            acc = a * b if acc is None else acc + a * b
+    acc = _dot_on(row, _support(v))
     return row[0] * v[0] if acc is None else acc
+
+
+def _support(v) -> list:
+    """The nonzero entries (j, v_j) of a vector."""
+    return [(j, x) for j, x in enumerate(v) if x]
+
+
+def _dot_on(row, support):
+    """Sum of row[j] x over a vector's support, skipping zero row[j];
+    None when no pair has both entries nonzero."""
+    acc = None
+    for j, x in support:
+        a = row[j]
+        if a:
+            acc = a * x if acc is None else acc + a * x
+    return acc
 
 
 def transpose(A: Mat) -> Mat:
@@ -174,15 +196,23 @@ def nullspace(A: Mat) -> List[list]:
     """Basis of the right kernel, entries QScalar."""
     if not A:
         return []
-    cols = len(A[0])
-    R, pivots = rref(A)
-    free = [c for c in range(cols) if c not in pivots]
+    return rref_kernel(*rref(A), len(A[0]))
+
+
+def rref_kernel(R: Mat, pivots: List[int], cols: int) -> List[list]:
+    """Kernel basis read off rref's output: for each free column fc, the
+    vector with 1 at fc, 0 at the other free columns and -R[r][fc] at the
+    r-th pivot column.  The free entries of a kernel vector are thus its
+    coordinates in this basis."""
     basis = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivots:
+            continue
         v = [QScalar.zero()] * cols
         v[fc] = QScalar.one()
         for r, pc in enumerate(pivots):
-            v[pc] = -R[r][fc]
+            x = R[r][fc]
+            v[pc] = -x if x else x
         basis.append(v)
     return basis
 
@@ -201,7 +231,11 @@ def same_subspace(B1: List[list], B2: List[list]) -> bool:
 def kills(M: Mat, vectors: List[list]) -> bool:
     """Is M v = 0 for every v, so that the vectors lie in ker M?  No
     equations (M = []) cut out the whole space and kill every vector."""
-    return all(sum_prod(row, v).is_zero() for row in M for v in vectors)
+    for v in vectors:
+        support = _support(v)
+        if any(_dot_on(row, support) for row in M):
+            return False
+    return True
 
 
 def spans_kernel(B: List[list], M: Mat) -> bool:

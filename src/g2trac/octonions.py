@@ -240,17 +240,24 @@ class NullFiltration:
     """Exact filtration <x> < ker J < (ker J)^perp < <x>^perp of a nilpotent
     endomorphism J with J x = 0, perps taken with the Gram matrix G: the
     split-octonion one of a null x, and the boundary's degenerate tractor
-    endomorphism with the canonical tractor X.  Each step after the line
-    is the kernel of equations fixed here from the computed bases: J, G u
-    for u in ker J (a zero row, the whole space's, if ker J = 0) and G x."""
+    endomorphism with the canonical tractor X.
+
+    One elimination of J gives its reduced form R: the kernel basis, one
+    vector per free column of R, and the image, J's pivot columns as row
+    vectors.  Each step after the line is the kernel of equations fixed
+    here from the computed bases: the nonzero rows of R, G u for u in
+    ker J (a zero row, the whole space's, if ker J = 0) and G x."""
 
     def __init__(self, J, G, x):
         self.J = J
         self.line = [list(x)]
-        self.kernel = linalg.nullspace(J)
-        self.image = linalg.row_space(linalg.transpose(J))  # column space of J as row vectors
+        R, pivots = linalg.rref(J)
+        cols = len(J[0])
+        self.kernel = linalg.rref_kernel(R, pivots, cols)
+        self.image = [[row[c] for row in J] for c in pivots]  # independent, spanning col J
+        self._free = [c for c in range(cols) if c not in pivots]
         lowered = [linalg.mat_vec(G, u) for u in self.kernel] or [[QScalar.zero()] * len(G)]
-        self.equations = {"kernel": J, "kernel_perp": lowered,
+        self.equations = {"kernel": R[:len(pivots)], "kernel_perp": lowered,
                           "line_perp": [linalg.mat_vec(G, x)]}
         self.kernel_perp = linalg.nullspace(lowered)
         self.line_perp = linalg.nullspace(self.equations["line_perp"])
@@ -270,16 +277,32 @@ class NullFiltration:
 
     def mapping_ok(self) -> bool:
         """im J = (ker J)^perp, J(<x>^perp) = ker J, J((ker J)^perp) = <x>.
-        An image is a step when the step's equations kill it and its rank
-        is the step's dimension; the basis self.image has its length as rank."""
+
+        The image basis lies in (ker J)^perp and has its dimension.  The
+        images of <x>^perp lie in ker J, and their rank is that of their
+        free columns, which are their coordinates in the kernel basis.
+        The images of (ker J)^perp are multiples of x, one of them nonzero."""
         J, eqs = self.J, self.equations
         to_kernel = [linalg.mat_vec(J, v) for v in self.line_perp]
         to_line = [linalg.mat_vec(J, v) for v in self.kernel_perp]
         return (linalg.kills(eqs["kernel_perp"], self.image)
                 and len(self.image) == len(self.kernel_perp)
                 and linalg.kills(eqs["kernel"], to_kernel)
-                and linalg.rank(to_kernel) == len(self.kernel)
-                and linalg.rank(self.line + to_line) == 1 == linalg.rank(to_line))
+                and linalg.rank([[w[c] for c in self._free] for w in to_kernel]) == len(self.kernel)
+                and _spans_line(self.line[0], to_line))
+
+
+def _spans_line(x, vectors) -> bool:
+    """Do the vectors span <x>?  With x_k != 0, v is the multiple
+    (v_k / x_k) x exactly when x_k v_i = v_k x_i for every i (v = 0 when
+    v_k = 0), and that multiple is nonzero exactly when v_k is."""
+    k = next((i for i, c in enumerate(x) if c), None)
+    if k is None:
+        return False
+    xk = x[k]
+    return (all(xk * vi == v[k] * xi if v[k] else not vi
+                for v in vectors for vi, xi in zip(v, x) if vi or xi)
+            and any(v[k] for v in vectors))
 
 
 def null_filtration(x: ImaginaryVector) -> NullFiltration:

@@ -247,7 +247,7 @@ class QScalar:
         return hash((self.a, self.b, self.c, self.d))
 
     def __bool__(self):
-        return not self.is_zero()
+        return self._v != (0, 0, 0, 0, 1)
 
     def sign(self) -> int:
         """Exact sign: -1, 0 or +1.

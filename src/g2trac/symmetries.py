@@ -100,6 +100,7 @@ def _residual_terms(pkg: GeometryPackage):
     """The residuals of L_xi applied to the brackets, the connection and the
     weight-3 slots of the parallel 3-form, each as (f, pairs): the residual
     is w rho df/drho + the sum of lam[a][b] K over the pairs ((a, b), K).
+    Only pairs with K nonzero are listed.
 
     The formula is affine in lam; the Laurent evaluator and the sparse rows
     of `residual_rows` both read it from here."""
@@ -111,16 +112,16 @@ def _residual_terms(pkg: GeometryPackage):
     # bracket derivation property
     for a, b in combinations(E, 2):
         for c in E:
-            yield C[a][b][c], ([((a, e), C[e][b][c]) for e in E]
-                               + [((b, e), C[a][e][c]) for e in E]
-                               + [((e, c), nC[a][b][e]) for e in E])
+            yield C[a][b][c], ([((a, e), K) for e in E if (K := C[e][b][c])]
+                               + [((b, e), K) for e in E if (K := C[a][e][c])]
+                               + [((e, c), K) for e in E if (K := nC[a][b][e])])
     # connection preservation
     for a in E:
         for d in E:
             for b in E:
-                yield G[a][d][b], ([((e, b), G[a][d][e]) for e in E]
-                                   + [((a, e), nG[e][d][b]) for e in E]
-                                   + [((d, e), nG[a][e][b]) for e in E])
+                yield G[a][d][b], ([((e, b), K) for e in E if (K := G[a][d][e])]
+                                   + [((a, e), K) for e in E if (K := nG[e][d][b])]
+                                   + [((d, e), K) for e in E if (K := nG[a][e][b])])
     # weight-3 slots of the 3-form, sigma_{bc} = Phi_{bcX} and then mu_{bcd} =
     # Phi_{bcd}: the trace of lam enters with weight 3/7
     phi, nphi = pkg.phi, -pkg.phi
@@ -128,9 +129,10 @@ def _residual_terms(pkg: GeometryPackage):
         for idx in combinations(E, k):
             f = phi.get((), idx + x)
             t = f * QScalar(Fraction(3, 7))
-            pairs = [((e, e), t) for e in E]
+            pairs = [((e, e), t) for e in E] if t else []
             for s, b in enumerate(idx):
-                pairs += [((b, e), nphi.get((), idx[:s] + (e,) + idx[s + 1:] + x)) for e in E]
+                pairs += [((b, e), K) for e in E
+                          if (K := nphi.get((), idx[:s] + (e,) + idx[s + 1:] + x))]
             yield f, pairs
 
 
@@ -142,8 +144,7 @@ def symmetry_residuals(pkg: GeometryPackage, sym: FrameSymmetry) -> List[CoeffFn
     for f, pairs in _residual_terms(pkg):
         acc = _euler(f) * w
         for (a, b), k in pairs:
-            if k.terms:
-                acc = acc + k * sym.lam[a][b]
+            acc = acc + k * sym.lam[a][b]
         out.append(acc)
     return out
 
@@ -165,11 +166,10 @@ def residual_rows(pkg: GeometryPackage) -> List[Dict[int, QScalar]]:
             by_exp: Dict[int, Dict[int, QScalar]] = {e: {n * n: c}
                                                      for e, c in _euler(f).terms.items()}
             for (a, b), k in pairs:
-                if k.terms:
-                    col = n * a + b
-                    for e, c in k.terms.items():
-                        row = by_exp.setdefault(e, {})
-                        row[col] = row[col] + c if col in row else c
+                col = n * a + b
+                for e, c in k.terms.items():
+                    row = by_exp.setdefault(e, {})
+                    row[col] = row[col] + c if col in row else c
             for e in sorted(by_exp):
                 row = {col: c for col, c in by_exp[e].items() if c}
                 if row:

@@ -51,9 +51,10 @@ def sort_with_sign(idx: Tuple[int, ...]):
 
 
 def _scatter(acc: dict, key, v, sign: int = 1) -> None:
-    """acc[key] += sign * v, starting from v itself."""
+    """acc[key] += sign * v, starting from v itself, also where the earlier
+    terms have cancelled."""
     prev = acc.get(key)
-    if prev is None:
+    if prev is None or not prev:
         acc[key] = v if sign > 0 else -v
     else:
         acc[key] = prev + v if sign > 0 else prev - v
@@ -228,6 +229,8 @@ class AltTensor:
         for i in range(k):
             nxt = {}
             for key, v in terms.items():
+                if not v:
+                    continue   # a partial term that cancelled: every product would be 0
                 floor = key[i - 1] if i else -1
                 head, rest = key[:i], key[i + 1:]
                 for t, a in rows[key[i]]:

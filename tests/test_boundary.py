@@ -70,6 +70,8 @@ def test_boundary_null_filtration(family_package, m):
     f = NullFiltration(bd.Jtr0, bd.H0, [QScalar.zero()] * 6 + [QScalar.one()])
     assert f.dims() == (1, 3, 4, 6)
     assert f.chain_ok() and f.mapping_ok() and f.kernel_isotropic()
+    # the image, J's pivot columns, spans the column space of J
+    assert linalg.same_subspace(f.image, linalg.row_space(linalg.transpose(bd.Jtr0)))
 
 
 def test_full_battery_eliminates_J0_once(pkg_half, monkeypatch):

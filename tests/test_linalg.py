@@ -313,6 +313,35 @@ def test_an_all_zero_dot_product_is_a_zero_of_the_operands_ring(ring):
         assert getattr(got, "param", None) == RINGS[ring]
 
 
+@pytest.mark.parametrize("ring", list(RINGS))
+def test_support_aware_mat_vec_and_kills_match_the_dense_definition(ring):
+    # mat_vec and kills multiply only on the support of each vector; the
+    # zero vector and zero rows give sum_prod's zero, in the operands' ring
+    rng = random.Random(f"support-{ring}")
+    entry, zero = _entries(rng, ring)
+    for n in (1, 3, 7):
+        for _ in range(8):
+            A = [[entry() for _ in range(n)] for _ in range(4)] + [[zero] * n]
+            vectors = [[entry() for _ in range(n)] for _ in range(3)] + [[zero] * n]
+            for v in vectors:
+                got = mat_vec(A, v)
+                _same_entries(got, [_dense_sum_prod(row, v) for row in A])
+                assert all(getattr(x, "param", None) == RINGS[ring] for x in got)
+            dense = all(_dense_sum_prod(row, v).is_zero() for row in A for v in vectors)
+            assert kills(A, vectors) == dense
+            assert kills(A, [[zero] * n]) and kills([[zero] * n], vectors)
+            # the kernel of a row, built by hand, is killed; its complement is not
+            row = next((r for r in A if any(r)), None)
+            if row is not None:
+                j = next(j for j, x in enumerate(row) if x)
+                for i, x in enumerate(row):
+                    if i != j:
+                        u = [zero] * n
+                        u[i], u[j] = row[j], -x
+                        assert kills([row], [u])
+                assert not kills([row], [[row[j] if i == j else zero for i in range(n)]])
+
+
 def _dense_rref(A):
     """Gauss-Jordan elimination updating every column and scaling every
     entry of the pivot row: the reference rref.  As in rref, a column takes

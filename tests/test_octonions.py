@@ -236,6 +236,27 @@ def test_null_filtration_100_random():
         assert f.mapping_ok()
 
 
+def test_null_filtration_image_is_the_column_space_of_J():
+    # J's pivot columns span what the rows of rref(J^T) span
+    rng = random.Random(9)
+    for _ in range(100):
+        f = null_filtration(random_null_vector(rng))
+        assert linalg.same_subspace(f.image, linalg.row_space(linalg.transpose(f.J)))
+
+
+def test_null_filtration_eliminates_four_times(monkeypatch):
+    # one rref of J (kernel, image and kernel equations), one per perp and
+    # one rank of the images of <x>^perp on ker J's free columns
+    x = random_null_vector(random.Random(9))
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda A: calls.append(A) or rref(A))
+    f = null_filtration(x)
+    assert f.kernel_isotropic() and f.chain_ok() and f.mapping_ok()
+    assert len(calls) == 4
+    assert calls[0] == f.J
+
+
 def _outside(f, step):
     """A basis vector outside the span of the filtration step."""
     big = getattr(f, step)
@@ -267,6 +288,23 @@ def test_mapping_ok_rejects_a_hyperplane_other_than_x_perp():
     y = next(v for v in f.kernel_perp if linalg.rank(f.line + [v]) == 2)
     f.line_perp = linalg.nullspace([linalg.mat_vec(dot_matrix(-1), y)])
     assert linalg.rank([linalg.mat_vec(f.J, v) for v in f.line_perp]) == 3
+    assert not f.mapping_ok()
+
+
+def test_mapping_ok_rejects_images_short_of_the_kernel():
+    # J maps (ker J)^perp into ker J too, but onto the line <x> only
+    f = null_filtration(random_null_vector(random.Random(9)))
+    f.line_perp = f.kernel_perp
+    assert linalg.kills(f.J, [linalg.mat_vec(f.J, v) for v in f.line_perp])
+    assert not f.mapping_ok()
+
+
+def test_mapping_ok_rejects_a_kernel_line_other_than_x():
+    # every y in ker J has J y = 0, but J((ker J)^perp) is the line <x> only
+    f = null_filtration(random_null_vector(random.Random(9)))
+    y = next(v for v in f.kernel if linalg.rank(f.line + [v]) == 2)
+    f.line = [y]
+    assert f.chain_ok()
     assert not f.mapping_ok()
 
 

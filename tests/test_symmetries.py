@@ -19,8 +19,8 @@ from g2trac.laurent import CoeffFn
 from g2trac.qm_family import REGRESSION_PARAMETERS, build_model
 from g2trac.scalars import SQRT2, QScalar
 from g2trac.symmetries import (FrameSymmetry, _annihilates, _group_block_action,
-                               dilation_negative_control, frame_symmetry_system, residual_rows,
-                               symmetry_residuals)
+                               _residual_terms, dilation_negative_control, frame_symmetry_system,
+                               residual_rows, symmetry_residuals)
 from g2trac.tractor import slots, tractor_3form
 
 
@@ -157,6 +157,14 @@ def test_residual_terms_match_the_direct_formula(family_package, m):
                 * (SQRT2 if rng.random() < 0.3 else 1) for _ in range(6)] for _ in range(6)]
         sym = FrameSymmetry(lam, w)
         assert symmetry_residuals(pkg, sym) == _direct_residuals(pkg, sym)
+
+
+def test_residual_terms_list_only_nonzero_coefficients(pkg_half):
+    # 814 of the 6,258 (lam entry, coefficient) pairs of the formula are nonzero
+    terms = list(_residual_terms(pkg_half))
+    assert len(terms) == 341
+    assert all(not k.is_zero() for _, pairs in terms for _, k in pairs)
+    assert sum(len(pairs) for _, pairs in terms) == 814
 
 
 def _oracle_rows(pkg):

@@ -382,3 +382,27 @@ def test_alt_pullback_of_laurent_form_matches_dense_loop():
         got = t.pullback(A)
         assert isinstance(got.zero, CoeffFn)
         assert_same_form(got, dense_alt_pullback(t, A))
+
+
+def test_alt_pullback_makes_no_field_op_on_a_cancelled_partial_term(monkeypatch):
+    # T = e^012 - e^123 + e^124 with rows 0 and 3 of A equal: after the
+    # first slot the orderings (0,1,2) and (3,1,2) cancel at every key
+    # (t, 1, 2), and (4,1,2) then arrives there.  The cancelled term is
+    # neither multiplied by the next entry nor added to.
+    rng = random.Random(31)
+    A = [[QScalar(rng.randint(1, 4)) for _ in range(5)] for _ in range(5)]
+    A[3] = A[0][:]
+    t = form(5, 3, [((0, 1, 2), 1), ((1, 2, 3), -1), ((1, 2, 4), 2)])
+    want = dense_alt_pullback(t, A)
+    zero_operand = []
+    for name in ("__add__", "__sub__", "__mul__"):
+        def counted(x, y, op=getattr(QScalar, name), name=name):
+            if isinstance(y, QScalar) and (x.is_zero() or y.is_zero()):
+                zero_operand.append(name)
+            return op(x, y)
+
+        monkeypatch.setattr(QScalar, name, counted)
+    got = t.pullback(A)
+    monkeypatch.undo()
+    assert zero_operand == []
+    assert_same_form(got, want)
