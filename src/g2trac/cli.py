@@ -202,12 +202,7 @@ def cmd_orbit(args) -> int:
     except ValueError as exc:
         print(f"invalid --s: {exc}", file=sys.stderr)
         return 2
-    try:
-        samples = _default_samples()
-    except ValueError as exc:
-        print(f"invalid samples: {exc}", file=sys.stderr)
-        return 2
-    pkg = _build_package(m, samples)
+    pkg = _build_package(m, None)
     # s is the signed collar coordinate: the point has rho = s * |s|
     rho = QScalar(s * abs(s))
     tau_val = pkg.tau.eval(rho)       # PLAIN: the variable is rho itself

@@ -80,13 +80,14 @@ def _support(v) -> list:
 
 
 def _dot_on(row, support):
-    """Sum of row[j] x over a vector's support, skipping zero row[j];
-    None when no pair has both entries nonzero."""
+    """Sum of row[j] x over a vector's support, skipping zero row[j] and
+    restarting a sum that has cancelled from the next product; None when
+    no pair has both entries nonzero."""
     acc = None
     for j, x in support:
         a = row[j]
         if a:
-            acc = a * x if acc is None else acc + a * x
+            acc = acc + a * x if acc else a * x
     return acc
 
 
@@ -248,60 +249,41 @@ def spans_kernel(B: List[list], M: Mat) -> bool:
 def signature(G: Mat):
     """Sylvester signature (p, q) of an exact symmetric QScalar matrix.
 
-    Symmetric reduction with exact pivot signs; an off-diagonal
-    hyperbolic pivot contributes (1, 1).  Each step updates only the
-    rows and columns with a nonzero entry in the pivot columns.  A
-    nonzero matrix whose active block is identically zero below full
-    elimination means a degenerate form and raises DegenerateError.
+    Symmetric reduction on diagonal pivots with exact signs; each step
+    updates only the rows and columns with a nonzero entry in the pivot
+    column.  When the active block has a zero diagonal, the congruence
+    row_i += row_j, col_i += col_j at a nonzero M[i][j] makes M[i][i] =
+    2 M[i][j]; the pivot it leaves at j is -M[i][j]/2.  An active block
+    that is identically zero means a degenerate form and raises
+    DegenerateError.
     """
-    n = len(G)
     M = [row[:] for row in G]
-    active = list(range(n))
+    active = list(range(len(G)))
     p = q = 0
     while active:
-        piv = next((i for i in active if not M[i][i].is_zero()), None)
-        if piv is not None:
-            s = M[piv][piv].sign()
-            if s > 0:
-                p += 1
-            else:
-                q += 1
-            inv = M[piv][piv].inverse()
-            rest = [i for i in active if i != piv]
-            # only the rows and columns meeting the pivot column change
-            col = {i: M[i][piv] for i in rest if not M[i][piv].is_zero()}
-            for i, ci in col.items():
-                fi = ci * inv
-                row = M[i]
-                for j, cj in col.items():
-                    row[j] = row[j] - fi * cj
-            active = rest
-            continue
-        pair = None
-        for ii, i in enumerate(active):
-            for j in active[ii + 1:]:
-                if not M[i][j].is_zero():
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
-            raise DegenerateError("degenerate form: zero block in symmetric reduction")
-        i, j = pair
-        # hyperbolic 2x2 block: signature (1, 1); eliminate both rows/cols
-        p += 1
-        q += 1
-        b = M[i][j]
-        rest = [k for k in active if k not in (i, j)]
-        binv = b.inverse()
-        # a row (or column) zero in both pivot columns is unchanged
-        hit = [k for k in rest if not (M[k][i].is_zero() and M[k][j].is_zero())]
-        ci = {k: M[k][i] for k in hit}
-        cj = {k: M[k][j] for k in hit}
-        for k in hit:
-            row = M[k]
-            for l in hit:
-                row[l] = row[l] - (ci[k] * cj[l] + cj[k] * ci[l]) * binv
+        piv = next((i for i in active if M[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in active for j in active if i != j and M[i][j]), None)
+            if pair is None:
+                raise DegenerateError("degenerate form: zero block in symmetric reduction")
+            piv, j = pair
+            for k in active:
+                if k != piv and M[j][k]:
+                    M[piv][k] = M[k][piv] = M[piv][k] + M[j][k]
+            M[piv][piv] = M[piv][j] + M[piv][j]
+        if M[piv][piv].sign() > 0:
+            p += 1
+        else:
+            q += 1
+        inv = M[piv][piv].inverse()
+        rest = [i for i in active if i != piv]
+        # only the rows and columns meeting the pivot column change
+        col = {i: M[i][piv] for i in rest if M[i][piv]}
+        for i, ci in col.items():
+            fi = ci * inv
+            row = M[i]
+            for j, cj in col.items():
+                row[j] = row[j] - fi * cj
         active = rest
     return p, q
 

@@ -98,10 +98,6 @@ class Octonion(_Vector):
     __slots__ = ()
     SIZE, FIRST, NAME = 8, 0, "octonion"
 
-    @staticmethod
-    def unit(xi: int = -1) -> "Octonion":
-        return Octonion.basis(0, xi)
-
     def __mul__(self, o: "Octonion") -> "Octonion":
         """Doubled product (a,b)(c,d) = (ac -+ d b*, a* d + c b); -+ is -
         for the definite algebra and + for the split one."""
@@ -115,9 +111,6 @@ class Octonion(_Vector):
 
     def conj(self) -> "Octonion":
         return Octonion([self.comps[0]] + [-c for c in self.comps[1:]], self.xi)
-
-    def re(self) -> QScalar:
-        return self.comps[0]
 
     def im(self) -> "Octonion":
         return Octonion([QScalar.zero()] + self.comps[1:], self.xi)
@@ -315,22 +308,3 @@ def null_filtration(x: ImaginaryVector) -> NullFiltration:
         raise ValueError("filtration needs a null vector")
     return NullFiltration(jmap(x), dot_matrix(-1), x.comps)
 
-
-def random_null_vector(rng) -> ImaginaryVector:
-    """Rational point on the split null cone via projection from e1 + e4."""
-    base = [QScalar.of(c) for c in (1, 0, 0, 1, 0, 0, 0)]
-    G = dot_matrix(-1)
-    while True:
-        w = [QScalar.of(rng.randint(-9, 9)) for _ in range(7)]
-        qw = linalg.sum_prod(linalg.mat_vec(G, w), w)
-        if qw.is_zero():
-            v = ImaginaryVector(w, -1)
-            if not v.is_zero():
-                return v
-            continue
-        bw = linalg.sum_prod(linalg.mat_vec(G, base), w)
-        t = (bw * QScalar.of(-2)) / qw
-        x = [b + t * ww for b, ww in zip(base, w)]
-        v = ImaginaryVector(x, -1)
-        if not v.is_zero() and dot(v, v).is_zero():
-            return v

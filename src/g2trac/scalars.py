@@ -250,39 +250,18 @@ class QScalar:
         return self._v != (0, 0, 0, 0, 1)
 
     def sign(self) -> int:
-        """Exact sign: -1, 0 or +1.
+        """Exact sign: -1, 0 or +1, by squaring.
 
-        The basis representation is unique, so zero is decided exactly;
-        nonzero values get adaptive rational interval bounds on the surds
-        until zero is excluded.
+        With x = A + B sqrt2 and y = C + D sqrt2 the value is (x + y sqrt5)/n,
+        n > 0.  Where x and y differ in sign it has the sign of x times that
+        of x^2 - 5 y^2, an element of Z[sqrt2], whose sign _sign2 decides
+        the same way.
         """
-        if self.is_zero():
-            return 0
-        prec = 30
-        while True:
-            lo, hi = self._bounds(prec)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            prec *= 2
-
-    def _bounds(self, digits: int):
-        scale = 10 ** digits
-        lo = hi = self.a
-        for coeff, n in ((self.b, 2), (self.c, 5), (self.d, 10)):
-            if coeff == 0:
-                continue
-            r = isqrt(n * scale * scale)
-            slo = Fraction(r, scale)
-            shi = Fraction(r + 1, scale)
-            if coeff > 0:
-                lo += coeff * slo
-                hi += coeff * shi
-            else:
-                lo += coeff * shi
-                hi += coeff * slo
-        return lo, hi
+        A, B, C, D, _ = self._v
+        sx, sy = _sign2(A, B), _sign2(C, D)
+        if sx * sy >= 0:
+            return sx or sy
+        return sx * _sign2(A * A + 2 * B * B - 5 * C * C - 10 * D * D, 2 * A * B - 10 * C * D)
 
     def __lt__(self, other):
         return (self - QScalar.of(other)).sign() < 0
@@ -358,6 +337,15 @@ class QScalar:
             if coeff:
                 bits.append(f"{coeff}{tag}")
         return " + ".join(bits).replace("+ -", "- ")
+
+
+def _sign2(p: int, q: int) -> int:
+    """Sign of p + q sqrt2: the common sign of p and q, else that of p
+    times that of p^2 - 2 q^2 (never 0: sqrt2 is irrational)."""
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sp * sq >= 0:
+        return sp or sq
+    return sp if p * p > 2 * q * q else -sp
 
 
 def _rat_sqrt(x: Fraction):

@@ -94,7 +94,7 @@ def htilde_matrix(phi: AltTensor):
         raise ValueError("expected a 3-form on a 7-dimensional space")
     sixth = QScalar(Fraction(1, 6))
     ht = linalg.congruence(linalg.transpose(_pair_rows(slices(phi))), _split_matrix(phi))
-    return [[x * sixth for x in row] for row in ht]
+    return [[x * sixth if x else x for x in row] for row in ht]
 
 
 def slices(phi: AltTensor):
@@ -220,7 +220,7 @@ def metric_from_3form7(phi: AltTensor):
         c = (s / 42).cbrt()
     except ValueError:
         return None, None, cls
-    H = [[x * c for x in row] for row in ht]
+    H = [[x * c if x else x for x in row] for row in ht]
     vol = AltTensor.form(7, 7)
     vol.set((), tuple(range(7)), c.inverse())
     return AltTensor.from_matrix(H, 7, 0, SYM), vol, cls

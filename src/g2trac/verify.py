@@ -104,7 +104,6 @@ def verify(pkg: GeometryPackage, depth: str = "full",
     rep.meta["samples"] = ",".join(str(s) for s in samples)
     rep.meta["depth"] = depth
     chart = pkg.chart
-    algebraic_only = bool(meta.get("algebraic_only"))
     is_qm = meta.get("kind") == "qm"
 
     rep.add("chart.jacobi", chart.is_jacobi())
@@ -122,7 +121,7 @@ def verify(pkg: GeometryPackage, depth: str = "full",
         rep.add("family.transcription-checksum", dw_checksum_defect(pkg).is_zero(),
                 "3-form slot re-derived from the 2-form and structure constants")
 
-    if algebraic_only:
+    if meta.get("algebraic_only"):
         rep.skip("tractor.parallel-3form",
                  "algebraic model package: the parallel model 3-form has "
                  "position-dependent components outside the one-variable "
@@ -187,8 +186,8 @@ def verify(pkg: GeometryPackage, depth: str = "full",
         nf = normal_form_check(pkg)
         rep.add("orbits.collar-normal-form", nf["ok"], str(nf))
 
-    if depth == "quick" or cls == DEFINITE or algebraic_only:
-        if depth != "quick" and (cls == DEFINITE or algebraic_only):
+    if depth == "quick" or cls == DEFINITE:
+        if depth != "quick":
             rep.skip("orbits.npk", "no collar stratification on the definite model")
         rep.runtime = time.time() - t0
         return rep

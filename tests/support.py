@@ -12,7 +12,8 @@ from g2trac import linalg
 from g2trac.frames import FrameChart
 from g2trac.geometry import GeometryPackage
 from g2trac.laurent import CoeffFn
-from g2trac.octonions import ImaginaryVector, jmap
+from g2trac.octonions import ImaginaryVector, dot, dot_matrix, jmap
+from g2trac.scalars import QScalar
 from g2trac.tensors import NONE, AltTensor, _scatter, _tensor
 from g2trac.tractor import (d_tractor_3form, omega_weyl_cycle, tractor_3form,
                             tractor_connection, tractor_metric_from_phi)
@@ -24,6 +25,26 @@ def cross(x: ImaginaryVector, y: ImaginaryVector) -> ImaginaryVector:
     identical; tested)."""
     x._check(y)
     return ImaginaryVector([-v for v in linalg.mat_vec(jmap(x), y.comps)], x.xi)
+
+
+def random_null_vector(rng) -> ImaginaryVector:
+    """Rational point on the split null cone via projection from e1 + e4."""
+    base = [QScalar.of(c) for c in (1, 0, 0, 1, 0, 0, 0)]
+    G = dot_matrix(-1)
+    while True:
+        w = [QScalar.of(rng.randint(-9, 9)) for _ in range(7)]
+        qw = linalg.sum_prod(linalg.mat_vec(G, w), w)
+        if qw.is_zero():
+            v = ImaginaryVector(w, -1)
+            if not v.is_zero():
+                return v
+            continue
+        bw = linalg.sum_prod(linalg.mat_vec(G, base), w)
+        t = (bw * QScalar.of(-2)) / qw
+        x = [b + t * ww for b, ww in zip(base, w)]
+        v = ImaginaryVector(x, -1)
+        if not v.is_zero() and dot(v, v).is_zero():
+            return v
 
 
 def exact_upsilon(chart: FrameChart, f: CoeffFn) -> List[CoeffFn]:

@@ -19,13 +19,13 @@ from g2trac.frames import FrameChart
 from g2trac.geometry import (compactness_check, jfield_identity_defects,
                              npk_extract, npk_verify)
 from g2trac.laurent import PLAIN
-from g2trac.octonions import ImaginaryVector, dot, null_filtration, random_null_vector
+from g2trac.octonions import ImaginaryVector, dot, null_filtration
 from g2trac.qm_family import (FLAT_PARAMETERS, REGRESSION_PARAMETERS,
                               expected_tractor_metric)
 from g2trac.scalars import QScalar
 from g2trac.tensors import AltTensor
 from g2trac.tractor import d_tractor_3form, ky_symmetrized_derivative
-from support import cross, ky_prolong
+from support import cross, ky_prolong, random_null_vector
 
 
 def report(num, ok, detail=""):

@@ -441,6 +441,24 @@ def test_mat_mul_and_rref_make_no_zero_operand_field_op(monkeypatch):
     _same_entries(_flat(got[1][0]), _flat(want[1][0]))
 
 
+def test_mat_vec_restarts_a_cancelled_sum(monkeypatch):
+    # 1 - 1 cancels: the next product starts the sum again, not 0 + 2
+    row = [QScalar(1), QScalar(-1), SQRT2, QScalar.zero()]
+    v = [QScalar(3), QScalar(3), SQRT5, QScalar(7)]
+    zero_operand = []
+    for name in ("__add__", "__mul__"):
+        def counted(x, y, op=getattr(QScalar, name), name=name):
+            if isinstance(y, QScalar) and (x.is_zero() or y.is_zero()):
+                zero_operand.append(name)
+            return op(x, y)
+
+        monkeypatch.setattr(QScalar, name, counted)
+    got = (mat_vec([row], v), sum_prod(row, v), sum_prod(row[:2], v[:2]))
+    monkeypatch.undo()
+    assert zero_operand == []
+    assert got == ([SQRT2 * SQRT5], SQRT2 * SQRT5, QScalar.zero())
+
+
 # -- signature against a dense reduction ------------------------------------
 
 
@@ -536,6 +554,40 @@ def test_signature_hyperbolic_pivots_and_degenerate_forms():
     for f in (signature, dense_signature):
         with pytest.raises(DegenerateError):
             f(low)
+
+
+def test_signature_of_a_split_form_in_a_null_frame():
+    # B is the split form of signature (3, 4) written with the hyperbolic
+    # pairs (0, 1), (2, 3), (4, 5) and B[6][6] = -1.  A seeded A in SL(7, Q)
+    # maps the null spans of e0, e2, e4 and of e1, e3, e5 to themselves, so
+    # A^T B A has a zero diagonal on those six coordinates, and each pair
+    # step leaves the next active block with a zero diagonal again: the
+    # pair rule runs at three successive steps.
+    rng = random.Random("signature-null-frame")
+    one, zero = QScalar.one(), QScalar.zero()
+    B = [[zero] * 7 for _ in range(7)]
+    for i in (0, 2, 4):
+        B[i][i + 1] = B[i + 1][i] = one
+    B[6][6] = -one
+
+    def block():
+        while True:
+            P = [[QScalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4))) for _ in range(3)]
+                 for _ in range(3)]
+            det = det_perm(P)
+            if det:
+                return P, det
+
+    (P, dp), (Q, dq) = block(), block()
+    A = [[zero] * 7 for _ in range(7)]
+    for a, i in enumerate((0, 2, 4)):
+        for b, j in enumerate((0, 2, 4)):
+            A[i][j], A[i + 1][j + 1] = P[a][b], Q[a][b]
+    A[6][6] = (dp * dq).inverse()
+    assert det_perm(A) == one
+    M = mat_mul([list(col) for col in zip(*A)], mat_mul(B, A))
+    assert all(not M[i][i] for i in range(6)) and M[6][6]
+    assert signature(M) == dense_signature(M) == (3, 4)
 
 
 # -- solve_sparse against rref of all rows ------------------------------------

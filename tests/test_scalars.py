@@ -1,6 +1,7 @@
 import operator
+import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -241,6 +242,90 @@ def test_exact_sign_close_call():
 def test_ordering():
     assert SQRT2 < SQRT5 < SQRT10
     assert QScalar(1) <= QScalar(1)
+
+
+# -- sign against rational interval bounds ------------------------------------
+
+
+def interval_sign(x: QScalar) -> int:
+    """Exact sign: -1, 0 or +1.
+
+    The basis representation is unique, so zero is decided exactly;
+    nonzero values get adaptive rational interval bounds on the surds
+    until zero is excluded.
+    """
+    if x.is_zero():
+        return 0
+    prec = 30
+    while True:
+        lo, hi = _bounds(x, prec)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        prec *= 2
+
+
+def _bounds(x: QScalar, digits: int):
+    scale = 10 ** digits
+    lo = hi = x.a
+    for coeff, n in ((x.b, 2), (x.c, 5), (x.d, 10)):
+        if coeff == 0:
+            continue
+        r = isqrt(n * scale * scale)
+        slo = Fraction(r, scale)
+        shi = Fraction(r + 1, scale)
+        if coeff > 0:
+            lo += coeff * slo
+            hi += coeff * shi
+        else:
+            lo += coeff * shi
+            hi += coeff * slo
+    return lo, hi
+
+
+def _random_element(rng, digits):
+    """A seeded element whose numerators have up to `digits` digits, each
+    coordinate zero one time in four."""
+    big = 10 ** digits
+    coords = [Fraction(rng.randint(-big, big), rng.randint(1, big)) if rng.random() < 0.75 else 0
+              for _ in range(4)]
+    return QScalar(*coords)
+
+
+def test_sign_matches_interval_bounds_on_random_elements():
+    rng = random.Random("sign-random")
+    for _ in range(2000):
+        x = _random_element(rng, rng.choice((1, 3, 30)))
+        assert x.sign() == interval_sign(x) == -(-x).sign()
+
+
+def test_sign_matches_interval_bounds_near_cancellation():
+    # b sqrt2 + c sqrt5 + d sqrt10 less the integer nearest to it: a value
+    # within 1/2 of 0 whose coordinates have up to 30 digits
+    rng = random.Random("sign-cancel")
+    for _ in range(300):
+        digits = rng.choice((2, 10, 30))
+        w = QScalar(0, *(rng.randint(-10 ** digits, 10 ** digits) for _ in range(3)))
+        lo, _ = _bounds(w, digits + 10)
+        for shift in (0, 1, -1):
+            x = w - (lo.__floor__() + shift)
+            assert x.sign() == interval_sign(x)
+
+
+def test_sign_of_near_zero_units():
+    # 1 - sqrt2 < 0 and sqrt5 - 2, sqrt10 - 3 > 0: their powers shrink
+    # geometrically and carry a sign known in closed form
+    u2, u5, u10 = 1 - SQRT2, SQRT5 - 2, SQRT10 - 3
+    for k in range(41):
+        for x, want in ((u2 ** k, (-1) ** k), (u5 ** k, 1), (u10 ** k, 1)):
+            assert x.sign() == interval_sign(x) == want
+            assert (-x).sign() == interval_sign(-x) == -want
+    for j in range(41):
+        for k in range(41):
+            x = u2 ** j * u5 ** k
+            assert x.sign() == interval_sign(x) == (-1) ** j
+            assert (-x).sign() == -(-1) ** j
 
 
 def test_sqrt_monomial_cases():

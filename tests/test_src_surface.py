@@ -1,15 +1,22 @@
 """src/g2trac ships only what the program runs.
 
 Every top-level function and every method defined in src/g2trac must be
-referenced by name from program code: from src/ outside its own body, from
+referenced from program code: from src/ outside its own body, from
 scripts/, or from the benchmark's non-test perfbench/*.py, where the
 tracer's SPAN_TARGETS and OP_TARGETS name their targets as strings.  Dunder
 methods are called by the language and are exempt.  A helper that only the
 tests call lives beside them: in the one test module that uses it, or in
 tests/support.py when two or more do.
 
-The scan is by name, so a method that shares its name with a called
-function or attribute counts as called.
+A top-level function is referenced by an attribute read of its name
+(`octonions.f`), or by a bare read of its name in its own module or in a
+file that imports that name from g2trac (under its alias, if it has one).
+A method is referenced only by an attribute read of its name.  So a local
+variable, a module or a function of another file that shares a
+definition's name does not count as its caller.  An attribute read still
+cannot tell its receiver's type: a method that shares its name with an
+attribute of another type read in program code, such as a dict's `.items`
+or a record's `.all_ok`, counts as called.
 """
 
 import ast
@@ -57,10 +64,21 @@ def _definitions():
     return out
 
 
-def _names(tree):
-    """How often each name is read as a variable or an attribute in tree."""
-    return Counter(node.id if isinstance(node, ast.Name) else node.attr
-                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+def _reads(tree):
+    """(bare, attrs): how often each name is read as a variable and as an
+    attribute in tree."""
+    bare = Counter(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+    attrs = Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    return bare, attrs
+
+
+def _g2trac_imports(tree):
+    """{local name: (module, name)} of the names tree imports from a module
+    of g2trac, absolutely or (inside the package) relatively."""
+    return {alias.asname or alias.name: (node.module.split(".")[-1], alias.name)
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module
+            and (node.level or node.module.split(".")[0] == "g2trac")
+            for alias in node.names}
 
 
 def _tracer_targets(tree):
@@ -75,18 +93,34 @@ def _tracer_targets(tree):
 
 
 def _uncalled():
-    """Qualified names of the src definitions no program code names."""
-    program = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    named, targets = Counter(), set()
+    """Qualified names of the src definitions no program code references."""
+    program = (sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+               + sorted(SRC.glob("*.py")))
+    attrs, bare, targets = Counter(), Counter(), set()   # bare: (module, name) -> reads
     for path in program:
         tree = ast.parse(path.read_text())
-        named += _names(tree)
+        names, read = _reads(tree)
+        attrs += read
+        # a bare name reads a src function in its own module, elsewhere
+        # only through an import from g2trac
+        for local, key in _g2trac_imports(tree).items():
+            bare[key] += names[local]
+        if path.parent == SRC:
+            bare.update({(path.stem, name): n for name, n in names.items()})
         targets |= _tracer_targets(tree)
-    for path in SRC.glob("*.py"):
-        named += _names(ast.parse(path.read_text()))
-    # a name a definition reads in its own body (recursion) does not call it
-    return {qualname for qualname, node in _definitions()
-            if qualname not in targets and named[node.name] <= _names(node)[node.name]}
+    out = set()
+    for qualname, node in _definitions():
+        if qualname in targets:
+            continue
+        own_bare, own_attrs = _reads(node)
+        # a name a definition reads in its own body (recursion) does not call it
+        n = attrs[node.name] - own_attrs[node.name]
+        module, *cls = qualname.split(".")[:-1]
+        if not cls:
+            n += bare[module, node.name] - own_bare[node.name]
+        if n <= 0:
+            out.add(qualname)
+    return out
 
 
 def test_every_src_function_has_a_caller_outside_the_tests():

@@ -364,6 +364,33 @@ def test_gl_congruence_of_H():
                        for i in range(7) for j in range(7))
 
 
+@pytest.mark.parametrize("xi", [1, -1])
+def test_metric_scaling_makes_no_zero_operand_field_op(xi, monkeypatch):
+    # htilde_matrix scales by 1/6 and metric_from_3form7 by the cube root
+    # only the nonzero entries; their own frames make no op on a zero
+    phi = phi_xi(xi).pullback(random_sl(random.Random(f"scale-zeros-{xi}"), 7))
+    want = sf.metric_from_3form7(phi)[0].as_matrix()
+    scalings, zero_operand = [], []
+    for name in ("__add__", "__sub__", "__mul__"):
+        def counted(x, y, op=getattr(QScalar, name)):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):
+                frame = frame.f_back
+            if frame.f_code.co_name in ("htilde_matrix", "metric_from_3form7"):
+                scalings.append(frame.f_code.co_name)
+                if isinstance(y, QScalar) and (x.is_zero() or y.is_zero()):
+                    zero_operand.append(frame.f_code.co_name)
+            return op(x, y)
+
+        monkeypatch.setattr(QScalar, name, counted)
+    H, _, cls = sf.metric_from_3form7(phi)
+    monkeypatch.undo()
+    assert zero_operand == []
+    assert set(scalings) == {"htilde_matrix", "metric_from_3form7"}
+    assert cls == (sf.DEFINITE if xi == 1 else sf.SPLIT) and H.as_matrix() == want
+    assert any(not x for row in want for x in row)
+
+
 def test_volume_coefficient_is_sl7_invariant():
     # A^* of the volume form is det(A) vol = vol, and A^* phi has metric A^T H0 A
     rng = random.Random(29)

@@ -274,6 +274,15 @@ def test_samples_env_override(monkeypatch, capsys):
     assert rc == 0 and out["meta"]["samples"] == "1,3"
 
 
+@pytest.mark.parametrize("env", ["5,7/3", "0", "1,x"])
+def test_orbit_does_not_read_the_samples_env(env, monkeypatch, capsys):
+    # orbit reports one point: no sample list reaches its output
+    monkeypatch.setenv("G2TRAC_SAMPLES", env)
+    assert cli.main(["orbit", "--m", "1/2", "--s", "-1", "--report", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ORBIT_REPORT_SHA256[Fraction(1, 2), -1]
+
+
 VERIFY_QUICK = ["verify-family", "--m", "1/2", "--depth", "quick"]
 
 
@@ -283,7 +292,7 @@ VERIFY_QUICK = ["verify-family", "--m", "1/2", "--depth", "quick"]
     (VERIFY_QUICK + ["--samples", "abc"], None),
     (VERIFY_QUICK + ["--samples", "1/0"], None),
     (VERIFY_QUICK, "1,x"),
-    (["orbit", "--m", "1/2", "--s", "1"], "0"),
+    (VERIFY_QUICK, "0"),
     (VERIFY_QUICK + ["--samples", ",,"], None),
     (VERIFY_QUICK + ["--samples", ""], None),
     (VERIFY_QUICK, ","),
