@@ -25,7 +25,11 @@ walks the nonzero bracket rows, and the Levi-Civita connection is
 scattered from the nonzero metric and bracket entries.  The inverse
 metric that connection takes is kept on its chart (metric_inverse), and
 substitute_param carries it into the s-parameterisation, so the readers
-that raise indices with it do not invert g again.
+that raise indices with it do not invert g again.  substitute_param
+carries the curvature too: rho -> +-s^2 is a ring map that commutes
+with d/drho, so the substituted chart's curvature is the substitution of
+the curvature in rho.  negated_metric gives the Levi-Civita chart of -g
+from that of g without a second build.
 """
 
 from __future__ import annotations
@@ -386,7 +390,12 @@ class FrameChart:
 
     def substitute_param(self, param: str) -> "FrameChart":
         """Reinterpret a PLAIN chart in an s^2 parameterization of rho; a
-        Levi-Civita chart stays one, its metric_inverse substituted too."""
+        Levi-Civita chart stays one, its metric_inverse substituted too.
+
+        The substitution is a ring map that commutes with d/drho, so the
+        new chart's curvature is this chart's curvature substituted: it
+        is computed here once (and cached on this chart) rather than
+        again in s."""
         if self.param != PLAIN:
             raise ValueError("substitute_param expects a PLAIN chart")
         out = FrameChart(self.dim, param, self.rho_directions)
@@ -395,6 +404,22 @@ class FrameChart:
         if self.metric_inverse is not None:
             out.metric_inverse = [[v.substitute_rho(param) for v in row]
                                   for row in self.metric_inverse]
+        R = self.curvature()
+        out._cache["R"] = _tensor(R.dim, R.n_up, R.n_down, R.sym, out.zero(),
+                                  {k: v.substitute_rho(param) for k, v in R.comps.items()})
+        return out
+
+    def negated_metric(self) -> "FrameChart":
+        """For the Levi-Civita chart of g, that of -g: a constant factor
+        leaves the Levi-Civita connection unchanged, so the new chart
+        shares this one's brackets, connection and curvature cache (the
+        chart of g is never changed in place), and its metric_inverse is
+        -g^-1."""
+        if self.metric_inverse is None:
+            raise ValueError("negated_metric expects a Levi-Civita chart")
+        out = FrameChart(self.dim, self.param, self.rho_directions)
+        out.C, out.G, out.weight_form, out._cache = self.C, self.G, self.weight_form, self._cache
+        out.metric_inverse = [[-v for v in row] for row in self.metric_inverse]
         return out
 
     def d_exterior(self, form: AltTensor) -> AltTensor:

@@ -1,14 +1,19 @@
 """Geometry packages: a chart with parallel tractor data and its curved orbits.
 
 A GeometryPackage bundles a framed chart with the tractor 3-form it
-carries, the induced tractor metric H, the squared-length density tau,
-and the tractor endomorphism Jt: V -> -X x V.  The operations here
+carries, the induced tractor metric H, its inverse, the matrix htilde
+that H normalises, the squared-length density tau, and the tractor
+endomorphism Jt: V -> -X x V.  The operations here
 implement the orbit stratification, the open-orbit metric/complex-structure
 extraction in the exact square-root parameterization, the full nearly
 (para-)Kahler verification battery, projective compactness order
-checking, and the collar normal form test.  Each open orbit has one
-Levi-Civita chart of g_side with its g^-1, levi_civita_collar: read in rho
-by compactness_check and in s by npk_extract (J = g^-1 omega) and npk_verify.
+checking, and the collar normal form test.  In the chart scale
+g_- = -g_+ entry for entry, so both open orbits have one Levi-Civita
+connection and one curvature: levi_civita_collar builds the chart of g_+
+once, and the chart of g_- shares its brackets, connection and curvature
+with g^-1 negated.  compactness_check reads these charts in rho,
+npk_extract (J = g^-1 omega) and npk_verify in s, where the orbit chart's
+curvature is the substitution rho = +-s^2 of the one curvature in rho.
 """
 
 from __future__ import annotations
@@ -21,13 +26,18 @@ from . import linalg
 from .frames import FrameChart
 from .laurent import PLAIN, RHO_MINUS, RHO_PLUS, CoeffFn
 from .scalars import DegenerateError, QScalar
-from .stable_forms import cross_matrix
+from .stable_forms import cross_matrix, htilde_matrix
 from .tensors import SYM, AltTensor
 from .tractor import ky_symmetrized_derivative, omega_weyl_cycle, slots, tractor_metric_from_phi
 
 
 @dataclass
 class GeometryPackage:
+    """A framed chart with its parallel tractor 3-form phi and the data
+    read off phi once: H, its inverse Hinv, tau = H_XX and Jt.  The matrix
+    htilde of phi that H normalises is carried too (build_package keeps
+    the one tractor_metric_from_phi makes); a package built by hand makes
+    it from phi on first read of the htilde property."""
     chart: FrameChart
     phi: AltTensor  # the tractor 3-form on the legs 0..n (leg n = X)
     H: AltTensor
@@ -35,7 +45,10 @@ class GeometryPackage:
     Jt: List[List[CoeffFn]]  # the (n+1)x(n+1) tractor endomorphism of jfield_full
     Hinv: List[List[CoeffFn]]  # the inverse matrix of H
     meta: Dict[str, object] = field(default_factory=dict)
-    # side -> Levi-Civita chart of g_side, built once by levi_civita_collar
+    # phi's htilde, read through the htilde property
+    _htilde: Optional[List[List[CoeffFn]]] = field(default=None, init=False, compare=False,
+                                                   repr=False)
+    # side -> Levi-Civita chart of g_side, filled by levi_civita_collar
     _collar: Dict[int, FrameChart] = field(default_factory=dict, init=False, compare=False,
                                            repr=False)
     # the frame-symmetry residuals as sparse rows, built once by
@@ -47,12 +60,21 @@ class GeometryPackage:
     def dim(self) -> int:
         return self.chart.dim
 
+    @property
+    def htilde(self) -> List[List[CoeffFn]]:
+        """htilde_matrix(phi), made on first read unless already carried."""
+        if self._htilde is None:
+            self._htilde = htilde_matrix(self.phi)
+        return self._htilde
+
 
 def build_package(chart: FrameChart, phi: AltTensor, meta=None) -> GeometryPackage:
-    H, Hinv = tractor_metric_from_phi(chart, phi)
+    H, Hinv, ht = tractor_metric_from_phi(chart, phi)
     tau = H.as_matrix()[chart.dim][chart.dim]
-    return GeometryPackage(chart, phi, H, tau, jfield_full(chart, phi, Hinv), Hinv,
-                           dict(meta or {}))
+    pkg = GeometryPackage(chart, phi, H, tau, jfield_full(chart, phi, Hinv), Hinv,
+                          dict(meta or {}))
+    pkg._htilde = ht
+    return pkg
 
 
 def jfield_full(chart: FrameChart, phi: AltTensor, Hinv):
@@ -260,11 +282,13 @@ def npk_verify(orbit: OrbitStructure) -> NPKReport:
     if ct_ok:
         factor = alpha * QScalar.of(-eps)
         for a in range(n):
-            lhs = linalg.congruence(dJ[a], gm)
             for b in range(n):
+                # g(V, V) for V = (nabla_a J) E_b, column b of dJ[a]
+                v = [row[b] for row in dJ[a]]
+                lhs = linalg.sum_prod(v, linalg.mat_vec(gm, v))
                 brace = gm[a][a] * gm[b][b] - gm[a][b] * gm[a][b] \
                     + om[a][b] * om[a][b] * QScalar.of(eps)
-                if not (lhs[b][b] - brace * factor).is_zero():
+                if not (lhs - brace * factor).is_zero():
                     ct_ok = False
     if not ct_ok:
         failures.append("constant-type")
@@ -354,14 +378,22 @@ def collar_metric(Hm, side: int, param: str) -> AltTensor:
 
 def levi_civita_collar(pkg: GeometryPackage, side: int) -> FrameChart:
     """Levi-Civita chart of g_side, with its g^-1, in the polynomial-in-rho
-    parameterization, built once per package and side for compactness_check
-    and (through substitute_param) npk_extract and npk_verify; change_scale
-    and substitute_param return new charts, so the cached one never changes."""
+    parameterization, for compactness_check and (through substitute_param)
+    npk_extract and npk_verify.  g_- = -g_+ entry for entry, so the chart
+    of g_+ is built once per package and the chart of g_- is its
+    negated_metric: the same brackets, connection and curvature, g^-1
+    negated.  change_scale and substitute_param return new charts, so
+    neither cached chart changes."""
+    if side not in (1, -1):
+        raise ValueError("side must be +1 or -1")
     lc = pkg._collar.get(side)
     if lc is None:
-        chart = pkg.chart
-        lc = pkg._collar[side] = chart.levi_civita(
-            collar_metric(pkg.H.as_matrix(), side, chart.param))
+        if side > 0:
+            chart = pkg.chart
+            lc = chart.levi_civita(collar_metric(pkg.H.as_matrix(), 1, chart.param))
+        else:
+            lc = levi_civita_collar(pkg, 1).negated_metric()
+        pkg._collar[side] = lc
     return lc
 
 

@@ -277,13 +277,20 @@ def signature(G: Mat):
             q += 1
         inv = M[piv][piv].inverse()
         rest = [i for i in active if i != piv]
-        # only the rows and columns meeting the pivot column change
+        # only the rows and columns meeting the pivot column change; a zero
+        # entry takes -fi cj, not 0 - fi cj
         col = {i: M[i][piv] for i in rest if M[i][piv]}
         for i, ci in col.items():
             fi = ci * inv
+            nfi = None
             row = M[i]
             for j, cj in col.items():
-                row[j] = row[j] - fi * cj
+                x = row[j]
+                if x:
+                    row[j] = x - fi * cj
+                else:
+                    nfi = -fi if nfi is None else nfi
+                    row[j] = nfi * cj
         active = rest
     return p, q
 

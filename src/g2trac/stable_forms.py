@@ -153,12 +153,12 @@ def _phi_norm_with(phi: AltTensor, hinv):
     sum over a < b < c of phi_abc phi^abc, with phi raised once by the sparse
     pullback along hinv."""
     raised = phi.pullback(hinv).comps
-    acc = phi.zero
+    acc = None
     for key, v in phi.comps.items():
         w = raised.get(key)
         if w is not None:
-            acc = acc + v * w
-    return acc * 6
+            acc = v * w if acc is None else acc + v * w
+    return phi.zero if acc is None else acc * 6
 
 
 def _trace_normalised(phi: AltTensor, inverse):
@@ -177,18 +177,20 @@ def cross_matrix(phi: AltTensor, hinv, a: int):
     return linalg.mat_mul(hinv, linalg.transpose(slices(phi)[a]))
 
 
-def phi_volume_with(phi: AltTensor, hinv):
+def phi_volume_with(phi: AltTensor, hinv, htilde=None):
     """e^{0..6} coefficient of (1/42) phi_{K[AB} phi^K_{CD} phi_{EFG]}, the
     indices raised with hinv; entries lie in phi's ring.
 
-    It is tr(hinv htilde) / 1470.  The signed sum over the 7! orderings
-    of the legs meets each split (p, q, t) into two pairs and a triple
-    2! 2! 3! = 24 times, so it is 24 sum_pq Psi_pq N_pq for the split
-    matrix N and Psi_pq = phi_{Kp} h^{KL} phi_{Lq} = (U^T hinv U)_pq, U the
-    slice rows.  That is 24 tr(hinv U N U^T) = 144 tr(hinv htilde), and
+    It is tr(hinv htilde) / 1470 for phi's htilde: the one given (a
+    geometry package carries it), else htilde_matrix(phi).  The signed
+    sum over the 7! orderings of the legs meets each split (p, q, t) into
+    two pairs and a triple 2! 2! 3! = 24 times, so it is
+    24 sum_pq Psi_pq N_pq for the split matrix N and
+    Psi_pq = phi_{Kp} h^{KL} phi_{Lq} = (U^T hinv U)_pq, U the slice rows.
+    That is 24 tr(hinv U N U^T) = 144 tr(hinv htilde), and
     42 * 7! / 144 = 1470."""
     acc = phi.zero
-    for hrow, trow in zip(hinv, htilde_matrix(phi)):
+    for hrow, trow in zip(hinv, htilde_matrix(phi) if htilde is None else htilde):
         for h, t in zip(hrow, trow):
             if not h.is_zero():
                 acc = acc + h * t

@@ -92,14 +92,15 @@ def tractor_volume(chart: FrameChart) -> AltTensor:
 
 
 def tractor_metric_from_phi(chart: FrameChart, phi: AltTensor):
-    """(H, H^-1): the tractor metric a generic parallel 3-form induces, and
-    its inverse matrix.
+    """(H, H^-1, htilde): the tractor metric a generic parallel 3-form
+    induces, its inverse matrix, and the matrix htilde it normalises.
 
     Normalized by the trace identity 6 H_{AD} = Phi_{ABC} Phi_D^{BC}
     (equivalently Phi.Phi = 42 under H-raising), which is orientation
     free and needs no root extraction beyond an exact monomial cube
     root.  H = c htilde for that root c, so H^-1 = c^-1 htilde^-1 reuses
-    the one inverse the normalisation takes.  Degenerate input raises
+    the one inverse the normalisation takes, and htilde is returned for
+    the volume coefficient (phi_volume_ratio).  Degenerate input raises
     DegenerateError.
     """
     n = chart.dim
@@ -111,7 +112,7 @@ def tractor_metric_from_phi(chart: FrameChart, phi: AltTensor):
     c = (s / 42).cbrt()
     cinv = c.inverse()
     H = AltTensor.from_matrix([[x * c for x in row] for row in ht], 7, 0, SYM, chart.zero())
-    return H, [[x * cinv for x in row] for row in htinv]
+    return H, [[x * cinv for x in row] for row in htinv], ht
 
 
 def tractor_metric_hhdef(chart: FrameChart, phi: AltTensor, orientation: int = 1) -> AltTensor:
@@ -154,12 +155,13 @@ def tractor_metric_hhdef(chart: FrameChart, phi: AltTensor, orientation: int = 1
     return _tensor(7, 0, 2, SYM, chart.zero(), {k: v * scale for k, v in acc.items()})
 
 
-def phi_volume_ratio(chart: FrameChart, phi: AltTensor, Hinv) -> CoeffFn:
+def phi_volume_ratio(chart: FrameChart, phi: AltTensor, Hinv, htilde=None) -> CoeffFn:
     """Coefficient of (1/42) Phi_{K[AB} Phi^K_{CD} Phi_{EFG]} against the
     frame tractor volume, indices raised with the inverse matrix Hinv of
     the tractor metric; its sign is the orientation of Phi relative to
-    the chart frame."""
-    ratio = phi_volume_with(phi, Hinv)
+    the chart frame.  It is tr(Hinv htilde)/1470 on Phi's htilde, the
+    one a package carries when given, else built from Phi."""
+    ratio = phi_volume_with(phi, Hinv, htilde)
     return ratio * tractor_volume(chart).get((), tuple(range(7)))
 
 

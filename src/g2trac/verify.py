@@ -140,7 +140,7 @@ def verify(pkg: GeometryPackage, depth: str = "full",
                 residual_max_degree=worst_deg)
 
     # tractor metric consistency and genericity typing
-    ratio = phi_volume_ratio(chart, pkg.phi, pkg.Hinv)
+    ratio = phi_volume_ratio(chart, pkg.phi, pkg.Hinv, pkg.htilde)
     orient = 1 if ratio.coeff(ratio.min_exp()).sign() > 0 else -1
     rep.meta["phi_volume_ratio"] = repr(ratio)
     H2 = tractor_metric_hhdef(chart, pkg.phi, orient)
@@ -159,8 +159,8 @@ def verify(pkg: GeometryPackage, depth: str = "full",
     rep.add("tractor.j-identities",
             all(v.is_zero() for v in jfield_identity_defects(pkg)),
             "J X = 0 and J^2 = -tau id + X (x) X-flat")
-    volp = all(d_cotractor_tensor(chart, tractor_volume(chart), a).is_zero()
-               for a in range(pkg.dim))
+    vol = tractor_volume(chart)
+    volp = all(d_cotractor_tensor(chart, vol, a).is_zero() for a in range(pkg.dim))
     rep.add("tractor.volume-parallel", volp)
 
     st = stratify(pkg, samples=[s for s in samples] + [-s for s in samples])

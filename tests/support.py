@@ -53,7 +53,7 @@ def exact_upsilon(chart: FrameChart, f: CoeffFn) -> List[CoeffFn]:
 
 
 def recompute_H_defect(pkg: GeometryPackage) -> List[CoeffFn]:
-    H2, _ = tractor_metric_from_phi(pkg.chart, pkg.phi)
+    H2, _, _ = tractor_metric_from_phi(pkg.chart, pkg.phi)
     return [v for row in (H2 - pkg.H).as_matrix() for v in row]
 
 

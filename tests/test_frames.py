@@ -393,6 +393,20 @@ def test_levi_civita_chart_carries_the_inverse_metric(case, family_package):
     assert FrameChart(n, lc.param, lc.rho_directions).metric_inverse is None
 
 
+@pytest.mark.parametrize("param", [RHO_PLUS, RHO_MINUS])
+def test_substituted_chart_carries_the_substituted_curvature(param):
+    # rho -> +-s^2 commutes with d/drho: the curvature substitute_param
+    # carries is the one a chart with the substituted data computes in s
+    ch = _random_chart()
+    sub = ch.substitute_param(param)
+    fresh = FrameChart(ch.dim, param, ch.rho_directions)
+    fresh.C, fresh.G = sub.C, sub.G
+    assert sub.curvature().comps == fresh.curvature().comps
+    assert not sub.weyl().is_zero() and sub.weyl().comps == fresh.weyl().comps
+    assert sub.curvature().comps == {k: v.substitute_rho(param)
+                                     for k, v in ch.curvature().comps.items()}
+
+
 def test_random_chart_exercises_every_curvature_term():
     # a vacuous oracle check would pass on a flat chart: this one curves,
     # and its curvature differs once either derivative term is dropped

@@ -3,18 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from g2trac import frames, linalg, symmetries, tractor
+from g2trac import frames, geometry, linalg, stable_forms, symmetries, tractor
 from g2trac import verify as battery
-from g2trac.geometry import (NPKReport, compactness_check, jfield_identity_defects,
-                             normal_form_check, npk_extract, npk_verify, stratify)
-from g2trac.laurent import RHO_MINUS, RHO_PLUS, CoeffFn
+from g2trac.geometry import (NPKReport, collar_metric, compactness_check,
+                             jfield_identity_defects, levi_civita_collar, normal_form_check,
+                             npk_extract, npk_verify, stratify)
+from g2trac.laurent import PLAIN, RHO_MINUS, RHO_PLUS, CoeffFn
 from g2trac.qm_family import (REGRESSION_PARAMETERS, FamilyParams, build_model, build_qm,
                               displayed_endomorphism, displayed_orbit_complex_structure,
                               displayed_orbit_kahler_form, displayed_orbit_metric,
                               expected_tractor_metric)
 from g2trac.scalars import QScalar
 from g2trac.tensors import AltTensor
-from g2trac.tractor import phi_volume_ratio, scale_3form, tractor_metric_hhdef
+from g2trac.tractor import (phi_volume_ratio, scale_3form, tractor_metric_hhdef,
+                            tractor_volume)
 from support import exact_upsilon, recompute_H_defect
 
 
@@ -49,6 +51,52 @@ def test_orientation_ratio_at_every_regression_parameter(family_package, m):
     pkg = family_package(m)
     ratio = phi_volume_ratio(pkg.chart, pkg.phi, pkg.Hinv)
     assert ratio == CoeffFn.of(QScalar(Fraction(-1, 210)), pkg.chart.param)
+
+
+def _count_htilde(monkeypatch):
+    # the normalisation calls stable_forms' name, the package property geometry's
+    calls = []
+    original = stable_forms.htilde_matrix
+
+    def counted(phi):
+        calls.append(phi)
+        return original(phi)
+
+    monkeypatch.setattr(stable_forms, "htilde_matrix", counted)
+    monkeypatch.setattr(geometry, "htilde_matrix", counted, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("m", REGRESSION_PARAMETERS, ids=str)
+def test_package_carries_the_htilde_of_phi(family_package, m):
+    pkg = family_package(m)
+    assert pkg.htilde == stable_forms.htilde_matrix(pkg.phi)
+    # the battery's ratio reads the carried htilde; phi_volume_with rebuilds it
+    want = stable_forms.phi_volume_with(pkg.phi, pkg.Hinv)
+    assert stable_forms.phi_volume_with(pkg.phi, pkg.Hinv, pkg.htilde) == want
+    frame = tractor_volume(pkg.chart).get((), tuple(range(7)))
+    assert battery.verify(pkg, depth="quick").meta["phi_volume_ratio"] == repr(want * frame)
+
+
+def test_build_and_quick_battery_make_htilde_once(monkeypatch):
+    calls = _count_htilde(monkeypatch)
+    pkg = build_qm(FamilyParams(Fraction(1, 2)))
+    assert battery.verify(pkg, depth="quick").all_ok()
+    assert calls == [pkg.phi]
+
+
+def test_hand_built_package_makes_its_htilde_on_first_read(pkg_half, monkeypatch):
+    calls = _count_htilde(monkeypatch)
+    pkg = _off_normal_form(pkg_half)
+    assert calls == []
+    rep = battery.verify(pkg, depth="quick")
+    assert calls == [pkg.phi]
+    # read again from the cache, not rebuilt
+    assert pkg.htilde == pkg_half.htilde and calls == [pkg.phi]
+    assert [r.name for r in rep.records if r.status == "fail"] == [
+        "tractor.metric-consistency", "orbits.collar-normal-form"]
+    assert rep.meta["phi_volume_ratio"] == battery.verify(
+        pkg_half, depth="quick").meta["phi_volume_ratio"]
 
 
 def test_endomorphism_is_minus_the_display(pkg_half):
@@ -199,18 +247,18 @@ def _count_levi_civita(monkeypatch):
 
 
 def test_full_battery_builds_each_collar_chart_once(monkeypatch):
-    # each side has one Levi-Civita chart of g_side, with its g^-1: both
-    # compactness orders read it in rho, npk_extract's J and npk_verify in
-    # s; the package carries H^-1.  3 Laurent inverses and 3 Levi-Civita
-    # charts: the collar charts of both sides and the boundary chart of g0
+    # both sides share one Levi-Civita chart, that of g_+ = -g_-, with its
+    # g^-1: both compactness orders read it in rho, npk_extract's J and
+    # npk_verify in s; the package carries H^-1.  2 Laurent inverses and 2
+    # Levi-Civita charts: the collar chart and the boundary chart of g0
     calls = _count_inverse_laurent(monkeypatch)
     charts = _count_levi_civita(monkeypatch)
     pkg = build_qm(FamilyParams(Fraction(1, 2)))
     del calls[:]
     assert battery.verify(pkg, depth="full").all_ok()
-    assert calls == [6, 6, 5] and charts == [6, 6, 5]
+    assert calls == [6, 5] and charts == [6, 5]
     compactness_check(pkg, 1, Fraction(3))
-    assert calls == [6, 6, 5] and charts == [6, 6, 5]
+    assert calls == [6, 5] and charts == [6, 5]
 
 
 def test_full_battery_walks_the_symmetry_residuals_once(monkeypatch):
@@ -243,6 +291,22 @@ def test_one_open_orbit_inverts_its_metric_once(monkeypatch, side):
     assert calls == [6]
 
 
+def test_both_open_orbits_compute_one_curvature(monkeypatch):
+    # the orbit charts of both sides substitute the one curvature in rho
+    params = []
+    original = frames._connection_curvature
+
+    def counted(M, C, rho_directions):
+        params.append(M[0][0][0].param)
+        return original(M, C, rho_directions)
+
+    monkeypatch.setattr(frames, "_connection_curvature", counted)
+    pkg = build_qm(FamilyParams(Fraction(1, 2)))
+    for side in (1, -1):
+        assert npk_verify(npk_extract(pkg, side)).all_ok()
+    assert params == [PLAIN]
+
+
 @pytest.mark.parametrize("side", [1, -1])
 @pytest.mark.parametrize("m", REGRESSION_PARAMETERS, ids=str)
 def test_orbit_chart_is_the_levi_civita_chart_of_its_metric(family_package, m, side):
@@ -254,6 +318,31 @@ def test_orbit_chart_is_the_levi_civita_chart_of_its_metric(family_package, m, s
     assert orb.chart.metric_inverse == lc.metric_inverse
     assert orb.J == linalg.mat_mul(linalg.inverse_laurent(orb.g.as_matrix()),
                                    orb.omega.as_matrix())
+
+
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize("m", REGRESSION_PARAMETERS, ids=str)
+def test_both_sides_share_one_levi_civita_connection(family_package, m, side):
+    # g_- = -g_+: a chart built afresh from g_side has the shared connection
+    # and the inverse the side's chart carries
+    pkg = family_package(m)
+    lc = levi_civita_collar(pkg, side)
+    fresh = pkg.chart.levi_civita(collar_metric(pkg.H.as_matrix(), side, PLAIN))
+    assert lc.G is levi_civita_collar(pkg, -side).G
+    assert fresh.G == lc.G and fresh.C == lc.C
+    assert fresh.metric_inverse == lc.metric_inverse
+
+
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize("m", REGRESSION_PARAMETERS, ids=str)
+def test_orbit_chart_curvature_is_the_substituted_curvature(family_package, m, side):
+    # the orbit chart's curvature is the one curvature in rho substituted;
+    # a chart built afresh in s computes its own
+    orb = npk_extract(family_package(m), side)
+    lc = orb.chart.levi_civita(orb.g)
+    assert orb.chart.curvature().comps == lc.curvature().comps
+    assert orb.chart.ricci().comps == lc.ricci().comps
+    assert orb.chart.weyl().comps == lc.weyl().comps
 
 
 def test_off_normal_form_package_skips_the_open_orbits(pkg_half):

@@ -391,6 +391,31 @@ def test_metric_scaling_makes_no_zero_operand_field_op(xi, monkeypatch):
     assert any(not x for row in want for x in row)
 
 
+@pytest.mark.parametrize("xi", [1, -1])
+def test_signature_and_phi_norm_make_no_zero_operand_field_op(xi, monkeypatch):
+    # the signature's update takes -f c at a zero entry of the active block,
+    # as rref does, and the phi-norm's sum starts at its first product
+    phi = phi_xi(xi).pullback(random_sl(random.Random(f"scale-zeros-{xi}"), 7))
+    ops, zero_operand = [], []
+    for name in ("__add__", "__sub__", "__mul__"):
+        def counted(x, y, op=getattr(QScalar, name)):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):
+                frame = frame.f_back
+            if frame.f_code.co_name in ("signature", "_phi_norm_with"):
+                ops.append(frame.f_code.co_name)
+                if isinstance(y, QScalar) and (x.is_zero() or y.is_zero()):
+                    zero_operand.append(frame.f_code.co_name)
+            return op(x, y)
+
+        monkeypatch.setattr(QScalar, name, counted)
+    _, _, cls = sf.metric_from_3form7(phi)
+    monkeypatch.undo()
+    assert zero_operand == []
+    assert set(ops) == {"signature", "_phi_norm_with"}
+    assert cls == (sf.DEFINITE if xi == 1 else sf.SPLIT)
+
+
 def test_volume_coefficient_is_sl7_invariant():
     # A^* of the volume form is det(A) vol = vol, and A^* phi has metric A^T H0 A
     rng = random.Random(29)
