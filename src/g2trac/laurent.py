@@ -134,21 +134,38 @@ class CoeffFn:
     # stored as zero, and a product of nonzero field elements is nonzero,
     # so the results are built with _cf.  Nothing mutates .terms after
     # construction, so an operand may be returned as the result.
+    #
+    # Two monomials c s^e (the collar's data are weighted homogeneous, so
+    # nearly every operand is one) take one QScalar op and build one dict
+    # entry, or two when the exponents differ; the general loop handles
+    # operands of two or more terms.  An operand of the same parameterization
+    # skips the coercion of _join.
 
     def __add__(self, other) -> "CoeffFn":
-        o = self._join(other)
-        if not o.terms:
+        o = other
+        if o.__class__ is not CoeffFn or o.param != self.param:
+            o = self._join(o)
+        st, ot = self.terms, o.terms
+        if not ot:
             return self
-        if not self.terms:
+        if not st:
             return o
-        out = dict(self.terms)
-        for e, c in o.terms.items():
+        if len(st) == 1 and len(ot) == 1:
+            e1, = st
+            e2, = ot
+            c1, c2 = st[e1], ot[e2]
+            if e1 != e2:
+                return _cf({e1: c1, e2: c2}, self.param)
+            c = c1 + c2
+            return _cf({e1: c}, self.param) if c else _ZEROS[self.param]
+        out = dict(st)
+        for e, c in ot.items():
             s = out.get(e)
             s = c if s is None else s + c
-            if s.is_zero():
-                del out[e]
-            else:
+            if s:
                 out[e] = s
+            else:
+                del out[e]
         return _cf(out, self.param)
 
     __radd__ = __add__
@@ -159,39 +176,64 @@ class CoeffFn:
         return _cf({e: -c for e, c in self.terms.items()}, self.param)
 
     def __sub__(self, other) -> "CoeffFn":
-        o = self._join(other)
-        if not o.terms:
+        o = other
+        if o.__class__ is not CoeffFn or o.param != self.param:
+            o = self._join(o)
+        st, ot = self.terms, o.terms
+        if not ot:
             return self
-        if not self.terms:
+        if not st:
             return -o
-        return self + (-o)
+        if len(st) == 1 and len(ot) == 1:
+            e1, = st
+            e2, = ot
+            c1, c2 = st[e1], ot[e2]
+            if e1 != e2:
+                return _cf({e1: c1, e2: -c2}, self.param)
+            c = c1 - c2
+            return _cf({e1: c}, self.param) if c else _ZEROS[self.param]
+        out = dict(st)
+        for e, c in ot.items():
+            s = out.get(e)
+            s = -c if s is None else s - c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return _cf(out, self.param)
 
     def __rsub__(self, other) -> "CoeffFn":
-        return self._join(other) + (-self)
+        return self._join(other) - self
 
     def __mul__(self, other) -> "CoeffFn":
-        if not isinstance(other, CoeffFn):
+        if other.__class__ is not CoeffFn:
             return self._scale(QScalar.of(other))
-        o = self._join(other)
-        if not self.terms:
+        o = other if other.param == self.param else self._join(other)
+        st, ot = self.terms, o.terms
+        if not st:
             return self
-        if not o.terms:
+        if not ot:
             return o
-        if o.terms.keys() == {0}:
-            return self._scale(o.terms[0])
-        if self.terms.keys() == {0}:
-            return o._scale(self.terms[0])
+        if len(st) == 1 and len(ot) == 1:
+            e1, = st
+            e2, = ot
+            c1, c2 = st[e1], ot[e2]
+            return _cf({e1 + e2: c1 * c2}, self.param)
+        if ot.keys() == {0}:
+            return self._scale(ot[0])
+        if st.keys() == {0}:
+            return o._scale(st[0])
         out: Dict[int, QScalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
+        for e1, c1 in st.items():
+            for e2, c2 in ot.items():
                 e = e1 + e2
                 p = c1 * c2
                 s = out.get(e)
                 s = p if s is None else s + p
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
+                if s:
                     out[e] = s
+                else:
+                    out.pop(e, None)
         return _cf(out, self.param)
 
     __rmul__ = __mul__
@@ -206,6 +248,9 @@ class CoeffFn:
 
     def __eq__(self, other) -> bool:
         # like QScalar: an operand outside the ring is not equal, not an error
+        if other.__class__ is CoeffFn and other.param == self.param:
+            # no zero coefficient is stored and QScalar's form is unique
+            return self.terms == other.terms
         if not isinstance(other, (CoeffFn, QScalar, int, Fraction)):
             return NotImplemented
         try:
@@ -220,7 +265,7 @@ class CoeffFn:
         return hash((self.param, tuple(sorted(self.terms.items()))))
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.terms)
 
     def inverse(self) -> "CoeffFn":
         if len(self.terms) != 1:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Dict, List, Sequence
 
+from .laurent import CoeffFn
 from .scalars import DegenerateError, QScalar
 
 Mat = List[List]
@@ -35,10 +36,11 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
 
     A zero row of A gives a row of B's zero, so the product keeps B's
     ring (and a CoeffFn's parameterization) even then.  A zero entry
-    enters no QScalar op: a field element a times a zero b of B is b itself
-    (a Laurent a b stays, a zero shortcut that keeps a's parameterization),
-    and a zero entry of the running sum takes the next product as it is."""
-    zero = B[0][0] * 0
+    enters no ring op: a field element a times a zero b of B is b itself,
+    a Laurent a times it the zero of a's parameterization, and a zero
+    entry of the running sum takes the next product as it is."""
+    b0 = B[0][0]
+    zero = CoeffFn.zero(b0.param) if isinstance(b0, CoeffFn) else b0 * 0
     out = []
     for arow in A:
         row = None
@@ -46,10 +48,11 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
             if not a:
                 continue
             if row is None:
-                if isinstance(a, QScalar):
-                    row = [a * b if b else b for b in brow]
+                if isinstance(a, CoeffFn):
+                    z = CoeffFn.zero(a.param)
+                    row = [a * b if b else z for b in brow]
                 else:
-                    row = [a * b for b in brow]
+                    row = [a * b if b else b for b in brow]
             else:
                 row = [(r + a * b if r else a * b) if b else r for r, b in zip(row, brow)]
         out.append(row if row is not None else [zero] * len(B[0]))

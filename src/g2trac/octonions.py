@@ -154,7 +154,9 @@ def dot(x: ImaginaryVector, y: ImaginaryVector) -> QScalar:
         if xi_c.is_zero() or yi_c.is_zero():
             continue
         t = xi_c * yi_c
-        acc = acc + (t if (i < 3 or x.xi == 1) else -t)
+        if i >= 3 and x.xi != 1:
+            t = -t
+        acc = acc + t if acc else t
     return acc
 
 

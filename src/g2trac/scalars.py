@@ -148,8 +148,11 @@ class QScalar:
     __radd__ = __add__
 
     def __neg__(self) -> "QScalar":
+        # negation keeps the tuple in lowest terms: no gcd
         a, b, c, d, n = self._v
-        return _reduced(-a, -b, -c, -d, n)
+        q = object.__new__(QScalar)
+        q._v = (-a, -b, -c, -d, n)
+        return q
 
     def __sub__(self, other) -> "QScalar":
         o = _ints(other)

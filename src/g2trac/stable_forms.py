@@ -46,7 +46,7 @@ def lam(beta: AltTensor) -> QScalar:
     J = jtilde_matrix(beta)
     tr = linalg.sum_prod([x for row in J for x in row],
                          [x for col in zip(*J) for x in col])
-    return tr * QScalar(Fraction(1, 6))
+    return tr * QScalar(Fraction(1, 6)) if tr else tr
 
 
 def kernel_dim(beta: AltTensor) -> int:

@@ -1,9 +1,11 @@
+import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from g2trac import frames, geometry, linalg, stable_forms, symmetries, tractor
+from g2trac import frames, geometry, laurent, linalg, stable_forms, symmetries, tractor
 from g2trac import verify as battery
 from g2trac.geometry import (NPKReport, collar_metric, compactness_check,
                              jfield_identity_defects, levi_civita_collar, normal_form_check,
@@ -83,6 +85,88 @@ def test_build_and_quick_battery_make_htilde_once(monkeypatch):
     pkg = build_qm(FamilyParams(Fraction(1, 2)))
     assert battery.verify(pkg, depth="quick").all_ok()
     assert calls == [pkg.phi]
+
+
+def _count_zero_operand_laurent_ops(monkeypatch):
+    """Counter of the CoeffFn ring ops with a zero operand, by the program
+    function that calls them (ops the ring ops make themselves excluded)."""
+    counts = Counter()
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__neg__"):
+        def counted(x, *y, op=getattr(CoeffFn, name)):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):
+                frame = frame.f_back
+            if frame.f_code.co_filename != laurent.__file__ and \
+                    any(not v for v in (x,) + y):
+                counts[frame.f_code.co_name] += 1
+            return op(x, *y)
+
+        monkeypatch.setattr(CoeffFn, name, counted)
+    return counts
+
+
+# The battery's sums, products and negations that skip a zero operand: the
+# first row of mat_mul, the torsion and volume defects, the -P column of
+# the tractor connection, the c and 1/c scaling of the tractor metric, the
+# negation in J and its identity defects, and verify's Ricci symmetry.
+QUICK_ZERO_SKIPPING = ("mat_mul", "torsion_defect", "volume_defect", "tractor_connection",
+                       "tractor_metric_from_phi", "jfield_full", "jfield_identity_defects",
+                       "verify")
+
+
+def test_build_and_quick_battery_skip_zero_operands(monkeypatch):
+    counts = _count_zero_operand_laurent_ops(monkeypatch)
+    pkg = build_qm(FamilyParams(Fraction(1, 2)))
+    rep = battery.verify(pkg, depth="quick")
+    monkeypatch.undo()
+    assert rep.all_ok()
+    assert {f: counts[f] for f in QUICK_ZERO_SKIPPING if counts[f]} == {}
+    # a few dozen of the ~950 ops are left, from cov_deriv, _scatter and others
+    assert 0 < sum(counts.values()) < 100
+
+
+def test_full_battery_skips_zero_operands_in_levi_civita_and_nijenhuis(monkeypatch):
+    counts = _count_zero_operand_laurent_ops(monkeypatch)
+    pkg = build_qm(FamilyParams(Fraction(1, 2)))
+    rep = battery.verify(pkg, depth="full")
+    monkeypatch.undo()
+    assert rep.all_ok()
+    assert {f: counts[f] for f in QUICK_ZERO_SKIPPING + ("levi_civita", "_nijenhuis_ok")
+            if counts[f]} == {}
+
+
+def _collar_entries(pkg):
+    """(name, coefficient) of every entry of the collar data: H, H^-1 and
+    htilde, the brackets C, the connection G and the curvature R of the
+    package chart, and g, J, omega and the Levi-Civita connection of both
+    open orbits."""
+    chart = pkg.chart
+    out = []
+    for name, M in (("H", pkg.H.as_matrix()), ("Hinv", pkg.Hinv), ("htilde", pkg.htilde)):
+        out += [(f"{name}[{i}][{j}]", v) for i, row in enumerate(M) for j, v in enumerate(row)]
+    for name, T in (("C", chart.C), ("G", chart.G)):
+        out += [(f"{name}[{a}][{b}][{c}]", v) for a, Ta in enumerate(T)
+                for b, row in enumerate(Ta) for c, v in enumerate(row)]
+    out += [(f"R{key}", v) for key, v in chart.curvature().comps.items()]
+    for side in (1, -1):
+        orb = npk_extract(pkg, side)
+        for name, M in (("g", orb.g.as_matrix()), ("J", orb.J), ("omega", orb.omega.as_matrix())):
+            out += [(f"{name}{side:+d}[{i}][{j}]", v)
+                    for i, row in enumerate(M) for j, v in enumerate(row)]
+        out += [(f"lc.G{side:+d}[{a}][{b}][{c}]", v) for a, Ta in enumerate(orb.chart.G)
+                for b, row in enumerate(Ta) for c, v in enumerate(row)]
+    return out
+
+
+@pytest.mark.parametrize("m", REGRESSION_PARAMETERS)
+def test_collar_data_are_laurent_monomials(family_package, m):
+    # the family is weighted homogeneous under the dilation, so each entry
+    # has one weight: a single monomial c s^e, the fast path of CoeffFn's ops
+    entries = _collar_entries(family_package(m))
+    assert len(entries) > 1000
+    not_monomial = [f"{name} = {v}" for name, v in entries if len(v.terms) > 1]
+    assert not_monomial == [], f"not a Laurent monomial: {not_monomial[0]}"
 
 
 def test_hand_built_package_makes_its_htilde_on_first_read(pkg_half, monkeypatch):

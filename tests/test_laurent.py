@@ -252,3 +252,106 @@ def test_cbrt_of_monomials(param):
 def test_cbrt_rejects(f):
     with pytest.raises(ValueError):
         f.cbrt()
+
+
+# -- the monomial branches against the general formulas ---------------------
+#
+# Operands of at most one term take the monomial branch of +, - and *; the
+# reference formulas above run the general loop on every operand.
+
+nonzero_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
+nonzero_coeffs = st.one_of(
+    st.builds(QScalar, nonzero_rationals),
+    st.builds(QScalar, nonzero_rationals, nonzero_rationals, st.just(0), nonzero_rationals))
+exponents = st.integers(min_value=-4, max_value=4)
+
+
+@st.composite
+def laurent_operands(draw, param):
+    """Zero, a constant, a monomial or a binomial of one parameterization."""
+    kind = draw(st.sampled_from(["zero", "constant", "monomial", "binomial"]))
+    if kind == "zero":
+        return CoeffFn.zero(param)
+    if kind == "constant":
+        return CoeffFn({0: draw(nonzero_coeffs)}, param)
+    if kind == "monomial":
+        return CoeffFn({draw(exponents): draw(nonzero_coeffs)}, param)
+    e1, e2 = draw(st.lists(exponents, min_size=2, max_size=2, unique=True))
+    return CoeffFn({e1: draw(nonzero_coeffs), e2: draw(nonzero_coeffs)}, param)
+
+
+@st.composite
+def right_operands(draw, f):
+    """A right operand for f: of f's parameterization (often sharing an
+    exponent with f, so that a sum can cancel), a constant or a
+    non-constant of another one, or an int, Fraction or QScalar."""
+    kind = draw(st.sampled_from(["same", "negated", "same-exponent", "other-constant",
+                                 "other", "int", "fraction", "qscalar"]))
+    if kind == "same":
+        return draw(laurent_operands(f.param))
+    if kind == "negated":
+        return -f
+    if kind == "same-exponent":
+        return CoeffFn({e: draw(nonzero_coeffs) for e in f.terms}, f.param)
+    other = draw(st.sampled_from([p for p in PARAMS if p != f.param]))
+    if kind == "other-constant":
+        return draw(st.one_of(st.just(CoeffFn.zero(other)),
+                              st.builds(lambda c: CoeffFn({0: c}, other), nonzero_coeffs)))
+    if kind == "other":
+        return CoeffFn({draw(exponents.filter(bool)): draw(nonzero_coeffs)}, other)
+    if kind == "int":
+        return draw(st.integers(min_value=-5, max_value=5))
+    if kind == "fraction":
+        return draw(st.fractions(min_value=-5, max_value=5, max_denominator=7))
+    return draw(st.one_of(st.just(QScalar.zero()), nonzero_coeffs))
+
+
+@st.composite
+def operand_pairs(draw):
+    f = draw(laurent_operands(draw(st.sampled_from(PARAMS))))
+    return f, draw(right_operands(f))
+
+
+@given(operand_pairs())
+@settings(max_examples=300)
+def test_monomial_branches_match_the_general_loop(pair):
+    f, g = pair
+    _assert_same(-f, _ref_neg(f))
+    if isinstance(g, CoeffFn) and g.param != f.param and not g.is_constant():
+        # a non-constant of another parameterization never joins; f joins
+        # g's parameterization only where f is a constant
+        for op in (operator.mul, operator.add, operator.sub):
+            with pytest.raises(ValueError):
+                op(f, g)
+            if f.is_constant():
+                _assert_same(op(g, f), {operator.mul: _ref_mul, operator.add: _ref_add,
+                                        operator.sub: _ref_sub}[op](g, f))
+            else:
+                with pytest.raises(ValueError):
+                    op(g, f)
+        return
+    _assert_same(f * g, _ref_mul(f, g))
+    _assert_same(f + g, _ref_add(f, g))
+    _assert_same(f - g, _ref_sub(f, g))
+    if not isinstance(g, CoeffFn):
+        _assert_same(f._scale(QScalar.of(g)), _ref_mul(f, g))
+        _assert_same(g * f, _ref_mul(f, g))
+        _assert_same(g + f, _ref_add(f, g))
+        _assert_same(g - f, _ref_sub(_ref_join(f, g), f))
+    elif g.param == f.param:
+        _assert_same(g * f, _ref_mul(g, f))
+        _assert_same(g + f, _ref_add(g, f))
+        _assert_same(g - f, _ref_sub(g, f))
+    assert (f == g) == _ref_sub(f, g).is_zero()
+
+
+@pytest.mark.parametrize("param", PARAMS)
+def test_cancelling_monomials_give_the_shared_zero(param):
+    f = CoeffFn.monomial(1 + SQRT2, -3, param)
+    g = CoeffFn.monomial(-1 - SQRT2, -3, param)
+    assert f - f is CoeffFn.zero(param) and f + g is CoeffFn.zero(param)
+    # two exponents: the two-entry dict of the general loop, in its order
+    h = CoeffFn.monomial(QScalar(Fraction(2, 3)), 2, param)
+    assert list((f + h).terms.items()) == [(-3, 1 + SQRT2), (2, QScalar(Fraction(2, 3)))]
+    assert list((h - f).terms.items()) == [(2, QScalar(Fraction(2, 3))), (-3, -1 - SQRT2)]
+    assert (f * h).terms == {-1: (1 + SQRT2) * Fraction(2, 3)} and (f * h).param == param

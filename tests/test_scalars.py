@@ -162,6 +162,18 @@ def test_fast_paths_match_general_formula(op, left, right):
         assert got.as_strings() == [str(v) for v in want]
 
 
+@given(operands(plain=False))
+@settings(max_examples=200)
+def test_negation_keeps_the_reduced_tuple(x):
+    # negation takes no gcd: (-A, -B, -C, -D, n) is in lowest terms already
+    (x, coords) = x
+    got = -x
+    assert got._v == _canonical(tuple(-c for c in coords))
+    assert gcd(*got._v) == 1 and got._v[4] > 0
+    assert got == 0 - x and got._v == (QScalar.zero() - x)._v
+    assert -got == x and got + x == 0
+
+
 def test_only_rational_pairs_take_the_fast_path(monkeypatch):
     # a pair with an irrational operand takes the general formula; a
     # rational pair makes one _rational call

@@ -416,6 +416,26 @@ def test_signature_and_phi_norm_make_no_zero_operand_field_op(xi, monkeypatch):
     assert cls == (sf.DEFINITE if xi == 1 else sf.SPLIT)
 
 
+@pytest.mark.parametrize("cls", [sf.B3, sf.B4, sf.B5, sf.B6])
+def test_lambda_of_a_zero_trace_makes_no_zero_operand_field_op(cls, monkeypatch):
+    # a zero tr(Jtilde^2) is lambda itself, not a product with 1/6
+    beta = NORMAL_FORMS[cls].pullback(random_sl(random.Random(f"lam-zeros-{cls}"), 6))
+    ops, zero_operand = [], []
+    for name in ("__add__", "__sub__", "__mul__"):
+        def counted(x, y, op=getattr(QScalar, name)):
+            if sys._getframe(1).f_code.co_name == "lam":
+                ops.append(name)
+                if x.is_zero() or QScalar.of(y).is_zero():
+                    zero_operand.append(name)
+            return op(x, y)
+
+        monkeypatch.setattr(QScalar, name, counted)
+    got = sf.lam(beta)
+    monkeypatch.undo()
+    assert got.is_zero() and zero_operand == [] and ops == []
+    assert sf.classify6(beta)["class"] == cls
+
+
 def test_volume_coefficient_is_sl7_invariant():
     # A^* of the volume form is det(A) vol = vol, and A^* phi has metric A^T H0 A
     rng = random.Random(29)
