@@ -43,20 +43,6 @@ from .linalg import inverse_laurent, mat_mul
 from .tensors import ALT, NONE, AltTensor, _scatter, _tensor, sort_with_sign
 
 
-def _plus(x: CoeffFn, y: CoeffFn) -> CoeffFn:
-    """x + y with no Laurent op on a zero operand."""
-    if not y:
-        return x
-    return x + y if x else y
-
-
-def _minus(x: CoeffFn, y: CoeffFn) -> CoeffFn:
-    """x - y with no Laurent op on a zero operand."""
-    if not y:
-        return x
-    return x - y if x else -y
-
-
 def _nonzero_rows(M) -> List[List[List[Tuple[int, CoeffFn]]]]:
     """For a list of matrices M[i][j][k], the (k, M[i][j][k]) with nonzero entry."""
     return [[[(k, v) for k, v in enumerate(row) if not v.is_zero()] for row in Mi] for Mi in M]
@@ -247,8 +233,7 @@ class FrameChart:
         for a in range(self.dim):
             for c in range(a + 1, self.dim):
                 for b in range(self.dim):
-                    out.append(_minus(_minus(self.G[a][c][b], self.G[c][a][b]),
-                                      self.C[a][c][b]))
+                    out.append(self.G[a][c][b] - self.G[c][a][b] - self.C[a][c][b])
         return out
 
     def is_torsion_free(self) -> bool:
@@ -260,7 +245,7 @@ class FrameChart:
         for a in range(self.dim):
             acc = self.zero()
             for b in range(self.dim):
-                acc = _plus(acc, self.G[a][b][b])
+                acc = acc + self.G[a][b][b]
             out.append(acc)
         return out
 
@@ -373,7 +358,7 @@ class FrameChart:
         for (a, c, d), v in acc.items():
             K[a][c][d] = v
         # G[a][c][b] = (1/2) g^{bd} K[a][c][d], and g^-1 is symmetric
-        G = [[[x * half if x else x for x in row] for row in mat_mul(Ka, ginv)] for Ka in K]
+        G = [[[x * half for x in row] for row in mat_mul(Ka, ginv)] for Ka in K]
         out = FrameChart(self.dim, self.param, self.rho_directions)
         out.C = [[list(col) for col in row] for row in self.C]
         out.G = G

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import linalg
-from .frames import FrameChart, _minus, _plus
+from .frames import FrameChart
 from .laurent import PLAIN, RHO_MINUS, RHO_PLUS, CoeffFn
 from .scalars import DegenerateError, QScalar
 from .stable_forms import cross_matrix, htilde_matrix
@@ -81,7 +81,7 @@ def jfield_full(chart: FrameChart, phi: AltTensor, Hinv):
     """The weighted endomorphism V -> -X x V in tractor components: with
     X = e_n, minus the cross-product matrix of e_n, given the inverse
     matrix Hinv of the tractor metric."""
-    return [[-v if v else v for v in row] for row in cross_matrix(phi, Hinv, chart.dim)]
+    return [[-v for v in row] for row in cross_matrix(phi, Hinv, chart.dim)]
 
 
 def jfield_identity_defects(pkg: GeometryPackage):
@@ -97,10 +97,10 @@ def jfield_identity_defects(pkg: GeometryPackage):
         for B in range(n + 1):
             want = pkg.chart.zero()
             if A == B:
-                want = _minus(want, pkg.tau)
+                want = want - pkg.tau
             if A == n:
-                want = _plus(want, Hm[B][n])
-            defects.append(_minus(J2[A][B], want))
+                want = want + Hm[B][n]
+            defects.append(J2[A][B] - want)
     return defects
 
 
@@ -221,8 +221,7 @@ class NPKReport:
 def _nijenhuis_ok(chart: FrameChart, J, JdJ, eps: int) -> bool:
     """The Nijenhuis tensor against 4 J (nabla_U J) V on frame pairs:
     N(E_b, E_c) = -eps [E_b, E_c] - [JE_b, JE_c] + J([JE_b, E_c] + [E_b, JE_c])
-    is skew in b, c and [E_b, E_c] = C[b][c], so three brackets per b < c.
-    A zero operand enters no Laurent op."""
+    is skew in b, c and [E_b, E_c] = C[b][c], so three brackets per b < c."""
     n = chart.dim
     E = [[chart.one() if i == b else chart.zero() for i in range(n)] for b in range(n)]
     JE = [[J[a][b] for a in range(n)] for b in range(n)]
@@ -232,12 +231,12 @@ def _nijenhuis_ok(chart: FrameChart, J, JdJ, eps: int) -> bool:
             t2 = chart.bracket(JE[b], JE[c])
             t3 = chart.bracket(JE[b], E[c])
             t4 = chart.bracket(E[b], JE[c])
-            Jt34 = linalg.mat_vec(J, [_plus(x, y) for x, y in zip(t3, t4)])
+            Jt34 = linalg.mat_vec(J, [x + y for x, y in zip(t3, t4)])
             # z - eps x - y, with eps = +-1
-            N[b][c] = [_minus(_minus(z, x) if eps > 0 else _plus(z, x), y)
+            N[b][c] = [(z - x if eps > 0 else z + x) - y
                        for x, y, z in zip(chart.C[b][c], t2, Jt34)]
-            N[c][b] = [-x if x else x for x in N[b][c]]
-    return all(N[b][c][i] == (v * 4 if v else v)
+            N[c][b] = [-x for x in N[b][c]]
+    return all(N[b][c][i] == v * 4
                for b in range(n) for c in range(n)
                for i, v in enumerate(row[c] for row in JdJ[b]))
 

@@ -130,10 +130,13 @@ class CoeffFn:
 
     # -- ring ops ----------------------------------------------------------
     #
-    # A zero or constant operand takes a shortcut: no coefficient is
-    # stored as zero, and a product of nonzero field elements is nonzero,
-    # so the results are built with _cf.  Nothing mutates .terms after
-    # construction, so an operand may be returned as the result.
+    # A zero operand returns at once, once the parameterizations agree:
+    # x + 0, 0 + x and x - 0 give x, 0 - x gives -x and a product the
+    # zero operand (one shared zero per parameterization), with no QScalar
+    # op.  Nothing mutates .terms after construction, so an operand may
+    # be returned as the result.  A constant operand scales: no
+    # coefficient is stored as zero, and a product of nonzero field
+    # elements is nonzero, so the results are built with _cf.
     #
     # Two monomials c s^e (the collar's data are weighted homogeneous, so
     # nearly every operand is one) take one QScalar op and build one dict

@@ -21,7 +21,6 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Dict, List, Sequence
 
-from .laurent import CoeffFn
 from .scalars import DegenerateError, QScalar
 
 Mat = List[List]
@@ -34,13 +33,9 @@ def eye(n, one, zero) -> Mat:
 def mat_mul(A: Mat, B: Mat) -> Mat:
     """A B as a sum of rows of B, skipping the zero entries of A and B.
 
-    A zero row of A gives a row of B's zero, so the product keeps B's
-    ring (and a CoeffFn's parameterization) even then.  A zero entry
-    enters no ring op: a field element a times a zero b of B is b itself,
-    a Laurent a times it the zero of a's parameterization, and a zero
-    entry of the running sum takes the next product as it is."""
-    b0 = B[0][0]
-    zero = CoeffFn.zero(b0.param) if isinstance(b0, CoeffFn) else b0 * 0
+    A zero row of A, and a zero entry b where a row starts, give B's zero,
+    so the product keeps B's ring (and a CoeffFn's parameterization)."""
+    zero = B[0][0] * 0
     out = []
     for arow in A:
         row = None
@@ -48,13 +43,9 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
             if not a:
                 continue
             if row is None:
-                if isinstance(a, CoeffFn):
-                    z = CoeffFn.zero(a.param)
-                    row = [a * b if b else z for b in brow]
-                else:
-                    row = [a * b if b else b for b in brow]
+                row = [a * b if b else zero for b in brow]
             else:
-                row = [(r + a * b if r else a * b) if b else r for r, b in zip(row, brow)]
+                row = [r + a * b if b else r for r, b in zip(row, brow)]
         out.append(row if row is not None else [zero] * len(B[0]))
     return out
 
@@ -83,14 +74,13 @@ def _support(v) -> list:
 
 
 def _dot_on(row, support):
-    """Sum of row[j] x over a vector's support, skipping zero row[j] and
-    restarting a sum that has cancelled from the next product; None when
-    no pair has both entries nonzero."""
+    """Sum of row[j] x over a vector's support, skipping zero row[j]; None
+    when no pair has both entries nonzero."""
     acc = None
     for j, x in support:
         a = row[j]
         if a:
-            acc = acc + a * x if acc else a * x
+            acc = a * x if acc is None else acc + a * x
     return acc
 
 
@@ -133,7 +123,7 @@ def rref(A: Mat):
         R[r], R[pr] = R[pr], R[r]
         if unit:
             inv = R[r][c].inverse()
-            R[r] = [x * inv if x else x for x in R[r]]
+            R[r] = [x * inv for x in R[r]]
         prow = R[r]
         p = prow[c]
         # the update leaves the columns where the pivot row is zero unchanged
@@ -142,14 +132,8 @@ def rref(A: Mat):
             f = R[i][c]
             if i != r and not f.is_zero():
                 row = R[i][:] if unit else [p * x for x in R[i]]
-                nf = None   # -f, made once: a zero entry becomes -f p, not 0 - f p
                 for j in support:
-                    x = row[j]
-                    if x:
-                        row[j] = x - f * prow[j]
-                    else:
-                        nf = -f if nf is None else nf
-                        row[j] = nf * prow[j]
+                    row[j] = row[j] - f * prow[j]
                 R[i] = row
         pivots.append(c)
         r += 1
@@ -215,8 +199,7 @@ def rref_kernel(R: Mat, pivots: List[int], cols: int) -> List[list]:
         v = [QScalar.zero()] * cols
         v[fc] = QScalar.one()
         for r, pc in enumerate(pivots):
-            x = R[r][fc]
-            v[pc] = -x if x else x
+            v[pc] = -R[r][fc]
         basis.append(v)
     return basis
 
@@ -280,20 +263,13 @@ def signature(G: Mat):
             q += 1
         inv = M[piv][piv].inverse()
         rest = [i for i in active if i != piv]
-        # only the rows and columns meeting the pivot column change; a zero
-        # entry takes -fi cj, not 0 - fi cj
+        # only the rows and columns meeting the pivot column change
         col = {i: M[i][piv] for i in rest if M[i][piv]}
         for i, ci in col.items():
             fi = ci * inv
-            nfi = None
             row = M[i]
             for j, cj in col.items():
-                x = row[j]
-                if x:
-                    row[j] = x - fi * cj
-                else:
-                    nfi = -fi if nfi is None else nfi
-                    row[j] = nfi * cj
+                row[j] = row[j] - fi * cj
         active = rest
     return p, q
 

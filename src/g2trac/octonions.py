@@ -154,9 +154,7 @@ def dot(x: ImaginaryVector, y: ImaginaryVector) -> QScalar:
         if xi_c.is_zero() or yi_c.is_zero():
             continue
         t = xi_c * yi_c
-        if i >= 3 and x.xi != 1:
-            t = -t
-        acc = acc + t if acc else t
+        acc = acc + t if (i < 3 or x.xi == 1) else acc - t
     return acc
 
 

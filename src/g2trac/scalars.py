@@ -67,6 +67,13 @@ def _ints(x):
     return None
 
 
+def _tuple(v) -> "QScalar":
+    """The QScalar whose int tuple is v, already in lowest terms."""
+    q = object.__new__(QScalar)
+    q._v = v
+    return q
+
+
 def _reduced(a: int, b: int, c: int, d: int, n: int) -> "QScalar":
     """(a + b*sqrt2 + c*sqrt5 + d*sqrt10) / n for n > 0, in lowest terms."""
     g = gcd(a, b, c, d, n)
@@ -108,7 +115,11 @@ class QScalar:
 
     @staticmethod
     def of(x) -> "QScalar":
-        return x if isinstance(x, QScalar) else QScalar(x)
+        if isinstance(x, QScalar):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return _tuple((x.numerator, 0, 0, 0, x.denominator))
+        return QScalar(x)
 
     @staticmethod
     def zero() -> "QScalar":
@@ -131,8 +142,11 @@ class QScalar:
         return QScalar(0, 0, 0, 1)
 
     # -- ring structure ----------------------------------------------
-    # Both operands rational (b = c = d = 0): one cross sum or one product
-    # over one denominator, and a 2-way gcd.
+    # A zero operand is rational, so the rational tests find it: 0 + x and
+    # x - 0 return the other operand, 0 - x its negation and 0 * x the
+    # shared zero, with no arithmetic and no gcd.  Both operands rational
+    # (b = c = d = 0): one cross sum or one product over one denominator,
+    # and a 2-way gcd.
 
     def __add__(self, other) -> "QScalar":
         o = _ints(other)
@@ -140,8 +154,15 @@ class QScalar:
             return NotImplemented
         a1, b1, c1, d1, n1 = self._v
         a2, b2, c2, d2, n2 = o
-        if not (b1 or c1 or d1 or b2 or c2 or d2):
-            return _rational(a1 * n2 + a2 * n1, n1 * n2)
+        if not (b1 or c1 or d1):
+            if not (b2 or c2 or d2):
+                if a1 and a2:
+                    return _rational(a1 * n2 + a2 * n1, n1 * n2)
+                return _tuple(o) if a2 else self
+            if not a1:
+                return other
+        elif not (a2 or b2 or c2 or d2):
+            return self
         return _reduced(a1 * n2 + a2 * n1, b1 * n2 + b2 * n1,
                         c1 * n2 + c2 * n1, d1 * n2 + d2 * n1, n1 * n2)
 
@@ -160,8 +181,15 @@ class QScalar:
             return NotImplemented
         a1, b1, c1, d1, n1 = self._v
         a2, b2, c2, d2, n2 = o
-        if not (b1 or c1 or d1 or b2 or c2 or d2):
-            return _rational(a1 * n2 - a2 * n1, n1 * n2)
+        if not (b1 or c1 or d1):
+            if not (b2 or c2 or d2):
+                if a1 and a2:
+                    return _rational(a1 * n2 - a2 * n1, n1 * n2)
+                return _tuple((-a2, 0, 0, 0, n2)) if a2 else self
+            if not a1:
+                return _tuple((-a2, -b2, -c2, -d2, n2))
+        elif not (a2 or b2 or c2 or d2):
+            return self
         return _reduced(a1 * n2 - a2 * n1, b1 * n2 - b2 * n1,
                         c1 * n2 - c2 * n1, d1 * n2 - d2 * n1, n1 * n2)
 
@@ -174,8 +202,14 @@ class QScalar:
             return NotImplemented
         a1, b1, c1, d1, n1 = self._v
         a2, b2, c2, d2, n2 = o
-        if not (b1 or c1 or d1 or b2 or c2 or d2):
-            return _rational(a1 * a2, n1 * n2)
+        if not (b1 or c1 or d1):
+            if not (b2 or c2 or d2):
+                p = a1 * a2
+                return _rational(p, n1 * n2) if p else _ZERO
+            if not a1:
+                return _ZERO
+        elif not (a2 or b2 or c2 or d2):
+            return _ZERO
         return _reduced(
             a1 * a2 + b1 * b2 * 2 + c1 * c2 * 5 + d1 * d2 * 10,
             a1 * b2 + b1 * a2 + (c1 * d2 + d1 * c2) * 5,

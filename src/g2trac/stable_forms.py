@@ -46,7 +46,7 @@ def lam(beta: AltTensor) -> QScalar:
     J = jtilde_matrix(beta)
     tr = linalg.sum_prod([x for row in J for x in row],
                          [x for col in zip(*J) for x in col])
-    return tr * QScalar(Fraction(1, 6)) if tr else tr
+    return tr * QScalar(Fraction(1, 6))
 
 
 def kernel_dim(beta: AltTensor) -> int:
@@ -94,7 +94,7 @@ def htilde_matrix(phi: AltTensor):
         raise ValueError("expected a 3-form on a 7-dimensional space")
     sixth = QScalar(Fraction(1, 6))
     ht = linalg.congruence(linalg.transpose(_pair_rows(slices(phi))), _split_matrix(phi))
-    return [[x * sixth if x else x for x in row] for row in ht]
+    return [[x * sixth for x in row] for row in ht]
 
 
 def slices(phi: AltTensor):
@@ -153,12 +153,12 @@ def _phi_norm_with(phi: AltTensor, hinv):
     sum over a < b < c of phi_abc phi^abc, with phi raised once by the sparse
     pullback along hinv."""
     raised = phi.pullback(hinv).comps
-    acc = None
+    acc = phi.zero
     for key, v in phi.comps.items():
         w = raised.get(key)
         if w is not None:
-            acc = v * w if acc is None else acc + v * w
-    return phi.zero if acc is None else acc * 6
+            acc = acc + v * w
+    return acc * 6
 
 
 def _trace_normalised(phi: AltTensor, inverse):
@@ -222,7 +222,7 @@ def metric_from_3form7(phi: AltTensor):
         c = (s / 42).cbrt()
     except ValueError:
         return None, None, cls
-    H = [[x * c if x else x for x in row] for row in ht]
+    H = [[x * c for x in row] for row in ht]
     vol = AltTensor.form(7, 7)
     vol.set((), tuple(range(7)), c.inverse())
     return AltTensor.from_matrix(H, 7, 0, SYM), vol, cls

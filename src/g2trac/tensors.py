@@ -51,10 +51,9 @@ def sort_with_sign(idx: Tuple[int, ...]):
 
 
 def _scatter(acc: dict, key, v, sign: int = 1) -> None:
-    """acc[key] += sign * v, starting from v itself, also where the earlier
-    terms have cancelled."""
+    """acc[key] += sign * v, starting from v itself."""
     prev = acc.get(key)
-    if prev is None or not prev:
+    if prev is None:
         acc[key] = v if sign > 0 else -v
     else:
         acc[key] = prev + v if sign > 0 else prev - v

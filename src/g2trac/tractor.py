@@ -61,10 +61,7 @@ def tractor_connection(chart: FrameChart, a: int) -> List[List[CoeffFn]]:
     n = chart.dim
     P = chart.schouten()
     z = chart.zero()
-    A = []
-    for b in range(n):
-        p = P.get((), (a, b))
-        A.append(list(chart.G[a][b]) + [-p if p else p])
+    A = [list(chart.G[a][b]) + [-P.get((), (a, b))] for b in range(n)]
     A.append([chart.one() if e == a else z for e in range(n)] + [z])
     return A
 
@@ -114,9 +111,8 @@ def tractor_metric_from_phi(chart: FrameChart, phi: AltTensor):
         raise DegenerateError("tractor 3-form is degenerate")
     c = (s / 42).cbrt()
     cinv = c.inverse()
-    H = AltTensor.from_matrix([[x * c if x else x for x in row] for row in ht], 7, 0, SYM,
-                              chart.zero())
-    return H, [[x * cinv if x else x for x in row] for row in htinv], ht
+    H = AltTensor.from_matrix([[x * c for x in row] for row in ht], 7, 0, SYM, chart.zero())
+    return H, [[x * cinv for x in row] for row in htinv], ht
 
 
 def tractor_metric_hhdef(chart: FrameChart, phi: AltTensor, orientation: int = 1) -> AltTensor:

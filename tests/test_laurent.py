@@ -355,3 +355,36 @@ def test_cancelling_monomials_give_the_shared_zero(param):
     assert list((f + h).terms.items()) == [(-3, 1 + SQRT2), (2, QScalar(Fraction(2, 3)))]
     assert list((h - f).terms.items()) == [(2, QScalar(Fraction(2, 3))), (-3, -1 - SQRT2)]
     assert (f * h).terms == {-1: (1 + SQRT2) * Fraction(2, 3)} and (f * h).param == param
+
+
+@st.composite
+def zero_operand_pairs(draw):
+    """(zero, f): a zero CoeffFn, 0, Fraction(0) or a zero QScalar, and an
+    operand f of the zero's parameterization."""
+    param = draw(st.sampled_from(PARAMS))
+    zero = draw(st.sampled_from([CoeffFn.zero(param), 0, Fraction(0), QScalar.zero()]))
+    return zero, draw(laurent_operands(param))
+
+
+@given(zero_operand_pairs())
+@settings(max_examples=200)
+def test_a_zero_operand_makes_no_field_op(pair):
+    # a sum returns f, a product the shared zero, 0 - f the negation of f
+    zero, f = pair
+    ops = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+            def counted(x, y, op=getattr(QScalar, name), name=name):
+                out = op(x, y)
+                if out is not NotImplemented:
+                    ops.append(name)
+                return out
+
+            mp.setattr(QScalar, name, counted)
+        sums = [zero + f, f + zero, f - zero]
+        negated = zero - f
+        products = [zero * f, f * zero]
+    assert ops == []
+    assert all(g is f for g in sums)
+    assert all(g is CoeffFn.zero(f.param) for g in products)
+    _assert_same(negated, _ref_neg(f))

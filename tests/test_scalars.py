@@ -191,6 +191,41 @@ def test_only_rational_pairs_take_the_fast_path(monkeypatch):
     assert calls == [(-42, 21), (0, 49)]
 
 
+def _coords(x):
+    q = QScalar.of(x)
+    return q.a, q.b, q.c, q.d
+
+
+zeros = st.sampled_from([QScalar.zero(), QScalar(0), 0, Fraction(0)])
+
+
+@given(st.one_of(plain_rationals, st.booleans()))
+def test_of_a_rational_is_its_canonical_element(x):
+    assert QScalar.of(x)._v == QScalar(x)._v
+    assert all(type(i) is int for i in QScalar.of(x)._v)
+
+
+@given(st.sampled_from(sorted(_OPS)), zeros, zero_heavy_operands)
+@settings(max_examples=200)
+def test_a_zero_operand_returns_at_once(op, zero, other):
+    # 0 + x, x + 0, x - 0, 0 - x, 0 * x and x * 0, reflected forms included:
+    # the general formula's value in canonical form, with no tuple reduced
+    # (_reduced) and no rational fast path (_rational)
+    if not isinstance(zero, QScalar):
+        other = QScalar.of(other)   # int op int is Python's own
+    pairs = ((zero, other), (other, zero))
+    want = [_reference(op, _coords(x), _coords(y)) for x, y in pairs]
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_reduced", "_rational"):
+            mp.setattr(f"g2trac.scalars.{name}", lambda *v, name=name: calls.append(name))
+        got = [_OPS[op](x, y) for x, y in pairs]
+    assert calls == []
+    for q, w in zip(got, want):
+        assert isinstance(q, QScalar)
+        assert (q.a, q.b, q.c, q.d) == w and q._v == _canonical(w)
+
+
 @pytest.mark.parametrize("x", [QScalar(Fraction(-3, 7)), 1 + SQRT2 - SQRT10 / 3], ids=str)
 def test_pow_is_the_repeated_product(x):
     for n in (0, 1, 2, 3, 7, 8, 40, -3):

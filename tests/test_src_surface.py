@@ -17,6 +17,11 @@ definition's name does not count as its caller.  An attribute read still
 cannot tell its receiver's type: a method that shares its name with an
 attribute of another type read in program code, such as a dict's `.items`
 or a record's `.all_ok`, counts as called.
+
+A zero operand is the rings' job: QScalar and CoeffFn return 0 + x, x - 0,
+0 - x and 0 * x at once.  So no conditional expression in src/g2trac
+tests a name x only to return x where the ring op on x would give the
+zero it holds (`x * c if x else x`, `-v if v else v`).
 """
 
 import ast
@@ -128,3 +133,35 @@ def test_every_src_function_has_a_caller_outside_the_tests():
     assert sorted(uncalled - set(ALLOWED)) == []
     # an entry whose definition gained a caller, or went, leaves the list
     assert sorted(set(ALLOWED) - uncalled) == []
+
+
+def _zero_guards(tree):
+    """Line of each conditional expression whose test is a name x, whose
+    else branch is x and whose body is a binary or unary op on x."""
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.IfExp) and isinstance(node.test, ast.Name)
+                and isinstance(node.orelse, ast.Name) and node.orelse.id == node.test.id):
+            continue
+        body = node.body
+        operands = ([body.left, body.right] if isinstance(body, ast.BinOp)
+                    else [body.operand] if isinstance(body, ast.UnaryOp) else [])
+        if any(isinstance(v, ast.Name) and v.id == node.test.id for v in operands):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_zero_guard_shape_is_recognised():
+    tree = ast.parse("y = [x * c if x else x for x in r]\n"
+                     "z = -v if v else v\n"
+                     "w = a * b if b else b\n"
+                     "u = x + 1 if x else y\n"
+                     "t = f(x) if x else x\n"
+                     "s = a * b if x else x\n")
+    assert _zero_guards(tree) == [1, 2, 3]
+
+
+def test_no_call_site_guards_a_zero_ring_operand():
+    guards = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+              for line in _zero_guards(ast.parse(path.read_text()))]
+    assert guards == []
