@@ -80,12 +80,12 @@ class CoeffFn:
 
     @staticmethod
     def rho(param: str = PLAIN) -> "CoeffFn":
-        """The function rho expressed in the marker's s-variable."""
-        if param == PLAIN:
-            return CoeffFn({1: QScalar.one()}, param)
-        if param == RHO_PLUS:
-            return CoeffFn({2: QScalar.one()}, param)
-        return CoeffFn({2: QScalar(-1)}, param)
+        """The function rho expressed in the marker's s-variable: s, s^2 or
+        -s^2, one shared immutable element per parameterization."""
+        try:
+            return _RHOS[param]
+        except KeyError:
+            raise ValueError(f"unknown parameterization {param!r}") from None
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -384,5 +384,8 @@ class CoeffFn:
         return " + ".join(bits)
 
 
-# one zero per parameterization, shared by every CoeffFn.zero(param)
+# one zero and one rho per parameterization, shared by every
+# CoeffFn.zero(param) and CoeffFn.rho(param)
 _ZEROS = {p: _cf(MappingProxyType({}), p) for p in _MARKERS}
+_RHOS = {p: _cf(MappingProxyType(t), p) for p, t in (
+    (PLAIN, {1: QScalar.one()}), (RHO_PLUS, {2: QScalar.one()}), (RHO_MINUS, {2: QScalar(-1)}))}

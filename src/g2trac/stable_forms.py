@@ -16,7 +16,7 @@ from math import comb
 
 from . import linalg
 from .scalars import DegenerateError, QScalar
-from .tensors import SYM, AltTensor, perm_sign
+from .tensors import SYM, AltTensor, _scatter, perm_sign
 
 B1, B2, B3, B4, B5, B6 = "beta1", "beta2", "beta3", "beta4", "beta5", "beta6"
 DEFINITE, SPLIT, DEGENERATE = "definite", "split", "degenerate"
@@ -33,10 +33,13 @@ def jtilde_matrix(beta: AltTensor):
     """Matrix of v -> kappa((v . beta) ^ beta), with the e^{1..6} factor dropped.
 
     Row r of column a is the e^{1..6} coefficient of e^r ^ (e_a . beta) ^
-    beta: the sum over the splits (r, p, t) of sign(r p t) S_a[p] beta_t."""
+    beta: the sum over the splits (r, p, t) of sign(r p t) S_a[p] beta_t,
+    that is (N U^T)_ra for the split rows N and the slice rows U, read
+    off the stored components.  Entries lie in beta's ring."""
     if beta.dim != 6 or beta.n_down != 3 or beta.n_up:
         raise ValueError("expected a 3-form on a 6-dimensional space")
-    return linalg.mat_mul(_split_matrix(beta), linalg.transpose(_pair_rows(slices(beta))))
+    U, N = _slice_rows(beta), _split_rows(beta)
+    return [[_sparse_dot(row, Ua, beta.zero) for Ua in U] for row in N]
 
 
 def lam(beta: AltTensor) -> QScalar:
@@ -50,7 +53,10 @@ def lam(beta: AltTensor) -> QScalar:
 
 
 def kernel_dim(beta: AltTensor) -> int:
-    return 6 - linalg.rank(_pair_rows(slices(beta)))
+    """6 minus the rank of the slice rows: v . beta = 0 is v^T U = 0."""
+    zero = beta.zero
+    return 6 - linalg.rank([[row.get(p, zero) for p in range(comb(6, 2))]
+                            for row in _slice_rows(beta)])
 
 
 def classify6(beta: AltTensor) -> dict:
@@ -87,14 +93,28 @@ def classify6(beta: AltTensor) -> dict:
 def htilde_matrix(phi: AltTensor):
     """Matrix of (1/6)(X . phi)^(Y . phi)^phi, e^{1..7} coefficient: the
     sum over the splits (p, q, t) of (1/6) sign(p q t) S_i[p] S_j[q] phi_t,
-    which is (1/6) U N U^T for the slice rows U and the split matrix N.
+    which is (1/6) U N U^T for the slice rows U and the split rows N.
+
+    Both are read off the stored components, so the 7 components of the
+    family form give 21 slice entries and 42 split entries.  Row i takes
+    W_i = sum_p U_ip N_p once, and h_ij = (1/6) W_i . U_j is formed for
+    j >= i only and mirrored: htilde is symmetric because N is.
 
     Entries lie in phi's ring: QScalar pointwise, CoeffFn on a chart."""
     if phi.dim != 7 or phi.n_down != 3 or phi.n_up:
         raise ValueError("expected a 3-form on a 7-dimensional space")
     sixth = QScalar(Fraction(1, 6))
-    ht = linalg.congruence(linalg.transpose(_pair_rows(slices(phi))), _split_matrix(phi))
-    return [[x * sixth for x in row] for row in ht]
+    U, N = _slice_rows(phi), _split_rows(phi)
+    ht = [[phi.zero] * 7 for _ in range(7)]
+    for i, row in enumerate(U):
+        acc = {}
+        for p, u in row.items():
+            for q, w in N[p]:
+                _scatter(acc, q, u * w)
+        W = list(acc.items())
+        for j in range(i, 7):
+            ht[i][j] = ht[j][i] = _sparse_dot(W, U[j], phi.zero) * sixth
+    return ht
 
 
 def slices(phi: AltTensor):
@@ -110,11 +130,35 @@ def slices(phi: AltTensor):
     return S
 
 
-def _pair_rows(S):
-    """U[a][p] = S[a][p_0][p_1] over the pairs p_0 < p_1 in combinations
-    order: row a lists the components of the 2-form e_a . phi."""
-    pairs = list(combinations(range(len(S)), 2))
-    return [[s[c][d] for c, d in pairs] for s in S]
+@lru_cache(maxsize=None)
+def _pairs(n: int):
+    """The pairs c < d of n legs in combinations order, and each pair's index."""
+    pairs = tuple(combinations(range(n), 2))
+    return pairs, {p: i for i, p in enumerate(pairs)}
+
+
+def _slice_rows(form: AltTensor):
+    """U as one dict per leg a, pair index p -> form_{a p}: the nonzero
+    components of the 2-form e_a . form.  A stored form_{bcd} (b < c < d)
+    gives leg b the pair (c, d), leg c the pair (b, d) with a minus sign,
+    and leg d the pair (b, c)."""
+    index = _pairs(form.dim)[1]
+    U = [{} for _ in range(form.dim)]
+    for (_, (b, c, d)), v in form.comps.items():
+        U[b][index[c, d]] = v
+        U[c][index[b, d]] = -v
+        U[d][index[b, c]] = v
+    return U
+
+
+def _sparse_dot(row, Ua, zero):
+    """Sum of x U_a[p] over the entries (p, x) of row that meet U_a's support."""
+    acc = zero
+    for p, x in row:
+        u = Ua.get(p)
+        if u is not None:
+            acc = acc + x * u
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -125,7 +169,7 @@ def _leg_splits(n: int):
     combinations order."""
     legs = range(n)
     heads = {h: i for i, h in enumerate(combinations(legs, n - 5))}
-    pairs = {p: i for i, p in enumerate(combinations(legs, 2))}
+    pairs = _pairs(n)[1]
     table = {}
     for t in combinations(legs, 3):
         rest = [x for x in legs if x not in t]
@@ -135,40 +179,59 @@ def _leg_splits(n: int):
     return table
 
 
-def _split_matrix(form: AltTensor):
-    """N[h][p] = sign(h p t) form_t for a 3-form on 6 or 7 legs, over the
-    splits of _leg_splits; the head h is one leg in dimension 6 and a pair
-    in dimension 7, where N is symmetric."""
+def _split_rows(form: AltTensor):
+    """N as one list per head h of (pair index p, sign(h p t) form_t), over
+    the splits of _leg_splits of each stored form_t; the head is one leg in
+    dimension 6 and a pair in dimension 7, where N is symmetric."""
     n = form.dim
-    N = [[form.zero] * comb(n, 2) for _ in range(comb(n, n - 5))]
+    N = [[] for _ in range(comb(n, n - 5))]
     splits = _leg_splits(n)
     for (_, t), v in form.comps.items():
+        neg = -v
         for h, p, sign in splits[t]:
-            N[h][p] = v if sign > 0 else -v
+            N[h].append((p, v if sign > 0 else neg))
     return N
-
-
-def _phi_norm_with(phi: AltTensor, hinv):
-    """phi_{ABC} phi_{DEF} h^{AD} h^{BE} h^{CF} for a symmetric hinv: 6 times the
-    sum over a < b < c of phi_abc phi^abc, with phi raised once by the sparse
-    pullback along hinv."""
-    raised = phi.pullback(hinv).comps
-    acc = phi.zero
-    for key, v in phi.comps.items():
-        w = raised.get(key)
-        if w is not None:
-            acc = acc + v * w
-    return acc * 6
 
 
 def _trace_normalised(phi: AltTensor, inverse):
     """(htilde, htilde^-1, s) for a 7-dim 3-form: s = phi.phi raised by
     htilde^-1, so that H = (s/42)^(1/3) htilde has phi.phi = 42 under
     H-raising; the inverse is linalg.inverse pointwise and inverse_laurent
-    on a chart."""
+    on a chart.
+
+    s is read at one entry, by the classical stable-form identity.
+    M_ab = phi_acd phi_bef h^ce h^df (h = htilde^-1) is a symmetric form
+    that, like htilde, is invariant under the stabiliser of phi: G2 on
+    the definite orbit, split G2 on the split one.  Each acts irreducibly
+    on R^7, so by Schur's lemma M = (s/7) htilde; tracing with h gives
+    s = tr(h M) and tr(h htilde) = 7.  Both sides are rational in the
+    components of phi, so the identity holds wherever htilde is
+    invertible, on a chart too.  So s = 7 M_ab / htilde_ab at the first
+    nonzero entry (a, b) of htilde, where M_ab = -tr(S_a h S_b h) is
+    summed over the supports of the slice rows U_a and U_b only:
+    M_ab = 2 sum U_a[cd] U_b[ef] (h^ce h^df - h^cf h^de), c < d, e < f.
+    The division is exact in both rings.  Over QScalar it is a field
+    division.  The Laurent ring is an integral domain, and the quotient
+    s/7 = M_ab / htilde_ab is a ring element, since s = tr(h M) sums
+    products of ring elements (h is the ring inverse inverse_laurent
+    returns).  So a monomial entry is inverted and any other is divided
+    by CoeffFn's exact long division, which leaves no remainder.
+    """
     ht = htilde_matrix(phi)
     hinv = inverse(ht)
-    return ht, hinv, _phi_norm_with(phi, hinv)
+    a, b = next((i, j) for i, row in enumerate(ht) for j, x in enumerate(row) if x)
+    pairs = _pairs(7)[0]
+    U = _slice_rows(phi)
+    ub = [(pairs[q], w) for q, w in U[b].items()]
+    acc = phi.zero
+    for p, u in U[a].items():
+        c, d = pairs[p]
+        hc, hd = hinv[c], hinv[d]
+        inner = phi.zero
+        for (e, f), w in ub:
+            inner = inner + w * (hc[e] * hd[f] - hc[f] * hd[e])
+        acc = acc + u * inner
+    return ht, hinv, acc * 14 / ht[a][b]
 
 
 def cross_matrix(phi: AltTensor, hinv, a: int):

@@ -98,9 +98,17 @@ def tractor_metric_from_phi(chart: FrameChart, phi: AltTensor):
     Normalized by the trace identity 6 H_{AD} = Phi_{ABC} Phi_D^{BC}
     (equivalently Phi.Phi = 42 under H-raising), which is orientation
     free and needs no root extraction beyond an exact monomial cube
-    root.  H = c htilde for that root c, so H^-1 = c^-1 htilde^-1 reuses
-    the one inverse the normalisation takes, and htilde is returned for
-    the volume coefficient (phi_volume_ratio).  Degenerate input raises
+    root.  Raised by htilde^-1 instead, Phi_{ABC} Phi_D^{BC} is
+    (s/7) htilde_{AD} by Schur's lemma (the stabiliser of Phi, G2 or
+    split G2, acts irreducibly on the tractors), where s is Phi.Phi under
+    htilde^-1-raising; stable_forms._trace_normalised reads s as that
+    quotient at the first nonzero entry of htilde, a division that is
+    exact because s is a Laurent element and the ring has no zero
+    divisors.
+    H = c htilde for the cube root c = (s/42)^(1/3), so
+    H^-1 = c^-1 htilde^-1 reuses the one inverse the normalisation
+    takes, and htilde is returned for the volume coefficient
+    (phi_volume_ratio).  Degenerate input raises
     DegenerateError.
     """
     n = chart.dim

@@ -6,6 +6,8 @@ battery, the CLI and the scripts never call them.  Import them by name
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 from typing import List
 
 from g2trac import linalg
@@ -14,6 +16,7 @@ from g2trac.geometry import GeometryPackage
 from g2trac.laurent import CoeffFn
 from g2trac.octonions import ImaginaryVector, dot, dot_matrix, jmap
 from g2trac.scalars import QScalar
+from g2trac.stable_forms import _leg_splits, slices
 from g2trac.tensors import NONE, AltTensor, _scatter, _tensor
 from g2trac.tractor import (d_tractor_3form, omega_weyl_cycle, tractor_3form,
                             tractor_connection, tractor_metric_from_phi)
@@ -122,3 +125,54 @@ def ky_prolong(chart: FrameChart, omega: AltTensor):
     for (_, (a, b, c)), v in defect.comps.items():
         _scatter(acc, ((), (c, b, a)), v * half, -1)
     return pair, hat, _tensor(n, 0, 3, NONE, zero, acc)
+
+
+# -- the dense stable-form route ------------------------------------------------
+# htilde and jtilde from the dense slice rows and split matrix, and the
+# phi-norm by a pullback: the oracles of stable_forms' sparse kernels and of
+# the scale it reads off the trace identity.
+
+
+def _pair_rows(S):
+    """U[a][p] = S[a][p_0][p_1] over the pairs p_0 < p_1 in combinations
+    order: row a lists the components of the 2-form e_a . phi."""
+    pairs = list(combinations(range(len(S)), 2))
+    return [[s[c][d] for c, d in pairs] for s in S]
+
+
+def _split_matrix(form: AltTensor):
+    """N[h][p] = sign(h p t) form_t for a 3-form on 6 or 7 legs, over the
+    splits of _leg_splits; the head h is one leg in dimension 6 and a pair
+    in dimension 7, where N is symmetric."""
+    n = form.dim
+    N = [[form.zero] * comb(n, 2) for _ in range(comb(n, n - 5))]
+    splits = _leg_splits(n)
+    for (_, t), v in form.comps.items():
+        for h, p, sign in splits[t]:
+            N[h][p] = v if sign > 0 else -v
+    return N
+
+
+def _phi_norm_with(phi: AltTensor, hinv):
+    """phi_{ABC} phi_{DEF} h^{AD} h^{BE} h^{CF} for a symmetric hinv: 6 times the
+    sum over a < b < c of phi_abc phi^abc, with phi raised once by the sparse
+    pullback along hinv."""
+    raised = phi.pullback(hinv).comps
+    acc = phi.zero
+    for key, v in phi.comps.items():
+        w = raised.get(key)
+        if w is not None:
+            acc = acc + v * w
+    return acc * 6
+
+
+def dense_htilde(phi: AltTensor):
+    """(1/6) U N U^T over the dense slice rows U and split matrix N."""
+    sixth = QScalar(Fraction(1, 6))
+    ht = linalg.congruence(linalg.transpose(_pair_rows(slices(phi))), _split_matrix(phi))
+    return [[x * sixth for x in row] for row in ht]
+
+
+def dense_jtilde(beta: AltTensor):
+    """N U^T over the dense split matrix N and slice rows U."""
+    return linalg.mat_mul(_split_matrix(beta), linalg.transpose(_pair_rows(slices(beta))))

@@ -25,7 +25,7 @@ from g2trac.qm_family import (FLAT_PARAMETERS, REGRESSION_PARAMETERS,
 from g2trac.scalars import QScalar
 from g2trac.tensors import AltTensor
 from g2trac.tractor import d_tractor_3form, ky_symmetrized_derivative
-from support import cross, ky_prolong, random_null_vector
+from support import _phi_norm_with, cross, ky_prolong, random_null_vector
 
 
 def report(num, ok, detail=""):
@@ -121,7 +121,7 @@ def test_criterion_3_stable_form_dictionary():
                 want = QScalar(1 if i < 3 else xi) if i == j else QScalar.zero()
                 ok = ok and (M[i][j] - want).is_zero()
         hinv = linalg.inverse(M)
-        ok = ok and sf._phi_norm_with(phi, hinv) == QScalar(42)
+        ok = ok and _phi_norm_with(phi, hinv) == QScalar(42)
     normal_forms = {
         sf.B1: [((1, 2, 3), 1), ((4, 5, 6), 1)],
         sf.B2: [((1, 3, 5), 1), ((1, 4, 6), -1), ((2, 3, 6), -1), ((2, 4, 5), -1)],

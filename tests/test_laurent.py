@@ -235,6 +235,18 @@ def test_zero_rejects_an_unknown_parameterization():
         CoeffFn.zero("bad")
 
 
+@pytest.mark.parametrize("param, want", [(PLAIN, {1: 1}), (RHO_PLUS, {2: 1}), (RHO_MINUS, {2: -1})])
+def test_rho_is_one_shared_constant_per_parameterization(param, want):
+    r = CoeffFn.rho(param)
+    assert r is CoeffFn.rho(param) and r.param == param
+    assert r == CoeffFn({e: QScalar(c) for e, c in want.items()}, param)
+    assert (CoeffFn.s(param) + r) - r == CoeffFn.s(param) and r == CoeffFn.rho(param)
+    with pytest.raises(TypeError):
+        r.terms[0] = QScalar(1)
+    with pytest.raises(ValueError):
+        CoeffFn.rho("bad")
+
+
 @pytest.mark.parametrize("param", [PLAIN, RHO_PLUS, RHO_MINUS])
 def test_cbrt_of_monomials(param):
     got = CoeffFn.monomial(QScalar(Fraction(-8, 27)), 6, param).cbrt()

@@ -12,12 +12,13 @@ from g2trac import linalg, stable_forms as sf
 from g2trac.frames import FrameChart
 from g2trac.laurent import PLAIN
 from g2trac.octonions import ImaginaryVector, g2_form
-from g2trac.qm_family import model_3form
+from g2trac.qm_family import REGRESSION_PARAMETERS, model_3form
 from g2trac.scalars import DegenerateError, QScalar, SQRT2
 from g2trac.stable_forms import (DEGENERATE, ClassificationError, cross_matrix, jtilde_matrix,
                                  lam, metric_from_3form7, slices)
 from g2trac.tensors import ALT, NONE, SYM, AltTensor, _scatter, _tensor
-from support import cross
+from g2trac.tractor import slots, tractor_metric_from_phi
+from support import _phi_norm_with, cross, dense_htilde, dense_jtilde
 
 
 # -- insertion and the SU(3)-pair chain ------------------------------------------
@@ -301,7 +302,6 @@ def test_phi_norm_is_42():
         phi = phi_xi(xi)
         H, _, _ = sf.metric_from_3form7(phi)
         hinv = linalg.inverse(H.as_matrix())
-        from g2trac.stable_forms import _phi_norm_with
         assert _phi_norm_with(phi, hinv) == QScalar(42)
 
 
@@ -332,14 +332,14 @@ def test_phi_norm_matches_slice_oracle_on_seed1_conjugates(xi):
     (A,) = _classify_workload_inputs(1)["sl7"][xi]
     phi = phi_xi(xi).pullback([[QScalar(x) for x in row] for row in A])
     hinv = linalg.inverse(sf.htilde_matrix(phi))
-    got = sf._phi_norm_with(phi, hinv)
+    got = _phi_norm_with(phi, hinv)
     assert not got.is_zero() and got == phi_norm_by_slices(phi, hinv)
 
 
 def test_phi_norm_matches_slice_oracle_on_laurent_form(pkg_half):
     full = pkg_half.phi
     hinv = linalg.inverse_laurent(pkg_half.H.as_matrix())
-    got = sf._phi_norm_with(full, hinv)
+    got = _phi_norm_with(full, hinv)
     assert got == phi_norm_by_slices(full, hinv) == pkg_half.chart.lift(42)
 
 
@@ -606,7 +606,7 @@ def test_slice_forms_match_direct_index_sums(case, pkg_half):
             h = hinv[a][d] * hinv[b][e] * hinv[c][f]
             if not h.is_zero():
                 want = want + v * w * h
-    assert not want.is_zero() and sf._phi_norm_with(phi, hinv) == want
+    assert not want.is_zero() and _phi_norm_with(phi, hinv) == want
 
 
 # -- the split sums against the wedge definitions --------------------------------
@@ -639,10 +639,22 @@ def _assert_same_matrix(got, want):
     assert all(got[i][j] == want[i][j] for i in range(len(want)) for j in range(len(want)))
 
 
+def _assert_typed_like(M, form):
+    assert all(type(x) is type(form.zero) for row in M for x in row)
+
+
 def _assert_htilde_matches_wedges(phi):
     got = sf.htilde_matrix(phi)
-    assert all(type(x) is type(phi.zero) for row in got for x in row)
+    _assert_typed_like(got, phi)
     _assert_same_matrix(got, htilde_by_wedges(phi))
+    _assert_same_matrix(got, dense_htilde(phi))
+
+
+def _assert_jtilde_matches_wedges(beta):
+    got = sf.jtilde_matrix(beta)
+    _assert_typed_like(got, beta)
+    _assert_same_matrix(got, jtilde_by_wedges(beta))
+    _assert_same_matrix(got, dense_jtilde(beta))
 
 
 def test_htilde_matches_wedge_definition_on_sl7_conjugates():
@@ -656,9 +668,91 @@ def test_htilde_matches_wedge_definition_on_laurent_form(pkg_half):
     _assert_htilde_matches_wedges(pkg_half.phi)
 
 
+def test_jtilde_matches_wedge_definition_on_laurent_form(pkg_half):
+    # the 3-form slot mu_bcd = Phi_bcd of the family on its 6-dim chart,
+    # and the six legs of the family form after a constant change of frame
+    _assert_jtilde_matches_wedges(slots(pkg_half.phi)[1])
+    conj = pkg_half.phi.pullback(random_sl(random.Random("laurent-0"), 7))
+    _assert_jtilde_matches_wedges(_tensor(6, 0, 3, ALT, conj.zero, {
+        key: v for key, v in conj.comps.items() if max(key[1]) < 6}))
+
+
 def test_jtilde_matches_wedge_definition():
     rng = random.Random(59)
     for beta in NORMAL_FORMS.values():
         for _ in range(2):
-            conj = beta.pullback(random_sl(rng, 6))
-            _assert_same_matrix(sf.jtilde_matrix(conj), jtilde_by_wedges(conj))
+            _assert_jtilde_matches_wedges(beta.pullback(random_sl(rng, 6)))
+
+
+# -- the trace identity against the full contraction ----------------------------
+
+
+def trace_form(phi, hinv):
+    """M_ab = phi_acd phi_bef h^ce h^df at every entry, from the dense slices:
+    the sum of S_a[c][d] (h S_b h)[c][d] over all c, d."""
+    S = sf.slices(phi)
+    raised = [[v for r in linalg.mat_mul(hinv, linalg.mat_mul(s, hinv)) for v in r] for s in S]
+    flat = [[v for r in s for v in r] for s in S]
+    return [[linalg.sum_prod(fa, rb) for rb in raised] for fa in flat]
+
+
+def _assert_trace_identity(phi, inverse):
+    """M = (s/7) htilde entry for entry, and the s read at one entry is the
+    full contraction phi_abc phi_def h^ad h^be h^cf."""
+    ht, hinv, s = sf._trace_normalised(phi, inverse)
+    assert hinv == inverse(sf.htilde_matrix(phi))
+    assert type(s) is type(phi.zero) and not s.is_zero()
+    assert s == _phi_norm_with(phi, hinv)
+    seventh = s * QScalar(Fraction(1, 7))
+    _assert_same_matrix(trace_form(phi, hinv), [[seventh * x for x in row] for row in ht])
+    return ht, s
+
+
+def _sl7_conjugates(xi):
+    (A,) = _classify_workload_inputs(1)["sl7"][xi]
+    rng = random.Random(f"trace-identity-{xi}")
+    return [[[QScalar(x) for x in row] for row in A]] + [random_sl(rng, 7) for _ in range(25)]
+
+
+@pytest.mark.parametrize("xi", [1, -1])
+def test_trace_identity_on_phi_and_its_sl7_conjugates(xi):
+    phi = phi_xi(xi)
+    _, s = _assert_trace_identity(phi, linalg.inverse)
+    assert s == QScalar(42)
+    for A in _sl7_conjugates(xi):
+        # s is an SL(7) invariant
+        assert _assert_trace_identity(phi.pullback(A), linalg.inverse)[1] == s
+
+
+@pytest.mark.parametrize("m", REGRESSION_PARAMETERS, ids=str)
+def test_trace_identity_on_the_family_form(family_package, m):
+    _assert_trace_identity(family_package(m).phi, linalg.inverse_laurent)
+
+
+def test_trace_identity_reads_s_through_laurent_long_division(pkg_half):
+    # a constant SL(7, Q) change of frame mixes the monomial entries of the
+    # family's htilde, so the entry s is read at has two terms and the
+    # quotient needs CoeffFn's long division; s is unchanged
+    phi = pkg_half.phi
+    s = sf._trace_normalised(phi, linalg.inverse_laurent)[2]
+    conj = phi.pullback(random_sl(random.Random("laurent-0"), 7))
+    ht, got = _assert_trace_identity(conj, linalg.inverse_laurent)
+    first = next(x for row in ht for x in row if x)
+    assert len(first.terms) == 2
+    assert got == s == pkg_half.chart.lift(-42)
+
+
+def test_stable_metrics_raise_phi_by_no_pullback_and_take_no_congruence(monkeypatch, pkg_half):
+    # htilde and s are read off the stored components: no dense U N U^T
+    # congruence and no phi raised by a pullback
+    forms = [phi_xi(1), phi_xi(-1).pullback(random_sl(random.Random(61), 7))]
+    want = [sf.metric_from_3form7(phi) for phi in forms]
+    want_tractor = tractor_metric_from_phi(pkg_half.chart, pkg_half.phi)
+
+    def dense_route(*args):
+        raise AssertionError("dense stable-form route")
+
+    monkeypatch.setattr(AltTensor, "pullback", dense_route)
+    monkeypatch.setattr(linalg, "congruence", dense_route)
+    assert [sf.metric_from_3form7(phi) for phi in forms] == want
+    assert tractor_metric_from_phi(pkg_half.chart, pkg_half.phi) == want_tractor
